@@ -2,13 +2,12 @@
 end-to-end `run`.
 
 Exit codes: 0 success, 2 configuration error, 3 input-data error,
-4 network error, 5 analysis error.
+4 network error, 5 analysis error, 130 interrupted.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import os
 import sys
@@ -16,6 +15,7 @@ from pathlib import Path
 
 from . import __version__, analysis, geo_export, labeling
 from .errors import InputDataError, RoadsenseError
+from .fileio import write_atomic
 from .osm_ingest import filter_roads, parse_osm, read_network, write_network
 from .pipeline import load_config, run_pipeline
 from .sampler import (
@@ -32,6 +32,7 @@ from .segmenter import (
 )
 from .streetview import (
     ClientConfig,
+    coverage_json,
     estimate_coverage,
     fetch_all,
     read_queries_csv,
@@ -100,19 +101,9 @@ def cmd_fetch(args) -> int:
 
 
 def cmd_coverage(args) -> int:
-    records = read_queries_csv(args.queries)
-    est = estimate_coverage(records)
-    payload = {
-        "successes": est.successes,
-        "total": est.total,
-        "proportion": est.proportion,
-        "ci_low": est.ci_low,
-        "ci_high": est.ci_high,
-        "excluded": est.excluded,
-    }
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    est = estimate_coverage(read_queries_csv(args.queries))
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        write_atomic(args.out, coverage_json(est))
     print(f"coverage: {est.proportion:.4f} "
           f"[{est.ci_low:.4f}, {est.ci_high:.4f}] "
           f"({est.successes}/{est.total} queries successful, "
@@ -398,6 +389,10 @@ def main(argv=None) -> int:
     except FileNotFoundError as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
+    except KeyboardInterrupt:
+        print("error: interrupted; completed records are kept in queries.csv, "
+              "rerun the same command to resume", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

@@ -28,6 +28,11 @@ TINY_JPEG = bytes.fromhex("ffd8fffe00046d6fffd9")
 
 
 class _Handler(BaseHTTPRequestHandler):
+    protocol_version = "HTTP/1.1"  # keep-alive: every reply sends Content-Length
+    # headers and body are separate writes; with Nagle on, the body of a
+    # reply on a persistent connection waits ~40 ms for the client's ACK
+    disable_nagle_algorithm = True
+
     def log_message(self, fmt, *args):  # keep test output quiet
         pass
 
@@ -89,6 +94,10 @@ class _Handler(BaseHTTPRequestHandler):
 class MockStreetViewServer(ThreadingHTTPServer):
     """Fixture-driven imagery API mock bound to an ephemeral local port."""
 
+    # a client opening all its connections at once must not overflow the
+    # listen backlog (the default of 5 costs a 1 s SYN retransmit)
+    request_queue_size = 64
+
     def __init__(self, fixture: dict | str | Path, port: int = 0):
         if not isinstance(fixture, dict):
             fixture = json.loads(Path(fixture).read_text(encoding="utf-8"))
@@ -107,7 +116,8 @@ class MockStreetViewServer(ThreadingHTTPServer):
         return f"http://127.0.0.1:{self.server_address[1]}"
 
     def start(self) -> "MockStreetViewServer":
-        self._thread = threading.Thread(target=self.serve_forever, daemon=True)
+        # a short poll interval lets stop() return without a half-second wait
+        self._thread = threading.Thread(target=self.serve_forever, args=(0.05,), daemon=True)
         self._thread.start()
         return self
 

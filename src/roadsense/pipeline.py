@@ -20,12 +20,14 @@ from pathlib import Path
 
 from . import __version__
 from .errors import ConfigError, InputDataError, RoadsenseError
+from .fileio import write_atomic
 from .osm_ingest import SAMPLED_ROAD_CLASSES, filter_roads, parse_osm, write_network
 from .sampler import sample_segments, write_plan_csv
 from .segmenter import chunk_network, write_segments_csv
 from .streetview import (
     DEFAULT_BASE_URL,
     ClientConfig,
+    coverage_json,
     estimate_coverage,
     fetch_all,
 )
@@ -63,12 +65,7 @@ class RunConfig:
             raise ConfigError(f"sample_n must be >= 0, got {self.sample_n}")
         if self.target_m <= 0:
             raise ConfigError(f"target_m must be positive, got {self.target_m}")
-        if self.max_concurrency < 1:
-            raise ConfigError(f"max_concurrency must be >= 1, got {self.max_concurrency}")
-        if self.retries < 0:
-            raise ConfigError(f"retries must be >= 0, got {self.retries}")
-        if self.rate_per_s <= 0:
-            raise ConfigError(f"rate_per_s must be positive, got {self.rate_per_s}")
+        self.client_config()  # checks the fetch settings
         if not 0 <= self.seed < 2 ** 64:
             raise ConfigError(f"seed must fit in 64 unsigned bits, got {self.seed}")
         if not self.city:
@@ -78,6 +75,17 @@ class RunConfig:
         if not self.out_dir:
             raise ConfigError("out_dir is required")
         return self
+
+    def client_config(self) -> ClientConfig:
+        return ClientConfig(
+            api_key=self.api_key,
+            out_dir=Path(self.out_dir),
+            base_url=self.base_url,
+            max_concurrency=self.max_concurrency,
+            rate_per_s=self.rate_per_s,
+            retries=self.retries,
+            fixed_time=self.fixed_time or None,
+        )
 
     def redacted_dict(self) -> dict:
         data = asdict(self)
@@ -168,8 +176,7 @@ def _write_manifest(config: RunConfig, out_dir: Path, osm_digest: str) -> None:
         "osm_sha256": osm_digest,
         "artifacts": list(RUN_ARTIFACTS),
     }
-    (out_dir / MANIFEST_NAME).write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    write_atomic(out_dir / MANIFEST_NAME, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
 def _is_up_to_date(config: RunConfig, out_dir: Path, osm_digest: str) -> bool:
@@ -229,29 +236,10 @@ def run_pipeline(config: RunConfig) -> Path:
         write_plan_csv(plan, out_dir / "plan.csv")
 
         stage = "fetch"
-        client = ClientConfig(
-            api_key=config.api_key,
-            out_dir=out_dir,
-            base_url=config.base_url,
-            max_concurrency=config.max_concurrency,
-            rate_per_s=config.rate_per_s,
-            retries=config.retries,
-            fixed_time=config.fixed_time or None,
-        )
-        records = fetch_all(plan, client)
+        records = fetch_all(plan, config.client_config())
 
         stage = "coverage"
-        estimate = estimate_coverage(records)
-        coverage = {
-            "successes": estimate.successes,
-            "total": estimate.total,
-            "proportion": estimate.proportion,
-            "ci_low": estimate.ci_low,
-            "ci_high": estimate.ci_high,
-            "excluded": estimate.excluded,
-        }
-        (out_dir / "coverage.json").write_text(
-            json.dumps(coverage, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        write_atomic(out_dir / "coverage.json", coverage_json(estimate_coverage(records)))
     except RoadsenseError as e:
         raise type(e)(f"stage {stage}: {e}") from e
     except Exception as e:

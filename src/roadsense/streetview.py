@@ -12,21 +12,32 @@ network hiccup says nothing about imagery coverage.
 from __future__ import annotations
 
 import csv
+import io
+import itertools
+import json
 import logging
 import math
+import os
+import queue
 import re
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
 import requests
 
-from .errors import ConfigError, InsufficientDataError, KeyQuotaError
+from .errors import (
+    ConfigError,
+    InsufficientDataError,
+    KeyQuotaError,
+    RowError,
+    SchemaError,
+)
+from .fileio import write_atomic
 from .geometry import GeoPoint
-from .sampler import SamplePlan
+from .sampler import SamplePlan, sample_points
 
 log = logging.getLogger(__name__)
 
@@ -93,6 +104,14 @@ class ClientConfig:
     backoff_s: float = 0.5
     timeout_s: float = 10.0
     fixed_time: str | None = None  # pin queried_at for reproducible artifacts
+
+    def __post_init__(self):
+        if self.max_concurrency < 1:
+            raise ConfigError(f"max_concurrency must be >= 1, got {self.max_concurrency}")
+        if self.retries < 0:
+            raise ConfigError(f"retries must be >= 0, got {self.retries}")
+        if not self.rate_per_s > 0:
+            raise ConfigError(f"rate_per_s must be positive, got {self.rate_per_s}")
 
 
 def build_metadata_request(p: GeoPoint, api_key: str,
@@ -204,7 +223,7 @@ def _fetch_one(segment_id: str, point: GeoPoint, config: ClientConfig,
         rel = f"images/{segment_id}.jpg"
         target = config.out_dir / rel
         target.parent.mkdir(parents=True, exist_ok=True)
-        target.write_bytes(img.content)
+        write_atomic(target, img.content)
         image_path = rel
     else:
         log.warning("metadata OK but image fetch failed for %s", segment_id)
@@ -218,83 +237,139 @@ def _fetch_one(segment_id: str, point: GeoPoint, config: ClientConfig,
 def fetch_all(plan: SamplePlan, config: ClientConfig) -> list[QueryRecord]:
     """One record per sampled point, in plan order.
 
-    Resumable: records already present in <out_dir>/queries.csv are reused,
-    not re-fetched. Completed records are flushed to disk as the plan-order
-    prefix grows, so an interrupted run keeps its progress. Aborts early
-    with a key/quota diagnosis when more than half of the first 20 issued
-    queries come back REQUEST_DENIED.
+    <out_dir>/queries.csv is also the fetch journal. Each query's row is
+    appended and flushed as soon as the query completes, so an interrupted
+    or failed run keeps every query it paid for. A resumed run reuses the
+    journal's rows in whatever order they were written, a later row for the
+    same segment winning, and fetches again only the points with no row or
+    with an OK row whose image is missing. Once every point has a record,
+    queries.csv is rewritten atomically in plan order.
+
+    At most max_concurrency queries are in flight at a time. When at least
+    20 points are to be fetched and more than 10 of the first 20 completed
+    queries come back REQUEST_DENIED, the run aborts with a key/quota
+    diagnosis.
     """
     config.out_dir.mkdir(parents=True, exist_ok=True)
     queries_path = config.out_dir / "queries.csv"
-    existing: dict[str, QueryRecord] = {}
-    if queries_path.exists():
-        for rec in read_queries_csv(queries_path):
-            existing[rec.segment_id] = rec
-
-    points = [(s.segment_id, s.start) for s in plan.segments]
+    existing = {rec.segment_id: rec for rec in _read_journal(queries_path)}
     records: dict[int, QueryRecord] = {}
     to_fetch: list[tuple[int, str, GeoPoint]] = []
-    for i, (seg_id, p) in enumerate(points):
-        if seg_id in existing:
-            records[i] = existing[seg_id]
+    for i, (seg_id, p) in enumerate(sample_points(plan)):
+        rec = existing.get(seg_id)
+        if rec is not None and (rec.status != STATUS_OK or _image_on_disk(rec, config)):
+            records[i] = rec
         else:
             to_fetch.append((i, seg_id, p))
-
-    bucket = TokenBucket(config.rate_per_s)
-    flusher = _PrefixFlusher(queries_path, len(points))
-
-    def run_wave(wave):
-        with ThreadPoolExecutor(max_workers=config.max_concurrency) as pool:
-            futures = {pool.submit(_fetch_one, seg_id, p, config, bucket): idx
-                       for idx, seg_id, p in wave}
-            for fut, idx in futures.items():
-                records[idx] = fut.result()
-
-    try:
-        probe, rest = to_fetch[:20], to_fetch[20:]
-        run_wave(probe)
-        if len(probe) == 20:
-            denied = sum(1 for idx, _, _ in probe
-                         if records[idx].status == STATUS_REQUEST_DENIED)
-            if denied > 10:
-                flusher.flush(records)
-                raise KeyQuotaError(
-                    f"{denied} of the first 20 queries were REQUEST_DENIED; "
-                    "check the API key and quota before continuing")
-        flusher.flush(records)
-        for batch_start in range(0, len(rest), 200):
-            run_wave(rest[batch_start:batch_start + 200])
-            flusher.flush(records)
-    finally:
-        flusher.close()
-
-    ordered = [records[i] for i in range(len(points))]
+    if to_fetch:
+        _fetch_window(to_fetch, config, queries_path, records)
+    ordered = [records[i] for i in range(len(plan.segments))]
     write_queries_csv(ordered, queries_path)
     return ordered
 
 
-class _PrefixFlusher:
-    """Persist the contiguous plan-order prefix of completed records."""
+def _image_on_disk(rec: QueryRecord, config: ClientConfig) -> bool:
+    return rec.image_path is not None and (config.out_dir / rec.image_path).is_file()
 
-    def __init__(self, path: Path, total: int):
-        self.path = path
-        self.total = total
-        self.flushed = 0
-        self._file = open(path, "w", encoding="utf-8", newline="")
-        self._writer = csv.writer(self._file, lineterminator="\n")
-        self._writer.writerow(QUERIES_CSV_HEADER.split(","))
 
-    def flush(self, records: dict[int, QueryRecord]) -> None:
-        if self._file.closed:
-            return
-        while self.flushed < self.total and self.flushed in records:
-            self._writer.writerow(_query_row(records[self.flushed]))
-            self.flushed += 1
-        self._file.flush()
+def _fetch_window(to_fetch: list[tuple[int, str, GeoPoint]], config: ClientConfig,
+                  journal_path: Path, records: dict[int, QueryRecord]) -> None:
+    """Fetch the points through a sliding window: one worker thread per
+    in-flight query, a new point queued as each query completes. Each
+    record goes into `records` and is appended to the journal.
 
-    def close(self) -> None:
-        if not self._file.closed:
-            self._file.close()
+    Workers append their records to `done` themselves and the queue only
+    wakes the main thread, so a KeyboardInterrupt may land anywhere in the
+    main thread without losing a record. All workers start before any work
+    is queued, so every query sent belongs to a worker that is joined.
+    """
+    bucket = TokenBucket(config.rate_per_s)
+    done: list[tuple[int, QueryRecord]] = []   # completion order
+    work: queue.SimpleQueue = queue.SimpleQueue()
+    wakeup: queue.SimpleQueue = queue.SimpleQueue()   # None, or a worker's exception
+
+    def worker() -> None:
+        while (item := work.get()) is not None:
+            try:
+                done.append((item[0], _fetch_one(*item[1:], config, bucket)))
+            except BaseException as e:  # the main thread re-raises it
+                wakeup.put(e)
+            else:
+                wakeup.put(None)
+
+    n_workers = min(config.max_concurrency, len(to_fetch))
+    check_storm = len(to_fetch) >= 20
+    new_file = not journal_path.exists() or journal_path.stat().st_size == 0
+    with open(journal_path, "a", encoding="utf-8", newline="") as f:
+        writer = csv.writer(f, lineterminator="\n")
+        if new_file:
+            writer.writerow(QUERIES_CSV_HEADER.split(","))
+        journaled = 0
+
+        def journal() -> None:
+            nonlocal journaled
+            while journaled < len(done):
+                idx, rec = done[journaled]
+                records[idx] = rec
+                writer.writerow(_query_row(rec))
+                journaled += 1
+            f.flush()
+
+        workers: list[threading.Thread] = []
+        try:
+            for _ in range(n_workers):
+                t = threading.Thread(target=worker, daemon=True)
+                t.start()
+                workers.append(t)
+            queued = iter(to_fetch)
+            in_flight = 0
+            for item in itertools.islice(queued, n_workers):
+                work.put(item)
+                in_flight += 1
+            while in_flight:
+                error = wakeup.get()
+                in_flight -= 1
+                if error is not None:
+                    raise error
+                journal()
+                if check_storm:
+                    first = done[:20]
+                    denied = sum(1 for _, r in first if r.status == STATUS_REQUEST_DENIED)
+                    if denied > 10:
+                        raise KeyQuotaError(
+                            f"{denied} of the first {len(first)} queries were "
+                            "REQUEST_DENIED; check the API key and quota before continuing")
+                    check_storm = len(first) < 20
+                item = next(queued, None)
+                if item is not None:
+                    work.put(item)
+                    in_flight += 1
+        finally:
+            # drop the queued points; queries already sent are paid for, so
+            # let them finish and keep their rows
+            try:
+                while True:
+                    work.get_nowait()
+            except queue.Empty:
+                pass
+            for _ in range(n_workers):
+                work.put(None)
+            for t in workers:
+                t.join()
+            journal()
+
+
+def _read_journal(path: Path) -> list[QueryRecord]:
+    """Rows already in queries.csv. A torn last line, left when a writer was
+    killed mid-row, is cut off the file so that appending can resume."""
+    if not path.exists():
+        return []
+    data = path.read_bytes()
+    whole = data[:data.rfind(b"\n") + 1]
+    if len(whole) < len(data):
+        log.warning("%s: dropping a torn last line", path)
+        os.truncate(path, len(whole))
+    return _parse_queries(io.StringIO(whole.decode("utf-8"), newline=""), path)
 
 
 def _query_row(r: QueryRecord) -> list[str]:
@@ -311,17 +386,32 @@ def _query_row(r: QueryRecord) -> list[str]:
 
 
 def write_queries_csv(records: list[QueryRecord], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(QUERIES_CSV_HEADER.split(","))
-        for r in records:
-            writer.writerow(_query_row(r))
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(QUERIES_CSV_HEADER.split(","))
+    for r in records:
+        writer.writerow(_query_row(r))
+    write_atomic(path, buf.getvalue())
 
 
 def read_queries_csv(path: str | Path) -> list[QueryRecord]:
-    out = []
     with open(path, encoding="utf-8", newline="") as f:
-        for row in csv.DictReader(f):
+        return _parse_queries(f, path)
+
+
+def _parse_queries(f, path) -> list[QueryRecord]:
+    reader = csv.DictReader(f)
+    if reader.fieldnames is None:
+        return []
+    for col in QUERIES_CSV_HEADER.split(","):
+        if col not in reader.fieldnames:
+            raise SchemaError(f"{path}: missing required column: {col}")
+    out = []
+    for row in reader:
+        if None in row or None in row.values():
+            raise RowError(f"{path}: line {reader.line_num}: expected "
+                           f"{len(reader.fieldnames)} fields")
+        try:
             out.append(QueryRecord(
                 segment_id=row["segment_id"],
                 location=GeoPoint(float(row["lat"]), float(row["lon"])),
@@ -331,6 +421,8 @@ def read_queries_csv(path: str | Path) -> list[QueryRecord]:
                 image_path=row["image_path"] or None,
                 queried_at=row["queried_at"],
             ))
+        except ValueError as e:
+            raise RowError(f"{path}: line {reader.line_num}: {e}") from e
     return out
 
 
@@ -360,3 +452,8 @@ def estimate_coverage(records: list[QueryRecord]) -> CoverageEstimate:
     return CoverageEstimate(successes=successes, total=total,
                             proportion=successes / total,
                             ci_low=low, ci_high=high, excluded=excluded)
+
+
+def coverage_json(est: CoverageEstimate) -> str:
+    """The coverage.json document for an estimate."""
+    return json.dumps(asdict(est), indent=2, sort_keys=True) + "\n"

@@ -222,6 +222,32 @@ class TestStageCommands:
                      "--out", str(tmp_path / "x.geojson")])
         assert code == 3
 
+    def test_fetch_rejects_zero_rate(self, fixture_city_file, tmp_path, capsys):
+        net_file = tmp_path / "net.ndjson"
+        seg_file = tmp_path / "s.csv"
+        plan_file = tmp_path / "p.csv"
+        main(["ingest", "--osm", str(fixture_city_file), "--city", "f",
+              "--out", str(net_file)])
+        main(["segment", "--network", str(net_file), "--out", str(seg_file)])
+        main(["sample", "--segments", str(seg_file), "--n", "2", "--out", str(plan_file)])
+        capsys.readouterr()
+        code = main(["fetch", "--plan", str(plan_file), "--out-dir", str(tmp_path / "run"),
+                     "--api-key", "k", "--base-url", "http://127.0.0.1:9",
+                     "--rate-per-s", "0"])
+        assert code == 2
+        assert "rate_per_s" in capsys.readouterr().err
+
+    def test_interrupt_exits_130_with_resume_hint(self, fixture_city_file, tmp_path,
+                                                  monkeypatch, capsys):
+        def interrupted(plan, config):
+            raise KeyboardInterrupt
+        monkeypatch.setattr("roadsense.pipeline.fetch_all", interrupted)
+        code = main(run_args(fixture_city_file, tmp_path / "run", "http://127.0.0.1:9"))
+        assert code == 130
+        err = capsys.readouterr().err
+        assert err.startswith("error: interrupted; completed records are kept in queries.csv")
+        assert "Traceback" not in err
+
     def test_coverage_command(self, tmp_path, capsys):
         queries = tmp_path / "queries.csv"
         rows = ["segment_id,lat,lon,status,pano_id,capture_date,image_path,queried_at"]

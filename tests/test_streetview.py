@@ -1,8 +1,14 @@
-import pytest
+import _thread
+import sys
+import time
+from collections import Counter
 
-from roadsense.errors import ConfigError, InsufficientDataError, KeyQuotaError
+import pytest
+import requests
+
+from roadsense.errors import ConfigError, InsufficientDataError, KeyQuotaError, RowError
 from roadsense.geometry import GeoPoint, Polyline
-from roadsense.mockserver import MockStreetViewServer
+from roadsense.mockserver import MockStreetViewServer, _Handler
 from roadsense.sampler import SamplePlan
 from roadsense.segmenter import RoadSegment
 from roadsense.streetview import (
@@ -25,6 +31,27 @@ def fast_config(base_url, out_dir, **kw):
                     max_concurrency=8, fixed_time="2026-01-01T00:00:00Z")
     defaults.update(kw)
     return ClientConfig(**defaults)
+
+
+class _InterruptingHandler(_Handler):
+    """Raises KeyboardInterrupt in the main thread at the server's k-th request."""
+
+    def do_GET(self):
+        server = self.server
+        with server.lock:
+            server.gets += 1
+            fire = server.gets == server.interrupt_at
+        if fire:
+            _thread.interrupt_main()
+        super().do_GET()
+
+
+class InterruptingServer(MockStreetViewServer):
+    def __init__(self, fixture, interrupt_at):
+        super().__init__(fixture)
+        self.RequestHandlerClass = _InterruptingHandler
+        self.interrupt_at = interrupt_at
+        self.gets = 0
 
 
 def plan_of_points(points):
@@ -68,6 +95,17 @@ class TestRequestBuilders:
     def test_base_url_override(self):
         url = build_metadata_request(GeoPoint(0, 0), "K", base_url="http://localhost:1234/")
         assert url.startswith("http://localhost:1234/maps/api/streetview/metadata")
+
+
+@pytest.fixture
+def fast_switching():
+    """Switch threads far more often than usual, to expose lost updates."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(interval)
 
 
 class TestFetchAll:
@@ -149,6 +187,132 @@ class TestFetchAll:
         # 13 missing points, each needing metadata + image
         assert issued == 13 * 2
 
+    def test_request_denied_below_twenty_points_does_not_abort(self, tmp_path):
+        points = [(0.0, i * 0.01) for i in range(19)]
+        fixture = {format_location(GeoPoint(*p)): {"status": "REQUEST_DENIED"}
+                   for p in points}
+        with MockStreetViewServer(fixture) as server:
+            records = fetch_all(plan_of_points(points),
+                                fast_config(server.base_url, tmp_path))
+        assert [r.status for r in records] == ["REQUEST_DENIED"] * 19
+
+    def test_storm_abort_keeps_every_sent_query(self, tmp_path):
+        points = [(0.0, i * 0.01) for i in range(100)]
+        fixture = {format_location(GeoPoint(*p)): {"status": "REQUEST_DENIED"}
+                   for p in points}
+        with MockStreetViewServer(fixture) as server:
+            with pytest.raises(KeyQuotaError):
+                fetch_all(plan_of_points(points), fast_config(server.base_url, tmp_path))
+            sent = set(server.requested_locations)
+        journaled = {format_location(r.location)
+                     for r in read_queries_csv(tmp_path / "queries.csv")}
+        assert journaled == sent
+        # the window stops within one window of the 11th denial
+        assert len(sent) < 11 + 8
+
+    def test_journal_rows_in_any_order_later_row_wins(self, tmp_path):
+        points = [(0.0, i * 0.01) for i in range(6)]
+        fixture = {format_location(GeoPoint(*p)): {"status": "ZERO_RESULTS"} for p in points}
+        plan = plan_of_points(points)
+        with MockStreetViewServer(fixture) as server:
+            config = fast_config(server.base_url, tmp_path)
+            full = fetch_all(plan, config)
+            baseline = (tmp_path / "queries.csv").read_bytes()
+            stale = QueryRecord(full[2].segment_id, full[2].location,
+                                "TRANSPORT_ERROR(503)", queried_at="stale")
+            write_queries_csv([full[4], stale, full[0], full[2], full[3]],
+                              tmp_path / "queries.csv")
+            before = server.request_count
+            assert fetch_all(plan, config) == full
+            # only the point with no row is queried again
+            assert sorted(server.requested_locations[before:]) == [
+                format_location(full[1].location), format_location(full[5].location)]
+        assert (tmp_path / "queries.csv").read_bytes() == baseline
+
+    def test_missing_image_is_fetched_again(self, tmp_path):
+        points = [(0.0, i * 0.01) for i in range(6)]
+        fixture = {format_location(GeoPoint(*p)): {"status": "OK"} for p in points}
+        plan = plan_of_points(points)
+        with MockStreetViewServer(fixture) as server:
+            config = fast_config(server.base_url, tmp_path)
+            full = fetch_all(plan, config)
+            baseline = (tmp_path / "queries.csv").read_bytes()
+            (tmp_path / full[3].image_path).unlink()
+            before = server.request_count
+            assert fetch_all(plan, config) == full
+            # metadata and image for that point, nothing else
+            again = server.requested_locations[before:]
+        assert again == [format_location(full[3].location)] * 2
+        assert (tmp_path / full[3].image_path).is_file()
+        assert (tmp_path / "queries.csv").read_bytes() == baseline
+
+    def test_ok_row_without_image_path_is_fetched_again(self, tmp_path):
+        points = [(0.0, i * 0.01) for i in range(4)]
+        fixture = {format_location(GeoPoint(*p)): {"status": "OK"} for p in points}
+        plan = plan_of_points(points)
+        with MockStreetViewServer(fixture) as server:
+            config = fast_config(server.base_url, tmp_path)
+            full = fetch_all(plan, config)
+            no_image = QueryRecord(full[1].segment_id, full[1].location, "OK",
+                                   pano_id=full[1].pano_id,
+                                   capture_date=full[1].capture_date,
+                                   queried_at=full[1].queried_at)
+            write_queries_csv([full[0], no_image, full[2], full[3]], tmp_path / "queries.csv")
+            before = server.request_count
+            assert fetch_all(plan, config) == full
+            assert server.request_count - before == 2
+
+    def test_torn_last_line_is_fetched_again(self, tmp_path):
+        points = [(0.0, i * 0.01) for i in range(5)]
+        fixture = {format_location(GeoPoint(*p)): {"status": "ZERO_RESULTS"} for p in points}
+        plan = plan_of_points(points)
+        with MockStreetViewServer(fixture) as server:
+            config = fast_config(server.base_url, tmp_path)
+            fetch_all(plan, config)
+            path = tmp_path / "queries.csv"
+            baseline = path.read_bytes()
+            # a writer killed mid-row: the last line lacks fields and a newline
+            path.write_bytes(baseline[:baseline.rindex(b"\n", 0, -1) + 12])
+            assert not path.read_bytes().endswith(b"\n")
+            before = server.request_count
+            fetch_all(plan, config)
+            assert server.requested_locations[before:] == [format_location(GeoPoint(*points[4]))]
+        assert path.read_bytes() == baseline
+
+    def test_malformed_journal_row_is_a_row_error(self, tmp_path):
+        path = tmp_path / "queries.csv"
+        path.write_text("segment_id,lat,lon,status,pano_id,capture_date,image_path,queried_at\n"
+                        "0#0,north,0.0,ZERO_RESULTS,,,,t\n")
+        with pytest.raises(RowError, match="line 2"):
+            fetch_all(plan_of_points([(0.0, 0.0)]), fast_config("http://127.0.0.1:9", tmp_path))
+
+    @pytest.mark.parametrize("k", [1, 19, 20, 21, 150])
+    def test_interrupt_then_resume_pays_once(self, tmp_path, fast_switching, k):
+        points = [(0.0, i * 0.01) for i in range(120)]
+        ok = points[::2]
+        fixture = {format_location(GeoPoint(*p)): {"status": "OK"} for p in ok}
+        plan = plan_of_points(points)
+        with MockStreetViewServer(fixture) as server:
+            fetch_all(plan, fast_config(server.base_url, tmp_path / "reference"))
+        reference = (tmp_path / "reference" / "queries.csv").read_bytes()
+
+        out = tmp_path / "run"
+        with InterruptingServer(fixture, interrupt_at=k) as server:
+            config = fast_config(server.base_url, out)
+            with pytest.raises(KeyboardInterrupt):
+                fetch_all(plan, config)
+            sent = set(server.requested_locations)
+            kept = (out / "queries.csv").read_text().splitlines()
+            fetch_all(plan, config)
+            requested = Counter(server.requested_locations)
+        final = (out / "queries.csv").read_bytes()
+        # every query sent before the interrupt has its row in the journal
+        assert {line.split(",")[1] + "," + line.split(",")[2] for line in kept[1:]} == sent
+        assert set(kept) <= set(final.decode().splitlines())
+        assert final == reference
+        # one metadata request per point and one image per OK point, no more
+        assert requested == {format_location(GeoPoint(*p)): 1 + (p in ok) for p in points}
+
     def test_rerun_makes_no_network_calls(self, tmp_path):
         points = [(0.0, i * 0.01) for i in range(5)]
         fixture = {format_location(GeoPoint(*p)): {"status": "OK"} for p in points}
@@ -159,6 +323,32 @@ class TestFetchAll:
             before = server.request_count
             fetch_all(plan, config)
             assert server.request_count == before
+
+
+class TestClientConfig:
+    @pytest.mark.parametrize("field, value", [
+        ("rate_per_s", 0.0), ("rate_per_s", -1.0), ("rate_per_s", float("nan")),
+        ("max_concurrency", 0), ("retries", -1)])
+    def test_invalid_settings_rejected(self, tmp_path, field, value):
+        with pytest.raises(ConfigError, match=field):
+            fast_config("http://127.0.0.1:9", tmp_path, **{field: value})
+
+
+class TestMockServer:
+    def test_stop_returns_promptly_with_keep_alive_connections_open(self):
+        fixture = {format_location(GeoPoint(0.0, 0.1)): {"status": "OK"}}
+        server = MockStreetViewServer(fixture).start()
+        with requests.Session() as session:
+            for _ in range(3):
+                resp = session.get(build_metadata_request(GeoPoint(0.0, 0.1), "K",
+                                                          server.base_url), timeout=5)
+                assert resp.json()["status"] == "OK"
+            assert resp.raw.version == 11   # HTTP/1.1, connection left open
+            started = time.monotonic()
+            server.stop()
+            assert time.monotonic() - started < 2.0
+        assert not server._thread.is_alive()
+        assert server.request_count == 3
 
 
 class TestQueriesCsv:
