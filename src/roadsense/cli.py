@@ -11,13 +11,14 @@ import argparse
 import logging
 import os
 import sys
+from dataclasses import astuple
 from pathlib import Path
 
-from . import __version__, analysis, geo_export, labeling
+from . import __version__, geo_export, labeling
 from .errors import InputDataError, RoadsenseError
 from .fileio import write_atomic
 from .osm_ingest import filter_roads, parse_osm, read_network, write_network
-from .pipeline import load_config, run_pipeline
+from .pipeline import check_seed, load_config, run_pipeline
 from .sampler import (
     read_plan_csv,
     sample_segments,
@@ -46,8 +47,7 @@ def _parse_classes(raw: str) -> set[str]:
 
 
 def cmd_ingest(args) -> int:
-    data = Path(args.osm).read_bytes()
-    network = parse_osm(data, source_name=args.city)
+    network = parse_osm(Path(args.osm), source_name=args.city)
     write_network(network, args.out)
     print(f"{args.out}: {len(network.nodes)} nodes, {len(network.ways)} road ways")
     if network.stats.duplicate_node_ids:
@@ -70,6 +70,7 @@ def cmd_segment(args) -> int:
 
 
 def cmd_sample(args) -> int:
+    check_seed(args.seed)
     population = read_segments_csv(args.segments)
     if args.stratify_by_class:
         plan = sample_stratified(population, args.n, args.seed)
@@ -114,17 +115,8 @@ def cmd_coverage(args) -> int:
 def cmd_labels(args) -> int:
     records = labeling.parse_labels(Path(args.infile).read_bytes())
     if args.action == "parse":
-        rows = [{
-            "AssignmentId": r.assignment_id,
-            "WorkerId": r.worker_id,
-            "Input.segment_id": r.segment_id,
-            "Answer.potholes": r.potholes,
-            "Answer.cracks": r.cracks,
-            "Answer.markings_present": r.markings_present,
-            "Answer.markings_clear": r.markings_clear,
-            "Answer.litter": r.litter,
-            "Answer.sidewalk": r.sidewalk_paved,
-        } for r in records]
+        # LabelRecord lists its fields in the order of the batch columns
+        rows = [dict(zip(labeling.REQUIRED_COLUMNS, astuple(r))) for r in records]
         data = geo_export.export_csv(rows, fieldnames=list(labeling.REQUIRED_COLUMNS))
         Path(args.out).write_bytes(data)
         print(f"{args.out}: {len(records)} normalized label rows")
@@ -152,6 +144,7 @@ def cmd_labels(args) -> int:
 
 
 def cmd_summarize(args) -> int:
+    from . import analysis  # numpy and scipy load only for the analysis commands
     consensus = labeling.read_consensus_csv(args.consensus)
     summary = analysis.summarize_city(consensus, args.city)
     print(analysis.summary_table([summary]))
@@ -173,6 +166,7 @@ def cmd_summarize(args) -> int:
 
 
 def _regression_rows(args):
+    from . import analysis
     consensus = {c.segment_id: c for c in labeling.read_consensus_csv(args.consensus)}
     segments = read_segments_csv(args.segments)
     factors = [f.strip() for f in args.factors.split(",") if f.strip()]
@@ -218,6 +212,7 @@ def _regression_rows(args):
 
 
 def cmd_regress(args) -> int:
+    from . import analysis
     rows, outcomes, factors = _regression_rows(args)
     baselines = {}
     if args.baseline_city:

@@ -42,11 +42,11 @@ class DegenerateWayError(InputDataError):
 
 
 class SchemaError(InputDataError):
-    """A required CSV column is missing."""
+    """A required CSV column or record field is missing."""
 
 
 class RowError(InputDataError):
-    """A CSV row holds a value outside the accepted vocabulary."""
+    """A CSV row or record holds a value outside the accepted vocabulary."""
 
 
 class KeyQuotaError(NetworkError):

@@ -21,12 +21,18 @@ class GeoPoint:
     lon: float  # degrees, [-180, 180]
 
     def __post_init__(self):
-        if not (math.isfinite(self.lat) and math.isfinite(self.lon)):
-            raise ValueError(f"non-finite coordinate: ({self.lat}, {self.lon})")
-        if not -90.0 <= self.lat <= 90.0:
-            raise ValueError(f"latitude {self.lat} outside [-90, 90]")
-        if not -180.0 <= self.lon <= 180.0:
-            raise ValueError(f"longitude {self.lon} outside [-180, 180]")
+        check_coordinate(self.lat, self.lon)
+
+
+def check_coordinate(lat: float, lon: float) -> None:
+    """Raise ValueError unless lat is in [-90, 90] and lon in [-180, 180].
+
+    NaN fails every comparison, so non-finite values are rejected too.
+    """
+    if not -90.0 <= lat <= 90.0:
+        raise ValueError(f"lat {lat} outside [-90, 90]")
+    if not -180.0 <= lon <= 180.0:
+        raise ValueError(f"lon {lon} outside [-180, 180]")
 
 
 def haversine_m(a: GeoPoint, b: GeoPoint) -> float:
@@ -92,29 +98,6 @@ class Polyline:
 
     def length_m(self) -> float:
         return sum(self.edge_lengths_m())
-
-
-def point_along(line: Polyline, distance_m: float) -> GeoPoint:
-    """The point reached by walking ``distance_m`` from the first vertex.
-
-    Raises ValueError when the distance falls outside [0, length] by more
-    than a 1e-6 m slack.
-    """
-    edges = line.edge_lengths_m()
-    total = sum(edges)
-    if distance_m < -1e-6 or distance_m > total + 1e-6:
-        raise ValueError(
-            f"distance {distance_m} m outside polyline of length {total} m")
-    if distance_m <= 0.0:
-        return line.points[0]
-    remaining = distance_m
-    for i, edge in enumerate(edges):
-        if remaining <= edge:
-            if edge == 0.0:
-                return line.points[i]
-            return interpolate(line.points[i], line.points[i + 1], remaining / edge)
-        remaining -= edge
-    return line.points[-1]
 
 
 def _check_ring(ring: tuple[GeoPoint, ...], kind: str) -> None:

@@ -2,22 +2,31 @@
 
 Only the XML subset matters here: <node id lat lon>, <way id>, <nd ref>
 and <tag k v>. Ways carrying a highway tag (any value) become road
-polylines; everything else (relations, untagged ways, changesets) is
-ignored. The binary PBF format is out of scope.
+polylines and keep the nodes they reference; everything else (other
+nodes, relations, untagged ways, changesets) is ignored. The binary PBF
+format is out of scope.
 """
 
 from __future__ import annotations
 
-import io
 import json
 import logging
-import xml.etree.ElementTree as ET
+import os
+from array import array
 from dataclasses import dataclass, field
+from itertools import islice
 from pathlib import Path
-from xml.sax.saxutils import quoteattr
+from xml.parsers import expat
 
-from .errors import CoordinateRangeError, InputDataError, MissingNodeError, OsmParseError
-from .geometry import GeoPoint
+from .errors import (
+    CoordinateRangeError,
+    InputDataError,
+    MissingNodeError,
+    OsmParseError,
+    RowError,
+    SchemaError,
+)
+from .geometry import GeoPoint, check_coordinate
 
 log = logging.getLogger(__name__)
 
@@ -53,78 +62,95 @@ class RoadNetwork:
     nodes: dict[int, GeoPoint]
     ways: list[Way]
     source_name: str = ""
-    stats: ParseStats = field(default_factory=ParseStats)
-
-    def __eq__(self, other):
-        if not isinstance(other, RoadNetwork):
-            return NotImplemented
-        return (self.nodes == other.nodes and self.ways == other.ways
-                and self.source_name == other.source_name)
+    stats: ParseStats = field(default_factory=ParseStats, compare=False)
 
     def way_points(self, way: Way) -> list[GeoPoint]:
         return [self.nodes[nid] for nid in way.node_ids]
 
 
-def _node_point(elem) -> tuple[int, GeoPoint]:
-    try:
-        nid = int(elem.attrib["id"])
-        lat = float(elem.attrib["lat"])
-        lon = float(elem.attrib["lon"])
-    except (KeyError, ValueError) as e:
-        raise OsmParseError(f"node element missing/invalid id/lat/lon: {e}") from e
-    try:
-        return nid, GeoPoint(lat, lon)
-    except ValueError as e:
-        raise CoordinateRangeError(f"node {nid}: {e}") from e
-
-
-def parse_osm(xml_bytes: bytes | str, source_name: str = "") -> RoadNetwork:
+def parse_osm(source: str | bytes | os.PathLike, source_name: str = "") -> RoadNetwork:
     """Parse an OSM XML document into a RoadNetwork.
 
-    Keeps every node and every way tagged with highway=* (node order
-    preserved). Duplicate node ids follow last-definition-wins with a
-    counter in the parse stats. A way referencing a node id absent from
-    the document raises MissingNodeError.
+    ``source`` is a path, which is streamed, or the document itself as str
+    or bytes. Every node is checked, but only the nodes that a highway=*
+    way references are kept, in document order; until the ways are known
+    all coordinates sit in compact arrays. Duplicate node ids follow
+    last-definition-wins and are counted over all nodes. A way referencing
+    a node id absent from the document raises MissingNodeError.
     """
-    if isinstance(xml_bytes, str):
-        xml_bytes = xml_bytes.encode("utf-8")
-    nodes: dict[int, GeoPoint] = {}
+    ids, lats, lons = array("q"), array("d"), array("d")
     ways: list[Way] = []
     stats = ParseStats()
-    try:
-        for _, elem in ET.iterparse(io.BytesIO(xml_bytes), events=("end",)):
-            if elem.tag == "node":
-                nid, point = _node_point(elem)
-                if nid in nodes:
-                    stats.duplicate_node_ids += 1
-                nodes[nid] = point
-                elem.clear()
-            elif elem.tag == "way":
-                tags = {t.attrib.get("k"): t.attrib.get("v", "") for t in elem.findall("tag")}
-                highway = tags.get("highway")
-                if highway is None:
-                    stats.ways_without_highway += 1
-                    elem.clear()
-                    continue
-                try:
-                    wid = int(elem.attrib["id"])
-                    refs = tuple(int(nd.attrib["ref"]) for nd in elem.findall("nd"))
-                except (KeyError, ValueError) as e:
-                    raise OsmParseError(f"way element missing/invalid id or nd ref: {e}") from e
-                ways.append(Way(id=wid, node_ids=refs,
-                                highway_class=highway, name=tags.get("name")))
-                elem.clear()
-    except ET.ParseError as e:
-        # e.position is (line, column)
-        raise OsmParseError(f"malformed OSM XML at line {e.position[0]}, "
-                            f"column {e.position[1]}: {e}") from e
+    open_nodes: list[dict] = []
+    open_ways: list[tuple[dict, list, dict]] = []  # (attrs, nd refs, tags)
 
+    def start(name, attrs):
+        if name == "node":
+            open_nodes.append(attrs)
+        elif name == "way":
+            open_ways.append((attrs, [], {}))
+        elif name == "nd" and open_ways:
+            open_ways[-1][1].append(attrs.get("ref"))
+        elif name == "tag" and open_ways:
+            open_ways[-1][2][attrs.get("k")] = attrs.get("v", "")
+
+    def end(name):  # checked on close, so a truncated element is malformed XML
+        if name == "node":
+            attrs = open_nodes.pop()
+            try:
+                nid, lat, lon = int(attrs["id"]), float(attrs["lat"]), float(attrs["lon"])
+                ids.append(nid)
+            except (KeyError, ValueError, OverflowError) as e:
+                raise OsmParseError(f"node element missing/invalid id/lat/lon: {e}") from e
+            try:
+                check_coordinate(lat, lon)
+            except ValueError as e:
+                raise CoordinateRangeError(f"node {nid}: {e}") from e
+            lats.append(lat)
+            lons.append(lon)
+        elif name == "way":
+            attrs, refs, tags = open_ways.pop()
+            highway = tags.get("highway")
+            if highway is None:
+                stats.ways_without_highway += 1
+                return
+            try:
+                wid = int(attrs["id"])
+                node_ids = tuple(int(ref) for ref in refs)
+            except (KeyError, ValueError, TypeError) as e:
+                raise OsmParseError(f"way element missing/invalid id or nd ref: {e}") from e
+            ways.append(Way(id=wid, node_ids=node_ids, highway_class=highway,
+                            name=tags.get("name")))
+
+    parser = expat.ParserCreate(namespace_separator="}")  # rejects undeclared prefixes
+    parser.StartElementHandler, parser.EndElementHandler = start, end
+    try:
+        if isinstance(source, os.PathLike):
+            with open(source, "rb") as f:
+                parser.ParseFile(f)
+        else:
+            parser.Parse(source.encode("utf-8") if isinstance(source, str) else source, True)
+    except expat.ExpatError as e:
+        raise OsmParseError(f"malformed OSM XML at line {e.lineno}, "
+                            f"column {e.offset}: {e}") from e
+    except InputDataError as e:  # raised by a handler, which does not know the line
+        raise type(e)(f"line {parser.CurrentLineNumber}: {e}") from e
+
+    referenced = {nid for way in ways for nid in way.node_ids}
+    nodes: dict[int, GeoPoint] = {}
+    for i, nid in enumerate(ids):
+        if nid in referenced:
+            nodes[nid] = GeoPoint(lats[i], lons[i])
     for way in ways:
         for nid in way.node_ids:
             if nid not in nodes:
                 raise MissingNodeError(
                     f"way {way.id} references node {nid} absent from the document")
 
+    # extracts list nodes by ascending id, which rules duplicates out
+    # without a set of every id
+    if not all(a < b for a, b in zip(ids, islice(ids, 1, None))):
+        stats.duplicate_node_ids = len(ids) - len(set(ids))
     if stats.duplicate_node_ids:
         log.warning("parse_osm: %d duplicate node ids (last definition wins)",
                     stats.duplicate_node_ids)
@@ -134,28 +160,6 @@ def parse_osm(xml_bytes: bytes | str, source_name: str = "") -> RoadNetwork:
 def filter_roads(network: RoadNetwork, classes: set[str]) -> list[Way]:
     """Ways whose highway class is in ``classes``, in input order."""
     return [w for w in network.ways if w.highway_class in classes]
-
-
-def to_osm_xml(network: RoadNetwork) -> str:
-    """Serialize back to the OSM XML subset this module reads.
-
-    Coordinates are written with repr(), the shortest decimal string that
-    round-trips the float, so parse(to_osm_xml(n)) == n.
-    """
-    out = ["<?xml version='1.0' encoding='UTF-8'?>", "<osm version=\"0.6\">"]
-    for nid in network.nodes:
-        p = network.nodes[nid]
-        out.append(f'  <node id="{nid}" lat="{p.lat!r}" lon="{p.lon!r}"/>')
-    for way in network.ways:
-        out.append(f'  <way id="{way.id}">')
-        for ref in way.node_ids:
-            out.append(f'    <nd ref="{ref}"/>')
-        out.append(f'    <tag k="highway" v={quoteattr(way.highway_class)}/>')
-        if way.name is not None:
-            out.append(f'    <tag k="name" v={quoteattr(way.name)}/>')
-        out.append("  </way>")
-    out.append("</osm>")
-    return "\n".join(out) + "\n"
 
 
 # --- newline-delimited intermediate format -------------------------------
@@ -178,6 +182,8 @@ def write_network(network: RoadNetwork, path: str | Path) -> None:
 
 
 def read_network(path: str | Path) -> RoadNetwork:
+    """Read a network file back. A bad record raises an InputDataError
+    subclass naming the file, the line and the field."""
     nodes: dict[int, GeoPoint] = {}
     ways: list[Way] = []
     source_name = ""
@@ -190,16 +196,26 @@ def read_network(path: str | Path) -> RoadNetwork:
                 rec = json.loads(line)
             except json.JSONDecodeError as e:
                 raise InputDataError(f"{path}: bad JSON on line {lineno}: {e}") from e
-            kind = rec.get("type")
-            if kind == "meta":
-                source_name = rec.get("city", "")
-            elif kind == "node":
-                nodes[rec["id"]] = GeoPoint(rec["lat"], rec["lon"])
-            elif kind == "way":
-                ways.append(Way(id=rec["id"], node_ids=tuple(rec["nodes"]),
-                                highway_class=rec["highway"], name=rec.get("name")))
-            else:
-                raise InputDataError(f"{path}: unknown record type {kind!r} on line {lineno}")
+            kind = rec.get("type") if isinstance(rec, dict) else None
+            where = f"{path}: line {lineno}: {kind} record"
+            try:
+                if kind == "meta":
+                    source_name = rec.get("city", "")
+                elif kind == "node":
+                    nodes[rec["id"]] = GeoPoint(rec["lat"], rec["lon"])
+                elif kind == "way":
+                    if len(rec["nodes"]) < 2:
+                        raise RowError(f"{where}: field 'nodes' holds fewer than 2 node ids")
+                    ways.append(Way(id=rec["id"], node_ids=tuple(rec["nodes"]),
+                                    highway_class=rec["highway"], name=rec.get("name")))
+                else:
+                    raise InputDataError(f"{path}: unknown record type {kind!r} on line {lineno}")
+            except KeyError as e:
+                raise SchemaError(f"{where} lacks field {e}") from e
+            except ValueError as e:  # GeoPoint names the coordinate out of range
+                raise CoordinateRangeError(f"{where}: {e}") from e
+            except TypeError as e:
+                raise RowError(f"{where}: {e}") from e
     network = RoadNetwork(nodes=nodes, ways=ways, source_name=source_name)
     for way in ways:
         for nid in way.node_ids:

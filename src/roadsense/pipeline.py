@@ -26,10 +26,13 @@ from .sampler import sample_segments, write_plan_csv
 from .segmenter import chunk_network, write_segments_csv
 from .streetview import (
     DEFAULT_BASE_URL,
+    STATUS_OK,
     ClientConfig,
     coverage_json,
     estimate_coverage,
     fetch_all,
+    image_on_disk,
+    read_queries_csv,
 )
 
 log = logging.getLogger(__name__)
@@ -42,6 +45,11 @@ _INT_KEYS = ("sample_n", "seed", "max_concurrency", "retries")
 _FLOAT_KEYS = ("target_m", "rate_per_s")
 _STR_KEYS = ("city", "osm_path", "out_dir", "base_url", "api_key", "fixed_time")
 _VALID_KEYS = ("classes",) + _INT_KEYS + _FLOAT_KEYS + _STR_KEYS
+
+
+def check_seed(seed: int) -> None:
+    if not 0 <= seed < 2 ** 64:
+        raise ConfigError(f"seed must fit in 64 unsigned bits, got {seed}")
 
 
 @dataclass
@@ -66,8 +74,7 @@ class RunConfig:
         if self.target_m <= 0:
             raise ConfigError(f"target_m must be positive, got {self.target_m}")
         self.client_config()  # checks the fetch settings
-        if not 0 <= self.seed < 2 ** 64:
-            raise ConfigError(f"seed must fit in 64 unsigned bits, got {self.seed}")
+        check_seed(self.seed)
         if not self.city:
             raise ConfigError("city is required")
         if not self.osm_path:
@@ -195,7 +202,12 @@ def _is_up_to_date(config: RunConfig, out_dir: Path, osm_digest: str) -> bool:
         recorded.pop(transient, None)
     if recorded != expected or manifest.get("osm_sha256") != osm_digest:
         return False
-    return all((out_dir / name).exists() for name in RUN_ARTIFACTS)
+    if not all((out_dir / name).exists() for name in RUN_ARTIFACTS):
+        return False
+    # a lost image (or an OK row whose download failed) leaves the fetch to redo
+    client = config.client_config()
+    return all(image_on_disk(r, client) for r in read_queries_csv(out_dir / "queries.csv")
+               if r.status == STATUS_OK)
 
 
 def run_pipeline(config: RunConfig) -> Path:
@@ -221,7 +233,7 @@ def run_pipeline(config: RunConfig) -> Path:
 
     stage = "ingest"
     try:
-        network = parse_osm(osm_path.read_bytes(), source_name=config.city)
+        network = parse_osm(osm_path, source_name=config.city)
         write_network(network, out_dir / "network.ndjson")
 
         stage = "segment"

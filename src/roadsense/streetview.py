@@ -19,7 +19,6 @@ import logging
 import math
 import os
 import queue
-import re
 import threading
 import time
 from dataclasses import asdict, dataclass
@@ -48,17 +47,11 @@ STATUS_OK = "OK"
 STATUS_ZERO_RESULTS = "ZERO_RESULTS"
 STATUS_REQUEST_DENIED = "REQUEST_DENIED"
 
-_TRANSPORT_RE = re.compile(r"^TRANSPORT_ERROR\((.*)\)$")
-
 QUERIES_CSV_HEADER = "segment_id,lat,lon,status,pano_id,capture_date,image_path,queried_at"
 
 
 def transport_error(code) -> str:
     return f"TRANSPORT_ERROR({code})"
-
-
-def is_transport_error(status: str) -> bool:
-    return _TRANSPORT_RE.match(status) is not None
 
 
 def format_location(p: GeoPoint) -> str:
@@ -257,7 +250,7 @@ def fetch_all(plan: SamplePlan, config: ClientConfig) -> list[QueryRecord]:
     to_fetch: list[tuple[int, str, GeoPoint]] = []
     for i, (seg_id, p) in enumerate(sample_points(plan)):
         rec = existing.get(seg_id)
-        if rec is not None and (rec.status != STATUS_OK or _image_on_disk(rec, config)):
+        if rec is not None and (rec.status != STATUS_OK or image_on_disk(rec, config)):
             records[i] = rec
         else:
             to_fetch.append((i, seg_id, p))
@@ -268,7 +261,7 @@ def fetch_all(plan: SamplePlan, config: ClientConfig) -> list[QueryRecord]:
     return ordered
 
 
-def _image_on_disk(rec: QueryRecord, config: ClientConfig) -> bool:
+def image_on_disk(rec: QueryRecord, config: ClientConfig) -> bool:
     return rec.image_path is not None and (config.out_dir / rec.image_path).is_file()
 
 

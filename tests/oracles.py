@@ -3,9 +3,16 @@
 These deliberately avoid the library's own code paths: distance via the
 3D arccos formula, containment via winding numbers, and least squares via
 hand-rolled Gauss-Jordan on the normal equations.
+
+The last section holds helpers that only tests use and that do build on
+the library: an OSM XML writer and a walk along a polyline.
 """
 
 import math
+from xml.sax.saxutils import quoteattr
+
+from roadsense.geometry import GeoPoint, Polyline, interpolate
+from roadsense.osm_ingest import RoadNetwork
 
 EARTH_RADIUS_M = 6_371_000.0
 
@@ -67,3 +74,50 @@ def normal_equations_ols(design_rows, response):
     tss = sum((y - mean) ** 2 for y in response)
     r2 = 0.0 if tss <= 0.0 else 1.0 - rss / tss
     return beta, ses, r2
+
+
+# --- test-only helpers built on the library ---------------------------------
+
+def to_osm_xml(network: RoadNetwork) -> str:
+    """Serialize to the OSM XML subset that parse_osm reads.
+
+    Coordinates are written with repr(), the shortest decimal string that
+    round-trips the float, so parse(to_osm_xml(n)) == n.
+    """
+    out = ["<?xml version='1.0' encoding='UTF-8'?>", "<osm version=\"0.6\">"]
+    for nid in network.nodes:
+        p = network.nodes[nid]
+        out.append(f'  <node id="{nid}" lat="{p.lat!r}" lon="{p.lon!r}"/>')
+    for way in network.ways:
+        out.append(f'  <way id="{way.id}">')
+        for ref in way.node_ids:
+            out.append(f'    <nd ref="{ref}"/>')
+        out.append(f'    <tag k="highway" v={quoteattr(way.highway_class)}/>')
+        if way.name is not None:
+            out.append(f'    <tag k="name" v={quoteattr(way.name)}/>')
+        out.append("  </way>")
+    out.append("</osm>")
+    return "\n".join(out) + "\n"
+
+
+def point_along(line: Polyline, distance_m: float) -> GeoPoint:
+    """The point reached by walking ``distance_m`` from the first vertex.
+
+    Raises ValueError when the distance falls outside [0, length] by more
+    than a 1e-6 m slack.
+    """
+    edges = line.edge_lengths_m()
+    total = sum(edges)
+    if distance_m < -1e-6 or distance_m > total + 1e-6:
+        raise ValueError(
+            f"distance {distance_m} m outside polyline of length {total} m")
+    if distance_m <= 0.0:
+        return line.points[0]
+    remaining = distance_m
+    for i, edge in enumerate(edges):
+        if remaining <= edge:
+            if edge == 0.0:
+                return line.points[i]
+            return interpolate(line.points[i], line.points[i + 1], remaining / edge)
+        remaining -= edge
+    return line.points[-1]

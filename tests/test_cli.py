@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import roadsense
 from roadsense.cli import main
 from roadsense.errors import ConfigError
 from roadsense.osm_ingest import SAMPLED_ROAD_CLASSES, filter_roads, parse_osm
@@ -137,6 +142,26 @@ class TestRunPipeline:
         after = {name: (out_dir / name).read_bytes() for name in RUN_ARTIFACTS}
         assert after == before
 
+    def test_rerun_fetches_a_lost_image_again(self, fixture_city_file, tmp_path, capsys):
+        xml = fixture_city_file.read_text()
+        plan = planned_points(xml, "fixtureville", set(SAMPLED_ROAD_CLASSES), 500.0, 12, 7)
+        out_dir = tmp_path / "rundir"
+        with MockStreetViewServer(fixture_for_plan(plan)) as server:
+            assert main(run_args(fixture_city_file, out_dir, server.base_url)) == 0
+            before = {name: (out_dir / name).read_bytes() for name in RUN_ARTIFACTS}
+            lost = sorted((out_dir / "images").iterdir())[0]
+            lost.unlink()
+            requests_before = server.request_count
+            capsys.readouterr()
+            assert main(run_args(fixture_city_file, out_dir, server.base_url)) == 0
+            again = server.requested_locations[requests_before:]
+        assert "up to date" not in capsys.readouterr().out
+        # the metadata query and the one image request for that point
+        assert len(again) == 2 and again[0] == again[1]
+        assert lost.is_file()
+        after = {name: (out_dir / name).read_bytes() for name in RUN_ARTIFACTS}
+        assert after == before
+
     def test_manifest_reproduces_run_byte_identically(self, fixture_city_file, tmp_path):
         xml = fixture_city_file.read_text()
         plan = planned_points(xml, "fixtureville", set(SAMPLED_ROAD_CLASSES), 500.0, 12, 7)
@@ -236,6 +261,46 @@ class TestStageCommands:
                      "--rate-per-s", "0"])
         assert code == 2
         assert "rate_per_s" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
+    @pytest.mark.parametrize("stratified", [False, True])
+    def test_sample_rejects_seed_out_of_range(self, fixture_city_file, tmp_path, capsys,
+                                              seed, stratified):
+        net_file = tmp_path / "net.ndjson"
+        seg_file = tmp_path / "s.csv"
+        plan_file = tmp_path / "p.csv"
+        main(["ingest", "--osm", str(fixture_city_file), "--city", "f",
+              "--out", str(net_file)])
+        main(["segment", "--network", str(net_file), "--out", str(seg_file)])
+        capsys.readouterr()
+        args = ["sample", "--segments", str(seg_file), "--n", "2", "--seed", seed,
+                "--out", str(plan_file)]
+        code = main(args + ["--stratify-by-class"] if stratified else args)
+        assert code == 2
+        assert "seed" in capsys.readouterr().err
+        assert not plan_file.exists()
+
+    def test_ingest_reports_kept_road_nodes(self, tmp_path, capsys):
+        osm = tmp_path / "city.osm"
+        osm.write_text("<osm>"
+                       '<node id="1" lat="0" lon="0"/><node id="2" lat="0" lon="0.01"/>'
+                       '<node id="3" lat="1" lon="1"><tag k="shop" v="bakery"/></node>'
+                       '<way id="9"><nd ref="1"/><nd ref="2"/><tag k="highway" v="primary"/>'
+                       "</way></osm>", encoding="utf-8")
+        net_file = tmp_path / "net.ndjson"
+        assert main(["ingest", "--osm", str(osm), "--city", "f", "--out", str(net_file)]) == 0
+        assert "2 nodes, 1 road ways" in capsys.readouterr().out
+        kinds = [json.loads(line)["type"] for line in net_file.read_text().splitlines()]
+        assert kinds == ["meta", "node", "node", "way"]
+
+    def test_cli_import_leaves_numpy_and_scipy_unloaded(self):
+        src = str(Path(roadsense.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": src}
+        code = ("import sys, roadsense.cli; "
+                "print(sorted(m for m in ('numpy', 'scipy') if m in sys.modules))")
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.strip() == "[]"
 
     def test_interrupt_exits_130_with_resume_hint(self, fixture_city_file, tmp_path,
                                                   monkeypatch, capsys):

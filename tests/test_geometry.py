@@ -10,6 +10,7 @@ import random
 
 import pytest
 
+from oracles import point_along
 from roadsense.geometry import (
     EARTH_RADIUS_M,
     GeoPoint,
@@ -17,7 +18,6 @@ from roadsense.geometry import (
     PolygonRing,
     haversine_m,
     interpolate,
-    point_along,
     point_in_polygon,
 )
 

@@ -1,17 +1,23 @@
+import json
+import tracemalloc
+
 import pytest
 
+from oracles import to_osm_xml
+from roadsense.cli import main
 from roadsense.errors import (
     CoordinateRangeError,
     InputDataError,
     MissingNodeError,
     OsmParseError,
+    RowError,
+    SchemaError,
 )
 from roadsense.osm_ingest import (
     SAMPLED_ROAD_CLASSES,
     filter_roads,
     parse_osm,
     read_network,
-    to_osm_xml,
     write_network,
 )
 
@@ -184,3 +190,118 @@ class TestRoundTrip:
         path.write_text('{"type": "way", "id": 1, "nodes": [1, 2], "highway": "primary"}\n')
         with pytest.raises(MissingNodeError):
             read_network(path)
+
+
+def poi_city(n_poi: int) -> str:
+    """One 2-node primary road among ``n_poi`` tagged nodes no way uses."""
+    body = ['<node id="1" lat="13.75" lon="100.50"/>',
+            '<node id="2" lat="13.76" lon="100.51"/>']
+    for i in range(n_poi):
+        body.append(f'<node id="{i + 3}" lat="{13.7 + i * 1e-6!r}" lon="100.5">'
+                    f'<tag k="amenity" v="cafe"/></node>')
+    body.append('<way id="10"><nd ref="1"/><nd ref="2"/><tag k="highway" v="primary"/></way>')
+    return osm_doc("\n".join(body))
+
+
+class TestStreamingIngest:
+    def test_path_and_bytes_parse_equal(self, tmp_path):
+        doc = poi_city(50)
+        path = tmp_path / "city.osm"
+        path.write_text(doc, encoding="utf-8")
+        from_path = parse_osm(path, source_name="bangkok")
+        assert from_path == parse_osm(doc.encode("utf-8"), source_name="bangkok")
+        assert from_path == parse_osm(doc, source_name="bangkok")
+
+    def test_only_road_nodes_kept_and_written(self, tmp_path):
+        net = parse_osm(poi_city(20))
+        assert list(net.nodes) == [1, 2]
+        path = tmp_path / "net.ndjson"
+        write_network(net, path)
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        assert [r["id"] for r in records if r["type"] == "node"] == [1, 2]
+        assert read_network(path) == net
+
+    def test_node_order_follows_document(self):
+        doc = osm_doc("""
+          <node id="9" lat="0" lon="1"/>
+          <node id="5" lat="0" lon="0"/>
+          <node id="7" lat="1" lon="1"/>
+          <way id="10"><nd ref="5"/><nd ref="9"/><tag k="highway" v="primary"/></way>
+        """)
+        assert list(parse_osm(doc).nodes) == [9, 5]
+
+    def test_duplicate_among_pruned_nodes_counted(self):
+        doc = osm_doc("""
+          <node id="1" lat="0" lon="0"/>
+          <node id="2" lat="0" lon="1"/>
+          <node id="50" lat="3" lon="3"/>
+          <node id="50" lat="4" lon="4"/>
+          <way id="10"><nd ref="1"/><nd ref="2"/><tag k="highway" v="primary"/></way>
+        """)
+        net = parse_osm(doc)
+        assert net.stats.duplicate_node_ids == 1
+        assert 50 not in net.nodes
+
+    def test_bad_node_reports_line(self):
+        doc = osm_doc('<node id="1" lat="0" lon="0"/>\n<node id="2" lat="0" lon="999"/>')
+        with pytest.raises(CoordinateRangeError) as exc:
+            parse_osm(doc)
+        assert "line 4" in str(exc.value) and "lon" in str(exc.value)
+
+    def test_malformed_file_reports_line_and_column(self, tmp_path):
+        path = tmp_path / "bad.osm"
+        path.write_text(osm_doc('<node id="1" lat="0" lon="0">\n</way>'), encoding="utf-8")
+        with pytest.raises(OsmParseError) as exc:
+            parse_osm(path)
+        assert "line 4, column 2" in str(exc.value)
+
+    def test_parse_memory_per_input_node(self, tmp_path):
+        n_poi = 50_000
+        path = tmp_path / "poi.osm"
+        path.write_text(poi_city(n_poi), encoding="utf-8")
+        tracemalloc.start()
+        try:
+            net = parse_osm(path)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(net.nodes) == 2
+        assert peak / (n_poi + 2) < 150
+        assert retained / (n_poi + 2) < 5
+
+
+class TestReadNetworkErrors:
+    def write(self, tmp_path, *records):
+        path = tmp_path / "bad.ndjson"
+        path.write_text("".join(json.dumps(r) + "\n" for r in records))
+        return path
+
+    def test_node_without_lon(self, tmp_path):
+        path = self.write(tmp_path, {"type": "meta", "city": "x"},
+                          {"type": "node", "id": 1, "lat": 0.0})
+        with pytest.raises(SchemaError) as exc:
+            read_network(path)
+        assert str(path) in str(exc.value)
+        assert "line 2" in str(exc.value) and "'lon'" in str(exc.value)
+        assert exc.value.exit_code == 3
+
+    def test_coordinate_out_of_range(self, tmp_path):
+        path = self.write(tmp_path, {"type": "node", "id": 1, "lat": 91.0, "lon": 0.0})
+        with pytest.raises(CoordinateRangeError) as exc:
+            read_network(path)
+        assert str(path) in str(exc.value)
+        assert "line 1" in str(exc.value) and "lat" in str(exc.value)
+
+    def test_short_way(self, tmp_path):
+        path = self.write(tmp_path, {"type": "node", "id": 1, "lat": 0.0, "lon": 0.0},
+                          {"type": "way", "id": 5, "nodes": [1], "highway": "primary"})
+        with pytest.raises(RowError) as exc:
+            read_network(path)
+        assert str(path) in str(exc.value)
+        assert "line 2" in str(exc.value) and "'nodes'" in str(exc.value)
+
+    def test_cli_exits_3(self, tmp_path, capsys):
+        path = self.write(tmp_path, {"type": "node", "id": 1, "lat": 0.0})
+        code = main(["segment", "--network", str(path), "--out", str(tmp_path / "s.csv")])
+        assert code == 3
+        assert "'lon'" in capsys.readouterr().err
