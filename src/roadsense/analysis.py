@@ -359,15 +359,12 @@ def summary_table(summaries: list[CitySummary]) -> str:
     return "\n".join(lines)
 
 
-def summary_csv_rows(summaries: list[CitySummary]) -> list[dict]:
-    rows = []
-    for s in summaries:
-        row = {"city": s.city, "n_images": str(s.n_images)}
-        for attr, _ in SUMMARY_COLUMNS:
-            row[attr] = (f"{s.proportions[attr]:.6f}"
-                         if attr in s.proportions else "")
-        rows.append(row)
-    return rows
+def summary_csv_rows(summaries: list[CitySummary]) -> list[list[str]]:
+    """Rows of city, n_images, then each SUMMARY_COLUMNS proportion."""
+    return [[s.city, str(s.n_images)]
+            + [f"{s.proportions[attr]:.6f}" if attr in s.proportions else ""
+               for attr, _ in SUMMARY_COLUMNS]
+            for s in summaries]
 
 
 def regression_table(result: RegressionResult) -> str:

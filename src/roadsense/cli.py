@@ -9,18 +9,18 @@ from __future__ import annotations
 
 import argparse
 import logging
-import os
 import sys
 from dataclasses import astuple
 from pathlib import Path
 
 from . import __version__, geo_export, labeling
 from .errors import InputDataError, RoadsenseError
-from .fileio import write_atomic
+from .fileio import write_atomic, write_table
 from .osm_ingest import filter_roads, parse_osm, read_network, write_network
-from .pipeline import check_seed, load_config, run_pipeline
+from .pipeline import api_key_or_env, check_sample_n, check_seed, load_config, run_pipeline
 from .sampler import (
     read_plan_csv,
+    sample_points,
     sample_segments,
     sample_stratified,
     write_plan_csv,
@@ -71,6 +71,7 @@ def cmd_segment(args) -> int:
 
 def cmd_sample(args) -> int:
     check_seed(args.seed)
+    check_sample_n(args.n)
     population = read_segments_csv(args.segments)
     if args.stratify_by_class:
         plan = sample_stratified(population, args.n, args.seed)
@@ -87,7 +88,7 @@ def cmd_sample(args) -> int:
 def cmd_fetch(args) -> int:
     plan = read_plan_csv(args.plan)
     config = ClientConfig(
-        api_key=args.api_key or os.environ.get("STREETVIEW_API_KEY", ""),
+        api_key=api_key_or_env(args.api_key),
         out_dir=Path(args.out_dir),
         base_url=args.base_url,
         max_concurrency=args.max_concurrency,
@@ -113,23 +114,18 @@ def cmd_coverage(args) -> int:
 
 
 def cmd_labels(args) -> int:
-    records = labeling.parse_labels(Path(args.infile).read_bytes())
+    records = labeling.parse_labels(Path(args.infile).read_bytes(), args.infile)
     if args.action == "parse":
         # LabelRecord lists its fields in the order of the batch columns
-        rows = [dict(zip(labeling.REQUIRED_COLUMNS, astuple(r))) for r in records]
-        data = geo_export.export_csv(rows, fieldnames=list(labeling.REQUIRED_COLUMNS))
-        Path(args.out).write_bytes(data)
+        write_table(args.out, labeling.REQUIRED_COLUMNS, map(astuple, records))
         print(f"{args.out}: {len(records)} normalized label rows")
         return 0
 
     scores = labeling.score_workers(records, threshold=args.threshold)
     if args.action == "score":
-        rows = [{"worker_id": s.worker_id, "n_labels": str(s.n_labels),
-                 "agreement": f"{s.agreement:.4f}", "flagged": str(s.flagged).lower()}
-                for s in scores]
-        data = geo_export.export_csv(rows, fieldnames=["worker_id", "n_labels",
-                                                       "agreement", "flagged"])
-        Path(args.out).write_bytes(data)
+        write_table(args.out, ["worker_id", "n_labels", "agreement", "flagged"],
+                    ([s.worker_id, s.n_labels, f"{s.agreement:.4f}", str(s.flagged).lower()]
+                     for s in scores))
         n_flagged = sum(1 for s in scores if s.flagged)
         print(f"{args.out}: {len(scores)} workers scored, {n_flagged} flagged")
         return 0
@@ -149,9 +145,8 @@ def cmd_summarize(args) -> int:
     summary = analysis.summarize_city(consensus, args.city)
     print(analysis.summary_table([summary]))
     if args.csv:
-        rows = analysis.summary_csv_rows([summary])
-        fieldnames = ["city", "n_images"] + [a for a, _ in analysis.SUMMARY_COLUMNS]
-        Path(args.csv).write_bytes(geo_export.export_csv(rows, fieldnames=fieldnames))
+        write_table(args.csv, ["city", "n_images"] + [a for a, _ in analysis.SUMMARY_COLUMNS],
+                    analysis.summary_csv_rows([summary]))
     if args.journey_km is not None:
         rate = summary.proportions.get("potholes")
         if rate is None:
@@ -168,7 +163,7 @@ def cmd_summarize(args) -> int:
 def _regression_rows(args):
     from . import analysis
     consensus = {c.segment_id: c for c in labeling.read_consensus_csv(args.consensus)}
-    segments = read_segments_csv(args.segments)
+    plan = read_plan_csv(args.segments)  # segments.csv reads as a plan of every segment
     factors = [f.strip() for f in args.factors.split(",") if f.strip()]
     rows = []
     outcomes = []
@@ -178,8 +173,7 @@ def _regression_rows(args):
         if not args.tracts:
             raise InputDataError("--tracts is required for the income_quintile factor")
         tracts = analysis.load_tracts_geojson(args.tracts)
-        points = [(s.segment_id, s.start) for s in segments]
-        matches, unmatched = analysis.join_income(points, tracts)
+        matches, unmatched = analysis.join_income(sample_points(plan), tracts)
         matched_income = {sid: (tid, income) for sid, tid, income in matches}
         if unmatched:
             log.warning("regress: %d sampled points fell outside every tract",
@@ -187,10 +181,10 @@ def _regression_rows(args):
         if args.by_tract:
             incomes = sorted({income for _, income in matched_income.values()})
         else:
-            incomes = [matched_income[s.segment_id][1] for s in segments
+            incomes = [matched_income[s.segment_id][1] for s in plan.segments
                        if s.segment_id in matched_income and s.segment_id in consensus]
         bins = analysis.quintile_bins(incomes)
-    for s in segments:
+    for s in plan.segments:
         label = consensus.get(s.segment_id)
         if label is None:
             continue
@@ -222,11 +216,9 @@ def cmd_regress(args) -> int:
                               robust=args.robust)
     print(analysis.regression_table(result))
     if args.csv:
-        out_rows = [{"coefficient": n, "estimate": f"{e:.8f}", "std_error": f"{s:.8f}"}
-                    for n, e, s in zip(result.coefficient_names, result.estimates,
-                                       result.standard_errors)]
-        Path(args.csv).write_bytes(geo_export.export_csv(
-            out_rows, fieldnames=["coefficient", "estimate", "std_error"]))
+        write_table(args.csv, ["coefficient", "estimate", "std_error"],
+                    ([n, f"{e:.8f}", f"{s:.8f}"] for n, e, s in
+                     zip(result.coefficient_names, result.estimates, result.standard_errors)))
     return 0
 
 
@@ -239,7 +231,7 @@ def cmd_export(args) -> int:
         network = read_network(args.network)
         plan.segments = rebuild_segment_geometry(plan.segments, network, args.target_m)
     doc = geo_export.export_geojson(plan, mode=args.mode)
-    Path(args.out).write_text(doc, encoding="utf-8")
+    write_atomic(args.out, doc)
     print(f"{args.out}: {len(plan.segments)} features ({args.mode})")
     return 0
 

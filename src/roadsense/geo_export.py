@@ -1,4 +1,4 @@
-"""Emit sampled locations and segment shapes as GeoJSON or CSV.
+"""Emit sampled locations and segment shapes as GeoJSON.
 
 Output is deterministic down to the byte: coordinates are printed with a
 fixed 7 decimal places (about a centimeter) and features keep plan order.
@@ -7,8 +7,7 @@ No basemap rendering here; the files feed external plotting tools.
 
 from __future__ import annotations
 
-import csv
-import io
+import json
 
 from .sampler import SamplePlan
 from .segmenter import RoadSegment
@@ -26,8 +25,9 @@ def _feature(segment: RoadSegment, rank: int, mode: str) -> str:
         points = segment.geometry.points if segment.geometry else (segment.start, segment.end)
         coords = ",".join(_coord(p) for p in points)
         geometry = f'{{"type":"LineString","coordinates":[{coords}]}}'
-    props = (f'{{"segment_id":"{segment.segment_id}","city":"{segment.city}",'
-             f'"highway_class":"{segment.highway_class}","sample_rank":{rank}}}')
+    props = json.dumps({"segment_id": segment.segment_id, "city": segment.city,
+                        "highway_class": segment.highway_class, "sample_rank": rank},
+                       ensure_ascii=False, separators=(",", ":"))
     return f'{{"type":"Feature","geometry":{geometry},"properties":{props}}}'
 
 
@@ -41,17 +41,3 @@ def export_geojson(plan: SamplePlan, mode: str = "points") -> str:
         return ('{"type":"FeatureCollection","features":[\n'
                 + features + "\n]}\n")
     return '{"type":"FeatureCollection","features":[]}\n'
-
-
-def export_csv(rows: list[dict], fieldnames: list[str] | None = None) -> bytes:
-    """Serialize dict rows as RFC-4180 CSV (UTF-8, LF, header always)."""
-    if fieldnames is None:
-        if not rows:
-            raise ValueError("fieldnames required for an empty table")
-        fieldnames = list(rows[0].keys())
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=fieldnames, lineterminator="\n")
-    writer.writeheader()
-    for row in rows:
-        writer.writerow(row)
-    return buf.getvalue().encode("utf-8")

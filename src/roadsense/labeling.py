@@ -10,13 +10,13 @@ compare against).
 
 from __future__ import annotations
 
-import csv
 import io
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
 
-from .errors import RowError, SchemaError
+from .fileio import read_table, write_table
 
 log = logging.getLogger(__name__)
 
@@ -80,49 +80,38 @@ class ConsensusLabel:
         return self.verdicts[attribute]
 
 
-def parse_labels(csv_bytes: bytes | str) -> list[LabelRecord]:
+def _answer(allowed: frozenset, raw: str) -> str:
+    token = raw.strip().lower()
+    if token not in allowed:
+        raise ValueError(f"unrecognized answer {raw!r}")
+    return token
+
+
+# LabelRecord lists its fields in the order of the batch columns
+_LABEL_COLUMNS = dict(zip(REQUIRED_COLUMNS, (str.strip,) * 3
+                          + tuple(partial(_answer, _ALLOWED[a]) for a in ATTRIBUTES)))
+
+
+def parse_labels(csv_bytes: bytes | str, name: str = "label batch") -> list[LabelRecord]:
     """Parse an MTurk-style results CSV into normalized label records.
 
     Answer tokens are case-insensitive {yes, no, na, nosidewalk}. A
     markings_clear answer on a row that says markings_present = no is
     coerced to na (counted and logged): the question was not applicable.
+    ``name`` names the batch in error messages.
     """
     if isinstance(csv_bytes, bytes):
-        text = csv_bytes.decode("utf-8-sig")
+        text = io.TextIOWrapper(io.BytesIO(csv_bytes), encoding="utf-8-sig", newline="")
     else:
-        text = csv_bytes
-    reader = csv.DictReader(io.StringIO(text))
-    header = reader.fieldnames or []
-    for col in REQUIRED_COLUMNS:
-        if col not in header:
-            raise SchemaError(f"missing required column: {col}")
-
-    records = []
-    coerced = 0
-    for rownum, row in enumerate(reader, start=2):  # header is line 1
-        values = {}
-        for attr, col in (("potholes", "Answer.potholes"),
-                          ("cracks", "Answer.cracks"),
-                          ("markings_present", "Answer.markings_present"),
-                          ("markings_clear", "Answer.markings_clear"),
-                          ("litter", "Answer.litter"),
-                          ("sidewalk_paved", "Answer.sidewalk")):
-            token = (row.get(col) or "").strip().lower()
-            if token not in _ALLOWED[attr]:
-                raise RowError(f"row {rownum}: column {col} has "
-                               f"unrecognized answer {row.get(col)!r}")
-            values[attr] = token
-        if values["markings_present"] == "no" and values["markings_clear"] != "na":
-            values["markings_clear"] = "na"
-            coerced += 1
-        records.append(LabelRecord(
-            assignment_id=row["AssignmentId"].strip(),
-            worker_id=row["WorkerId"].strip(),
-            segment_id=row["Input.segment_id"].strip(),
-            **values))
+        text = io.StringIO(csv_bytes, newline="")
+    records = read_table(text, _LABEL_COLUMNS, LabelRecord, name)
+    coerced = [i for i, r in enumerate(records)
+               if r.markings_present == "no" and r.markings_clear != "na"]
+    for i in coerced:
+        records[i] = replace(records[i], markings_clear="na")
     if coerced:
         log.warning("parse_labels: coerced markings_clear to na on %d rows "
-                    "where markings_present was no", coerced)
+                    "where markings_present was no", len(coerced))
     return records
 
 
@@ -253,24 +242,16 @@ def flagged_workers(scores: list[WorkerScore]) -> set[str]:
 
 
 def write_consensus_csv(labels: list[ConsensusLabel], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(CONSENSUS_CSV_HEADER.split(","))
-        for c in labels:
-            writer.writerow([c.segment_id] + [c.verdicts[a] for a in ATTRIBUTES]
-                            + [str(c.n_workers)])
+    write_table(path, CONSENSUS_CSV_HEADER.split(","),
+                ([c.segment_id, *(c.verdicts[a] for a in ATTRIBUTES), c.n_workers]
+                 for c in labels))
+
+
+def _consensus(segment_id, *values) -> ConsensusLabel:
+    # values are the verdicts in ATTRIBUTES order, then n_workers
+    return ConsensusLabel(segment_id, dict(zip(ATTRIBUTES, values)), values[-1])
 
 
 def read_consensus_csv(path: str | Path) -> list[ConsensusLabel]:
-    out = []
-    with open(path, encoding="utf-8", newline="") as f:
-        reader = csv.DictReader(f)
-        for col in CONSENSUS_CSV_HEADER.split(","):
-            if col not in (reader.fieldnames or []):
-                raise SchemaError(f"missing required column: {col}")
-        for row in reader:
-            out.append(ConsensusLabel(
-                segment_id=row["segment_id"],
-                verdicts={a: row[a] for a in ATTRIBUTES},
-                n_workers=int(row["n_workers"])))
-    return out
+    return read_table(path, dict.fromkeys(CONSENSUS_CSV_HEADER.split(","), str)
+                      | {"n_workers": int}, _consensus)

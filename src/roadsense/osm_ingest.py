@@ -26,6 +26,7 @@ from .errors import (
     RowError,
     SchemaError,
 )
+from .fileio import atomic_open
 from .geometry import GeoPoint, check_coordinate
 
 log = logging.getLogger(__name__)
@@ -171,7 +172,7 @@ def filter_roads(network: RoadNetwork, classes: set[str]) -> list[Way]:
 #    "name": <str or null>}
 
 def write_network(network: RoadNetwork, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
+    with atomic_open(path) as f:
         f.write(json.dumps({"type": "meta", "city": network.source_name}) + "\n")
         for nid in sorted(network.nodes):
             p = network.nodes[nid]

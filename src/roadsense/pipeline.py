@@ -52,6 +52,16 @@ def check_seed(seed: int) -> None:
         raise ConfigError(f"seed must fit in 64 unsigned bits, got {seed}")
 
 
+def check_sample_n(n: int) -> None:
+    if n < 0:
+        raise ConfigError(f"sample size (--n, sample_n) must be >= 0, got {n}")
+
+
+def api_key_or_env(api_key: str | None) -> str:
+    """The given API key, or else the STREETVIEW_API_KEY environment variable."""
+    return api_key or os.environ.get("STREETVIEW_API_KEY", "")
+
+
 @dataclass
 class RunConfig:
     city: str = ""
@@ -69,8 +79,7 @@ class RunConfig:
     fixed_time: str = ""           # pin queried_at timestamps when set
 
     def validate(self) -> "RunConfig":
-        if self.sample_n < 0:
-            raise ConfigError(f"sample_n must be >= 0, got {self.sample_n}")
+        check_sample_n(self.sample_n)
         if self.target_m <= 0:
             raise ConfigError(f"target_m must be positive, got {self.target_m}")
         self.client_config()  # checks the fetch settings
@@ -150,8 +159,7 @@ def load_config(path: str | Path | None, overrides: dict | None = None) -> RunCo
             continue
         _reject_unknown(key)
         values[key] = _convert(key, value) if isinstance(value, str) else value
-    if not values.get("api_key"):
-        values["api_key"] = os.environ.get("STREETVIEW_API_KEY", "")
+    values["api_key"] = api_key_or_env(values.get("api_key"))
     return RunConfig(**values).validate()
 
 
@@ -161,7 +169,7 @@ def config_from_manifest(manifest_path: str | Path, api_key: str = "",
     manifest = json.loads(Path(manifest_path).read_text(encoding="utf-8"))
     data = dict(manifest["config"])
     data["classes"] = tuple(data["classes"])
-    data["api_key"] = api_key or os.environ.get("STREETVIEW_API_KEY", "")
+    data["api_key"] = api_key_or_env(api_key)
     if out_dir is not None:
         data["out_dir"] = out_dir
     return RunConfig(**data).validate()

@@ -11,11 +11,11 @@ plans anywhere.
 
 from __future__ import annotations
 
-import csv
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .fileio import write_table
 from .geometry import GeoPoint
 from .segmenter import SEGMENTS_CSV_HEADER, RoadSegment, _segment_row, read_segments_csv
 
@@ -114,9 +114,9 @@ def stratified_counts(class_counts: dict[str, int], n: int) -> dict[str, int]:
 def sample_stratified(population: list[RoadSegment], n: int, seed: int) -> SamplePlan:
     """Sample n segments allocated proportionally to highway-class counts.
 
-    Each stratum is drawn with the same pinned generator, seeded per class
-    by mixing the class name into the seed stream; strata are concatenated
-    in sorted class order.
+    Each stratum is drawn with the same pinned generator; the i-th class in
+    sorted name order is seeded with seed + i + 1, and strata are
+    concatenated in that order.
     """
     classes: dict[str, list[RoadSegment]] = {}
     for s in population:
@@ -139,14 +139,10 @@ PLAN_CSV_HEADER = SEGMENTS_CSV_HEADER + ",sample_rank"
 
 
 def write_plan_csv(plan: SamplePlan, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(PLAN_CSV_HEADER.split(","))
-        for rank, s in enumerate(plan.segments):
-            writer.writerow(_segment_row(s) + [str(rank)])
+    write_table(path, PLAN_CSV_HEADER.split(","),
+                (_segment_row(s) + [str(rank)] for rank, s in enumerate(plan.segments)))
 
 
-def read_plan_csv(path: str | Path, seed: int = 0, requested_n: int | None = None) -> SamplePlan:
+def read_plan_csv(path: str | Path) -> SamplePlan:
     segments = read_segments_csv(path)
-    n = len(segments) if requested_n is None else requested_n
-    return SamplePlan(seed=seed, requested_n=n, population_n=n, segments=segments)
+    return SamplePlan(0, len(segments), len(segments), segments)

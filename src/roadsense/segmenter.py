@@ -9,11 +9,11 @@ rule covers every meter of road exactly once without near-zero units.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import DegenerateWayError
+from .fileio import read_table, write_table
 from .geometry import GeoPoint, Polyline, interpolate
 from .osm_ingest import RoadNetwork, Way
 
@@ -168,11 +168,7 @@ def rebuild_segment_geometry(segments: list[RoadSegment], network: RoadNetwork,
 
 
 def write_segments_csv(segments: list[RoadSegment], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(SEGMENTS_CSV_HEADER.split(","))
-        for s in segments:
-            writer.writerow(_segment_row(s))
+    write_table(path, SEGMENTS_CSV_HEADER.split(","), map(_segment_row, segments))
 
 
 def _segment_row(s: RoadSegment) -> list[str]:
@@ -190,27 +186,20 @@ def _segment_row(s: RoadSegment) -> list[str]:
     ]
 
 
+_SEGMENT_COLUMNS = dict(zip(SEGMENTS_CSV_HEADER.split(","),
+                            (str, int, int, float, float, float, float, float, str, str)))
+
+
+def _segment(segment_id, way_id, index, lat0, lon0, lat1, lon1, *rest) -> RoadSegment:
+    # rest: length_m, highway_class, city
+    return RoadSegment(segment_id, way_id, index, None, GeoPoint(lat0, lon0),
+                       GeoPoint(lat1, lon1), *rest)
+
+
 def read_segments_csv(path: str | Path) -> list[RoadSegment]:
     """Read segments back from CSV.
 
     Interior vertices are not stored in CSV, so geometry comes back None;
     exports that need the true shape re-chunk from the network file.
     """
-    out = []
-    with open(path, encoding="utf-8", newline="") as f:
-        reader = csv.DictReader(f)
-        for row in reader:
-            start = GeoPoint(float(row["start_lat"]), float(row["start_lon"]))
-            end = GeoPoint(float(row["end_lat"]), float(row["end_lon"]))
-            out.append(RoadSegment(
-                segment_id=row["segment_id"],
-                way_id=int(row["way_id"]),
-                index=int(row["index"]),
-                geometry=None,
-                start=start,
-                end=end,
-                length_m=float(row["length_m"]),
-                highway_class=row["highway_class"],
-                city=row["city"],
-            ))
-    return out
+    return read_table(path, _SEGMENT_COLUMNS, _segment)

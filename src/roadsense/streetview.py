@@ -12,7 +12,6 @@ network hiccup says nothing about imagery coverage.
 from __future__ import annotations
 
 import csv
-import io
 import itertools
 import json
 import logging
@@ -27,14 +26,8 @@ from pathlib import Path
 
 import requests
 
-from .errors import (
-    ConfigError,
-    InsufficientDataError,
-    KeyQuotaError,
-    RowError,
-    SchemaError,
-)
-from .fileio import write_atomic
+from .errors import ConfigError, InsufficientDataError, KeyQuotaError
+from .fileio import read_table, write_atomic, write_table
 from .geometry import GeoPoint
 from .sampler import SamplePlan, sample_points
 
@@ -354,7 +347,8 @@ def _fetch_window(to_fetch: list[tuple[int, str, GeoPoint]], config: ClientConfi
 
 def _read_journal(path: Path) -> list[QueryRecord]:
     """Rows already in queries.csv. A torn last line, left when a writer was
-    killed mid-row, is cut off the file so that appending can resume."""
+    killed mid-row, is cut off the file so that appending can resume. An
+    empty file holds no rows."""
     if not path.exists():
         return []
     data = path.read_bytes()
@@ -362,7 +356,7 @@ def _read_journal(path: Path) -> list[QueryRecord]:
     if len(whole) < len(data):
         log.warning("%s: dropping a torn last line", path)
         os.truncate(path, len(whole))
-    return _parse_queries(io.StringIO(whole.decode("utf-8"), newline=""), path)
+    return read_queries_csv(path) if whole else []
 
 
 def _query_row(r: QueryRecord) -> list[str]:
@@ -379,44 +373,21 @@ def _query_row(r: QueryRecord) -> list[str]:
 
 
 def write_queries_csv(records: list[QueryRecord], path: str | Path) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(QUERIES_CSV_HEADER.split(","))
-    for r in records:
-        writer.writerow(_query_row(r))
-    write_atomic(path, buf.getvalue())
+    write_table(path, QUERIES_CSV_HEADER.split(","), map(_query_row, records))
+
+
+_QUERY_COLUMNS = dict(zip(QUERIES_CSV_HEADER.split(","),
+                          (str, float, float, str, str, str, str, str)))
+
+
+def _query_record(segment_id, lat, lon, status, pano_id, capture_date, image_path,
+                  queried_at) -> QueryRecord:
+    return QueryRecord(segment_id, GeoPoint(lat, lon), status, pano_id or None,
+                       capture_date or None, image_path or None, queried_at)
 
 
 def read_queries_csv(path: str | Path) -> list[QueryRecord]:
-    with open(path, encoding="utf-8", newline="") as f:
-        return _parse_queries(f, path)
-
-
-def _parse_queries(f, path) -> list[QueryRecord]:
-    reader = csv.DictReader(f)
-    if reader.fieldnames is None:
-        return []
-    for col in QUERIES_CSV_HEADER.split(","):
-        if col not in reader.fieldnames:
-            raise SchemaError(f"{path}: missing required column: {col}")
-    out = []
-    for row in reader:
-        if None in row or None in row.values():
-            raise RowError(f"{path}: line {reader.line_num}: expected "
-                           f"{len(reader.fieldnames)} fields")
-        try:
-            out.append(QueryRecord(
-                segment_id=row["segment_id"],
-                location=GeoPoint(float(row["lat"]), float(row["lon"])),
-                status=row["status"],
-                pano_id=row["pano_id"] or None,
-                capture_date=row["capture_date"] or None,
-                image_path=row["image_path"] or None,
-                queried_at=row["queried_at"],
-            ))
-        except ValueError as e:
-            raise RowError(f"{path}: line {reader.line_num}: {e}") from e
-    return out
+    return read_table(path, _QUERY_COLUMNS, _query_record)
 
 
 def wilson_interval(successes: int, total: int, z: float = WILSON_Z) -> tuple[float, float]:

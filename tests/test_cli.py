@@ -280,6 +280,21 @@ class TestStageCommands:
         assert "seed" in capsys.readouterr().err
         assert not plan_file.exists()
 
+    @pytest.mark.parametrize("stratified", [False, True])
+    def test_sample_rejects_negative_n(self, fixture_city_file, tmp_path, capsys, stratified):
+        net_file = tmp_path / "net.ndjson"
+        seg_file = tmp_path / "s.csv"
+        plan_file = tmp_path / "p.csv"
+        main(["ingest", "--osm", str(fixture_city_file), "--city", "f",
+              "--out", str(net_file)])
+        main(["segment", "--network", str(net_file), "--out", str(seg_file)])
+        capsys.readouterr()
+        args = ["sample", "--segments", str(seg_file), "--n", "-1", "--out", str(plan_file)]
+        code = main(args + ["--stratify-by-class"] if stratified else args)
+        assert code == 2
+        assert "--n" in capsys.readouterr().err
+        assert not plan_file.exists()
+
     def test_ingest_reports_kept_road_nodes(self, tmp_path, capsys):
         osm = tmp_path / "city.osm"
         osm.write_text("<osm>"

@@ -3,10 +3,12 @@ import io
 import json
 import random
 import string
+from dataclasses import replace
 
 import pytest
 
-from roadsense.geo_export import export_csv, export_geojson
+from roadsense.fileio import write_table
+from roadsense.geo_export import export_geojson
 from roadsense.geometry import GeoPoint, Polyline
 from roadsense.sampler import SamplePlan
 from roadsense.segmenter import RoadSegment
@@ -71,22 +73,30 @@ class TestGeojson:
         plan = make_plan(50)
         assert export_geojson(plan) == export_geojson(plan)
 
+    def test_quote_and_backslash_in_properties(self):
+        plan = make_plan(2)
+        plan.segments[0] = replace(plan.segments[0], city='Ba"ng\\kok')
+        doc = json.loads(export_geojson(plan, mode="lines"))
+        assert doc["features"][0]["properties"]["city"] == 'Ba"ng\\kok'
+        assert doc["features"][1]["properties"]["city"] == "bangkok"
+
     def test_bad_mode(self):
         with pytest.raises(ValueError):
             export_geojson(make_plan(1), mode="polygons")
 
 
 class TestCsv:
-    def test_empty_table_header_only(self):
-        data = export_csv([], fieldnames=["a", "b"])
-        assert data == b"a,b\n"
+    def test_empty_table_header_only(self, tmp_path):
+        write_table(tmp_path / "t.csv", ["a", "b"], [])
+        assert (tmp_path / "t.csv").read_bytes() == b"a,b\n"
 
-    def test_comma_field_quoted(self):
-        data = export_csv([{"name": "a,b", "x": "1"}])
+    def test_comma_field_quoted(self, tmp_path):
+        write_table(tmp_path / "t.csv", ["name", "x"], [["a,b", "1"]])
+        data = (tmp_path / "t.csv").read_bytes()
         assert b'"a,b"' in data
         assert data.endswith(b"\n")
 
-    def test_round_trip_random_tables(self):
+    def test_round_trip_random_tables(self, tmp_path):
         rng = random.Random(77)
         alphabet = string.ascii_letters + ',"\n '
         for _ in range(25):
@@ -94,10 +104,7 @@ class TestCsv:
             rows = [{f: "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 12)))
                      for f in fields}
                     for _ in range(rng.randint(0, 10))]
-            data = export_csv(rows, fieldnames=fields)
+            write_table(tmp_path / "t.csv", fields, [list(r.values()) for r in rows])
+            data = (tmp_path / "t.csv").read_bytes()
             parsed = list(csv.DictReader(io.StringIO(data.decode("utf-8"))))
             assert [dict(r) for r in parsed] == rows
-
-    def test_missing_fieldnames_for_empty(self):
-        with pytest.raises(ValueError):
-            export_csv([])

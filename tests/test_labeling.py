@@ -55,7 +55,7 @@ class TestParse:
     def test_unknown_token_row_error(self):
         with pytest.raises(RowError) as exc:
             parse_labels(batch_csv([record("a1", "w1", "s1", potholes="maybe")]))
-        assert "row 2" in str(exc.value)
+        assert "line 2" in str(exc.value)
 
     def test_case_insensitive_and_bytes(self):
         text = batch_csv([record("a1", "w1", "s1", "YES", "No", "yes", "Yes",

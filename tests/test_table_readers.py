@@ -1,0 +1,97 @@
+"""Property: every table reader, given a valid file with a few bytes
+flipped, deleted or inserted, returns rows or raises a RoadsenseError with
+the exit code of a configuration or input-data error."""
+
+from pathlib import Path
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from roadsense.errors import RoadsenseError
+from roadsense.geometry import GeoPoint, Polyline
+from roadsense.labeling import (
+    aggregate,
+    parse_labels,
+    read_consensus_csv,
+    write_consensus_csv,
+)
+from roadsense.sampler import SamplePlan, read_plan_csv, write_plan_csv
+from roadsense.segmenter import RoadSegment, read_segments_csv, write_segments_csv
+from roadsense.streetview import QueryRecord, read_queries_csv, write_queries_csv
+
+LABELS = ("AssignmentId,WorkerId,Input.segment_id,Answer.potholes,Answer.cracks,"
+          "Answer.markings_present,Answer.markings_clear,Answer.litter,Answer.sidewalk\n"
+          "a1,w1,1#0,yes,no,yes,yes,no,yes\n"
+          "a2,w2,1#0,No,no,no,na,yes,nosidewalk\n"
+          "a3,w1,2#0,no,yes,yes,no,no,no\n").encode("utf-8")
+
+
+def _segments() -> list[RoadSegment]:
+    out = []
+    for i in range(1, 4):
+        start, end = GeoPoint(13.0 + i * 0.001, 100.5), GeoPoint(13.0 + i * 0.001, 100.501)
+        out.append(RoadSegment(f"{i}#0", i, 0, Polyline([start, end]), start, end,
+                               108.4, "primary", "bangkok"))
+    return out
+
+
+def _valid_files(directory: Path) -> dict:
+    """reader name -> (reader, valid file bytes)"""
+    segments = _segments()
+    write_segments_csv(segments, directory / "segments.csv")
+    write_plan_csv(SamplePlan(1, 3, 3, segments), directory / "plan.csv")
+    records = [QueryRecord("1#0", segments[0].start, "OK", "p1", "2017-05",
+                           "images/1#0.jpg", "2026-01-01T00:00:00Z"),
+               QueryRecord("2#0", segments[1].start, "ZERO_RESULTS",
+                           queried_at="2026-01-01T00:00:00Z")]
+    write_queries_csv(records, directory / "queries.csv")
+    write_consensus_csv(aggregate(parse_labels(LABELS)), directory / "consensus.csv")
+    files = {name: (reader, (directory / f"{name}.csv").read_bytes())
+             for name, reader in (("segments", read_segments_csv), ("plan", read_plan_csv),
+                                  ("queries", read_queries_csv),
+                                  ("consensus", read_consensus_csv))}
+    files["labels"] = (parse_labels, LABELS)
+    return files
+
+
+_BYTES = st.sampled_from(b',"\n\r\xff0x-.9')
+_MUTATIONS = st.lists(st.tuples(st.sampled_from(["flip", "delete", "insert"]),
+                                st.floats(0, 1, exclude_max=True), _BYTES),
+                      min_size=1, max_size=4)
+
+
+def mutate(data: bytes, mutations) -> bytes:
+    buf = bytearray(data)
+    for kind, where, byte in mutations:
+        i = int(where * len(buf))
+        if kind == "insert":
+            buf.insert(i, byte)
+        elif not buf:
+            continue
+        elif kind == "flip":
+            buf[i] = byte
+        else:
+            del buf[i]
+    return bytes(buf)
+
+
+@pytest.mark.parametrize("reader_name", ["segments", "plan", "queries", "consensus", "labels"])
+def test_mutated_table_parses_or_raises_a_typed_error(tmp_path_factory, reader_name):
+    directory = tmp_path_factory.mktemp(reader_name)
+    reader, valid = _valid_files(directory)[reader_name]
+    assert reader(valid if reader is parse_labels else directory / f"{reader_name}.csv")
+    path = directory / "mutated.csv"
+
+    @settings(max_examples=150, deadline=None, database=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(_MUTATIONS)
+    def check(mutations):
+        data = mutate(valid, mutations)
+        path.write_bytes(data)
+        try:
+            reader(data if reader is parse_labels else path)
+        except RoadsenseError as e:
+            assert e.exit_code in (2, 3), e
+
+    check()
