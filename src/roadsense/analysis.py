@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import json
 import logging
+import math
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -248,40 +250,131 @@ def build_design(rows: list[dict], factors: list[str],
     return design
 
 
+def _tract_error(path, i: int, field_name: str, problem: str) -> InputDataError:
+    return InputDataError(f"{path}: feature {i}: {field_name}: {problem}")
+
+
+def _ring(path, i: int, where: str, ring) -> list[GeoPoint]:
+    if not isinstance(ring, list):
+        raise _tract_error(path, i, where, "expected a list of positions")
+    out = []
+    for k, position in enumerate(ring):
+        # a position may carry an altitude after lon and lat (RFC 7946 3.1.1);
+        # type(), not isinstance(): a JSON true or false is no coordinate
+        if (not isinstance(position, list) or len(position) < 2
+                or type(position[0]) not in (int, float)
+                or type(position[1]) not in (int, float)):
+            raise _tract_error(path, i, f"{where}[{k}]",
+                               "expected a [lon, lat] position of numbers")
+        try:
+            out.append(GeoPoint(position[1], position[0]))
+        except ValueError as e:
+            raise _tract_error(path, i, f"{where}[{k}]", str(e)) from e
+    return out
+
+
+def _shapes(path, i: int, geom) -> tuple[PolygonRing, ...]:
+    if not isinstance(geom, dict):
+        raise _tract_error(path, i, "geometry", "expected an object")
+    gtype = geom.get("type")
+    coords = geom.get("coordinates")
+    if gtype not in ("Polygon", "MultiPolygon"):
+        raise _tract_error(path, i, "geometry.type",
+                           f"unsupported geometry {gtype!r}")
+    if not isinstance(coords, list) or not coords:
+        raise _tract_error(path, i, "geometry.coordinates", "expected a non-empty list")
+    if gtype == "Polygon":
+        polygons = [("geometry.coordinates", coords)]
+    else:
+        polygons = [(f"geometry.coordinates[{j}]", p) for j, p in enumerate(coords)]
+    shapes = []
+    for where, rings in polygons:
+        if not isinstance(rings, list) or not rings:
+            raise _tract_error(path, i, where, "expected a non-empty list of rings")
+        parsed = [_ring(path, i, f"{where}[{k}]", ring) for k, ring in enumerate(rings)]
+        try:
+            shapes.append(PolygonRing(parsed[0], parsed[1:]))
+        except ValueError as e:
+            raise _tract_error(path, i, where, str(e)) from e
+    return tuple(shapes)
+
+
 def load_tracts_geojson(path: str | Path) -> list[TractPolygon]:
     """Read a FeatureCollection of Polygon/MultiPolygon tract features.
 
-    Each feature needs properties tract_id (string) and per_capita_income
-    (number). GeoJSON rings come in [lon, lat] order.
+    Each feature needs properties tract_id (string or integer) and
+    per_capita_income (a number >= 0). GeoJSON positions come in [lon, lat]
+    order; an altitude after them is ignored. A malformed file raises
+    InputDataError naming the file, the feature index and the field.
     """
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    if doc.get("type") != "FeatureCollection":
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as e:
+        raise InputDataError(f"{path}: line {e.lineno} column {e.colno}: "
+                             f"not valid JSON ({e.msg})") from e
+    except (ValueError, RecursionError) as e:  # not UTF-8, or too deep to parse
+        raise InputDataError(f"{path}: not valid JSON ({e})") from e
+    if not isinstance(doc, dict) or doc.get("type") != "FeatureCollection":
         raise InputDataError(f"{path}: expected a GeoJSON FeatureCollection")
+    features = doc.get("features", [])
+    if not isinstance(features, list):
+        raise InputDataError(f"{path}: features: expected a list")
     tracts = []
-    for i, feature in enumerate(doc.get("features", [])):
+    for i, feature in enumerate(features):
+        if not isinstance(feature, dict):
+            raise _tract_error(path, i, "feature", "expected an object")
         props = feature.get("properties") or {}
-        if "tract_id" not in props or "per_capita_income" not in props:
-            raise InputDataError(
-                f"{path}: feature {i} missing tract_id/per_capita_income")
-        geom = feature.get("geometry") or {}
-        gtype = geom.get("type")
-        coords = geom.get("coordinates")
-        if gtype == "Polygon":
-            polygons = [coords]
-        elif gtype == "MultiPolygon":
-            polygons = coords
-        else:
-            raise InputDataError(
-                f"{path}: feature {i} has unsupported geometry {gtype!r}")
-        shapes = []
-        for rings in polygons:
-            exterior = [GeoPoint(lat, lon) for lon, lat in rings[0]]
-            holes = [[GeoPoint(lat, lon) for lon, lat in ring] for ring in rings[1:]]
-            shapes.append(PolygonRing(exterior, holes))
-        tracts.append(TractPolygon(tract_id=str(props["tract_id"]),
-                                   shapes=tuple(shapes),
-                                   per_capita_income=float(props["per_capita_income"])))
+        if not isinstance(props, dict):
+            raise _tract_error(path, i, "properties", "expected an object")
+        for key in ("tract_id", "per_capita_income"):
+            if key not in props:
+                raise _tract_error(path, i, f"properties.{key}", "missing")
+        tract_id, income = props["tract_id"], props["per_capita_income"]
+        # type(), not isinstance(): a JSON true or false is no id and no number
+        if type(tract_id) not in (str, int):
+            raise _tract_error(path, i, "properties.tract_id",
+                               f"expected a string or an integer, got {tract_id!r}")
+        if type(income) not in (int, float) or not 0 <= income <= sys.float_info.max:
+            raise _tract_error(path, i, "properties.per_capita_income",
+                               f"expected a finite number >= 0, got {income!r}")
+        tracts.append(TractPolygon(tract_id=str(tract_id),
+                                   shapes=_shapes(path, i, feature.get("geometry")),
+                                   per_capita_income=float(income)))
     return tracts
+
+
+class _TractGrid:
+    """Uniform grid over the tracts' bounding boxes, about sqrt(len(tracts))
+    cells per side. Each cell lists, in input order, the (tract, box) pairs
+    whose box overlaps it.
+
+    Boxes and points share one cell function, and it is monotone under IEEE
+    rounding, so box_min <= v <= box_max gives
+    cell(box_min) <= cell(v) <= cell(box_max): a point's cell lists every
+    tract whose box holds the point.
+    """
+
+    def __init__(self, tracts: list[TractPolygon]):
+        boxes = [t.bounds() for t in tracts]
+        self.n = n = max(1, math.isqrt(len(boxes)))
+        self.lo = (min(b[0] for b in boxes), min(b[1] for b in boxes))
+        self.hi = (max(b[2] for b in boxes), max(b[3] for b in boxes))
+        # a zero extent (collinear rings are legal) puts every value in cell 0
+        self.step = tuple((hi - lo) / n or 1.0 for lo, hi in zip(self.lo, self.hi))
+        self.cells: list[list] = [[] for _ in range(n * n)]
+        for t, box in zip(tracts, boxes):
+            for i in range(self._cell(box[0], 0), self._cell(box[2], 0) + 1):
+                for j in range(self._cell(box[1], 1), self._cell(box[3], 1) + 1):
+                    self.cells[i * n + j].append((t, box))
+
+    def _cell(self, v: float, axis: int) -> int:
+        return min(int((v - self.lo[axis]) / self.step[axis]), self.n - 1)
+
+    def candidates(self, p: GeoPoint) -> list:
+        """(tract, box) pairs of p's cell; none when p is outside the grid."""
+        if not (self.lo[0] <= p.lat <= self.hi[0] and self.lo[1] <= p.lon <= self.hi[1]):
+            return []
+        return self.cells[self._cell(p.lat, 0) * self.n + self._cell(p.lon, 1)]
 
 
 def join_income(points: list[tuple[str, GeoPoint]],
@@ -289,20 +382,21 @@ def join_income(points: list[tuple[str, GeoPoint]],
     """Assign each point to its containing tract.
 
     Returns (matches, unmatched): matches as (segment_id, tract_id,
-    income) in input point order, first tract wins when several contain a
-    point (with a warning), bounding boxes pre-filter the scan.
+    income) in input point order, first tract in input order wins when
+    several contain a point (with a warning). A grid over the tracts'
+    bounding boxes picks the tracts to test, and each one's box is tested
+    before its polygons.
     """
-    boxes = [t.bounds() for t in tracts]
+    if not tracts:
+        return [], [segment_id for segment_id, _ in points]
+    grid = _TractGrid(tracts)
     matches = []
     unmatched = []
     multi = 0
     for segment_id, p in points:
-        containing = []
-        for t, box in zip(tracts, boxes):
-            if not (box[0] <= p.lat <= box[2] and box[1] <= p.lon <= box[3]):
-                continue
-            if any(point_in_polygon(p, shape) for shape in t.shapes):
-                containing.append(t)
+        containing = [t for t, box in grid.candidates(p)
+                      if box[0] <= p.lat <= box[2] and box[1] <= p.lon <= box[3]
+                      and any(point_in_polygon(p, shape) for shape in t.shapes)]
         if not containing:
             unmatched.append(segment_id)
             continue

@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from . import __version__
-from .errors import ConfigError, InputDataError, RoadsenseError
+from .errors import ConfigError, InputDataError, RoadsenseError, RowError, SchemaError
 from .fileio import write_atomic
 from .osm_ingest import SAMPLED_ROAD_CLASSES, filter_roads, parse_osm, write_network
 from .sampler import sample_segments, write_plan_csv
@@ -212,10 +212,14 @@ def _is_up_to_date(config: RunConfig, out_dir: Path, osm_digest: str) -> bool:
         return False
     if not all((out_dir / name).exists() for name in RUN_ARTIFACTS):
         return False
-    # a lost image (or an OK row whose download failed) leaves the fetch to redo
+    # an unreadable queries.csv is left to the fetch journal's rules, and a
+    # lost image (or an OK row whose download failed) leaves the fetch to redo
+    try:
+        records = read_queries_csv(out_dir / "queries.csv")
+    except (SchemaError, RowError):
+        return False
     client = config.client_config()
-    return all(image_on_disk(r, client) for r in read_queries_csv(out_dir / "queries.csv")
-               if r.status == STATUS_OK)
+    return all(image_on_disk(r, client) for r in records if r.status == STATUS_OK)
 
 
 def run_pipeline(config: RunConfig) -> Path:

@@ -5,13 +5,14 @@ These deliberately avoid the library's own code paths: distance via the
 hand-rolled Gauss-Jordan on the normal equations.
 
 The last section holds helpers that only tests use and that do build on
-the library: an OSM XML writer and a walk along a polyline.
+the library: an OSM XML writer, a walk along a polyline, and the linear
+scan that joined points to tracts before the tracts were grid-indexed.
 """
 
 import math
 from xml.sax.saxutils import quoteattr
 
-from roadsense.geometry import GeoPoint, Polyline, interpolate
+from roadsense.geometry import GeoPoint, Polyline, interpolate, point_in_polygon
 from roadsense.osm_ingest import RoadNetwork
 
 EARTH_RADIUS_M = 6_371_000.0
@@ -121,3 +122,29 @@ def point_along(line: Polyline, distance_m: float) -> GeoPoint:
             return interpolate(line.points[i], line.points[i + 1], remaining / edge)
         remaining -= edge
     return line.points[-1]
+
+
+def linear_join_income(points, tracts):
+    """(matches, unmatched, multi) by testing every tract's box for every
+    point: the reference for analysis.join_income, whose (matches,
+    unmatched) it returns, along with the number of points that fell in
+    more than one tract."""
+    boxes = [t.bounds() for t in tracts]
+    matches = []
+    unmatched = []
+    multi = 0
+    for segment_id, p in points:
+        containing = []
+        for t, box in zip(tracts, boxes):
+            if not (box[0] <= p.lat <= box[2] and box[1] <= p.lon <= box[3]):
+                continue
+            if any(point_in_polygon(p, shape) for shape in t.shapes):
+                containing.append(t)
+        if not containing:
+            unmatched.append(segment_id)
+            continue
+        if len(containing) > 1:
+            multi += 1
+        chosen = containing[0]
+        matches.append((segment_id, chosen.tract_id, chosen.per_capita_income))
+    return matches, unmatched, multi

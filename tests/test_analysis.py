@@ -1,10 +1,12 @@
 import json
+import logging
+import math
 import random
 
 import numpy as np
 import pytest
 
-from oracles import normal_equations_ols
+from oracles import linear_join_income, normal_equations_ols
 from roadsense.analysis import (
     QuintileBinning,
     TractPolygon,
@@ -18,9 +20,11 @@ from roadsense.analysis import (
     summarize_city,
     summary_table,
 )
+from roadsense.cli import main
 from roadsense.errors import AnalysisError, CollinearityError, InputDataError, InsufficientDataError
 from roadsense.geometry import GeoPoint, PolygonRing, point_in_polygon
 from roadsense.labeling import ATTRIBUTES, ConsensusLabel
+from roadsense.segmenter import SEGMENTS_CSV_HEADER
 
 
 def consensus(segment_id, **verdicts):
@@ -276,6 +280,135 @@ class TestJoinIncome:
         assert matches == [("s1", "t1", 1.0)]
 
 
+def rect_tract(tid, lat0, lon0, lat1, lon1, income, holes=()):
+    ring = (GeoPoint(lat0, lon0), GeoPoint(lat0, lon1), GeoPoint(lat1, lon1),
+            GeoPoint(lat1, lon0), GeoPoint(lat0, lon0))
+    return TractPolygon(tract_id=tid, shapes=(PolygonRing(ring, holes),),
+                        per_capita_income=income)
+
+
+def random_ring(rng, lat_c, lon_c, radius):
+    angles = sorted(rng.uniform(0, 2 * math.pi) for _ in range(rng.randint(3, 7)))
+    ring = [GeoPoint(lat_c + radius * rng.uniform(0.3, 1) * math.sin(a),
+                     lon_c + radius * rng.uniform(0.3, 1) * math.cos(a)) for a in angles]
+    return ring + ring[:1]
+
+
+def overlapping_tracts(rng):
+    return [TractPolygon(f"o{k}", (PolygonRing(random_ring(rng, rng.uniform(0, 2),
+                                                            rng.uniform(0, 2), 0.6)),),
+                         float(k))
+            for k in range(rng.randint(2, 30))]
+
+
+def islands_and_holes(rng):
+    # as in census data: a holed tract whose hole is an island of its neighbour
+    tracts = []
+    for k in range(rng.randint(2, 12)):
+        lon0 = k * 1.0
+        hole = rect_tract("", 0.3, lon0 + 0.3, 0.7, lon0 + 0.7, 0.0).shapes[0].exterior
+        own = rect_tract("", 0.0, lon0, 1.0, lon0 + 1.0, 0.0, holes=[hole]).shapes[0]
+        island = PolygonRing(hole)
+        tracts.append(TractPolygon(f"h{k}", (own,), float(k)))
+        tracts.append(TractPolygon(f"i{k}", (PolygonRing(random_ring(rng, 2.0, lon0, 0.4)),
+                                             island), float(k) + 0.5))
+    rng.shuffle(tracts)
+    return tracts
+
+
+def shared_edges(rng):
+    # a dyadic grid of squares: its edges and the grid's cell boundaries are exact
+    side = rng.choice([1, 2, 3, 4, 5, 8])
+    size = rng.choice([0.25, 0.5, 0.125])
+    return [rect_tract(f"g{r}-{c}", r * size, c * size, (r + 1) * size, (c + 1) * size,
+                       float(r * side + c))
+            for r in range(side) for c in range(side)]
+
+
+def single_tract(rng):
+    return [TractPolygon("only", (PolygonRing(random_ring(rng, 1.0, 1.0, 0.5)),), 1.0)]
+
+
+def zero_extent(rng):
+    # collinear rings on one parallel or one meridian: no extent on that axis
+    on_meridian = rng.random() < 0.5
+    tracts = []
+    for k in range(rng.randint(1, 20)):
+        a, b = sorted(rng.uniform(0, 3) for _ in range(2))
+        ring = [(v, 1.5) if on_meridian else (1.5, v) for v in (a, (a + b) / 2, b, a)]
+        tracts.append(TractPolygon(f"z{k}", (PolygonRing([GeoPoint(*q) for q in ring]),),
+                                   float(k)))
+    return tracts
+
+
+def probe_points(rng, tracts):
+    """Vertices, edge midpoints, the union's cell boundaries for up to 12
+    cells a side, random points in and around the union, and far points."""
+    lat0 = min(t.bounds()[0] for t in tracts)
+    lon0 = min(t.bounds()[1] for t in tracts)
+    lat1 = max(t.bounds()[2] for t in tracts)
+    lon1 = max(t.bounds()[3] for t in tracts)
+    points = []
+    for t in tracts:
+        for shape in t.shapes:
+            for ring in (shape.exterior, *shape.holes):
+                for a, b in zip(ring, ring[1:]):
+                    points += [a, GeoPoint((a.lat + b.lat) / 2, (a.lon + b.lon) / 2)]
+    for m in range(1, 13):
+        for k in range(m + 1):
+            lat = lat0 + k * (lat1 - lat0) / m
+            lon = lon0 + k * (lon1 - lon0) / m
+            points += [GeoPoint(lat, lon), GeoPoint(lat, rng.uniform(lon0, lon1)),
+                       GeoPoint(rng.uniform(lat0, lat1), lon)]
+    pad_lat, pad_lon = (lat1 - lat0) * 0.1 + 1e-3, (lon1 - lon0) * 0.1 + 1e-3
+    points += [GeoPoint(rng.uniform(lat0 - pad_lat, lat1 + pad_lat),
+                        rng.uniform(lon0 - pad_lon, lon1 + pad_lon)) for _ in range(300)]
+    points += [GeoPoint(-60.0, -170.0), GeoPoint(lat1 + 1.0, lon0), GeoPoint(lat0, lon1 + 1.0)]
+    rng.shuffle(points)
+    return [(f"s{k}", p) for k, p in enumerate(points)]
+
+
+def grid_join(points, tracts, caplog):
+    """(matches, unmatched, multi) from join_income, multi read from its warning."""
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="roadsense.analysis"):
+        matches, unmatched = join_income(points, tracts)
+    counts = [int(r.getMessage().split()[1]) for r in caplog.records
+              if "multiple tracts" in r.getMessage()]
+    return matches, unmatched, sum(counts)
+
+
+class TestJoinIncomeAgainstLinearScan:
+    @pytest.mark.parametrize("layout", [overlapping_tracts, islands_and_holes, shared_edges,
+                                        single_tract, zero_extent],
+                             ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("seed", range(6))
+    def test_same_join_as_the_linear_scan(self, caplog, layout, seed):
+        rng = random.Random(f"{layout.__name__}:{seed}")
+        tracts = layout(rng)
+        points = probe_points(rng, tracts)
+        expected = linear_join_income(points, tracts)
+        assert grid_join(points, tracts, caplog) == expected
+        assert expected[0] and expected[1]
+
+    def test_overlaps_and_islands_produce_multi_tract_points(self, caplog):
+        rng = random.Random(3)
+        tracts = overlapping_tracts(rng) + islands_and_holes(rng)
+        points = probe_points(rng, tracts)
+        expected = linear_join_income(points, tracts)
+        assert expected[2] > 0
+        assert grid_join(points, tracts, caplog) == expected
+
+    def test_no_points(self, caplog):
+        tracts = shared_edges(random.Random(0))
+        assert grid_join([], tracts, caplog) == linear_join_income([], tracts) == ([], [], 0)
+
+    def test_no_tracts(self, caplog):
+        points = [("s0", GeoPoint(0.5, 0.5)), ("s1", GeoPoint(-1, 2))]
+        assert grid_join(points, [], caplog) == linear_join_income(points, []) \
+            == ([], ["s0", "s1"], 0)
+
+
 class TestQuintiles:
     def test_frozen_cut_points(self):
         # hand-computed under the linear order-statistic convention
@@ -363,3 +496,82 @@ class TestTractsGeojson:
         path.write_text('{"type": "Feature"}')
         with pytest.raises(InputDataError):
             load_tracts_geojson(path)
+
+    def test_position_altitude_is_ignored(self, tmp_path):
+        doc = two_tracts()
+        for position in doc["features"][0]["geometry"]["coordinates"][0]:
+            position.append(183.5)
+        path = tmp_path / "tracts.geojson"
+        path.write_text(json.dumps(doc))
+        tracts = load_tracts_geojson(path)
+        assert tracts[0].shapes[0].exterior[1] == GeoPoint(0, 1)
+        assert join_income([("s", GeoPoint(0.5, 0.5))], tracts)[0] == [("s", "100", 12000.0)]
+
+
+def two_tracts() -> dict:
+    """A Polygon tract and a MultiPolygon tract whose first part has a hole."""
+    return {"type": "FeatureCollection", "features": [
+        {"type": "Feature", "properties": {"tract_id": "100", "per_capita_income": 12000},
+         "geometry": {"type": "Polygon",
+                      "coordinates": [[[0, 0], [1, 0], [1, 1], [0, 1], [0, 0]]]}},
+        {"type": "Feature", "properties": {"tract_id": "200", "per_capita_income": 45000.5},
+         "geometry": {"type": "MultiPolygon", "coordinates": [
+             [[[2, 0], [3, 0], [3, 1], [2, 1], [2, 0]],
+              [[2.4, 0.4], [2.6, 0.4], [2.6, 0.6], [2.4, 0.6], [2.4, 0.4]]],
+             [[[4, 0], [5, 0], [5, 1], [4, 1], [4, 0]]]]}}]}
+
+
+def _edit(change):
+    def build():
+        doc = two_tracts()
+        change(doc["features"])
+        return json.dumps(doc)
+    return build
+
+
+MALFORMED_TRACTS = {
+    "not_json": (lambda: '{"type": "FeatureCollection", features',
+                 "line 1 column 31: not valid JSON"),
+    "feature_not_an_object": (_edit(lambda f: f.__setitem__(1, 7)),
+                              "feature 1: feature: expected an object"),
+    "no_coordinates": (_edit(lambda f: f[0]["geometry"].pop("coordinates")),
+                       "feature 0: geometry.coordinates: expected a non-empty list"),
+    "ring_of_3": (_edit(lambda f: f[0]["geometry"].__setitem__(
+        "coordinates", [[[0, 0], [1, 0], [0, 0]]])),
+        "feature 0: geometry.coordinates: exterior ring needs >= 4 entries"),
+    "lat_100": (_edit(lambda f: f[1]["geometry"]["coordinates"][0][1].__setitem__(2, [2.6, 100])),
+                "feature 1: geometry.coordinates[0][1][2]: lat 100"),
+    "income_abc": (_edit(lambda f: f[1]["properties"].__setitem__("per_capita_income", "abc")),
+                   "feature 1: properties.per_capita_income: expected a finite number >= 0, "
+                   "got 'abc'"),
+    "income_negative": (_edit(lambda f: f[0]["properties"].__setitem__("per_capita_income", -1)),
+                        "feature 0: properties.per_capita_income: expected a finite "
+                        "number >= 0, got -1"),
+    "position_too_short": (_edit(lambda f: f[0]["geometry"]["coordinates"][0].__setitem__(1, [1])),
+                           "feature 0: geometry.coordinates[0][1]: expected a [lon, lat] position"),
+    "point_geometry": (_edit(lambda f: f[0]["geometry"].__setitem__("type", "Point")),
+                       "feature 0: geometry.type: unsupported geometry 'Point'"),
+    "empty_multipolygon": (_edit(lambda f: f[1]["geometry"].__setitem__("coordinates", [])),
+                           "feature 1: geometry.coordinates: expected a non-empty list"),
+    "tract_id_missing": (_edit(lambda f: f[0]["properties"].pop("tract_id")),
+                         "feature 0: properties.tract_id: missing"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_TRACTS))
+def test_malformed_tracts_exit_3_naming_file_feature_and_field(tmp_path, capsys, case):
+    build, expected = MALFORMED_TRACTS[case]
+    tracts = tmp_path / "tracts.geojson"
+    tracts.write_text(build())
+    segments = tmp_path / "segments.csv"
+    segments.write_text(SEGMENTS_CSV_HEADER + "\n1#0,1,0,0.5000000,0.5000000,0.5000000,"
+                        "0.5010000,111.195,primary,x\n")
+    consensus = tmp_path / "consensus.csv"
+    consensus.write_text("segment_id,potholes,cracks,markings_present,markings_clear,"
+                         "litter,sidewalk_paved,n_workers\n1#0,yes,no,yes,yes,no,yes,1\n")
+    assert main(["regress", "--outcome", "potholes", "--consensus", str(consensus),
+                 "--segments", str(segments), "--factors", "road_class,income_quintile",
+                 "--tracts", str(tracts)]) == 3
+    err = capsys.readouterr().err
+    assert f"{tracts}: {expected}" in err
+    assert "Traceback" not in err

@@ -162,6 +162,35 @@ class TestRunPipeline:
         after = {name: (out_dir / name).read_bytes() for name in RUN_ARTIFACTS}
         assert after == before
 
+    def test_rerun_resumes_over_an_emptied_queries_csv(self, fixture_city_file, tmp_path,
+                                                      capsys):
+        xml = fixture_city_file.read_text()
+        plan = planned_points(xml, "fixtureville", set(SAMPLED_ROAD_CLASSES), 500.0, 12, 7)
+        out_dir = tmp_path / "rundir"
+        with MockStreetViewServer(fixture_for_plan(plan)) as server:
+            assert main(run_args(fixture_city_file, out_dir, server.base_url)) == 0
+            before = {name: (out_dir / name).read_bytes()
+                      for name in ("queries.csv", "coverage.json")}
+            (out_dir / "queries.csv").write_bytes(b"")
+            capsys.readouterr()
+            assert main(run_args(fixture_city_file, out_dir, server.base_url)) == 0
+        assert "up to date" not in capsys.readouterr().out
+        after = {name: (out_dir / name).read_bytes() for name in before}
+        assert after == before
+
+    def test_rerun_over_a_malformed_queries_row_exits_3(self, fixture_city_file, tmp_path,
+                                                       capsys):
+        xml = fixture_city_file.read_text()
+        plan = planned_points(xml, "fixtureville", set(SAMPLED_ROAD_CLASSES), 500.0, 12, 7)
+        out_dir = tmp_path / "rundir"
+        with MockStreetViewServer(fixture_for_plan(plan)) as server:
+            assert main(run_args(fixture_city_file, out_dir, server.base_url)) == 0
+            queries = out_dir / "queries.csv"
+            queries.write_text(queries.read_text().replace(",OK,", ",MAYBE,", 1))
+            capsys.readouterr()
+            assert main(run_args(fixture_city_file, out_dir, server.base_url)) == 3
+        assert "queries.csv: line" in capsys.readouterr().err
+
     def test_manifest_reproduces_run_byte_identically(self, fixture_city_file, tmp_path):
         xml = fixture_city_file.read_text()
         plan = planned_points(xml, "fixtureville", set(SAMPLED_ROAD_CLASSES), 500.0, 12, 7)

@@ -1,6 +1,9 @@
-"""Property: every table reader, given a valid file with a few bytes
-flipped, deleted or inserted, returns rows or raises a RoadsenseError with
-the exit code of a configuration or input-data error."""
+"""Property: every table reader, and the tracts GeoJSON reader, given a
+valid file with a few bytes flipped, deleted or inserted, returns rows or
+raises a RoadsenseError with the exit code of a configuration or input-data
+error."""
+
+import json
 
 from pathlib import Path
 
@@ -8,6 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from roadsense.analysis import load_tracts_geojson
 from roadsense.errors import RoadsenseError
 from roadsense.geometry import GeoPoint, Polyline
 from roadsense.labeling import (
@@ -91,6 +95,41 @@ def test_mutated_table_parses_or_raises_a_typed_error(tmp_path_factory, reader_n
         path.write_bytes(data)
         try:
             reader(data if reader is parse_labels else path)
+        except RoadsenseError as e:
+            assert e.exit_code in (2, 3), e
+
+    check()
+
+
+# a Polygon tract and a MultiPolygon tract whose first part has a hole
+TRACTS = json.dumps({"type": "FeatureCollection", "features": [
+    {"type": "Feature", "properties": {"tract_id": "100", "per_capita_income": 12000},
+     "geometry": {"type": "Polygon",
+                  "coordinates": [[[0, 0], [1, 0], [1, 1], [0, 1], [0, 0]]]}},
+    {"type": "Feature", "properties": {"tract_id": "200", "per_capita_income": 45000.5},
+     "geometry": {"type": "MultiPolygon", "coordinates": [
+         [[[2, 0], [3, 0], [3, 1], [2, 1], [2, 0]],
+          [[2.4, 0.4], [2.6, 0.4], [2.6, 0.6], [2.4, 0.6], [2.4, 0.4]]],
+         [[[4, 0], [5, 0], [5, 1], [4, 1], [4, 0, 12.5]]]]}}]}).encode("utf-8")
+
+_JSON_MUTATIONS = st.lists(st.tuples(st.sampled_from(["flip", "delete", "insert"]),
+                                     st.floats(0, 1, exclude_max=True),
+                                     st.sampled_from(b'[]{},:"\xff0-.9e')),
+                           min_size=1, max_size=4)
+
+
+def test_mutated_tracts_load_or_raise_a_typed_error(tmp_path):
+    path = tmp_path / "tracts.geojson"
+    path.write_bytes(TRACTS)
+    assert [t.tract_id for t in load_tracts_geojson(path)] == ["100", "200"]
+
+    @settings(max_examples=300, deadline=None, database=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(_JSON_MUTATIONS)
+    def check(mutations):
+        path.write_bytes(mutate(TRACTS, mutations))
+        try:
+            load_tracts_geojson(path)
         except RoadsenseError as e:
             assert e.exit_code in (2, 3), e
 
