@@ -17,7 +17,7 @@ from . import __version__, geo_export, labeling
 from .errors import InputDataError, RoadsenseError
 from .fileio import write_atomic, write_table
 from .osm_ingest import filter_roads, parse_osm, read_network, write_network
-from .pipeline import api_key_or_env, check_sample_n, check_seed, load_config, run_pipeline
+from .pipeline import check_sample_n, check_seed, client_config, load_config, run_pipeline
 from .sampler import (
     read_plan_csv,
     sample_points,
@@ -32,7 +32,7 @@ from .segmenter import (
     write_segments_csv,
 )
 from .streetview import (
-    ClientConfig,
+    DEFAULT_BASE_URL,
     coverage_json,
     estimate_coverage,
     fetch_all,
@@ -87,16 +87,7 @@ def cmd_sample(args) -> int:
 
 def cmd_fetch(args) -> int:
     plan = read_plan_csv(args.plan)
-    config = ClientConfig(
-        api_key=api_key_or_env(args.api_key),
-        out_dir=Path(args.out_dir),
-        base_url=args.base_url,
-        max_concurrency=args.max_concurrency,
-        rate_per_s=args.rate_per_s,
-        retries=args.retries,
-        fixed_time=args.fixed_time,
-    )
-    records = fetch_all(plan, config)
+    records = fetch_all(plan, client_config(args))
     n_ok = sum(1 for r in records if r.status == "OK")
     print(f"{args.out_dir}/queries.csv: {len(records)} records, {n_ok} OK")
     return 0
@@ -291,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--plan", required=True)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--api-key", default="")
-    p.add_argument("--base-url", default="https://maps.googleapis.com")
+    p.add_argument("--base-url", default=DEFAULT_BASE_URL)
     p.add_argument("--max-concurrency", type=int, default=4)
     p.add_argument("--rate-per-s", type=float, default=10.0)
     p.add_argument("--retries", type=int, default=3)

@@ -12,7 +12,7 @@ exactly as the client formats them) to canned metadata responses, e.g.
 ``fail_first: N`` makes the first N metadata hits for that location fail
 with HTTP 503, for exercising retry behavior. Locations absent from the
 fixture answer with ``default_status`` (ZERO_RESULTS unless overridden by
-a "__default__" entry). A 1x1 JPEG is served for OK image requests.
+a "__default__" entry). A 1x1 JPEG is served as the image of an OK location.
 """
 
 from __future__ import annotations

@@ -14,6 +14,7 @@ import difflib
 import hashlib
 import json
 import logging
+import math
 import os
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -62,6 +63,20 @@ def api_key_or_env(api_key: str | None) -> str:
     return api_key or os.environ.get("STREETVIEW_API_KEY", "")
 
 
+def client_config(settings) -> ClientConfig:
+    """The fetch settings of a RunConfig, or of the fetch command's parsed
+    flags (the same names), as a ClientConfig."""
+    return ClientConfig(
+        api_key=api_key_or_env(settings.api_key),
+        out_dir=Path(settings.out_dir),
+        base_url=settings.base_url,
+        max_concurrency=settings.max_concurrency,
+        rate_per_s=settings.rate_per_s,
+        retries=settings.retries,
+        fixed_time=settings.fixed_time or None,
+    )
+
+
 @dataclass
 class RunConfig:
     city: str = ""
@@ -80,9 +95,11 @@ class RunConfig:
 
     def validate(self) -> "RunConfig":
         check_sample_n(self.sample_n)
-        if self.target_m <= 0:
-            raise ConfigError(f"target_m must be positive, got {self.target_m}")
-        self.client_config()  # checks the fetch settings
+        if not (math.isfinite(self.target_m) and self.target_m > 0):
+            raise ConfigError(f"target_m must be a positive finite number, got {self.target_m}")
+        if not self.classes:
+            raise ConfigError("classes must name at least one road class")
+        client_config(self)  # checks the fetch settings
         check_seed(self.seed)
         if not self.city:
             raise ConfigError("city is required")
@@ -91,17 +108,6 @@ class RunConfig:
         if not self.out_dir:
             raise ConfigError("out_dir is required")
         return self
-
-    def client_config(self) -> ClientConfig:
-        return ClientConfig(
-            api_key=self.api_key,
-            out_dir=Path(self.out_dir),
-            base_url=self.base_url,
-            max_concurrency=self.max_concurrency,
-            rate_per_s=self.rate_per_s,
-            retries=self.retries,
-            fixed_time=self.fixed_time or None,
-        )
 
     def redacted_dict(self) -> dict:
         data = asdict(self)
@@ -218,7 +224,7 @@ def _is_up_to_date(config: RunConfig, out_dir: Path, osm_digest: str) -> bool:
         records = read_queries_csv(out_dir / "queries.csv")
     except (SchemaError, RowError):
         return False
-    client = config.client_config()
+    client = client_config(config)
     return all(image_on_disk(r, client) for r in records if r.status == STATUS_OK)
 
 
@@ -260,7 +266,7 @@ def run_pipeline(config: RunConfig) -> Path:
         write_plan_csv(plan, out_dir / "plan.csv")
 
         stage = "fetch"
-        records = fetch_all(plan, config.client_config())
+        records = fetch_all(plan, client_config(config))
 
         stage = "coverage"
         write_atomic(out_dir / "coverage.json", coverage_json(estimate_coverage(records)))

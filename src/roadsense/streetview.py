@@ -1,4 +1,4 @@
-"""Imagery availability client: build requests, fetch outcomes for sampled
+"""Imagery availability client: build API URLs, fetch outcomes for sampled
 points, and estimate coverage as the success proportion.
 
 The metadata endpoint is always consulted first; it is the authoritative,
@@ -12,19 +12,20 @@ network hiccup says nothing about imagery coverage.
 from __future__ import annotations
 
 import csv
+import http.client
 import itertools
 import json
 import logging
 import math
 import os
 import queue
+import ssl
 import threading
 import time
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-
-import requests
+from urllib.parse import quote, urlsplit
 
 from .errors import ConfigError, InsufficientDataError, KeyQuotaError
 from .fileio import read_table, write_atomic, write_table
@@ -98,6 +99,20 @@ class ClientConfig:
             raise ConfigError(f"retries must be >= 0, got {self.retries}")
         if not self.rate_per_s > 0:
             raise ConfigError(f"rate_per_s must be positive, got {self.rate_per_s}")
+        _server_of(self.base_url)
+
+
+def _server_of(base_url: str) -> tuple[str, str, int | None]:
+    """Scheme, host and port of an http(s) base URL."""
+    try:
+        url = urlsplit(base_url)
+        scheme, host, port = url.scheme, url.hostname, url.port  # .port raises unless in range
+    except ValueError:
+        scheme = host = port = None
+    if scheme not in ("http", "https") or not host:
+        raise ConfigError("base_url must be an http:// or https:// URL with a host, "
+                          f"got {base_url!r}")
+    return scheme, host, port
 
 
 def build_metadata_request(p: GeoPoint, api_key: str,
@@ -107,7 +122,7 @@ def build_metadata_request(p: GeoPoint, api_key: str,
         raise ConfigError("imagery API key is empty; set STREETVIEW_API_KEY "
                           "or pass --api-key")
     return (f"{base_url.rstrip('/')}/maps/api/streetview/metadata"
-            f"?location={format_location(p)}&key={api_key}")
+            f"?location={format_location(p)}&key={quote(api_key, safe='')}")
 
 
 def build_image_request(p: GeoPoint, api_key: str,
@@ -120,7 +135,7 @@ def build_image_request(p: GeoPoint, api_key: str,
     if not (1 <= w <= 640 and 1 <= h <= 640):
         raise ValueError(f"image size {w}x{h} outside the API limit [1,640]x[1,640]")
     return (f"{base_url.rstrip('/')}/maps/api/streetview"
-            f"?size={w}x{h}&location={format_location(p)}&key={api_key}")
+            f"?size={w}x{h}&location={format_location(p)}&key={quote(api_key, safe='')}")
 
 
 class TokenBucket:
@@ -147,50 +162,86 @@ class TokenBucket:
             time.sleep(wait)
 
 
-_thread_local = threading.local()
+def _open_connection(config: ClientConfig) -> http.client.HTTPConnection:
+    """A keep-alive connection to the base URL's host. It connects on its
+    first request, and again on the first request after a close()."""
+    scheme, host, port = _server_of(config.base_url)
+    if scheme == "https":
+        return http.client.HTTPSConnection(host, port, timeout=config.timeout_s,
+                                           context=ssl.create_default_context())
+    return http.client.HTTPConnection(host, port, timeout=config.timeout_s)
 
 
-def _session() -> requests.Session:
-    if not hasattr(_thread_local, "session"):
-        _thread_local.session = requests.Session()
-    return _thread_local.session
+# how a kept-alive connection that the server has since closed fails on
+# reuse, before any byte of the response (RemoteDisconnected is a
+# ConnectionResetError)
+_STALE_CONNECTION = (ConnectionResetError, BrokenPipeError)
+
+
+def _get(conn: http.client.HTTPConnection, target: str) -> tuple[int, bytes]:
+    """One GET of `target` on a worker's connection: (status, body).
+
+    A reused connection found closed by the server is reopened once and the
+    request sent again. On any other failure the connection is closed, so a
+    broken socket is never reused.
+    """
+    reused = conn.sock is not None
+    try:
+        try:
+            conn.request("GET", target)
+            resp = conn.getresponse()
+        except _STALE_CONNECTION:
+            if not reused:
+                raise
+            conn.close()
+            conn.request("GET", target)
+            resp = conn.getresponse()
+        return resp.status, resp.read()
+    except BaseException:
+        conn.close()
+        raise
 
 
 def _now_utc() -> str:
     return datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
-def _get_with_retries(url: str, config: ClientConfig, bucket: TokenBucket):
-    """GET with exponential backoff; returns response or error-code string."""
+def _get_with_retries(conn: http.client.HTTPConnection, url: str, config: ClientConfig,
+                      bucket: TokenBucket) -> tuple[int, bytes] | str:
+    """GET with exponential backoff; returns (status, body) or an error-code
+    string. The code of a failed transport is its exception's class name."""
+    split = urlsplit(url)
+    target = f"{split.path}?{split.query}"
     last_code = "unreachable"
     for attempt in range(config.retries + 1):
         if attempt:
             time.sleep(config.backoff_s * (2 ** (attempt - 1)))
         bucket.acquire()
         try:
-            resp = _session().get(url, timeout=config.timeout_s)
-        except requests.RequestException as e:
+            status, body = _get(conn, target)
+        except (OSError, http.client.HTTPException) as e:
             last_code = type(e).__name__
             continue
-        if resp.status_code >= 500:
-            last_code = str(resp.status_code)
+        if status >= 500:
+            last_code = str(status)
             continue
-        return resp
+        return status, body
     return transport_error(last_code)
 
 
 def _fetch_one(segment_id: str, point: GeoPoint, config: ClientConfig,
-               bucket: TokenBucket) -> QueryRecord:
+               bucket: TokenBucket, conn: http.client.HTTPConnection) -> QueryRecord:
     queried_at = config.fixed_time or _now_utc()
     meta_url = build_metadata_request(point, config.api_key, config.base_url)
-    resp = _get_with_retries(meta_url, config, bucket)
+    resp = _get_with_retries(conn, meta_url, config, bucket)
     if isinstance(resp, str):
         return QueryRecord(segment_id, point, resp, queried_at=queried_at)
-    if resp.status_code != 200:
-        return QueryRecord(segment_id, point, transport_error(resp.status_code),
+    status_code, data = resp
+    if status_code != 200:
+        return QueryRecord(segment_id, point, transport_error(status_code),
                            queried_at=queried_at)
     try:
-        body = resp.json()
+        body = json.loads(data)
     except ValueError:
         return QueryRecord(segment_id, point, transport_error("bad-json"),
                            queried_at=queried_at)
@@ -204,12 +255,12 @@ def _fetch_one(segment_id: str, point: GeoPoint, config: ClientConfig,
 
     image_path = None
     img_url = build_image_request(point, config.api_key, config.image_size, config.base_url)
-    img = _get_with_retries(img_url, config, bucket)
-    if not isinstance(img, str) and img.status_code == 200:
+    img = _get_with_retries(conn, img_url, config, bucket)
+    if not isinstance(img, str) and img[0] == 200:
         rel = f"images/{segment_id}.jpg"
         target = config.out_dir / rel
         target.parent.mkdir(parents=True, exist_ok=True)
-        write_atomic(target, img.content)
+        write_atomic(target, img[1])
         image_path = rel
     else:
         log.warning("metadata OK but image fetch failed for %s", segment_id)
@@ -227,9 +278,11 @@ def fetch_all(plan: SamplePlan, config: ClientConfig) -> list[QueryRecord]:
     appended and flushed as soon as the query completes, so an interrupted
     or failed run keeps every query it paid for. A resumed run reuses the
     journal's rows in whatever order they were written, a later row for the
-    same segment winning, and fetches again only the points with no row or
-    with an OK row whose image is missing. Once every point has a record,
-    queries.csv is rewritten atomically in plan order.
+    same segment and location winning, and fetches again only the points
+    with no row or with an OK row whose image is missing. A row for the same
+    segment id at another location, left by a run with other settings, is
+    not reused. Once every point has a record, queries.csv is rewritten
+    atomically in plan order.
 
     At most max_concurrency queries are in flight at a time. When at least
     20 points are to be fetched and more than 10 of the first 20 completed
@@ -238,11 +291,12 @@ def fetch_all(plan: SamplePlan, config: ClientConfig) -> list[QueryRecord]:
     """
     config.out_dir.mkdir(parents=True, exist_ok=True)
     queries_path = config.out_dir / "queries.csv"
-    existing = {rec.segment_id: rec for rec in _read_journal(queries_path)}
+    existing = {(rec.segment_id, format_location(rec.location)): rec
+                for rec in _read_journal(queries_path)}
     records: dict[int, QueryRecord] = {}
     to_fetch: list[tuple[int, str, GeoPoint]] = []
     for i, (seg_id, p) in enumerate(sample_points(plan)):
-        rec = existing.get(seg_id)
+        rec = existing.get((seg_id, format_location(p)))
         if rec is not None and (rec.status != STATUS_OK or image_on_disk(rec, config)):
             records[i] = rec
         else:
@@ -261,8 +315,9 @@ def image_on_disk(rec: QueryRecord, config: ClientConfig) -> bool:
 def _fetch_window(to_fetch: list[tuple[int, str, GeoPoint]], config: ClientConfig,
                   journal_path: Path, records: dict[int, QueryRecord]) -> None:
     """Fetch the points through a sliding window: one worker thread per
-    in-flight query, a new point queued as each query completes. Each
-    record goes into `records` and is appended to the journal.
+    in-flight query, each with its own keep-alive connection, a new point
+    queued as each query completes. Each record goes into `records` and is
+    appended to the journal.
 
     Workers append their records to `done` themselves and the queue only
     wakes the main thread, so a KeyboardInterrupt may land anywhere in the
@@ -275,13 +330,17 @@ def _fetch_window(to_fetch: list[tuple[int, str, GeoPoint]], config: ClientConfi
     wakeup: queue.SimpleQueue = queue.SimpleQueue()   # None, or a worker's exception
 
     def worker() -> None:
-        while (item := work.get()) is not None:
-            try:
-                done.append((item[0], _fetch_one(*item[1:], config, bucket)))
-            except BaseException as e:  # the main thread re-raises it
-                wakeup.put(e)
-            else:
-                wakeup.put(None)
+        conn = _open_connection(config)
+        try:
+            while (item := work.get()) is not None:
+                try:
+                    done.append((item[0], _fetch_one(*item[1:], config, bucket, conn)))
+                except BaseException as e:  # the main thread re-raises it
+                    wakeup.put(e)
+                else:
+                    wakeup.put(None)
+        finally:
+            conn.close()
 
     n_workers = min(config.max_concurrency, len(to_fetch))
     check_storm = len(to_fetch) >= 20

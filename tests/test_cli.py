@@ -18,9 +18,9 @@ from roadsense.pipeline import (
     load_config,
     run_pipeline,
 )
-from roadsense.sampler import sample_segments
+from roadsense.sampler import read_plan_csv, sample_segments, write_plan_csv
 from roadsense.segmenter import chunk_network
-from roadsense.streetview import format_location
+from roadsense.streetview import format_location, read_queries_csv
 
 LABEL_HEADER = ("AssignmentId,WorkerId,Input.segment_id,Answer.potholes,Answer.cracks,"
                 "Answer.markings_present,Answer.markings_clear,Answer.litter,"
@@ -105,6 +105,18 @@ class TestLoadConfig:
         with pytest.raises(ConfigError):
             load_config(None, {"city": "x", "osm_path": "a", "out_dir": "o",
                                "max_concurrency": 0})
+
+    @pytest.mark.parametrize("line, key", [
+        ("target_m = nan", "target_m"), ("target_m = inf", "target_m"),
+        ("target_m = -inf", "target_m"), ("classes =", "classes")])
+    def test_run_config_rejects_non_finite_and_empty_settings(
+            self, fixture_city_file, tmp_path, capsys, line, key):
+        config = tmp_path / "run.ini"
+        config.write_text(f"[run]\n{line}\n")
+        args = run_args(fixture_city_file, tmp_path / "run", "http://127.0.0.1:9")
+        assert main(args + ["--config", str(config)]) == 2
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
     def test_classes_parsed(self):
         config = load_config(None, {"city": "x", "osm_path": "a", "out_dir": "o",
@@ -218,6 +230,20 @@ class TestRunPipeline:
             assert server.request_count > before
         assert (out_dir / "plan.csv").read_bytes() != plan_bytes
 
+    def test_rerun_with_other_target_m_queries_moved_points_again(self, fixture_city_file,
+                                                                  tmp_path):
+        # a segment id such as "<way>#1" starts elsewhere under another target_m
+        out_dir = tmp_path / "rundir"
+        with MockStreetViewServer({"__default__": {"status": "OK"}}) as server:
+            for target_m in ("500", "300"):
+                args = run_args(fixture_city_file, out_dir, server.base_url, n=100)
+                assert main(args + ["--target-m", target_m]) == 0
+        planned = {s.segment_id: format_location(s.start)
+                   for s in read_plan_csv(out_dir / "plan.csv").segments}
+        recorded = {r.segment_id: format_location(r.location)
+                    for r in read_queries_csv(out_dir / "queries.csv")}
+        assert recorded == planned
+
     def test_api_key_never_written(self, fixture_city_file, tmp_path):
         xml = fixture_city_file.read_text()
         plan = planned_points(xml, "fixtureville", set(SAMPLED_ROAD_CLASSES), 500.0, 12, 7)
@@ -291,6 +317,24 @@ class TestStageCommands:
         assert code == 2
         assert "rate_per_s" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["fetch", "run"])
+    @pytest.mark.parametrize("base_url", ["{host}", "ftp://{host}", "http://"])
+    def test_bad_base_url_exits_2_before_any_request(self, fixture_city_file, tmp_path,
+                                                     capsys, command, base_url):
+        plan_file = tmp_path / "plan.csv"
+        write_plan_csv(planned_points(fixture_city_file.read_text(), "f",
+                                      set(SAMPLED_ROAD_CLASSES), 500.0, 4, 0), plan_file)
+        with MockStreetViewServer({"__default__": {"status": "OK"}}) as server:
+            base_url = base_url.format(host=server.base_url.removeprefix("http://"))
+            if command == "run":
+                args = run_args(fixture_city_file, tmp_path / "run", base_url)
+            else:
+                args = ["fetch", "--plan", str(plan_file), "--out-dir", str(tmp_path / "run"),
+                        "--api-key", "k", "--base-url", base_url]
+            assert main(args) == 2
+            assert server.request_count == 0
+        assert "base_url" in capsys.readouterr().err
+
     @pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
     @pytest.mark.parametrize("stratified", [False, True])
     def test_sample_rejects_seed_out_of_range(self, fixture_city_file, tmp_path, capsys,
@@ -341,7 +385,7 @@ class TestStageCommands:
         src = str(Path(roadsense.__file__).resolve().parent.parent)
         env = {**os.environ, "PYTHONPATH": src}
         code = ("import sys, roadsense.cli; "
-                "print(sorted(m for m in ('numpy', 'scipy') if m in sys.modules))")
+                "print(sorted(m for m in ('numpy', 'scipy', 'requests') if m in sys.modules))")
         out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                              capture_output=True, text=True).stdout
         assert out.strip() == "[]"

@@ -1,10 +1,13 @@
 import _thread
+import http.client
+import json
+import socket
 import sys
 import time
 from collections import Counter
+from urllib.parse import urlsplit
 
 import pytest
-import requests
 
 from roadsense.errors import ConfigError, InsufficientDataError, KeyQuotaError, RowError
 from roadsense.geometry import GeoPoint, Polyline
@@ -44,6 +47,30 @@ class _InterruptingHandler(_Handler):
         if fire:
             _thread.interrupt_main()
         super().do_GET()
+
+
+class _SilentlyClosingHandler(_Handler):
+    """Closes the connection after each response, without a Connection: close."""
+
+    def do_GET(self):
+        super().do_GET()
+        self.close_connection = True
+
+
+class _RedirectingHandler(_Handler):
+    def do_GET(self):
+        with self.server.lock:
+            self.server.request_count += 1
+        self.send_response(302)
+        self.send_header("Location", self.path)
+        self.send_header("Content-Length", "0")
+        self.end_headers()
+
+
+def server_with(handler, fixture):
+    server = MockStreetViewServer(fixture)
+    server.RequestHandlerClass = handler
+    return server
 
 
 class InterruptingServer(MockStreetViewServer):
@@ -325,6 +352,44 @@ class TestFetchAll:
             assert server.request_count == before
 
 
+    def test_stale_keep_alive_connection_is_reopened(self, tmp_path):
+        points = [(0.0, i * 0.01) for i in range(20)]
+        fixture = {format_location(GeoPoint(*p)): {"status": "OK"} for p in points}
+        with server_with(_SilentlyClosingHandler, fixture) as server:
+            records = fetch_all(plan_of_points(points),
+                                fast_config(server.base_url, tmp_path, retries=0,
+                                            max_concurrency=2))
+            served = server.request_count
+        assert [r.status for r in records] == ["OK"] * 20
+        assert all((tmp_path / r.image_path).is_file() for r in records)
+        # the request sent on a closed connection never reached the handler
+        assert served == 2 * 20
+
+    def test_api_key_is_percent_encoded(self, tmp_path):
+        points = [(0.0, 0.1)]
+        fixture = {format_location(GeoPoint(*p)): {"status": "OK"} for p in points}
+        with MockStreetViewServer(fixture) as server:
+            records = fetch_all(plan_of_points(points),
+                                fast_config(server.base_url, tmp_path, api_key="k y/\u00fc"))
+        assert records[0].status == "OK"
+        assert build_metadata_request(GeoPoint(0, 0), "k y/\u00fc").endswith("&key=k%20y%2F%C3%BC")
+
+    def test_refused_connection_is_named_by_its_exception(self, tmp_path):
+        with socket.socket() as s:
+            s.bind(("127.0.0.1", 0))
+            port = s.getsockname()[1]
+        records = fetch_all(plan_of_points([(0.0, 0.1)]),
+                            fast_config(f"http://127.0.0.1:{port}", tmp_path, retries=1))
+        assert records[0].status == "TRANSPORT_ERROR(ConnectionRefusedError)"
+
+    def test_redirect_is_not_followed(self, tmp_path):
+        with server_with(_RedirectingHandler, {}) as server:
+            records = fetch_all(plan_of_points([(0.0, 0.1)]),
+                                fast_config(server.base_url, tmp_path))
+            assert server.request_count == 1
+        assert records[0].status == "TRANSPORT_ERROR(302)"
+
+
 class TestClientConfig:
     @pytest.mark.parametrize("field, value", [
         ("rate_per_s", 0.0), ("rate_per_s", -1.0), ("rate_per_s", float("nan")),
@@ -333,20 +398,32 @@ class TestClientConfig:
         with pytest.raises(ConfigError, match=field):
             fast_config("http://127.0.0.1:9", tmp_path, **{field: value})
 
+    @pytest.mark.parametrize("base_url", [
+        "maps.googleapis.com", "127.0.0.1:8080", "ftp://x", "http://", "http://h:port",
+        "https://h:99999", "http://[::1"])
+    def test_base_url_needs_http_scheme_and_host(self, tmp_path, base_url):
+        with pytest.raises(ConfigError, match="base_url"):
+            fast_config(base_url, tmp_path)
+
 
 class TestMockServer:
     def test_stop_returns_promptly_with_keep_alive_connections_open(self):
         fixture = {format_location(GeoPoint(0.0, 0.1)): {"status": "OK"}}
         server = MockStreetViewServer(fixture).start()
-        with requests.Session() as session:
+        url = urlsplit(build_metadata_request(GeoPoint(0.0, 0.1), "K", server.base_url))
+        conn = http.client.HTTPConnection(url.hostname, url.port, timeout=5)
+        try:
             for _ in range(3):
-                resp = session.get(build_metadata_request(GeoPoint(0.0, 0.1), "K",
-                                                          server.base_url), timeout=5)
-                assert resp.json()["status"] == "OK"
-            assert resp.raw.version == 11   # HTTP/1.1, connection left open
+                conn.request("GET", f"{url.path}?{url.query}")
+                resp = conn.getresponse()
+                assert json.loads(resp.read())["status"] == "OK"
+            assert resp.version == 11   # HTTP/1.1, connection left open
+            assert conn.sock is not None
             started = time.monotonic()
             server.stop()
             assert time.monotonic() - started < 2.0
+        finally:
+            conn.close()
         assert not server._thread.is_alive()
         assert server.request_count == 3
 
