@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy import linalg as sla
 
 from .errors import AnalysisError, CollinearityError, InsufficientDataError, InputDataError
 from .geometry import GeoPoint, PolygonRing, point_in_polygon
@@ -125,10 +124,11 @@ def summarize_city(consensus: list[ConsensusLabel], city: str) -> CitySummary:
 
 def ols_fit(design: np.ndarray, response: np.ndarray,
             names: list[str] | None = None, robust: bool = False) -> RegressionResult:
-    """Least squares via column-pivoted QR, with classical (or HC1) errors.
+    """Least squares via Householder QR, with classical (or HC1) errors.
 
-    Rank deficiency (any pivot below PIVOT_TOLERANCE times the largest) is
-    reported as a collinearity error naming the offending column.
+    Rank deficiency (any |r_jj| below PIVOT_TOLERANCE times the largest) is
+    reported as a collinearity error naming the first such column: the
+    first column that the columns before it explain.
     """
     x = np.asarray(design, dtype=float)
     y = np.asarray(response, dtype=float).reshape(-1)
@@ -140,29 +140,22 @@ def ols_fit(design: np.ndarray, response: np.ndarray,
     if n <= k:
         raise AnalysisError(f"need more observations ({n}) than coefficients ({k})")
 
-    q, r, pivot = sla.qr(x, mode="economic", pivoting=True)
+    q, r = np.linalg.qr(x)
     diag = np.abs(np.diag(r))
     largest = diag.max() if diag.size else 0.0
     if largest == 0.0:
         raise CollinearityError(f"design is all zeros (column {names[0]})")
     bad = np.nonzero(diag < PIVOT_TOLERANCE * largest)[0]
     if bad.size:
-        offender = names[pivot[bad[0]]]
         raise CollinearityError(
-            f"design is rank deficient: column {offender} is collinear "
+            f"design is rank deficient: column {names[bad[0]]} is collinear "
             "with the others")
 
-    qty = q.T @ y
-    beta_pivoted = sla.solve_triangular(r, qty)
-    beta = np.empty(k)
-    beta[pivot] = beta_pivoted
-
+    beta = np.linalg.solve(r, q.T @ y)
     residuals = y - x @ beta
     rss = float(residuals @ residuals)
-    rinv = sla.solve_triangular(r, np.eye(k))
-    xtx_inv_pivoted = rinv @ rinv.T
-    xtx_inv = np.empty((k, k))
-    xtx_inv[np.ix_(pivot, pivot)] = xtx_inv_pivoted
+    rinv = np.linalg.solve(r, np.eye(k))
+    xtx_inv = rinv @ rinv.T
 
     if robust:
         # HC1: (X'X)^-1 X' diag(e^2) X (X'X)^-1 scaled by n/(n-k)

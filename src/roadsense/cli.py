@@ -17,7 +17,14 @@ from . import __version__, geo_export, labeling
 from .errors import InputDataError, RoadsenseError
 from .fileio import write_atomic, write_table
 from .osm_ingest import filter_roads, parse_osm, read_network, write_network
-from .pipeline import check_sample_n, check_seed, client_config, load_config, run_pipeline
+from .pipeline import (
+    check_sample_n,
+    check_seed,
+    check_target_m,
+    client_config,
+    load_config,
+    run_pipeline,
+)
 from .sampler import (
     read_plan_csv,
     sample_points,
@@ -57,6 +64,7 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_segment(args) -> int:
+    check_target_m(args.target_m)
     network = read_network(args.network)
     ways = filter_roads(network, _parse_classes(args.classes))
     result = chunk_network(ways, network, args.target_m,
@@ -131,7 +139,7 @@ def cmd_labels(args) -> int:
 
 
 def cmd_summarize(args) -> int:
-    from . import analysis  # numpy and scipy load only for the analysis commands
+    from . import analysis  # numpy loads only for the analysis commands
     consensus = labeling.read_consensus_csv(args.consensus)
     summary = analysis.summarize_city(consensus, args.city)
     print(analysis.summary_table([summary]))
@@ -196,6 +204,12 @@ def _regression_rows(args):
     return rows, outcomes, factors
 
 
+def _fixed8(value: float) -> str:
+    """value to 8 decimals; one that rounds to zero is written unsigned."""
+    text = f"{value:.8f}"
+    return "0.00000000" if text == "-0.00000000" else text
+
+
 def cmd_regress(args) -> int:
     from . import analysis
     rows, outcomes, factors = _regression_rows(args)
@@ -208,12 +222,13 @@ def cmd_regress(args) -> int:
     print(analysis.regression_table(result))
     if args.csv:
         write_table(args.csv, ["coefficient", "estimate", "std_error"],
-                    ([n, f"{e:.8f}", f"{s:.8f}"] for n, e, s in
+                    ([n, _fixed8(e), _fixed8(s)] for n, e, s in
                      zip(result.coefficient_names, result.estimates, result.standard_errors)))
     return 0
 
 
 def cmd_export(args) -> int:
+    check_target_m(args.target_m)
     plan = read_plan_csv(args.plan)
     if args.mode == "lines":
         if not args.network:

@@ -92,19 +92,28 @@ _LABEL_COLUMNS = dict(zip(REQUIRED_COLUMNS, (str.strip,) * 3
                           + tuple(partial(_answer, _ALLOWED[a]) for a in ATTRIBUTES)))
 
 
+def _label_record(*values: str) -> LabelRecord:
+    record = LabelRecord(*values)
+    if record.markings_present == "yes" and record.markings_clear == "na":
+        raise ValueError("column Answer.markings_clear: 'na' is not an answer "
+                         "when Answer.markings_present is yes")
+    return record
+
+
 def parse_labels(csv_bytes: bytes | str, name: str = "label batch") -> list[LabelRecord]:
     """Parse an MTurk-style results CSV into normalized label records.
 
     Answer tokens are case-insensitive {yes, no, na, nosidewalk}. A
     markings_clear answer on a row that says markings_present = no is
     coerced to na (counted and logged): the question was not applicable.
-    ``name`` names the batch in error messages.
+    A markings_clear of na on a row that says markings_present = yes is a
+    RowError. ``name`` names the batch in error messages.
     """
     if isinstance(csv_bytes, bytes):
         text = io.TextIOWrapper(io.BytesIO(csv_bytes), encoding="utf-8-sig", newline="")
     else:
         text = io.StringIO(csv_bytes, newline="")
-    records = read_table(text, _LABEL_COLUMNS, LabelRecord, name)
+    records = read_table(text, _LABEL_COLUMNS, _label_record, name)
     coerced = [i for i, r in enumerate(records)
                if r.markings_present == "no" and r.markings_clear != "na"]
     for i in coerced:

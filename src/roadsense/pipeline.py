@@ -58,6 +58,12 @@ def check_sample_n(n: int) -> None:
         raise ConfigError(f"sample size (--n, sample_n) must be >= 0, got {n}")
 
 
+def check_target_m(target_m: float) -> None:
+    if not (math.isfinite(target_m) and target_m > 0):
+        raise ConfigError(f"target length (--target-m, target_m) must be a positive "
+                          f"finite number, got {target_m}")
+
+
 def api_key_or_env(api_key: str | None) -> str:
     """The given API key, or else the STREETVIEW_API_KEY environment variable."""
     return api_key or os.environ.get("STREETVIEW_API_KEY", "")
@@ -95,8 +101,7 @@ class RunConfig:
 
     def validate(self) -> "RunConfig":
         check_sample_n(self.sample_n)
-        if not (math.isfinite(self.target_m) and self.target_m > 0):
-            raise ConfigError(f"target_m must be a positive finite number, got {self.target_m}")
+        check_target_m(self.target_m)
         if not self.classes:
             raise ConfigError("classes must name at least one road class")
         client_config(self)  # checks the fetch settings

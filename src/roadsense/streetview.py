@@ -243,6 +243,8 @@ def _fetch_one(segment_id: str, point: GeoPoint, config: ClientConfig,
     try:
         body = json.loads(data)
     except ValueError:
+        body = None
+    if not isinstance(body, dict):
         return QueryRecord(segment_id, point, transport_error("bad-json"),
                            queried_at=queried_at)
     status = body.get("status", "UNKNOWN_ERROR")

@@ -2,7 +2,8 @@
 
 These deliberately avoid the library's own code paths: distance via the
 3D arccos formula, containment via winding numbers, and least squares via
-hand-rolled Gauss-Jordan on the normal equations.
+hand-rolled Gauss-Jordan on the normal equations or via scipy's
+column-pivoted QR.
 
 The last section holds helpers that only tests use and that do build on
 the library: an OSM XML writer, a walk along a polyline, and the linear
@@ -11,6 +12,9 @@ scan that joined points to tracts before the tracts were grid-indexed.
 
 import math
 from xml.sax.saxutils import quoteattr
+
+import numpy as np
+from scipy import linalg
 
 from roadsense.geometry import GeoPoint, Polyline, interpolate, point_in_polygon
 from roadsense.osm_ingest import RoadNetwork
@@ -75,6 +79,34 @@ def normal_equations_ols(design_rows, response):
     tss = sum((y - mean) ** 2 for y in response)
     r2 = 0.0 if tss <= 0.0 else 1.0 - rss / tss
     return beta, ses, r2
+
+
+def scipy_qr_ols(design, response, robust=False):
+    """(coefficients, standard errors, r_squared) via scipy's column-pivoted
+    QR, with classical or HC1 errors; None when a pivot falls below 1e-10
+    times the largest (rank deficient)."""
+    x = np.asarray(design, dtype=float)
+    y = np.asarray(response, dtype=float)
+    n, k = x.shape
+    q, r, pivot = linalg.qr(x, mode="economic", pivoting=True)
+    diag = np.abs(np.diag(r))
+    if diag.max() == 0.0 or np.any(diag < 1e-10 * diag.max()):
+        return None
+    beta = np.empty(k)
+    beta[pivot] = linalg.solve_triangular(r, q.T @ y)
+    residuals = y - x @ beta
+    rss = float(residuals @ residuals)
+    rinv = linalg.solve_triangular(r, np.eye(k))
+    xtx_inv = np.empty((k, k))
+    xtx_inv[np.ix_(pivot, pivot)] = rinv @ rinv.T
+    if robust:
+        meat = (x * (residuals ** 2)[:, None]).T @ x
+        cov = xtx_inv @ meat @ xtx_inv * (n / (n - k))
+    else:
+        cov = xtx_inv * rss / (n - k)
+    tss = float(((y - y.mean()) ** 2).sum())
+    r2 = 0.0 if tss <= 1e-12 * (float(y @ y) + 1.0) else 1.0 - rss / tss
+    return beta, np.sqrt(np.diag(cov)), r2
 
 
 # --- test-only helpers built on the library ---------------------------------

@@ -302,6 +302,27 @@ class TestStageCommands:
                      "--out", str(tmp_path / "x.geojson")])
         assert code == 3
 
+    @pytest.mark.parametrize("target_m", ["nan", "inf", "0", "-1"])
+    def test_segment_and_lines_export_reject_bad_target_m(self, fixture_city_file, tmp_path,
+                                                          capsys, target_m):
+        net_file = tmp_path / "net.ndjson"
+        seg_file = tmp_path / "s.csv"
+        plan_file = tmp_path / "p.csv"
+        main(["ingest", "--osm", str(fixture_city_file), "--city", "f",
+              "--out", str(net_file)])
+        main(["segment", "--network", str(net_file), "--out", str(seg_file)])
+        main(["sample", "--segments", str(seg_file), "--n", "2", "--out", str(plan_file)])
+        capsys.readouterr()
+        out = tmp_path / "out"
+        assert main(["segment", "--network", str(net_file), "--target-m", target_m,
+                     "--out", str(out)]) == 2
+        assert "target_m" in capsys.readouterr().err
+        assert main(["export", "--plan", str(plan_file), "--mode", "lines",
+                     "--network", str(net_file), "--target-m", target_m,
+                     "--out", str(out)]) == 2
+        assert "target_m" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_fetch_rejects_zero_rate(self, fixture_city_file, tmp_path, capsys):
         net_file = tmp_path / "net.ndjson"
         seg_file = tmp_path / "s.csv"
@@ -435,6 +456,17 @@ class TestStageCommands:
                      "--out", str(consensus)]) == 0
         text = consensus.read_text()
         assert text.splitlines()[1].startswith("s0,yes,no,yes,yes,no,yes,3")
+
+    @pytest.mark.parametrize("action", ["parse", "score", "aggregate"])
+    def test_labels_markings_clear_na_with_markings_present_exits_3(
+            self, tmp_path, capsys, action):
+        batch = tmp_path / "batch.csv"
+        batch.write_text(LABEL_HEADER + "\na1,w1,s1,yes,no,yes,na,no,yes\n")
+        out = tmp_path / "out.csv"
+        assert main(["labels", action, "--in", str(batch), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert f"{batch}: line 2: column Answer.markings_clear:" in err
+        assert not out.exists()
 
     def test_summarize_command(self, tmp_path, capsys):
         consensus = tmp_path / "consensus.csv"

@@ -45,6 +45,15 @@ class TestParse:
             record("a1", "w1", "s1", markings_present="no", markings_clear="yes")]))
         assert records[0].markings_clear == "na"
 
+    def test_markings_clear_na_with_markings_present_is_row_error(self):
+        text = batch_csv([record("a0", "w0", "s0"),
+                          record("a1", "w1", "s1", markings_present="yes",
+                                 markings_clear="NA")])
+        with pytest.raises(RowError) as exc:
+            parse_labels(text, name="batch.csv")
+        assert str(exc.value).startswith("batch.csv: line 3: column Answer.markings_clear:")
+        assert exc.value.exit_code == 3
+
     def test_missing_column_schema_error(self):
         bad_header = HEADER.replace(",Answer.litter", "")
         text = bad_header + "\n"

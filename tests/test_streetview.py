@@ -67,6 +67,13 @@ class _RedirectingHandler(_Handler):
         self.end_headers()
 
 
+class _NonObjectMetadataHandler(_Handler):
+    """Answers every metadata request with the server's ``metadata_body``."""
+
+    def _serve_metadata(self, server, location):
+        self._reply(200, server.metadata_body)
+
+
 def server_with(handler, fixture):
     server = MockStreetViewServer(fixture)
     server.RequestHandlerClass = handler
@@ -364,6 +371,15 @@ class TestFetchAll:
         assert all((tmp_path / r.image_path).is_file() for r in records)
         # the request sent on a closed connection never reached the handler
         assert served == 2 * 20
+
+    @pytest.mark.parametrize("body", [["not", "an", "object"], "a string", 7, None])
+    def test_metadata_json_that_is_not_an_object_is_bad_json(self, tmp_path, body):
+        points = [(0.0, 0.1), (0.0, 0.2)]
+        with server_with(_NonObjectMetadataHandler, {}) as server:
+            server.metadata_body = body
+            records = fetch_all(plan_of_points(points), fast_config(server.base_url, tmp_path))
+            assert server.request_count == 2
+        assert [r.status for r in records] == ["TRANSPORT_ERROR(bad-json)"] * 2
 
     def test_api_key_is_percent_encoded(self, tmp_path):
         points = [(0.0, 0.1)]
