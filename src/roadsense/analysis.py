@@ -164,7 +164,8 @@ def ols_fit(design: np.ndarray, response: np.ndarray,
     else:
         sigma2 = rss / (n - k)
         cov = xtx_inv * sigma2
-    ses = np.sqrt(np.diag(cov))
+    # a variance that is 0 in exact arithmetic can round to a tiny negative
+    ses = np.sqrt(np.maximum(np.diag(cov), 0.0))
 
     mean = y.mean()
     tss = float(((y - mean) ** 2).sum())

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
-from dataclasses import astuple
 from pathlib import Path
 
 from . import __version__, geo_export, labeling
@@ -115,12 +114,13 @@ def cmd_coverage(args) -> int:
 def cmd_labels(args) -> int:
     records = labeling.parse_labels(Path(args.infile).read_bytes(), args.infile)
     if args.action == "parse":
-        # LabelRecord lists its fields in the order of the batch columns
-        write_table(args.out, labeling.REQUIRED_COLUMNS, map(astuple, records))
+        # a LabelRecord is a tuple of its fields in the order of the batch columns
+        write_table(args.out, labeling.REQUIRED_COLUMNS, records)
         print(f"{args.out}: {len(records)} normalized label rows")
         return 0
 
-    scores = labeling.score_workers(records, threshold=args.threshold)
+    tally = labeling.tally(records)
+    scores = labeling.score_workers(tally, threshold=args.threshold)
     if args.action == "score":
         write_table(args.out, ["worker_id", "n_labels", "agreement", "flagged"],
                     ([s.worker_id, s.n_labels, f"{s.agreement:.4f}", str(s.flagged).lower()]
@@ -131,7 +131,7 @@ def cmd_labels(args) -> int:
 
     # aggregate
     excluded = labeling.flagged_workers(scores) if args.exclude_flagged else set()
-    consensus = labeling.aggregate(records, excluding=excluded)
+    consensus = labeling.aggregate(tally, excluding=excluded)
     labeling.write_consensus_csv(consensus, args.out)
     print(f"{args.out}: consensus for {len(consensus)} segments"
           + (f" ({len(excluded)} workers excluded)" if excluded else ""))

@@ -12,9 +12,11 @@ from __future__ import annotations
 
 import io
 import logging
-from dataclasses import dataclass, replace
-from functools import partial
+from collections import Counter, defaultdict
+from dataclasses import dataclass
+from functools import lru_cache, partial
 from pathlib import Path
+from typing import NamedTuple
 
 from .fileio import read_table, write_table
 
@@ -29,15 +31,12 @@ REQUIRED_COLUMNS = (
     "Answer.markings_clear", "Answer.litter", "Answer.sidewalk",
 )
 
-_BINARY = frozenset({"yes", "no"})
-_ALLOWED = {
-    "potholes": _BINARY,
-    "cracks": _BINARY,
-    "markings_present": _BINARY,
+# answers a batch may give, and verdicts consensus.csv may hold, per attribute
+_ALLOWED = dict.fromkeys(ATTRIBUTES, frozenset({"yes", "no"})) | {
     "markings_clear": frozenset({"yes", "no", "na"}),
-    "litter": _BINARY,
-    "sidewalk_paved": frozenset({"yes", "no", "nosidewalk"}),
-}
+    "sidewalk_paved": frozenset({"yes", "no", "nosidewalk"})}
+_VERDICTS = dict.fromkeys(ATTRIBUTES, frozenset({"yes", "no", "unresolved"})) | {
+    "markings_clear": frozenset({"yes", "no", "unresolved", "na"})}
 
 DEFAULT_AGREEMENT_THRESHOLD = 0.6
 MIN_SCORED_OVERLAP = 10
@@ -46,8 +45,7 @@ CONSENSUS_CSV_HEADER = ("segment_id,potholes,cracks,markings_present,"
                         "markings_clear,litter,sidewalk_paved,n_workers")
 
 
-@dataclass(frozen=True)
-class LabelRecord:
+class LabelRecord(NamedTuple):
     assignment_id: str
     worker_id: str
     segment_id: str
@@ -80,24 +78,27 @@ class ConsensusLabel:
         return self.verdicts[attribute]
 
 
-def _answer(allowed: frozenset, raw: str) -> str:
-    token = raw.strip().lower()
-    if token not in allowed:
-        raise ValueError(f"unrecognized answer {raw!r}")
-    return token
+# LabelRecord lists its fields in the order of the batch columns; answers stay raw
+_LABEL_COLUMNS = (dict.fromkeys(REQUIRED_COLUMNS[:3], str.strip)
+                  | dict.fromkeys(REQUIRED_COLUMNS[3:], str))
 
 
-# LabelRecord lists its fields in the order of the batch columns
-_LABEL_COLUMNS = dict(zip(REQUIRED_COLUMNS, (str.strip,) * 3
-                          + tuple(partial(_answer, _ALLOWED[a]) for a in ATTRIBUTES)))
-
-
-def _label_record(*values: str) -> LabelRecord:
-    record = LabelRecord(*values)
-    if record.markings_present == "yes" and record.markings_clear == "na":
+def _answers(cells: tuple[str, ...]) -> tuple[tuple[str, ...], bool]:
+    """A row's raw answer cells checked one at a time and normalized, with
+    markings_clear coerced to na where markings are absent; and whether it was."""
+    answers = []
+    for column, attribute, raw in zip(REQUIRED_COLUMNS[3:], ATTRIBUTES, cells):
+        token = raw.strip().lower()
+        if token not in _ALLOWED[attribute]:
+            raise ValueError(f"column {column}: unrecognized answer {raw!r}")
+        answers.append(token)
+    if answers[2:4] == ["yes", "na"]:
         raise ValueError("column Answer.markings_clear: 'na' is not an answer "
                          "when Answer.markings_present is yes")
-    return record
+    coerced = answers[2] == "no" and answers[3] != "na"
+    if coerced:
+        answers[3] = "na"
+    return tuple(answers), coerced
 
 
 def parse_labels(csv_bytes: bytes | str, name: str = "label batch") -> list[LabelRecord]:
@@ -113,88 +114,100 @@ def parse_labels(csv_bytes: bytes | str, name: str = "label batch") -> list[Labe
         text = io.TextIOWrapper(io.BytesIO(csv_bytes), encoding="utf-8-sig", newline="")
     else:
         text = io.StringIO(csv_bytes, newline="")
-    records = read_table(text, _LABEL_COLUMNS, _label_record, name)
-    coerced = [i for i, r in enumerate(records)
-               if r.markings_present == "no" and r.markings_clear != "na"]
-    for i in coerced:
-        records[i] = replace(records[i], markings_clear="na")
-    if coerced:
+    known: dict[tuple[str, ...], tuple] = {}  # raw answer cells -> _answers(cells)
+    n_coerced = 0
+
+    def record(assignment_id, worker_id, segment_id, *cells) -> LabelRecord:
+        nonlocal n_coerced
+        if (answers := known.get(cells)) is None:
+            answers = known[cells] = _answers(cells)
+        n_coerced += answers[1]
+        return LabelRecord(assignment_id, worker_id, segment_id, *answers[0])
+
+    records = read_table(text, _LABEL_COLUMNS, record, name)
+    if n_coerced:
         log.warning("parse_labels: coerced markings_clear to na on %d rows "
-                    "where markings_present was no", len(coerced))
+                    "where markings_present was no", n_coerced)
     return records
 
 
-def _dedupe(records: list[LabelRecord]) -> list[LabelRecord]:
-    seen: set[str] = set()
-    out = []
-    for r in records:
-        if r.assignment_id in seen:
-            continue
-        seen.add(r.assignment_id)
-        out.append(r)
-    return out
+# Yes and no counts packed as the digits of one int, so that votes add up by
+# integer addition: attribute i's yes count is digit 2i, its no count 2i + 1.
+_BASE = 1 << 32  # no segment holds 2**32 labels
 
 
-def _tally(records: list[LabelRecord], attribute: str) -> str:
-    """Strict-majority verdict for one attribute over a segment's records.
+@lru_cache(maxsize=1 << 10)  # 72 distinct normalized answers
+def _ballot(answers: tuple[str, ...]) -> int:
+    """One row's votes as packed counts. markings_clear votes only where markings
+    are present; nosidewalk votes no, as in the paved-sidewalk proportion."""
+    return sum(_BASE ** (2 * i + (answer != "yes")) for i, answer in enumerate(answers)
+               if ATTRIBUTES[i] != "markings_clear" or answers[2] == "yes")
 
-    markings_clear is tallied only among workers who said markings are
-    present; nobody said so -> na. nosidewalk counts as an unpaved
-    sidewalk, matching the single paved-sidewalk proportion reported
-    downstream.
-    """
-    counts = {"yes": 0, "no": 0}
-    for r in records:
-        if attribute == "markings_clear":
-            if r.markings_present != "yes":
-                continue
-            answer = r.markings_clear
+
+@lru_cache(maxsize=1 << 14)
+def _verdicts(counts: int) -> tuple[tuple[str, ...], int]:
+    """Strict-majority verdicts from packed counts, in ATTRIBUTES order, and the
+    packed vote of each resolved one, whose digits a row's ballot shares where
+    it agrees. Ties and no votes are unresolved; no votes on markings_clear, na."""
+    verdicts, resolved = [], 0
+    for i, attribute in enumerate(ATTRIBUTES):
+        counts, yes = divmod(counts, _BASE)
+        counts, no = divmod(counts, _BASE)
+        if yes == no:
+            verdicts.append("na" if not yes and attribute == "markings_clear" else "unresolved")
         else:
-            answer = r.answer(attribute)
-            if attribute == "sidewalk_paved" and answer == "nosidewalk":
-                answer = "no"
-        counts[answer] += 1
-    total = counts["yes"] + counts["no"]
-    if total == 0:
-        return "na" if attribute == "markings_clear" else "unresolved"
-    if counts["yes"] * 2 > total:
-        return "yes"
-    if counts["no"] * 2 > total:
-        return "no"
-    return "unresolved"
+            verdicts.append("yes" if yes > no else "no")
+            resolved += _BASE ** (2 * i + (no > yes))
+    return tuple(verdicts), resolved
 
 
-def aggregate(records: list[LabelRecord],
+@dataclass(frozen=True)
+class LabelTally:
+    """A batch's records deduped by assignment id, grouped and counted by segment."""
+    rows: dict      # segment_id -> its records, in input order
+    counts: dict    # segment_id -> packed yes/no counts over every worker
+
+
+def tally(records: list[LabelRecord]) -> LabelTally:
+    """Dedupe, group and count a batch once, for score_workers and aggregate."""
+    seen: set[str] = set()
+    rows: dict[str, list[LabelRecord]] = defaultdict(list)
+    for r in records:
+        if r.assignment_id not in seen:
+            seen.add(r.assignment_id)
+            rows[r.segment_id].append(r)
+    counts = {seg: sum(_ballot(r[3:]) for r in recs) for seg, recs in rows.items()}
+    return LabelTally(dict(rows), counts)
+
+
+def aggregate(labels: LabelTally,
               excluding: set[str] | frozenset[str] = frozenset()) -> list[ConsensusLabel]:
     """Per-segment strict-majority verdicts among non-excluded workers.
 
-    Exact ties are unresolved. Duplicate assignment ids are collapsed
-    first. Segments left with no labels after exclusion are omitted (with
-    a logged count). Output is sorted by segment_id for determinism.
+    Only segments an excluded worker labeled lose votes; the others keep
+    their provisional verdicts. A worker's second assignment on a segment is
+    a vote but not another worker. Segments left with no labels are omitted
+    (with a logged count). Output is sorted by segment_id for determinism.
     """
-    deduped = _dedupe(records)
-    by_segment: dict[str, list[LabelRecord]] = {}
-    for r in deduped:
-        if r.worker_id in excluding:
-            continue
-        by_segment.setdefault(r.segment_id, []).append(r)
-
-    all_segments = {r.segment_id for r in deduped}
-    n_omitted = len(all_segments - set(by_segment))
-    if n_omitted:
-        log.warning("aggregate: %d segments lost all labels after exclusion",
-                    n_omitted)
-
     out = []
-    for segment_id in sorted(by_segment):
-        recs = by_segment[segment_id]
-        verdicts = {attr: _tally(recs, attr) for attr in ATTRIBUTES}
-        out.append(ConsensusLabel(segment_id=segment_id, verdicts=verdicts,
-                                  n_workers=len({r.worker_id for r in recs})))
+    n_omitted = 0
+    for segment_id in sorted(labels.rows):
+        recs, counts = labels.rows[segment_id], labels.counts[segment_id]
+        workers = {r.worker_id for r in recs}
+        if not workers.isdisjoint(excluding):
+            workers.difference_update(excluding)
+            if not workers:
+                n_omitted += 1
+                continue
+            counts -= sum(_ballot(r[3:]) for r in recs if r.worker_id in excluding)
+        verdicts = dict(zip(ATTRIBUTES, _verdicts(counts)[0]))
+        out.append(ConsensusLabel(segment_id, verdicts, len(workers)))
+    if n_omitted:
+        log.warning("aggregate: %d segments lost all labels after exclusion", n_omitted)
     return out
 
 
-def score_workers(records: list[LabelRecord],
+def score_workers(labels: LabelTally,
                   threshold: float = DEFAULT_AGREEMENT_THRESHOLD) -> list[WorkerScore]:
     """Score each worker's agreement with the provisional consensus.
 
@@ -203,46 +216,24 @@ def score_workers(records: list[LabelRecord],
     match it, counted only where the consensus resolves. Workers below the
     threshold with at least MIN_SCORED_OVERLAP scored answers are flagged.
     """
-    records = _dedupe(records)
-    by_segment: dict[str, list[LabelRecord]] = {}
-    for r in records:
-        by_segment.setdefault(r.segment_id, []).append(r)
-    consensus = {seg: {attr: _tally(recs, attr) for attr in ATTRIBUTES}
-                 for seg, recs in by_segment.items()}
-
-    if records and max(len({r.worker_id for r in recs})
-                       for recs in by_segment.values()) <= 1:
+    if labels.rows and not any(len({r.worker_id for r in recs}) > 1
+                               for recs in labels.rows.values()):
         log.warning("score_workers: every segment has a single worker; "
                     "quality control is inert (all agreements are 1.0)")
 
-    matched: dict[str, int] = {}
-    scored: dict[str, int] = {}
-    for r in records:
-        verdicts = consensus[r.segment_id]
-        for attr in ATTRIBUTES:
-            verdict = verdicts[attr]
-            if verdict == "unresolved":
-                continue
-            if attr == "markings_clear":
-                answer = r.markings_clear
-                if verdict == "na" and r.markings_present != "yes":
-                    # question not applicable for this worker either
-                    continue
-            else:
-                answer = r.answer(attr)
-                if attr == "sidewalk_paved" and answer == "nosidewalk":
-                    answer = "no"
-            scored[r.worker_id] = scored.get(r.worker_id, 0) + 1
-            if answer == verdict:
-                matched[r.worker_id] = matched.get(r.worker_id, 0) + 1
+    scored: Counter[str] = Counter()
+    matched: Counter[str] = Counter()
+    for segment_id, recs in labels.rows.items():
+        resolved = _verdicts(labels.counts[segment_id])[1]
+        for r in recs:  # every answer to a resolved verdict is scored
+            scored[r.worker_id] += resolved.bit_count()
+            matched[r.worker_id] += (_ballot(r[3:]) & resolved).bit_count()
 
     out = []
-    for worker_id in sorted({r.worker_id for r in records}):
-        n = scored.get(worker_id, 0)
-        agreement = matched.get(worker_id, 0) / n if n else 1.0
+    for worker_id, n in sorted(scored.items()):
+        agreement = matched[worker_id] / n if n else 1.0
         flagged = agreement < threshold and n >= MIN_SCORED_OVERLAP
-        out.append(WorkerScore(worker_id=worker_id, n_labels=n,
-                               agreement=agreement, flagged=flagged))
+        out.append(WorkerScore(worker_id, n, agreement, flagged))
     return out
 
 
@@ -258,9 +249,18 @@ def write_consensus_csv(labels: list[ConsensusLabel], path: str | Path) -> None:
 
 def _consensus(segment_id, *values) -> ConsensusLabel:
     # values are the verdicts in ATTRIBUTES order, then n_workers
+    if values[-1] < 1:
+        raise ValueError(f"column n_workers: must be at least 1, got {values[-1]}")
     return ConsensusLabel(segment_id, dict(zip(ATTRIBUTES, values)), values[-1])
 
 
+def _verdict(allowed: frozenset, raw: str) -> str:
+    if raw not in allowed:
+        raise ValueError(f"unrecognized verdict {raw!r}")
+    return raw
+
+
 def read_consensus_csv(path: str | Path) -> list[ConsensusLabel]:
-    return read_table(path, dict.fromkeys(CONSENSUS_CSV_HEADER.split(","), str)
+    return read_table(path, {"segment_id": str}
+                      | {a: partial(_verdict, _VERDICTS[a]) for a in ATTRIBUTES}
                       | {"n_workers": int}, _consensus)

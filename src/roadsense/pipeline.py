@@ -147,6 +147,34 @@ def _reject_unknown(key: str) -> None:
                       f"(valid keys: {', '.join(_VALID_KEYS)})")
 
 
+def _read_ini(path: str | Path) -> configparser.ConfigParser:
+    """Parse an INI config; a file without a section header reads as [run].
+    Every defect is a ConfigError naming the file and the line."""
+    raw = Path(path).read_bytes()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as e:
+        line = raw.count(b"\n", 0, e.start) + 1
+        raise ConfigError(f"{path}: line {line}: not UTF-8 text ({e.reason})") from e
+    parser, added = configparser.ConfigParser(), 0
+    try:
+        try:
+            parser.read_string(text)
+        except configparser.MissingSectionHeaderError:
+            parser, added = configparser.ConfigParser(), 1  # sectionless files are fine
+            parser.read_string("[run]\n" + text)
+    except configparser.DuplicateOptionError as e:
+        raise ConfigError(f"{path}: line {e.lineno - added}: option {e.option!r} "
+                          f"repeats in section [{e.section}]") from e
+    except configparser.DuplicateSectionError as e:
+        raise ConfigError(f"{path}: line {e.lineno - added}: "
+                          f"section [{e.section}] repeats") from e
+    except configparser.ParsingError as e:
+        raise ConfigError(f"{path}: line {e.errors[0][0] - added}: "
+                          "expected key = value") from e
+    return parser
+
+
 def load_config(path: str | Path | None, overrides: dict | None = None) -> RunConfig:
     """Resolve a RunConfig: file values, then flag overrides on top.
 
@@ -155,14 +183,14 @@ def load_config(path: str | Path | None, overrides: dict | None = None) -> RunCo
     """
     values: dict = {}
     if path is not None:
-        text = Path(path).read_text(encoding="utf-8")
-        parser = configparser.ConfigParser()
-        try:
-            parser.read_string(text)
-        except configparser.MissingSectionHeaderError:
-            parser.read_string("[run]\n" + text)  # sectionless files are fine
+        parser = _read_ini(path)
         for section in parser.sections() + ["DEFAULT"]:
-            for key, raw in parser.items(section):
+            try:
+                items = parser.items(section)
+            except configparser.InterpolationError as e:
+                raise ConfigError(f"{path}: key {e.option}: bad % interpolation "
+                                  "(write a literal % as %%)") from e
+            for key, raw in items:
                 _reject_unknown(key)
                 values[key] = _convert(key, raw)
     for key, value in (overrides or {}).items():
@@ -174,12 +202,28 @@ def load_config(path: str | Path | None, overrides: dict | None = None) -> RunCo
     return RunConfig(**values).validate()
 
 
+def _read_manifest(manifest_path: str | Path) -> dict:
+    """A manifest whose config is an object; an InputDataError naming the
+    file and the key otherwise."""
+    try:
+        manifest = json.loads(Path(manifest_path).read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+        raise InputDataError(f"{manifest_path}: not a JSON manifest ({e})") from e
+    if not isinstance(manifest, dict) or not isinstance(manifest.get("config"), dict):
+        raise InputDataError(f"{manifest_path}: key config: not an object of run settings")
+    return manifest
+
+
 def config_from_manifest(manifest_path: str | Path, api_key: str = "",
                          out_dir: str | None = None) -> RunConfig:
     """Rebuild the run configuration recorded in a manifest."""
-    manifest = json.loads(Path(manifest_path).read_text(encoding="utf-8"))
-    data = dict(manifest["config"])
-    data["classes"] = tuple(data["classes"])
+    data = _read_manifest(manifest_path)["config"]
+    unknown = sorted(data.keys() - set(_VALID_KEYS))
+    if unknown:
+        raise InputDataError(f"{manifest_path}: key config.{unknown[0]}: not a run setting")
+    if not isinstance(data.get("classes"), list):
+        raise InputDataError(f"{manifest_path}: key config.classes: missing or not a list")
+    data = dict(data, classes=tuple(data["classes"]))
     data["api_key"] = api_key_or_env(api_key)
     if out_dir is not None:
         data["out_dir"] = out_dir
@@ -210,11 +254,11 @@ def _is_up_to_date(config: RunConfig, out_dir: Path, osm_digest: str) -> bool:
     if not manifest_path.exists():
         return False
     try:
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError:
+        manifest = _read_manifest(manifest_path)
+    except InputDataError:
         return False
     expected = dict(config.redacted_dict())
-    recorded = dict(manifest.get("config", {}))
+    recorded = manifest["config"]
     # out_dir naming and the key slot do not affect artifact content
     for transient in ("out_dir", "api_key"):
         expected.pop(transient, None)

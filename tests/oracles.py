@@ -6,10 +6,13 @@ hand-rolled Gauss-Jordan on the normal equations or via scipy's
 column-pivoted QR.
 
 The last section holds helpers that only tests use and that do build on
-the library: an OSM XML writer, a walk along a polyline, and the linear
-scan that joined points to tracts before the tracts were grid-indexed.
+the library: an OSM XML writer, a walk along a polyline, the linear scan
+that joined points to tracts before the tracts were grid-indexed, and the
+label consensus that deduped, grouped and tallied the records again for
+each of score_workers and aggregate before they shared one tally.
 """
 
+import logging
 import math
 from xml.sax.saxutils import quoteattr
 
@@ -17,6 +20,13 @@ import numpy as np
 from scipy import linalg
 
 from roadsense.geometry import GeoPoint, Polyline, interpolate, point_in_polygon
+from roadsense.labeling import (
+    ATTRIBUTES,
+    DEFAULT_AGREEMENT_THRESHOLD,
+    MIN_SCORED_OVERLAP,
+    ConsensusLabel,
+    WorkerScore,
+)
 from roadsense.osm_ingest import RoadNetwork
 
 EARTH_RADIUS_M = 6_371_000.0
@@ -180,3 +190,114 @@ def linear_join_income(points, tracts):
         chosen = containing[0]
         matches.append((segment_id, chosen.tract_id, chosen.per_capita_income))
     return matches, unmatched, multi
+
+
+# logs under the library's logger name, so that its records compare equal
+label_log = logging.getLogger("roadsense.labeling")
+
+
+def dedupe_labels(records):
+    seen = set()
+    out = []
+    for r in records:
+        if r.assignment_id in seen:
+            continue
+        seen.add(r.assignment_id)
+        out.append(r)
+    return out
+
+
+def tally_attribute(records, attribute):
+    """Strict-majority verdict for one attribute over a segment's records.
+
+    markings_clear is tallied only among workers who said markings are
+    present; nobody said so -> na. nosidewalk counts as an unpaved
+    sidewalk.
+    """
+    counts = {"yes": 0, "no": 0}
+    for r in records:
+        if attribute == "markings_clear":
+            if r.markings_present != "yes":
+                continue
+            answer = r.markings_clear
+        else:
+            answer = r.answer(attribute)
+            if attribute == "sidewalk_paved" and answer == "nosidewalk":
+                answer = "no"
+        counts[answer] += 1
+    total = counts["yes"] + counts["no"]
+    if total == 0:
+        return "na" if attribute == "markings_clear" else "unresolved"
+    if counts["yes"] * 2 > total:
+        return "yes"
+    if counts["no"] * 2 > total:
+        return "no"
+    return "unresolved"
+
+
+def aggregate_labels(records, excluding=frozenset()):
+    """labeling.aggregate over records, recounting every segment."""
+    deduped = dedupe_labels(records)
+    by_segment = {}
+    for r in deduped:
+        if r.worker_id in excluding:
+            continue
+        by_segment.setdefault(r.segment_id, []).append(r)
+
+    all_segments = {r.segment_id for r in deduped}
+    n_omitted = len(all_segments - set(by_segment))
+    if n_omitted:
+        label_log.warning("aggregate: %d segments lost all labels after exclusion",
+                          n_omitted)
+
+    out = []
+    for segment_id in sorted(by_segment):
+        recs = by_segment[segment_id]
+        verdicts = {attr: tally_attribute(recs, attr) for attr in ATTRIBUTES}
+        out.append(ConsensusLabel(segment_id=segment_id, verdicts=verdicts,
+                                  n_workers=len({r.worker_id for r in recs})))
+    return out
+
+
+def score_label_workers(records, threshold=DEFAULT_AGREEMENT_THRESHOLD):
+    """labeling.score_workers over records, recounting every segment."""
+    records = dedupe_labels(records)
+    by_segment = {}
+    for r in records:
+        by_segment.setdefault(r.segment_id, []).append(r)
+    consensus = {seg: {attr: tally_attribute(recs, attr) for attr in ATTRIBUTES}
+                 for seg, recs in by_segment.items()}
+
+    if records and max(len({r.worker_id for r in recs})
+                       for recs in by_segment.values()) <= 1:
+        label_log.warning("score_workers: every segment has a single worker; "
+                          "quality control is inert (all agreements are 1.0)")
+
+    matched = {}
+    scored = {}
+    for r in records:
+        verdicts = consensus[r.segment_id]
+        for attr in ATTRIBUTES:
+            verdict = verdicts[attr]
+            if verdict == "unresolved":
+                continue
+            if attr == "markings_clear":
+                answer = r.markings_clear
+                if verdict == "na" and r.markings_present != "yes":
+                    continue
+            else:
+                answer = r.answer(attr)
+                if attr == "sidewalk_paved" and answer == "nosidewalk":
+                    answer = "no"
+            scored[r.worker_id] = scored.get(r.worker_id, 0) + 1
+            if answer == verdict:
+                matched[r.worker_id] = matched.get(r.worker_id, 0) + 1
+
+    out = []
+    for worker_id in sorted({r.worker_id for r in records}):
+        n = scored.get(worker_id, 0)
+        agreement = matched.get(worker_id, 0) / n if n else 1.0
+        flagged = agreement < threshold and n >= MIN_SCORED_OVERLAP
+        out.append(WorkerScore(worker_id=worker_id, n_labels=n,
+                               agreement=agreement, flagged=flagged))
+    return out

@@ -25,7 +25,7 @@ from roadsense.analysis import (
 from roadsense.cli import main
 from roadsense.errors import CollinearityError
 from roadsense.geometry import GeoPoint, PolygonRing, point_in_polygon
-from roadsense.labeling import aggregate, parse_labels
+from roadsense.labeling import aggregate, parse_labels, tally
 from roadsense.mockserver import MockStreetViewServer
 from roadsense.osm_ingest import SAMPLED_ROAD_CLASSES, RoadNetwork, Way, filter_roads, parse_osm
 from roadsense.pipeline import MANIFEST_NAME, RUN_ARTIFACTS, config_from_manifest, run_pipeline
@@ -125,7 +125,7 @@ def test_criterion_2_condition_table_reproduction():
     """Golden-fixture summaries match the reference table within 0.005."""
     for city, reference in CONDITION_TABLE.items():
         batch, hand_counted = _golden_city_batch(city)
-        consensus = aggregate(parse_labels(batch))
+        consensus = aggregate(tally(parse_labels(batch)))
         summary = summarize_city(consensus, city)
         for attr, value in zip(ATTR_ORDER, reference):
             got = summary.proportions[attr]

@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -161,6 +162,21 @@ class TestOls:
         y = x @ np.array([1.0, 2.0]) + rng.normal(size=80) * (1 + np.abs(x[:, 1]))
         res = ols_fit(x, y, robust=True)
         assert np.all(res.standard_errors > 0)
+
+    def test_robust_error_of_a_level_seen_once_is_finite(self):
+        # a level on one row has leverage 1 and residual 0: its HC1 variance
+        # is 0 in exact arithmetic and rounds to a tiny negative
+        rng = np.random.default_rng(39)
+        classes = ["primary", "secondary", "tertiary", "trunk"]
+        rows = [{"road_class": classes[rng.integers(4)],
+                 "income_quintile": str(rng.integers(1, 6))} for _ in range(17)]
+        design = build_design(rows, ["road_class", "income_quintile"])
+        y = (rng.random(17) < 0.5).astype(float)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = ols_fit(design.matrix, y, names=design.names, robust=True)
+        assert np.all(np.isfinite(res.standard_errors))
+        assert np.all(res.standard_errors >= 0)
 
     @pytest.mark.parametrize("robust", [False, True])
     def test_matches_pivoted_qr_oracle_on_dummy_designs(self, robust):

@@ -8,7 +8,8 @@ import pytest
 
 import roadsense
 from roadsense.cli import main
-from roadsense.errors import ConfigError
+from roadsense.errors import ConfigError, InputDataError
+from roadsense.labeling import CONSENSUS_CSV_HEADER
 from roadsense.osm_ingest import SAMPLED_ROAD_CLASSES, filter_roads, parse_osm
 from roadsense.mockserver import MockStreetViewServer
 from roadsense.pipeline import (
@@ -117,6 +118,49 @@ class TestLoadConfig:
         assert main(args + ["--config", str(config)]) == 2
         assert key in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("content, where", [
+        (b"[run]\nseed = 1\nseed = 2\n", "line 3: option 'seed'"),
+        (b"[run]\nseed = 1\n[run]\ncity = x\n", "line 3: section [run]"),
+        (b"city = x\nseed\n", "line 2: expected key = value"),
+        (b"[run]\nseed = 1\ncity = caf\xe9\n", "line 3: not UTF-8 text"),
+        (b"[run]\napi_key = a%(b\n", "key api_key: bad % interpolation"),
+    ], ids=["duplicate-option", "duplicate-section", "option-without-value",
+            "not-utf-8", "bad-interpolation"])
+    def test_malformed_config_file_exits_2_naming_file_and_line(
+            self, fixture_city_file, tmp_path, capsys, content, where):
+        config = tmp_path / "run.ini"
+        config.write_bytes(content)
+        args = run_args(fixture_city_file, tmp_path / "run", "http://127.0.0.1:9")
+        assert main(args + ["--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {config}: {where}" in err
+        assert "(b" not in err  # the value of a key is not echoed
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("manifest, key", [
+        ({"config": {"city": "x", "osm_path": "a.osm", "out_dir": "o"}}, "config.classes"),
+        ({"config": [["city", "x"]]}, "config"),
+        ({"config": "city=x"}, "config"),
+        (["config"], "config"),
+        ({"config": {"classes": ["primary"], "colour": "red"}}, "config.colour"),
+    ], ids=["lacks-classes", "config-is-a-list", "config-is-a-string",
+            "manifest-is-a-list", "unknown-key"])
+    def test_malformed_manifest_is_input_data_error_naming_the_key(self, tmp_path,
+                                                                 manifest, key):
+        path = tmp_path / MANIFEST_NAME
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(InputDataError) as exc:
+            config_from_manifest(path)
+        assert str(exc.value).startswith(f"{path}: key {key}:")
+        assert exc.value.exit_code == 3
+
+    def test_manifest_that_is_not_json_is_input_data_error(self, tmp_path):
+        path = tmp_path / MANIFEST_NAME
+        path.write_text('{"config": ')
+        with pytest.raises(InputDataError) as exc:
+            config_from_manifest(path)
+        assert str(exc.value).startswith(f"{path}: not a JSON manifest")
 
     def test_classes_parsed(self):
         config = load_config(None, {"city": "x", "osm_path": "a", "out_dir": "o",
@@ -229,6 +273,19 @@ class TestRunPipeline:
             assert main(run_args(fixture_city_file, out_dir, server.base_url, seed=8)) == 0
             assert server.request_count > before
         assert (out_dir / "plan.csv").read_bytes() != plan_bytes
+
+    @pytest.mark.parametrize("manifest", [b'["config"]', b'{"config": "x"}', b"\xff"],
+                             ids=["list", "config-is-a-string", "not-utf-8"])
+    def test_rerun_over_a_malformed_manifest_runs_again(self, fixture_city_file, tmp_path,
+                                                        manifest):
+        plan = planned_points(fixture_city_file.read_text(), "fixtureville",
+                              set(SAMPLED_ROAD_CLASSES), 500.0, 12, 7)
+        out_dir = tmp_path / "rundir"
+        with MockStreetViewServer(fixture_for_plan(plan)) as server:
+            assert main(run_args(fixture_city_file, out_dir, server.base_url)) == 0
+            (out_dir / MANIFEST_NAME).write_bytes(manifest)
+            assert main(run_args(fixture_city_file, out_dir, server.base_url)) == 0
+        assert json.loads((out_dir / MANIFEST_NAME).read_text())["config"]["seed"] == 7
 
     def test_rerun_with_other_target_m_queries_moved_points_again(self, fixture_city_file,
                                                                   tmp_path):
@@ -468,6 +525,34 @@ class TestStageCommands:
         assert f"{batch}: line 2: column Answer.markings_clear:" in err
         assert not out.exists()
 
+    def test_labels_aggregate_leaves_numpy_unloaded(self, tmp_path):
+        batch, out = tmp_path / "batch.csv", tmp_path / "consensus.csv"
+        rows = [LABEL_HEADER] + [f"a{i},w{i % 3},s{i // 3},yes,no,yes,yes,no,yes"
+                                 for i in range(30)]
+        batch.write_text("\n".join(rows) + "\n")
+        src = str(Path(roadsense.__file__).resolve().parent.parent)
+        code = ("import sys; from roadsense.cli import main; "
+                f"code = main(['labels', 'aggregate', '--in', {str(batch)!r}, "
+                f"'--exclude-flagged', '--out', {str(out)!r}]); "
+                "print(code, 'numpy' in sys.modules)")
+        printed = subprocess.run([sys.executable, "-c", code],
+                                 env={**os.environ, "PYTHONPATH": src}, check=True,
+                                 capture_output=True, text=True).stdout
+        assert printed.splitlines()[-1] == "0 False"
+        assert len(out.read_text().splitlines()) == 11
+
+    @pytest.mark.parametrize("verdict", ["YES", "maybe"])
+    def test_summarize_rejects_a_verdict_outside_the_vocabulary(self, tmp_path, capsys,
+                                                                verdict):
+        consensus = tmp_path / "consensus.csv"
+        consensus.write_text(f"{CONSENSUS_CSV_HEADER}\np0,no,no,yes,yes,no,yes,1\n"
+                             f"p1,{verdict},no,yes,yes,no,yes,1\n")
+        assert main(["summarize", "--consensus", str(consensus), "--city", "jakarta"]) == 3
+        captured = capsys.readouterr()
+        assert (f"{consensus}: line 3: column potholes: unrecognized verdict {verdict!r}"
+                in captured.err)
+        assert "potholes" not in captured.out
+
     def test_summarize_command(self, tmp_path, capsys):
         consensus = tmp_path / "consensus.csv"
         rows = ["segment_id,potholes,cracks,markings_present,markings_clear,"
@@ -484,6 +569,29 @@ class TestStageCommands:
         assert "0.23" in out
         assert "2.3" in out
         assert "note:" in out
+
+    @pytest.mark.parametrize("column, bad", [(0, "maybe"), (6, "0")],
+                             ids=["potholes-maybe", "n_workers-0"])
+    def test_regress_rejects_a_consensus_value_outside_the_vocabulary(
+            self, fixture_city_file, tmp_path, capsys, column, bad):
+        net_file, seg_file = tmp_path / "net.ndjson", tmp_path / "segments.csv"
+        main(["ingest", "--osm", str(fixture_city_file), "--city", "f", "--out", str(net_file)])
+        main(["segment", "--network", str(net_file), "--out", str(seg_file)])
+        rows = [CONSENSUS_CSV_HEADER]
+        for i, line in enumerate(seg_file.read_text().splitlines()[1:]):
+            cells = ["yes" if (i * 7) % 3 == 0 else "no", "no", "yes", "yes", "no", "yes", "1"]
+            if i == 1:
+                cells[column] = bad
+            rows.append(",".join([line.split(",")[0], *cells]))
+        consensus = tmp_path / "consensus.csv"
+        consensus.write_text("\n".join(rows) + "\n")
+        capsys.readouterr()
+        assert main(["regress", "--outcome", "potholes", "--consensus", str(consensus),
+                     "--segments", str(seg_file), "--factors", "road_class",
+                     "--csv", str(tmp_path / "coef.csv")]) == 3
+        name = CONSENSUS_CSV_HEADER.split(",")[column + 1]
+        assert f"{consensus}: line 3: column {name}:" in capsys.readouterr().err
+        assert not (tmp_path / "coef.csv").exists()
 
     def test_regress_command(self, fixture_city_file, tmp_path, capsys):
         net_file = tmp_path / "net.ndjson"

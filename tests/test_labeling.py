@@ -1,16 +1,20 @@
 import itertools
+import logging
 import random
 
 import pytest
 
+from oracles import aggregate_labels, score_label_workers
 from roadsense.errors import RowError, SchemaError
 from roadsense.labeling import (
     ATTRIBUTES,
+    CONSENSUS_CSV_HEADER,
     aggregate,
     flagged_workers,
     parse_labels,
     read_consensus_csv,
     score_workers,
+    tally,
     write_consensus_csv,
 )
 
@@ -77,7 +81,7 @@ class TestParse:
 class TestScoreWorkers:
     def test_single_worker_not_flagged(self):
         records = parse_labels(batch_csv([record("a1", "w1", "s1")]))
-        scores = score_workers(records)
+        scores = score_workers(tally(records))
         assert scores == [type(scores[0])(worker_id="w1", n_labels=6,
                                           agreement=1.0, flagged=False)]
 
@@ -90,7 +94,7 @@ class TestScoreWorkers:
                                    "yes", "yes", "yes", "yes"))
             rows.append(record(f"a{seg}-bad", "bad", f"s{seg}", "no", "no",
                                "no", "na", "no", "no"))
-        scores = {s.worker_id: s for s in score_workers(parse_labels(batch_csv(rows)))}
+        scores = {s.worker_id: s for s in score_workers(tally(parse_labels(batch_csv(rows))))}
         assert scores["bad"].agreement == pytest.approx(0.0)
         assert scores["bad"].flagged
         assert scores["w1"].agreement == 1.0
@@ -105,7 +109,7 @@ class TestScoreWorkers:
         rows.append(record("a2", "w2", "s1", "yes", "yes", "yes", "yes", "yes", "yes"))
         rows.append(record("a3", "w3", "s1", "no", "yes", "yes", "yes", "yes", "yes"))
         rows.append(record("a4", "e", "s1", "no", "no", "no", "na", "no", "no"))
-        scores = {s.worker_id: s for s in score_workers(parse_labels(batch_csv(rows)))}
+        scores = {s.worker_id: s for s in score_workers(tally(parse_labels(batch_csv(rows))))}
         assert scores["e"].n_labels == 5
         assert scores["e"].agreement == 0.0
         assert not scores["e"].flagged
@@ -120,7 +124,7 @@ class TestScoreWorkers:
                                    "yes", "yes", "yes"))
             rows.append(record(f"{seg}-m", "m", seg, "no", "no", "yes", "yes",
                                "yes", "yes"))
-        scores = {s.worker_id: s for s in score_workers(parse_labels(batch_csv(rows)))}
+        scores = {s.worker_id: s for s in score_workers(tally(parse_labels(batch_csv(rows))))}
         assert scores["m"].n_labels == 12
         assert scores["m"].agreement == pytest.approx(8 / 12)
 
@@ -130,19 +134,19 @@ class TestAggregate:
         rows = [record("a1", "w1", "s1", potholes="yes"),
                 record("a2", "w2", "s1", potholes="yes"),
                 record("a3", "w3", "s1", potholes="no")]
-        out = aggregate(parse_labels(batch_csv(rows)))
+        out = aggregate(tally(parse_labels(batch_csv(rows))))
         assert out[0].verdict("potholes") == "yes"
         assert out[0].n_workers == 3
 
     def test_tie_unresolved(self):
         rows = [record("a1", "w1", "s1", potholes="yes"),
                 record("a2", "w2", "s1", potholes="no")]
-        out = aggregate(parse_labels(batch_csv(rows)))
+        out = aggregate(tally(parse_labels(batch_csv(rows))))
         assert out[0].verdict("potholes") == "unresolved"
 
     def test_single_label_passthrough(self):
         rows = [record("a1", "w1", "s1", potholes="no")]
-        out = aggregate(parse_labels(batch_csv(rows)))
+        out = aggregate(tally(parse_labels(batch_csv(rows))))
         assert out[0].verdict("potholes") == "no"
         assert out[0].n_workers == 1
 
@@ -151,34 +155,34 @@ class TestAggregate:
         rows = [record("a1", "w1", "s1", markings_present="yes", markings_clear="yes"),
                 record("a2", "w2", "s1", markings_present="no", markings_clear="na"),
                 record("a3", "w3", "s1", markings_present="no", markings_clear="na")]
-        out = aggregate(parse_labels(batch_csv(rows)))
+        out = aggregate(tally(parse_labels(batch_csv(rows))))
         assert out[0].verdict("markings_present") == "no"
         assert out[0].verdict("markings_clear") == "yes"
 
     def test_markings_clear_na_propagates(self):
         rows = [record("a1", "w1", "s1", markings_present="no", markings_clear="na"),
                 record("a2", "w2", "s1", markings_present="no", markings_clear="na")]
-        out = aggregate(parse_labels(batch_csv(rows)))
+        out = aggregate(tally(parse_labels(batch_csv(rows))))
         assert out[0].verdict("markings_clear") == "na"
 
     def test_nosidewalk_counts_as_no(self):
         rows = [record("a1", "w1", "s1", sidewalk="nosidewalk"),
                 record("a2", "w2", "s1", sidewalk="nosidewalk"),
                 record("a3", "w3", "s1", sidewalk="yes")]
-        out = aggregate(parse_labels(batch_csv(rows)))
+        out = aggregate(tally(parse_labels(batch_csv(rows))))
         assert out[0].verdict("sidewalk_paved") == "no"
 
     def test_exclusion_drops_worker(self):
         rows = [record("a1", "w1", "s1", potholes="yes"),
                 record("a2", "w2", "s1", potholes="yes"),
                 record("a3", "bad", "s1", potholes="no")]
-        out = aggregate(parse_labels(batch_csv(rows)), excluding={"bad"})
+        out = aggregate(tally(parse_labels(batch_csv(rows))), excluding={"bad"})
         assert out[0].n_workers == 2
         assert out[0].verdict("potholes") == "yes"
 
     def test_exclusion_omits_empty_segments(self):
         rows = [record("a1", "only", "s1"), record("a2", "w2", "s2")]
-        out = aggregate(parse_labels(batch_csv(rows)), excluding={"only"})
+        out = aggregate(tally(parse_labels(batch_csv(rows))), excluding={"only"})
         assert [c.segment_id for c in out] == ["s2"]
 
     def test_order_invariance_and_dedupe(self):
@@ -187,16 +191,16 @@ class TestAggregate:
                 record("a3", "w3", "s1", potholes="yes"),
                 record("a3", "w3", "s1", potholes="yes")]  # duplicate assignment
         records = parse_labels(batch_csv(rows))
-        base = aggregate(records)
-        assert aggregate(list(reversed(records))) == base
+        base = aggregate(tally(records))
+        assert aggregate(tally(list(reversed(records)))) == base
         assert base[0].n_workers == 3
 
     def test_exclusion_does_not_touch_unlabeled_segments(self):
         rows = [record("a1", "w1", "s1", potholes="yes"),
                 record("a2", "w2", "s2", potholes="no"),
                 record("a3", "w3", "s2", potholes="no")]
-        with_all = aggregate(parse_labels(batch_csv(rows)))
-        without_w1 = aggregate(parse_labels(batch_csv(rows)), excluding={"w1"})
+        with_all = aggregate(tally(parse_labels(batch_csv(rows))))
+        without_w1 = aggregate(tally(parse_labels(batch_csv(rows))), excluding={"w1"})
         s2_before = next(c for c in with_all if c.segment_id == "s2")
         s2_after = next(c for c in without_w1 if c.segment_id == "s2")
         assert s2_before == s2_after
@@ -217,7 +221,7 @@ class TestAggregate:
                                    mp, mc, rng.choice(binary),
                                    rng.choice(["yes", "no", "nosidewalk"])))
             records = parse_labels(batch_csv(rows))
-            got = {c.segment_id: c for c in aggregate(records)}
+            got = {c.segment_id: c for c in aggregate(tally(records))}
 
             for seg in segments:
                 segment_records = [r for r in records if r.segment_id == seg]
@@ -244,11 +248,87 @@ class TestAggregate:
                     assert got[seg].verdict(attr) == expect, (seg, attr)
 
 
+def random_batch(rng):
+    """Rows of a random batch: ties, duplicate assignment ids, a worker's
+    second assignment on a segment, markings_clear answers that parse coerces
+    to na, nosidewalk answers, a contrarian worker and a segment that only
+    one worker labels."""
+    workers = [f"w{i}" for i in range(rng.randint(1, 5))]
+    segments = [f"s{i}" for i in range(rng.randint(1, 8))]
+    answer = ("yes", "no", "YES", " No ")
+    rows = []
+    for seg in segments:
+        truth = [rng.choice(("yes", "no")) for _ in range(6)]
+        for w in rng.sample(workers, rng.randint(1, len(workers))):
+            for _ in range(1 if rng.random() < 0.85 else 2):
+                cells = [rng.choice(answer) for _ in range(6)]
+                if rng.random() < 0.6:
+                    cells = list(truth)
+                cells[2] = rng.choice(("yes", "no"))
+                if cells[2] == "yes":
+                    cells[3] = rng.choice(("yes", "no"))
+                else:
+                    cells[3] = rng.choice(("yes", "no", "na", "NA"))
+                cells[5] = rng.choice(("yes", "no", "nosidewalk", "NoSidewalk"))
+                rows.append(record(f"{seg}-{w}-{len(rows)}", w, seg, *cells))
+        if rng.random() < 0.5:
+            rows.append(record(f"{seg}-bad", "bad", seg,
+                               *("no" if t == "yes" else "yes" for t in truth[:2]),
+                               "no", "na", "yes", "no"))
+    rows.append(record("lone", "lone-worker", "s-lone", "yes", "no", "yes", "no",
+                       "yes", "no"))
+    for _ in range(rng.randint(0, 3)):  # a duplicate assignment id; the first row counts
+        dup = list(rng.choice(rows))
+        dup[3] = "no" if dup[3] == "yes" else "yes"
+        rows.insert(rng.randint(0, len(rows)), tuple(dup))
+    return rows
+
+
+class TestOneTally:
+    """score_workers and aggregate over one tally against the functions
+    that deduped, grouped and tallied the records once each (oracles)."""
+
+    def test_matches_recounting_oracle(self, caplog):
+        rng = random.Random(8)
+        n_flagged = n_omitted = n_ties = 0
+        for _ in range(300):
+            records = parse_labels(batch_csv(random_batch(rng)))
+            threshold = rng.choice((0.6, 0.75, 0.9))
+
+            def run(score, consensus, labels):
+                caplog.clear()
+                with caplog.at_level(logging.WARNING, logger="roadsense.labeling"):
+                    scores = score(labels, threshold)
+                    excluding = flagged_workers(scores) | (
+                        {"lone-worker"} if rng.random() < 0.5 else set())
+                    out = consensus(labels, excluding)
+                return scores, out, [(r.name, r.levelno, r.getMessage())
+                                     for r in caplog.records]
+
+            state = rng.getstate()
+            expected = run(score_label_workers, aggregate_labels, records)
+            rng.setstate(state)
+            assert run(score_workers, aggregate, tally(records)) == expected
+            scores, out, logs = expected
+            n_flagged += any(s.flagged for s in scores)
+            n_omitted += any("lost all labels" in m for _, _, m in logs)
+            n_ties += any(v == "unresolved" for c in out for v in c.verdicts.values())
+        assert min(n_flagged, n_omitted, n_ties) >= 20, (n_flagged, n_omitted, n_ties)
+
+    def test_second_assignment_is_a_vote_not_a_worker(self):
+        rows = [record("a1", "w1", "s1", potholes="yes"),
+                record("a2", "w1", "s1", potholes="yes"),
+                record("a3", "w2", "s1", potholes="no")]
+        (out,) = aggregate(tally(parse_labels(batch_csv(rows))))
+        assert out.verdict("potholes") == "yes"
+        assert out.n_workers == 2
+
+
 class TestConsensusCsv:
     def test_round_trip(self, tmp_path):
         rows = [record("a1", "w1", "s1", potholes="yes"),
                 record("a2", "w2", "s2", markings_present="no", markings_clear="na")]
-        labels = aggregate(parse_labels(batch_csv(rows)))
+        labels = aggregate(tally(parse_labels(batch_csv(rows))))
         path = tmp_path / "consensus.csv"
         write_consensus_csv(labels, path)
         assert read_consensus_csv(path) == labels
@@ -258,3 +338,17 @@ class TestConsensusCsv:
         path.write_text("segment_id,potholes\ns1,yes\n")
         with pytest.raises(SchemaError):
             read_consensus_csv(path)
+
+    @pytest.mark.parametrize("column, value", [
+        ("potholes", "YES"), ("cracks", "maybe"), ("markings_present", "na"),
+        ("markings_clear", "Yes"), ("sidewalk_paved", "nosidewalk"), ("n_workers", "0")])
+    def test_value_outside_vocabulary_is_row_error(self, tmp_path, column, value):
+        cells = dict(zip(CONSENSUS_CSV_HEADER.split(","),
+                         ["s1", "yes", "no", "no", "na", "no", "yes", "1"]))
+        path = tmp_path / "consensus.csv"
+        path.write_text(f"{CONSENSUS_CSV_HEADER}\n{','.join(cells.values())}\n"
+                        f"{','.join({**cells, column: value}.values())}\n")
+        with pytest.raises(RowError) as exc:
+            read_consensus_csv(path)
+        assert str(exc.value).startswith(f"{path}: line 3: column {column}:")
+        assert exc.value.exit_code == 3

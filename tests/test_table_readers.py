@@ -18,6 +18,7 @@ from roadsense.labeling import (
     aggregate,
     parse_labels,
     read_consensus_csv,
+    tally,
     write_consensus_csv,
 )
 from roadsense.sampler import SamplePlan, read_plan_csv, write_plan_csv
@@ -50,7 +51,7 @@ def _valid_files(directory: Path) -> dict:
                QueryRecord("2#0", segments[1].start, "ZERO_RESULTS",
                            queried_at="2026-01-01T00:00:00Z")]
     write_queries_csv(records, directory / "queries.csv")
-    write_consensus_csv(aggregate(parse_labels(LABELS)), directory / "consensus.csv")
+    write_consensus_csv(aggregate(tally(parse_labels(LABELS))), directory / "consensus.csv")
     files = {name: (reader, (directory / f"{name}.csv").read_bytes())
              for name, reader in (("segments", read_segments_csv), ("plan", read_plan_csv),
                                   ("queries", read_queries_csv),
