@@ -11,10 +11,13 @@ from __future__ import annotations
 import json
 import logging
 import math
+import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
+# these fits are too small to share out; idle OpenBLAS threads only spin on the CPU
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 import numpy as np
 
 from .errors import AnalysisError, CollinearityError, InsufficientDataError, InputDataError

@@ -134,6 +134,9 @@ def parse_osm(source: str | bytes | os.PathLike, source_name: str = "") -> RoadN
     except expat.ExpatError as e:
         raise OsmParseError(f"malformed OSM XML at line {e.lineno}, "
                             f"column {e.offset}: {e}") from e
+    except LookupError as e:  # the XML declaration names an encoding Python lacks
+        raise OsmParseError(f"malformed OSM XML at line {parser.CurrentLineNumber}: "
+                            f"{e}") from e
     except InputDataError as e:  # raised by a handler, which does not know the line
         raise type(e)(f"line {parser.CurrentLineNumber}: {e}") from e
 
@@ -171,52 +174,86 @@ def filter_roads(network: RoadNetwork, classes: set[str]) -> list[Way]:
 #   {"type": "way", "id": <int>, "nodes": [<int>...], "highway": <str>,
 #    "name": <str or null>}
 
+_WRITE_BATCH = 4096  # lines per write call
+
+
+def _network_lines(network: RoadNetwork):
+    # json.dumps's own text for these records, formatted directly: ints by
+    # str, floats by repr (as json does), strings and None through json.dumps
+    dumps = json.dumps
+    yield dumps({"type": "meta", "city": network.source_name}) + "\n"
+    nodes = network.nodes
+    for nid in sorted(nodes):
+        p = nodes[nid]
+        yield f'{{"type": "node", "id": {nid}, "lat": {p.lat!r}, "lon": {p.lon!r}}}\n'
+    for w in network.ways:
+        yield (f'{{"type": "way", "id": {w.id}, "nodes": [{", ".join(map(str, w.node_ids))}], '
+               f'"highway": {dumps(w.highway_class)}, "name": {dumps(w.name)}}}\n')
+
+
 def write_network(network: RoadNetwork, path: str | Path) -> None:
+    lines = _network_lines(network)
     with atomic_open(path) as f:
-        f.write(json.dumps({"type": "meta", "city": network.source_name}) + "\n")
-        for nid in sorted(network.nodes):
-            p = network.nodes[nid]
-            f.write(json.dumps({"type": "node", "id": nid, "lat": p.lat, "lon": p.lon}) + "\n")
-        for w in network.ways:
-            f.write(json.dumps({"type": "way", "id": w.id, "nodes": list(w.node_ids),
-                                "highway": w.highway_class, "name": w.name}) + "\n")
+        while batch := "".join(islice(lines, _WRITE_BATCH)):
+            f.write(batch)
+
+
+def _typed(where: str, key: str, value, types: tuple, what: str):
+    """value when its JSON type is one of ``types`` (so bool is no number);
+    a RowError naming the field otherwise."""
+    if type(value) not in types:
+        raise RowError(f"{where}: field {key!r} must be {what}, got {type(value).__name__}")
+    return value
+
+
+_INT, _NUMBER, _STR, _OPT_STR = (int,), (int, float), (str,), (str, type(None))
 
 
 def read_network(path: str | Path) -> RoadNetwork:
     """Read a network file back. A bad record raises an InputDataError
-    subclass naming the file, the line and the field."""
+    subclass naming the file, the line and the field: ids and node refs
+    are ints, lat/lon numbers, highway and city strings, name a string or
+    null."""
     nodes: dict[int, GeoPoint] = {}
     ways: list[Way] = []
     source_name = ""
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
+    with open(path, "rb") as f:
+        for lineno, raw in enumerate(f, start=1):
             try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as e:
+                rec = json.loads(raw.decode("utf-8")) if raw.strip() else None
+            except UnicodeDecodeError as e:
+                raise InputDataError(f"{path}: line {lineno}: not UTF-8 text "
+                                     f"({e.reason})") from e
+            except (json.JSONDecodeError, RecursionError) as e:
                 raise InputDataError(f"{path}: bad JSON on line {lineno}: {e}") from e
+            if rec is None:
+                continue
             kind = rec.get("type") if isinstance(rec, dict) else None
             where = f"{path}: line {lineno}: {kind} record"
             try:
                 if kind == "meta":
-                    source_name = rec.get("city", "")
+                    source_name = _typed(where, "city", rec.get("city", ""), _STR, "a string")
                 elif kind == "node":
-                    nodes[rec["id"]] = GeoPoint(rec["lat"], rec["lon"])
+                    nid = _typed(where, "id", rec["id"], _INT, "an integer")
+                    nodes[nid] = GeoPoint(_typed(where, "lat", rec["lat"], _NUMBER, "a number"),
+                                          _typed(where, "lon", rec["lon"], _NUMBER, "a number"))
                 elif kind == "way":
-                    if len(rec["nodes"]) < 2:
+                    refs = _typed(where, "nodes", rec["nodes"], (list,), "a list of node ids")
+                    if len(refs) < 2:
                         raise RowError(f"{where}: field 'nodes' holds fewer than 2 node ids")
-                    ways.append(Way(id=rec["id"], node_ids=tuple(rec["nodes"]),
-                                    highway_class=rec["highway"], name=rec.get("name")))
+                    if not all(type(ref) is int for ref in refs):
+                        raise RowError(f"{where}: field 'nodes' must hold integer node ids")
+                    ways.append(Way(
+                        id=_typed(where, "id", rec["id"], _INT, "an integer"),
+                        node_ids=tuple(refs),
+                        highway_class=_typed(where, "highway", rec["highway"], _STR, "a string"),
+                        name=_typed(where, "name", rec.get("name"), _OPT_STR, "a string or null")))
                 else:
                     raise InputDataError(f"{path}: unknown record type {kind!r} on line {lineno}")
             except KeyError as e:
                 raise SchemaError(f"{where} lacks field {e}") from e
             except ValueError as e:  # GeoPoint names the coordinate out of range
                 raise CoordinateRangeError(f"{where}: {e}") from e
-            except TypeError as e:
-                raise RowError(f"{where}: {e}") from e
     network = RoadNetwork(nodes=nodes, ways=ways, source_name=source_name)
     for way in ways:
         for nid in way.node_ids:

@@ -152,7 +152,7 @@ def _read_ini(path: str | Path) -> configparser.ConfigParser:
     Every defect is a ConfigError naming the file and the line."""
     raw = Path(path).read_bytes()
     try:
-        text = raw.decode("utf-8")
+        text = raw.decode("utf-8-sig")  # editors may save a byte-order mark
     except UnicodeDecodeError as e:
         line = raw.count(b"\n", 0, e.start) + 1
         raise ConfigError(f"{path}: line {line}: not UTF-8 text ({e.reason})") from e
@@ -207,22 +207,33 @@ def _read_manifest(manifest_path: str | Path) -> dict:
     file and the key otherwise."""
     try:
         manifest = json.loads(Path(manifest_path).read_text(encoding="utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as e:  # or too deep
         raise InputDataError(f"{manifest_path}: not a JSON manifest ({e})") from e
     if not isinstance(manifest, dict) or not isinstance(manifest.get("config"), dict):
         raise InputDataError(f"{manifest_path}: key config: not an object of run settings")
     return manifest
 
 
+_MANIFEST_TYPES = {"classes": ((list,), "a list of strings"),
+                   **dict.fromkeys(_INT_KEYS, ((int,), "an integer")),
+                   **dict.fromkeys(_FLOAT_KEYS, ((int, float), "a number")),
+                   **dict.fromkeys(_STR_KEYS, ((str,), "a string"))}
+
+
 def config_from_manifest(manifest_path: str | Path, api_key: str = "",
                          out_dir: str | None = None) -> RunConfig:
     """Rebuild the run configuration recorded in a manifest."""
     data = _read_manifest(manifest_path)["config"]
-    unknown = sorted(data.keys() - set(_VALID_KEYS))
-    if unknown:
-        raise InputDataError(f"{manifest_path}: key config.{unknown[0]}: not a run setting")
-    if not isinstance(data.get("classes"), list):
-        raise InputDataError(f"{manifest_path}: key config.classes: missing or not a list")
+    for key, value in data.items():
+        if key not in _MANIFEST_TYPES:
+            raise InputDataError(f"{manifest_path}: key config.{key}: not a run setting")
+        types, what = _MANIFEST_TYPES[key]
+        # JSON's own types, so a bool is no number
+        if type(value) not in types or (key == "classes"
+                                        and not all(type(c) is str for c in value)):
+            raise InputDataError(f"{manifest_path}: key config.{key}: not {what}")
+    if "classes" not in data:
+        raise InputDataError(f"{manifest_path}: key config.classes: missing")
     data = dict(data, classes=tuple(data["classes"]))
     data["api_key"] = api_key_or_env(api_key)
     if out_dir is not None:

@@ -14,7 +14,7 @@ from pathlib import Path
 
 from .errors import DegenerateWayError
 from .fileio import read_table, write_table
-from .geometry import GeoPoint, Polyline, interpolate
+from .geometry import GeoPoint, Polyline, haversine_m, interpolate
 from .osm_ingest import RoadNetwork, Way
 
 DEFAULT_TARGET_M = 500.0
@@ -77,8 +77,12 @@ def chunk_way(way: Way, network: RoadNetwork, target_m: float = DEFAULT_TARGET_M
         raise DegenerateWayError(f"way {way.id} is only {total:.3f} m long")
 
     cuts = _cut_distances(total, target_m)
-    pieces: list[list[GeoPoint]] = []
-    current = [line.points[0]]
+    if not cuts:
+        return [_segment_of(way, network, 0, line, total)]
+    # each piece's length adds up the way's own edge lengths in order, as
+    # Polyline.length_m would; only an edge split at a cut point is measured
+    pieces: list[tuple[list[GeoPoint], float]] = []
+    current, length = [line.points[0]], 0.0
     walked = 0.0
     cut_iter = iter(cuts)
     next_cut = next(cut_iter, None)
@@ -94,31 +98,38 @@ def chunk_way(way: Way, network: RoadNetwork, target_m: float = DEFAULT_TARGET_M
             else:
                 cut_point = interpolate(a, b, t)
             if cut_point != current[-1]:
+                whole = current[-1] is a and cut_point is b
+                length += edge if whole else haversine_m(current[-1], cut_point)
                 current.append(cut_point)
-            pieces.append(current)
-            current = [cut_point]
+            pieces.append((current, length))
+            current, length = [cut_point], 0.0
             next_cut = next(cut_iter, None)
         walked += edge
-        if b != current[-1]:
+        if current[-1] is a:  # a != b: the polyline has no consecutive duplicates
+            length += edge
+            current.append(b)
+        elif b != current[-1]:
+            length += haversine_m(current[-1], b)
             current.append(b)
     # cuts are strictly interior, so the leftover always reaches the last vertex
-    pieces.append(current)
+    pieces.append((current, length))
+    return [_segment_of(way, network, idx, Polyline(piece), piece_m)
+            for idx, (piece, piece_m) in enumerate(pieces)]
 
-    segments = []
-    for idx, piece in enumerate(pieces):
-        geom = Polyline(piece)
-        segments.append(RoadSegment(
-            segment_id=f"{way.id}#{idx}",
-            way_id=way.id,
-            index=idx,
-            geometry=geom,
-            start=geom.points[0],
-            end=geom.points[-1],
-            length_m=geom.length_m(),
-            highway_class=way.highway_class,
-            city=network.source_name,
-        ))
-    return segments
+
+def _segment_of(way: Way, network: RoadNetwork, idx: int, geom: Polyline,
+                length_m: float) -> RoadSegment:
+    return RoadSegment(
+        segment_id=f"{way.id}#{idx}",
+        way_id=way.id,
+        index=idx,
+        geometry=geom,
+        start=geom.points[0],
+        end=geom.points[-1],
+        length_m=length_m,
+        highway_class=way.highway_class,
+        city=network.source_name,
+    )
 
 
 def chunk_network(ways: list[Way], network: RoadNetwork,

@@ -6,12 +6,14 @@ hand-rolled Gauss-Jordan on the normal equations or via scipy's
 column-pivoted QR.
 
 The last section holds helpers that only tests use and that do build on
-the library: an OSM XML writer, a walk along a polyline, the linear scan
+the library: an OSM XML writer, the network.ndjson writer that passed
+every record through json.dumps, a walk along a polyline, the linear scan
 that joined points to tracts before the tracts were grid-indexed, and the
 label consensus that deduped, grouped and tallied the records again for
 each of score_workers and aggregate before they shared one tally.
 """
 
+import json
 import logging
 import math
 from xml.sax.saxutils import quoteattr
@@ -141,6 +143,19 @@ def to_osm_xml(network: RoadNetwork) -> str:
         out.append("  </way>")
     out.append("</osm>")
     return "\n".join(out) + "\n"
+
+
+def json_dumps_network(network: RoadNetwork) -> str:
+    """network.ndjson as written before write_network formatted its lines
+    directly: one json.dumps per record."""
+    lines = [json.dumps({"type": "meta", "city": network.source_name})]
+    for nid in sorted(network.nodes):
+        p = network.nodes[nid]
+        lines.append(json.dumps({"type": "node", "id": nid, "lat": p.lat, "lon": p.lon}))
+    for w in network.ways:
+        lines.append(json.dumps({"type": "way", "id": w.id, "nodes": list(w.node_ids),
+                                 "highway": w.highway_class, "name": w.name}))
+    return "".join(line + "\n" for line in lines)
 
 
 def point_along(line: Polyline, distance_m: float) -> GeoPoint:

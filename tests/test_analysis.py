@@ -218,6 +218,27 @@ class TestOls:
                              capture_output=True, text=True).stdout
         assert out.strip() == "False"
 
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/task")
+    def test_fit_runs_on_one_blas_thread_by_default(self):
+        src = str(Path(roadsense.__file__).resolve().parent.parent)
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        env["PYTHONPATH"] = src
+        code = ("import os, roadsense.analysis as a, numpy as np; "
+                "x = np.random.default_rng(0).random((12000, 8)); "
+                "a.ols_fit(x, x @ np.arange(8.0)); "
+                "print(len(os.listdir('/proc/self/task')), os.environ['OPENBLAS_NUM_THREADS'])")
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.split() == ["1", "1"]
+
+    def test_blas_threads_set_by_the_operator_are_kept(self):
+        src = str(Path(roadsense.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "2"}
+        code = "import os, roadsense.analysis; print(os.environ['OPENBLAS_NUM_THREADS'])"
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.strip() == "2"
+
     def test_regression_table_renders(self):
         res = ols_fit(np.ones((5, 1)), np.arange(5.0), names=["intercept"])
         text = regression_table(res)

@@ -138,14 +138,32 @@ class TestLoadConfig:
         assert "(b" not in err  # the value of a key is not echoed
         assert not (tmp_path / "run").exists()
 
+    def test_config_file_with_a_byte_order_mark(self, fixture_city_file, tmp_path):
+        config = tmp_path / "run.ini"
+        config.write_bytes(b"\xef\xbb\xbf[run]\nseed = 11\n")
+        plan = planned_points(fixture_city_file.read_text(), "fixtureville",
+                              set(SAMPLED_ROAD_CLASSES), 500.0, 12, 11)
+        with MockStreetViewServer(fixture_for_plan(plan)) as server:
+            args = run_args(fixture_city_file, tmp_path / "run", server.base_url)
+            args = [a for a in args if a not in ("--seed", "7")]
+            assert main(args + ["--config", str(config)]) == 0
+        manifest = json.loads((tmp_path / "run" / MANIFEST_NAME).read_text())
+        assert manifest["config"]["seed"] == 11
+
     @pytest.mark.parametrize("manifest, key", [
         ({"config": {"city": "x", "osm_path": "a.osm", "out_dir": "o"}}, "config.classes"),
         ({"config": [["city", "x"]]}, "config"),
         ({"config": "city=x"}, "config"),
         (["config"], "config"),
         ({"config": {"classes": ["primary"], "colour": "red"}}, "config.colour"),
+        ({"config": {"classes": ["primary"], "target_m": "500"}}, "config.target_m"),
+        ({"config": {"classes": ["primary"], "seed": True}}, "config.seed"),
+        ({"config": {"classes": ["primary"], "sample_n": 1.5}}, "config.sample_n"),
+        ({"config": {"classes": ["primary"], "base_url": 7}}, "config.base_url"),
+        ({"config": {"classes": ["primary", 1]}}, "config.classes"),
     ], ids=["lacks-classes", "config-is-a-list", "config-is-a-string",
-            "manifest-is-a-list", "unknown-key"])
+            "manifest-is-a-list", "unknown-key", "target-m-is-a-string", "seed-is-true",
+            "sample-n-is-a-float", "base-url-is-a-number", "class-is-a-number"])
     def test_malformed_manifest_is_input_data_error_naming_the_key(self, tmp_path,
                                                                  manifest, key):
         path = tmp_path / MANIFEST_NAME
@@ -158,6 +176,13 @@ class TestLoadConfig:
     def test_manifest_that_is_not_json_is_input_data_error(self, tmp_path):
         path = tmp_path / MANIFEST_NAME
         path.write_text('{"config": ')
+        with pytest.raises(InputDataError) as exc:
+            config_from_manifest(path)
+        assert str(exc.value).startswith(f"{path}: not a JSON manifest")
+
+    def test_manifest_nested_too_deep_is_input_data_error(self, tmp_path):
+        path = tmp_path / MANIFEST_NAME
+        path.write_text('{"config": ' + "[" * 100_000)
         with pytest.raises(InputDataError) as exc:
             config_from_manifest(path)
         assert str(exc.value).startswith(f"{path}: not a JSON manifest")
@@ -197,6 +222,24 @@ class TestRunPipeline:
         assert "up to date" in capsys.readouterr().out
         after = {name: (out_dir / name).read_bytes() for name in RUN_ARTIFACTS}
         assert after == before
+
+    def test_log_level_info_shows_the_up_to_date_line(self, fixture_city_file, tmp_path):
+        xml = fixture_city_file.read_text()
+        plan = planned_points(xml, "fixtureville", set(SAMPLED_ROAD_CLASSES), 500.0, 12, 7)
+        out_dir = tmp_path / "rundir"
+        with MockStreetViewServer(fixture_for_plan(plan)) as server:
+            args = run_args(fixture_city_file, out_dir, server.base_url)
+            assert main(args) == 0
+        src = str(Path(roadsense.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": src}
+
+        def rerun(*flags):
+            return subprocess.run([sys.executable, "-m", "roadsense.cli", *flags, *args],
+                                  env=env, check=True, capture_output=True, text=True)
+        info = rerun("--log-level", "INFO")
+        assert f"INFO roadsense.pipeline: run directory {out_dir} is up to date" in info.stderr
+        assert "up to date" in info.stdout
+        assert "INFO" not in rerun().stderr
 
     def test_rerun_fetches_a_lost_image_again(self, fixture_city_file, tmp_path, capsys):
         xml = fixture_city_file.read_text()
@@ -467,6 +510,16 @@ class TestStageCommands:
         out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                              capture_output=True, text=True).stdout
         assert out.strip() == "[]"
+
+    def test_main_collects_cycles_every_100k_allocations(self, tmp_path):
+        src = str(Path(roadsense.__file__).resolve().parent.parent)
+        missing = str(tmp_path / "queries.csv")
+        code = ("import gc, sys; from roadsense.cli import main; "
+                f"code = main(['coverage', '--queries', {missing!r}]); "
+                "print(code, gc.get_threshold()[0])")
+        out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                             check=True, capture_output=True, text=True).stdout
+        assert out.split() == ["3", "100000"]
 
     def test_interrupt_exits_130_with_resume_hint(self, fixture_city_file, tmp_path,
                                                   monkeypatch, capsys):

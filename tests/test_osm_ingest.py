@@ -2,8 +2,10 @@ import json
 import tracemalloc
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from oracles import to_osm_xml
+from oracles import json_dumps_network, to_osm_xml
 from roadsense.cli import main
 from roadsense.errors import (
     CoordinateRangeError,
@@ -13,8 +15,11 @@ from roadsense.errors import (
     RowError,
     SchemaError,
 )
+from roadsense.geometry import GeoPoint
 from roadsense.osm_ingest import (
     SAMPLED_ROAD_CLASSES,
+    RoadNetwork,
+    Way,
     filter_roads,
     parse_osm,
     read_network,
@@ -192,6 +197,57 @@ class TestRoundTrip:
             read_network(path)
 
 
+# names and tags that JSON must escape: quotes, backslashes, control and
+# non-ASCII characters
+_TEXT = st.text(st.one_of(st.sampled_from('"\\/\x00\x1f\x7f\n\t\u00e9\u2028\U0001f600'),
+                          st.characters()), max_size=12)
+_IDS = st.integers(-2 ** 70, 2 ** 70)
+
+
+def _coordinate(limit):
+    return st.one_of(st.floats(-limit, limit), st.integers(-limit, limit),
+                     st.sampled_from([-limit, limit, -float(limit), float(limit), -0.0, 0.0]))
+
+
+@st.composite
+def networks(draw):
+    ids = draw(st.lists(_IDS, min_size=2, max_size=8, unique=True))
+    nodes = {nid: GeoPoint(draw(_coordinate(90)), draw(_coordinate(180))) for nid in ids}
+    ways = [Way(id=draw(_IDS), node_ids=tuple(draw(st.lists(st.sampled_from(ids),
+                                                            min_size=2, max_size=5))),
+                highway_class=draw(_TEXT), name=draw(st.one_of(st.none(), _TEXT)))
+            for _ in range(draw(st.integers(0, 4)))]
+    return RoadNetwork(nodes=nodes, ways=ways, source_name=draw(_TEXT))
+
+
+class TestWriteNetwork:
+    """write_network formats its lines directly; the bytes stay those of one
+    json.dumps per record."""
+
+    def test_matches_json_dumps_writer(self, tmp_path):
+        path = tmp_path / "net.ndjson"
+
+        @settings(max_examples=300, deadline=None, database=None, derandomize=True,
+                  suppress_health_check=[HealthCheck.too_slow])
+        @given(networks())
+        def check(network):
+            write_network(network, path)
+            assert path.read_bytes() == json_dumps_network(network).encode("utf-8")
+            assert read_network(path) == network
+
+        check()
+
+    def test_matches_json_dumps_writer_across_write_batches(self, tmp_path):
+        n = 9000
+        nodes = {i: GeoPoint(i / n * 90.0, -i / n * 180.0) for i in range(n)}
+        ways = [Way(id=i, node_ids=(i, i + 1), highway_class="primary",
+                    name=None if i % 2 else f"road {i}") for i in range(n - 1)]
+        network = RoadNetwork(nodes=nodes, ways=ways, source_name="bangkok")
+        path = tmp_path / "net.ndjson"
+        write_network(network, path)
+        assert path.read_bytes() == json_dumps_network(network).encode("utf-8")
+
+
 def poi_city(n_poi: int) -> str:
     """One 2-node primary road among ``n_poi`` tagged nodes no way uses."""
     body = ['<node id="1" lat="13.75" lon="100.50"/>',
@@ -299,6 +355,47 @@ class TestReadNetworkErrors:
             read_network(path)
         assert str(path) in str(exc.value)
         assert "line 2" in str(exc.value) and "'nodes'" in str(exc.value)
+
+    @pytest.mark.parametrize("record, field", [
+        ({"type": "way", "id": 5, "nodes": [[1], 2], "highway": "primary"}, "nodes"),
+        ({"type": "way", "id": 5, "nodes": [1, {"id": 2}], "highway": "primary"}, "nodes"),
+        ({"type": "way", "id": 5, "nodes": [1, 2.0], "highway": "primary"}, "nodes"),
+        ({"type": "way", "id": 5, "nodes": {"1": 1, "2": 2}, "highway": "primary"}, "nodes"),
+        ({"type": "way", "id": 5, "nodes": [1, 2], "highway": ["primary"]}, "highway"),
+        ({"type": "way", "id": 5, "nodes": [1, 2], "highway": "primary", "name": 7}, "name"),
+        ({"type": "way", "id": "5", "nodes": [1, 2], "highway": "primary"}, "id"),
+        ({"type": "node", "id": 3, "lat": True, "lon": 0.0}, "lat"),
+        ({"type": "node", "id": 3, "lat": 0.0, "lon": "0"}, "lon"),
+        ({"type": "node", "id": True, "lat": 0.0, "lon": 0.0}, "id"),
+        ({"type": "meta", "city": ["x"]}, "city"),
+    ], ids=["ref-is-a-list", "ref-is-an-object", "ref-is-a-float", "nodes-is-an-object",
+            "highway-is-a-list", "name-is-a-number", "way-id-is-a-string", "lat-is-true",
+            "lon-is-a-string", "node-id-is-true", "city-is-a-list"])
+    def test_field_of_the_wrong_type_exits_3_naming_line_and_field(self, tmp_path, capsys,
+                                                                  record, field):
+        path = self.write(tmp_path, {"type": "node", "id": 1, "lat": 0.0, "lon": 0.0},
+                          {"type": "node", "id": 2, "lat": 0.0, "lon": 0.01}, record)
+        with pytest.raises(RowError) as exc:
+            read_network(path)
+        assert str(exc.value).startswith(f"{path}: line 3: ")
+        assert f"field {field!r}" in str(exc.value)
+        code = main(["segment", "--network", str(path), "--out", str(tmp_path / "s.csv")])
+        assert code == 3
+        assert f"field {field!r}" in capsys.readouterr().err
+
+    def test_line_nested_too_deep_names_the_line(self, tmp_path):
+        path = tmp_path / "bad.ndjson"
+        path.write_text('{"type": "meta", "city": "x"}\n' + "[" * 100_000 + "\n")
+        with pytest.raises(InputDataError) as exc:
+            read_network(path)
+        assert str(exc.value).startswith(f"{path}: bad JSON on line 2")
+
+    def test_line_that_is_not_utf8_names_the_line(self, tmp_path):
+        path = tmp_path / "bad.ndjson"
+        path.write_bytes(b'{"type": "meta", "city": "x"}\n{"type": "meta", "city": "caf\xe9"}\n')
+        with pytest.raises(InputDataError) as exc:
+            read_network(path)
+        assert str(exc.value).startswith(f"{path}: line 2: not UTF-8 text")
 
     def test_cli_exits_3(self, tmp_path, capsys):
         path = self.write(tmp_path, {"type": "node", "id": 1, "lat": 0.0})

@@ -121,6 +121,40 @@ class TestChunkWay:
             for s in segs[:-1]:
                 assert s.length_m == pytest.approx(500.0, abs=1e-3)
 
+    def test_each_length_is_its_geometry_length_exactly(self):
+        # lengths add up the way's own edge lengths; they must equal a fresh
+        # measurement of each segment's geometry to the last bit
+        rng = random.Random(23)
+        for _ in range(300):
+            lat, lon = rng.uniform(-70, 70), rng.uniform(-170, 170)
+            pts, ids = {}, []
+            for j in range(rng.randint(2, 12)):
+                pts[j + 1] = GeoPoint(lat, lon)
+                ids.append(j + 1 if rng.random() > 0.1 else ids[-1] if ids else j + 1)
+                lat += rng.uniform(-0.003, 0.003)
+                lon += rng.choice([equator_lon_for_meters(137.0), rng.uniform(0.0, 0.01)])
+            net = RoadNetwork(nodes=pts,
+                              ways=[Way(id=1, node_ids=tuple(ids), highway_class="primary")],
+                              source_name="x")
+            target = rng.choice([137.0, 274.0, 500.0, rng.uniform(20.0, 2000.0)])
+            try:
+                segs = chunk_way(net.ways[0], net, target)
+            except DegenerateWayError:
+                continue
+            for s in segs:
+                assert s.length_m == s.geometry.length_m()
+
+    def test_cut_on_a_vertex_keeps_lengths_exact(self):
+        net = RoadNetwork(
+            nodes={i: GeoPoint(0.0, equator_lon_for_meters(137.0 * i)) for i in range(8)},
+            ways=[Way(id=1, node_ids=tuple(range(8)), highway_class="primary")],
+            source_name="x")
+        segs = chunk_way(net.ways[0], net, 274.0)
+        assert len(segs) == 4
+        assert all(s.end in net.nodes.values() for s in segs)
+        for s in segs:
+            assert s.length_m == s.geometry.length_m()
+
     def test_determinism(self):
         net = equatorial_network([1234.0])
         a = chunk_way(net.ways[0], net, 500.0)

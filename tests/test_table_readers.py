@@ -1,7 +1,7 @@
-"""Property: every table reader, and the tracts GeoJSON reader, given a
-valid file with a few bytes flipped, deleted or inserted, returns rows or
-raises a RoadsenseError with the exit code of a configuration or input-data
-error."""
+"""Property: every table reader, the tracts GeoJSON reader, the OSM XML and
+network.ndjson readers, the INI config and the run manifest, given a valid
+file with a few bytes flipped, deleted or inserted, parse or raise a
+RoadsenseError with the exit code of a configuration or input-data error."""
 
 import json
 
@@ -21,6 +21,8 @@ from roadsense.labeling import (
     tally,
     write_consensus_csv,
 )
+from roadsense.osm_ingest import parse_osm, read_network, write_network
+from roadsense.pipeline import RunConfig, _write_manifest, config_from_manifest, load_config
 from roadsense.sampler import SamplePlan, read_plan_csv, write_plan_csv
 from roadsense.segmenter import RoadSegment, read_segments_csv, write_segments_csv
 from roadsense.streetview import QueryRecord, read_queries_csv, write_queries_csv
@@ -131,6 +133,97 @@ def test_mutated_tracts_load_or_raise_a_typed_error(tmp_path):
         path.write_bytes(mutate(TRACTS, mutations))
         try:
             load_tracts_geojson(path)
+        except RoadsenseError as e:
+            assert e.exit_code in (2, 3), e
+
+    check()
+
+
+OSM = ("<?xml version='1.0' encoding='UTF-8'?>\n<osm version='0.6'>\n"
+       ' <node id="1" lat="13.75" lon="100.50"/>\n'
+       ' <node id="2" lat="13.76" lon="100.51"><tag k="amenity" v="cafe"/></node>\n'
+       ' <node id="3" lat="-13.7" lon="-100.5"/>\n'
+       ' <way id="10"><nd ref="1"/><nd ref="2"/><nd ref="3"/>\n'
+       '  <tag k="highway" v="primary"/><tag k="name" v="A &amp; B"/></way>\n'
+       ' <way id="11"><nd ref="2"/><nd ref="3"/><tag k="building" v="yes"/></way>\n'
+       "</osm>\n").encode("utf-8")
+
+RUN_INI = (b"[run]\ncity = bangkok\nosm_path = city.osm\nout_dir = run\n"
+           b"classes = primary, trunk\ntarget_m = 250.5\nsample_n = 40\nseed = 3\n"
+           b"max_concurrency = 2\nrate_per_s = 5\nretries = 1\n"
+           b"base_url = http://127.0.0.1:8080\nfixed_time = 2026-01-01T00:00:00Z\n")
+
+
+def _network_file(directory: Path) -> bytes:
+    write_network(parse_osm(OSM, source_name="bangkok"), directory / "network.ndjson")
+    return (directory / "network.ndjson").read_bytes()
+
+
+def _manifest_file(directory: Path) -> bytes:
+    config = RunConfig(city="bangkok", osm_path="city.osm", out_dir="run", seed=3,
+                       api_key="k", fixed_time="2026-01-01T00:00:00Z")
+    _write_manifest(config, directory, "0" * 64)
+    return (directory / "run_manifest.json").read_bytes()
+
+
+@pytest.mark.parametrize("name, reader, valid, alphabet", [
+    ("city.osm", parse_osm, lambda d: OSM, b'<>/="\'&;#x\xff0-.9 \n'),
+    ("network.ndjson", read_network, _network_file, b'[]{},:"\\\xff0-.9e\n'),
+    ("run.ini", load_config, lambda d: RUN_INI, b"[]=:%;#\n\xff\xef0-.9 a"),
+    ("run_manifest.json", config_from_manifest, _manifest_file, b'[]{},:"\xff0-.9e'),
+], ids=["osm-xml", "network-ndjson", "ini-config", "run-manifest"])
+def test_mutated_input_parses_or_raises_a_typed_error(tmp_path, name, reader, valid,
+                                                     alphabet):
+    data = valid(tmp_path)
+    path = tmp_path / name
+    path.write_bytes(data)
+    reader(path)
+
+    @settings(max_examples=300, deadline=None, database=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(st.lists(st.tuples(st.sampled_from(["flip", "delete", "insert"]),
+                              st.floats(0, 1, exclude_max=True), st.sampled_from(alphabet)),
+                    min_size=1, max_size=4))
+    def check(mutations):
+        path.write_bytes(mutate(data, mutations))
+        try:
+            reader(path)
+        except RoadsenseError as e:
+            assert e.exit_code in (2, 3), e
+
+    check()
+
+
+# any JSON value, to put in place of one field of a valid record
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2 ** 70, 2 ** 70) | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                  max_size=3),
+    max_leaves=5)
+
+
+@pytest.mark.parametrize("name, reader, valid", [
+    ("network.ndjson", read_network, _network_file),
+    ("run_manifest.json", config_from_manifest, _manifest_file),
+], ids=["network-ndjson", "run-manifest"])
+def test_field_of_any_json_type_parses_or_raises_a_typed_error(tmp_path, name, reader, valid):
+    """The same property when one field of a record holds any JSON value."""
+    text = valid(tmp_path)
+    records = ([json.loads(line) for line in text.splitlines()] if name.endswith(".ndjson")
+               else [json.loads(text)])
+    path = tmp_path / name
+
+    @settings(max_examples=300, deadline=None, database=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(st.data())
+    def check(data):
+        changed = json.loads(json.dumps(records))
+        record = data.draw(st.sampled_from(changed))
+        fields = record["config"] if "config" in record else record
+        fields[data.draw(st.sampled_from(sorted(fields)))] = data.draw(_JSON_VALUES)
+        path.write_text("".join(json.dumps(r) + "\n" for r in changed))
+        try:
+            reader(path)
         except RoadsenseError as e:
             assert e.exit_code in (2, 3), e
 
