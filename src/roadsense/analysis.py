@@ -23,6 +23,7 @@ import numpy as np
 from .errors import AnalysisError, CollinearityError, InsufficientDataError, InputDataError
 from .geometry import GeoPoint, PolygonRing, point_in_polygon
 from .labeling import ATTRIBUTES, ConsensusLabel
+from .osm_ingest import SAMPLED_ROAD_CLASSES
 
 log = logging.getLogger(__name__)
 
@@ -36,7 +37,7 @@ SUMMARY_COLUMNS = (
     ("sidewalk_paved", "paved sidewalk"),
 )
 
-ROAD_CLASS_LEVELS = ("primary", "secondary", "tertiary", "trunk")
+ROAD_CLASS_LEVELS = tuple(sorted(SAMPLED_ROAD_CLASSES))
 ROAD_CLASS_BASELINE = "tertiary"
 
 PIVOT_TOLERANCE = 1e-10
@@ -81,7 +82,6 @@ class TractPolygon:
 @dataclass(frozen=True)
 class QuintileBinning:
     cut_points: tuple[float, float, float, float]
-    bin_labels: tuple[str, str, str, str, str] = ("Q1", "Q2", "Q3", "Q4", "Q5")
 
     def __post_init__(self):
         cp = self.cut_points
@@ -91,7 +91,7 @@ class QuintileBinning:
     def bin_of(self, income: float) -> str:
         # values equal to a cut point fall in the lower bin
         idx = sum(1 for c in self.cut_points if c < income)
-        return self.bin_labels[idx]
+        return ("Q1", "Q2", "Q3", "Q4", "Q5")[idx]  # shared constants, not a new string per row
 
 
 def summarize_city(consensus: list[ConsensusLabel], city: str) -> CitySummary:

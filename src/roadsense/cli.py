@@ -10,19 +10,24 @@ from __future__ import annotations
 import argparse
 import gc
 import logging
+import math
 import sys
 from pathlib import Path
 
 from . import __version__, geo_export, labeling
-from .errors import InputDataError, RoadsenseError
+from .errors import ConfigError, InputDataError, RoadsenseError
 from .fileio import write_atomic, write_table
 from .osm_ingest import filter_roads, parse_osm, read_network, write_network
 from .pipeline import (
+    SETTINGS,
+    RunConfig,
+    check_classes,
     check_sample_n,
     check_seed,
     check_target_m,
     client_config,
     load_config,
+    parse_classes,
     run_pipeline,
 )
 from .sampler import (
@@ -39,7 +44,6 @@ from .segmenter import (
     write_segments_csv,
 )
 from .streetview import (
-    DEFAULT_BASE_URL,
     coverage_json,
     estimate_coverage,
     fetch_all,
@@ -49,8 +53,9 @@ from .streetview import (
 log = logging.getLogger(__name__)
 
 
-def _parse_classes(raw: str) -> set[str]:
-    return {c.strip() for c in raw.split(",") if c.strip()}
+def _check_flag(ok: bool, flag: str, what: str, value) -> None:
+    if not ok:
+        raise ConfigError(f"{flag} must be {what}, got {value}")
 
 
 def cmd_ingest(args) -> int:
@@ -65,8 +70,9 @@ def cmd_ingest(args) -> int:
 
 def cmd_segment(args) -> int:
     check_target_m(args.target_m)
+    check_classes(args.classes)
     network = read_network(args.network)
-    ways = filter_roads(network, _parse_classes(args.classes))
+    ways = filter_roads(network, set(args.classes))
     result = chunk_network(ways, network, args.target_m,
                            skip_degenerate=args.skip_degenerate)
     write_segments_csv(result.segments, args.out)
@@ -79,12 +85,12 @@ def cmd_segment(args) -> int:
 
 def cmd_sample(args) -> int:
     check_seed(args.seed)
-    check_sample_n(args.n)
+    check_sample_n(args.sample_n)
     population = read_segments_csv(args.segments)
     if args.stratify_by_class:
-        plan = sample_stratified(population, args.n, args.seed)
+        plan = sample_stratified(population, args.sample_n, args.seed)
     else:
-        plan = sample_segments(population, args.n, args.seed)
+        plan = sample_segments(population, args.sample_n, args.seed)
     write_plan_csv(plan, args.out)
     print(f"{args.out}: {len(plan.segments)} of {plan.population_n} segments "
           f"(seed {plan.seed})")
@@ -113,6 +119,7 @@ def cmd_coverage(args) -> int:
 
 
 def cmd_labels(args) -> int:
+    _check_flag(0 <= args.threshold <= 1, "--threshold", "a number in [0, 1]", args.threshold)
     records = labeling.parse_labels(Path(args.infile).read_bytes(), args.infile)
     if args.action == "parse":
         # a LabelRecord is a tuple of its fields in the order of the batch columns
@@ -140,6 +147,11 @@ def cmd_labels(args) -> int:
 
 
 def cmd_summarize(args) -> int:
+    _check_flag(math.isfinite(args.capture_km) and args.capture_km > 0, "--capture-km",
+                "a positive finite number", args.capture_km)
+    if args.journey_km is not None:
+        _check_flag(math.isfinite(args.journey_km) and args.journey_km >= 0, "--journey-km",
+                    "a finite number >= 0", args.journey_km)
     from . import analysis  # numpy loads only for the analysis commands
     consensus = labeling.read_consensus_csv(args.consensus)
     summary = analysis.summarize_city(consensus, args.city)
@@ -244,25 +256,21 @@ def cmd_export(args) -> int:
 
 
 def cmd_run(args) -> int:
-    overrides = {
-        "city": args.city,
-        "osm_path": args.osm,
-        "out_dir": args.out_dir,
-        "classes": args.classes,
-        "target_m": args.target_m,
-        "sample_n": args.n,
-        "seed": args.seed,
-        "base_url": args.base_url,
-        "max_concurrency": args.max_concurrency,
-        "rate_per_s": args.rate_per_s,
-        "retries": args.retries,
-        "api_key": args.api_key,
-        "fixed_time": args.fixed_time,
-    }
-    config = load_config(args.config, overrides)
+    config = load_config(args.config, {k: getattr(args, k) for k in SETTINGS})
     out_dir = run_pipeline(config)
     print(f"run complete: {out_dir}")
     return 0
+
+
+_FLAGS = {"osm_path": "--osm", "sample_n": "--n"}  # else the field name, dashed
+
+
+def _add_setting(p: argparse.ArgumentParser, name: str, **kwargs) -> None:
+    """Add the flag of RunConfig field `name`, by default with its default."""
+    kind = SETTINGS[name]
+    kwargs.setdefault("default", getattr(RunConfig, name))
+    p.add_argument(_FLAGS.get(name, "--" + name.replace("_", "-")), dest=name,
+                   type=parse_classes if kind is tuple else kind, **kwargs)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -282,30 +290,27 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("segment", help="chunk filtered roads into segments")
     p.add_argument("--network", required=True)
-    p.add_argument("--classes", default="trunk,primary,secondary,tertiary")
-    p.add_argument("--target-m", type=float, default=500.0)
+    _add_setting(p, "classes")
+    _add_setting(p, "target_m")
     p.add_argument("--skip-degenerate", action="store_true")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_segment)
 
     p = sub.add_parser("sample", help="draw a seeded random sample of segments")
     p.add_argument("--segments", required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    _add_setting(p, "sample_n", required=True)
+    _add_setting(p, "seed")
     p.add_argument("--stratify-by-class", action="store_true")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("fetch", help="query imagery availability for a plan")
     p.add_argument("--plan", required=True)
-    p.add_argument("--out-dir", required=True)
-    p.add_argument("--api-key", default="")
-    p.add_argument("--base-url", default=DEFAULT_BASE_URL)
-    p.add_argument("--max-concurrency", type=int, default=4)
-    p.add_argument("--rate-per-s", type=float, default=10.0)
-    p.add_argument("--retries", type=int, default=3)
-    p.add_argument("--fixed-time", default=None,
-                   help="pin queried_at timestamps (ISO-8601) for reproducible runs")
+    _add_setting(p, "out_dir", required=True)
+    for name in ("api_key", "base_url", "max_concurrency", "rate_per_s", "retries"):
+        _add_setting(p, name)
+    _add_setting(p, "fixed_time",
+                 help="pin queried_at timestamps (ISO-8601) for reproducible runs")
     p.set_defaults(func=cmd_fetch)
 
     p = sub.add_parser("coverage", help="estimate imagery coverage from queries.csv")
@@ -349,25 +354,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--plan", required=True)
     p.add_argument("--mode", choices=["points", "lines"], default="points")
     p.add_argument("--network", default=None)
-    p.add_argument("--target-m", type=float, default=500.0)
+    _add_setting(p, "target_m")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_export)
 
     p = sub.add_parser("run", help="full pipeline: ingest through coverage")
     p.add_argument("--config", default=None)
-    p.add_argument("--city", default=None)
-    p.add_argument("--osm", default=None)
-    p.add_argument("--out-dir", default=None)
-    p.add_argument("--classes", default=None)
-    p.add_argument("--target-m", type=float, default=None)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--base-url", default=None)
-    p.add_argument("--api-key", default=None)
-    p.add_argument("--max-concurrency", type=int, default=None)
-    p.add_argument("--rate-per-s", type=float, default=None)
-    p.add_argument("--retries", type=int, default=None)
-    p.add_argument("--fixed-time", default=None)
+    for name in SETTINGS:
+        _add_setting(p, name, default=None)
     p.set_defaults(func=cmd_run)
 
     return parser

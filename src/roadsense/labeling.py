@@ -56,9 +56,6 @@ class LabelRecord(NamedTuple):
     litter: str
     sidewalk_paved: str
 
-    def answer(self, attribute: str) -> str:
-        return getattr(self, attribute)
-
 
 @dataclass(frozen=True)
 class WorkerScore:

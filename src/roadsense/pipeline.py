@@ -16,7 +16,7 @@ import json
 import logging
 import math
 import os
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 from . import __version__
@@ -42,11 +42,6 @@ MANIFEST_NAME = "run_manifest.json"
 RUN_ARTIFACTS = ("network.ndjson", "segments.csv", "plan.csv",
                  "queries.csv", "coverage.json")
 
-_INT_KEYS = ("sample_n", "seed", "max_concurrency", "retries")
-_FLOAT_KEYS = ("target_m", "rate_per_s")
-_STR_KEYS = ("city", "osm_path", "out_dir", "base_url", "api_key", "fixed_time")
-_VALID_KEYS = ("classes",) + _INT_KEYS + _FLOAT_KEYS + _STR_KEYS
-
 
 def check_seed(seed: int) -> None:
     if not 0 <= seed < 2 ** 64:
@@ -56,6 +51,16 @@ def check_seed(seed: int) -> None:
 def check_sample_n(n: int) -> None:
     if n < 0:
         raise ConfigError(f"sample size (--n, sample_n) must be >= 0, got {n}")
+
+
+def parse_classes(raw: str) -> tuple:
+    """A comma-separated list of road classes, sorted."""
+    return tuple(sorted(c.strip() for c in raw.split(",") if c.strip()))
+
+
+def check_classes(classes) -> None:
+    if not classes:
+        raise ConfigError("classes must name at least one road class")
 
 
 def check_target_m(target_m: float) -> None:
@@ -93,17 +98,16 @@ class RunConfig:
     sample_n: int = 1000
     seed: int = 0
     base_url: str = DEFAULT_BASE_URL
+    api_key: str = ""              # secret: never written to any artifact
     max_concurrency: int = 4
     rate_per_s: float = 10.0
     retries: int = 3
-    api_key: str = ""              # secret: never written to any artifact
     fixed_time: str = ""           # pin queried_at timestamps when set
 
     def validate(self) -> "RunConfig":
         check_sample_n(self.sample_n)
         check_target_m(self.target_m)
-        if not self.classes:
-            raise ConfigError("classes must name at least one road class")
+        check_classes(self.classes)
         client_config(self)  # checks the fetch settings
         check_seed(self.seed)
         if not self.city:
@@ -121,30 +125,30 @@ class RunConfig:
         return data
 
 
+# a setting's type is the type of its default: it sets how an INI value
+# converts and which JSON types a manifest may hold
+SETTINGS = {f.name: type(f.default) for f in fields(RunConfig)}
+_KINDS = {int: ((int,), "an integer"), float: ((int, float), "a number"),
+          str: ((str,), "a string"), tuple: ((list,), "a list of strings")}
+
+
 def _convert(key: str, raw: str):
-    raw = raw.strip()
-    if key in _INT_KEYS:
-        try:
-            return int(raw)
-        except ValueError:
-            raise ConfigError(f"config key {key} expects an integer, got {raw!r}")
-    if key in _FLOAT_KEYS:
-        try:
-            return float(raw)
-        except ValueError:
-            raise ConfigError(f"config key {key} expects a number, got {raw!r}")
-    if key == "classes":
-        return tuple(sorted(c.strip() for c in raw.split(",") if c.strip()))
-    return raw
+    raw, kind = raw.strip(), SETTINGS[key]
+    if kind is tuple:
+        return parse_classes(raw)
+    try:
+        return kind(raw)
+    except ValueError:
+        raise ConfigError(f"config key {key} expects {_KINDS[kind][1]}, got {raw!r}")
 
 
 def _reject_unknown(key: str) -> None:
-    if key in _VALID_KEYS:
+    if key in SETTINGS:
         return
-    hint = difflib.get_close_matches(key, _VALID_KEYS, n=1)
+    hint = difflib.get_close_matches(key, SETTINGS, n=1)
     suggestion = f"; did you mean {hint[0]!r}?" if hint else ""
     raise ConfigError(f"unknown config key {key!r}{suggestion} "
-                      f"(valid keys: {', '.join(_VALID_KEYS)})")
+                      f"(valid keys: {', '.join(SETTINGS)})")
 
 
 def _read_ini(path: str | Path) -> configparser.ConfigParser:
@@ -214,22 +218,16 @@ def _read_manifest(manifest_path: str | Path) -> dict:
     return manifest
 
 
-_MANIFEST_TYPES = {"classes": ((list,), "a list of strings"),
-                   **dict.fromkeys(_INT_KEYS, ((int,), "an integer")),
-                   **dict.fromkeys(_FLOAT_KEYS, ((int, float), "a number")),
-                   **dict.fromkeys(_STR_KEYS, ((str,), "a string"))}
-
-
 def config_from_manifest(manifest_path: str | Path, api_key: str = "",
                          out_dir: str | None = None) -> RunConfig:
     """Rebuild the run configuration recorded in a manifest."""
     data = _read_manifest(manifest_path)["config"]
     for key, value in data.items():
-        if key not in _MANIFEST_TYPES:
+        if key not in SETTINGS:
             raise InputDataError(f"{manifest_path}: key config.{key}: not a run setting")
-        types, what = _MANIFEST_TYPES[key]
+        types, what = _KINDS[SETTINGS[key]]
         # JSON's own types, so a bool is no number
-        if type(value) not in types or (key == "classes"
+        if type(value) not in types or (type(value) is list
                                         and not all(type(c) is str for c in value)):
             raise InputDataError(f"{manifest_path}: key config.{key}: not {what}")
     if "classes" not in data:

@@ -17,7 +17,6 @@ from .fileio import read_table, write_table
 from .geometry import GeoPoint, Polyline, haversine_m, interpolate
 from .osm_ingest import RoadNetwork, Way
 
-DEFAULT_TARGET_M = 500.0
 
 SEGMENTS_CSV_HEADER = ("segment_id,way_id,index,start_lat,start_lon,"
                        "end_lat,end_lon,length_m,highway_class,city")
@@ -57,7 +56,7 @@ def _cut_distances(length_m: float, target_m: float) -> list[float]:
     return [target_m * (i + 1) for i in range(n_cuts)]
 
 
-def chunk_way(way: Way, network: RoadNetwork, target_m: float = DEFAULT_TARGET_M) -> list[RoadSegment]:
+def chunk_way(way: Way, network: RoadNetwork, target_m: float) -> list[RoadSegment]:
     """Split one way into consecutive segments tiling it with no gaps.
 
     Segment geometry keeps every intermediate way vertex plus the
@@ -133,7 +132,7 @@ def _segment_of(way: Way, network: RoadNetwork, idx: int, geom: Polyline,
 
 
 def chunk_network(ways: list[Way], network: RoadNetwork,
-                  target_m: float = DEFAULT_TARGET_M,
+                  target_m: float,
                   skip_degenerate: bool = False) -> ChunkResult:
     """chunk_way over a list of ways, concatenated in input order.
 
@@ -153,7 +152,7 @@ def chunk_network(ways: list[Way], network: RoadNetwork,
 
 
 def rebuild_segment_geometry(segments: list[RoadSegment], network: RoadNetwork,
-                             target_m: float = DEFAULT_TARGET_M) -> list[RoadSegment]:
+                             target_m: float) -> list[RoadSegment]:
     """Re-attach full geometry to segments that lost it in CSV transit.
 
     Chunking is deterministic, so re-chunking the parent ways with the

@@ -35,6 +35,8 @@ from .sampler import SamplePlan, sample_points
 log = logging.getLogger(__name__)
 
 DEFAULT_BASE_URL = "https://maps.googleapis.com"
+IMAGE_SIZE = "640x640"  # the API's largest image
+TIMEOUT_S = 10.0        # per connect and per read
 WILSON_Z = 1.959964
 
 STATUS_OK = "OK"
@@ -83,13 +85,11 @@ class CoverageEstimate:
 class ClientConfig:
     api_key: str
     out_dir: Path
-    base_url: str = DEFAULT_BASE_URL
-    image_size: tuple[int, int] = (640, 640)
-    max_concurrency: int = 4
-    rate_per_s: float = 10.0
-    retries: int = 3
+    base_url: str
+    max_concurrency: int
+    rate_per_s: float
+    retries: int
     backoff_s: float = 0.5
-    timeout_s: float = 10.0
     fixed_time: str | None = None  # pin queried_at for reproducible artifacts
 
     def __post_init__(self):
@@ -126,24 +126,20 @@ def build_metadata_request(p: GeoPoint, api_key: str,
 
 
 def build_image_request(p: GeoPoint, api_key: str,
-                        size: tuple[int, int] = (640, 640),
                         base_url: str = DEFAULT_BASE_URL) -> str:
     if not api_key:
         raise ConfigError("imagery API key is empty; set STREETVIEW_API_KEY "
                           "or pass --api-key")
-    w, h = size
-    if not (1 <= w <= 640 and 1 <= h <= 640):
-        raise ValueError(f"image size {w}x{h} outside the API limit [1,640]x[1,640]")
     return (f"{base_url.rstrip('/')}/maps/api/streetview"
-            f"?size={w}x{h}&location={format_location(p)}&key={quote(api_key, safe='')}")
+            f"?size={IMAGE_SIZE}&location={format_location(p)}&key={quote(api_key, safe='')}")
 
 
 class TokenBucket:
     """Blocking token bucket shared by the fetch workers."""
 
-    def __init__(self, rate_per_s: float, capacity: float | None = None):
+    def __init__(self, rate_per_s: float):
         self.rate = float(rate_per_s)
-        self.capacity = capacity if capacity is not None else max(1.0, self.rate)
+        self.capacity = max(1.0, self.rate)
         self._tokens = self.capacity
         self._stamp = time.monotonic()
         self._lock = threading.Lock()
@@ -167,9 +163,9 @@ def _open_connection(config: ClientConfig) -> http.client.HTTPConnection:
     first request, and again on the first request after a close()."""
     scheme, host, port = _server_of(config.base_url)
     if scheme == "https":
-        return http.client.HTTPSConnection(host, port, timeout=config.timeout_s,
+        return http.client.HTTPSConnection(host, port, timeout=TIMEOUT_S,
                                            context=ssl.create_default_context())
-    return http.client.HTTPConnection(host, port, timeout=config.timeout_s)
+    return http.client.HTTPConnection(host, port, timeout=TIMEOUT_S)
 
 
 # how a kept-alive connection that the server has since closed fails on
@@ -242,7 +238,7 @@ def _fetch_one(segment_id: str, point: GeoPoint, config: ClientConfig,
                            queried_at=queried_at)
     try:
         body = json.loads(data)
-    except ValueError:
+    except (ValueError, RecursionError):  # or nested too deep
         body = None
     if not isinstance(body, dict):
         return QueryRecord(segment_id, point, transport_error("bad-json"),
@@ -256,7 +252,7 @@ def _fetch_one(segment_id: str, point: GeoPoint, config: ClientConfig,
         return QueryRecord(segment_id, point, transport_error(status), queried_at=queried_at)
 
     image_path = None
-    img_url = build_image_request(point, config.api_key, config.image_size, config.base_url)
+    img_url = build_image_request(point, config.api_key, config.base_url)
     img = _get_with_retries(conn, img_url, config, bucket)
     if not isinstance(img, str) and img[0] == 200:
         rel = f"images/{segment_id}.jpg"

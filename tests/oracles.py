@@ -236,7 +236,7 @@ def tally_attribute(records, attribute):
                 continue
             answer = r.markings_clear
         else:
-            answer = r.answer(attribute)
+            answer = getattr(r, attribute)
             if attribute == "sidewalk_paved" and answer == "nosidewalk":
                 answer = "no"
         counts[answer] += 1
@@ -301,7 +301,7 @@ def score_label_workers(records, threshold=DEFAULT_AGREEMENT_THRESHOLD):
                 if verdict == "na" and r.markings_present != "yes":
                     continue
             else:
-                answer = r.answer(attr)
+                answer = getattr(r, attr)
                 if attr == "sidewalk_paved" and answer == "nosidewalk":
                     answer = "no"
             scored[r.worker_id] = scored.get(r.worker_id, 0) + 1

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -7,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import roadsense
+import roadsense.cli
 from roadsense.cli import main
 from roadsense.errors import ConfigError, InputDataError
 from roadsense.labeling import CONSENSUS_CSV_HEADER
@@ -15,6 +17,9 @@ from roadsense.mockserver import MockStreetViewServer
 from roadsense.pipeline import (
     MANIFEST_NAME,
     RUN_ARTIFACTS,
+    SETTINGS,
+    RunConfig,
+    _write_manifest,
     config_from_manifest,
     load_config,
     run_pipeline,
@@ -51,6 +56,23 @@ def run_args(osm_path, out_dir, base_url, n=12, seed=7):
             "--base-url", base_url, "--api-key", "test-key",
             "--rate-per-s", "100000", "--max-concurrency", "8",
             "--fixed-time", "2026-01-01T00:00:00Z"]
+
+
+def run_help_flags(capsys) -> list[tuple[str, str]]:
+    """(flag, setting) for each option `run --help` lists; a flag's metavar
+    is its setting's name in capitals."""
+    with pytest.raises(SystemExit):
+        main(["run", "--help"])
+    return [(m[1], m[2].lower()) for line in capsys.readouterr().out.splitlines()
+            if (m := re.match(r"  (--[a-z-]+) ([A-Z_]+)$", line))]
+
+
+# a value other than the default for each run setting
+NON_DEFAULT = {"city": "elsewhere", "osm_path": "b.osm", "out_dir": "o2",
+               "classes": ("primary", "residential"), "target_m": 250.5, "sample_n": 40,
+               "seed": 3, "base_url": "http://127.0.0.1:9", "max_concurrency": 2,
+               "rate_per_s": 2.5, "retries": 5, "api_key": "k2",
+               "fixed_time": "2026-01-01T00:00:00Z"}
 
 
 class TestLoadConfig:
@@ -186,6 +208,34 @@ class TestLoadConfig:
         with pytest.raises(InputDataError) as exc:
             config_from_manifest(path)
         assert str(exc.value).startswith(f"{path}: not a JSON manifest")
+
+    def test_run_help_lists_one_flag_per_setting(self, capsys):
+        names = [name for _, name in run_help_flags(capsys)]
+        assert sorted(names) == sorted([*SETTINGS, "config"])
+
+    @pytest.mark.parametrize("name", SETTINGS)
+    def test_a_setting_reads_the_same_from_file_flag_and_manifest(
+            self, tmp_path, monkeypatch, capsys, name):
+        monkeypatch.delenv("STREETVIEW_API_KEY", raising=False)
+        value = NON_DEFAULT[name]
+        assert value != getattr(RunConfig, name)
+        settings = {"city": "x", "osm_path": "a.osm", "out_dir": "o",
+                    name: ",".join(value) if isinstance(value, tuple) else str(value)}
+        ini = tmp_path / "run.ini"
+        ini.write_text("".join(f"{k} = {v}\n" for k, v in settings.items()))
+        from_file = load_config(ini)
+        assert getattr(from_file, name) == value
+
+        flags = dict((setting, flag) for flag, setting in run_help_flags(capsys))
+        seen = []
+        monkeypatch.setattr(roadsense.cli, "run_pipeline",
+                            lambda config: seen.append(config) or Path(config.out_dir))
+        assert main(["run", *(a for k, v in settings.items() for a in (flags[k], v))]) == 0
+        assert seen == [from_file]
+
+        _write_manifest(from_file, tmp_path, "0" * 64)
+        assert config_from_manifest(tmp_path / MANIFEST_NAME,
+                                    api_key=from_file.api_key) == from_file
 
     def test_classes_parsed(self):
         config = load_config(None, {"city": "x", "osm_path": "a", "out_dir": "o",
@@ -423,6 +473,23 @@ class TestStageCommands:
         assert "target_m" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["segment", "run"])
+    @pytest.mark.parametrize("classes", ["", " , "])
+    def test_empty_classes_exit_2_and_write_nothing(self, fixture_city_file, tmp_path,
+                                                    capsys, command, classes):
+        net_file = tmp_path / "net.ndjson"
+        main(["ingest", "--osm", str(fixture_city_file), "--city", "f",
+              "--out", str(net_file)])
+        capsys.readouterr()
+        out = tmp_path / "out"
+        if command == "segment":
+            args = ["segment", "--network", str(net_file), "--out", str(out)]
+        else:
+            args = run_args(fixture_city_file, out, "http://127.0.0.1:9")
+        assert main(args + ["--classes", classes]) == 2
+        assert "classes must name at least one road class" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_fetch_rejects_zero_rate(self, fixture_city_file, tmp_path, capsys):
         net_file = tmp_path / "net.ndjson"
         seg_file = tmp_path / "s.csv"
@@ -605,6 +672,30 @@ class TestStageCommands:
         assert (f"{consensus}: line 3: column potholes: unrecognized verdict {verdict!r}"
                 in captured.err)
         assert "potholes" not in captured.out
+
+    @pytest.mark.parametrize("args, flag", [
+        (["summarize", "--journey-km", "10", "--capture-km", "0"], "--capture-km"),
+        (["summarize", "--journey-km", "10", "--capture-km", "nan"], "--capture-km"),
+        (["summarize", "--journey-km", "-10"], "--journey-km"),
+        (["labels", "score", "--threshold", "nan"], "--threshold"),
+        (["labels", "aggregate", "--threshold", "1.5"], "--threshold"),
+        (["labels", "score", "--threshold", "-0.1"], "--threshold"),
+    ], ids=["capture-km-zero", "capture-km-nan", "journey-km-negative", "threshold-nan",
+            "threshold-above-1", "threshold-below-0"])
+    def test_analysis_flag_out_of_range_exits_2_naming_it(self, tmp_path, capsys, args, flag):
+        consensus, batch = tmp_path / "consensus.csv", tmp_path / "batch.csv"
+        consensus.write_text(f"{CONSENSUS_CSV_HEADER}\np0,yes,no,yes,yes,no,yes,1\n")
+        batch.write_text(LABEL_HEADER + "\na1,w1,s1,yes,no,yes,yes,no,yes\n")
+        out = tmp_path / "out.csv"
+        if args[0] == "summarize":
+            args = args + ["--consensus", str(consensus), "--city", "jakarta"]
+        else:
+            args = args + ["--in", str(batch), "--out", str(out)]
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {flag} must be")
+        assert captured.out == ""
+        assert not out.exists()
 
     def test_summarize_command(self, tmp_path, capsys):
         consensus = tmp_path / "consensus.csv"

@@ -39,7 +39,7 @@ class TestParse:
                                                  "yes", "yes", "yes", "yes")]))
         assert len(records) == 1
         r = records[0]
-        assert all(r.answer(a) == "yes" for a in ATTRIBUTES)
+        assert all(getattr(r, a) == "yes" for a in ATTRIBUTES)
         assert r.assignment_id == "a1"
         assert r.worker_id == "w1"
         assert r.segment_id == "s1"
@@ -228,7 +228,7 @@ class TestAggregate:
                 for attr in ATTRIBUTES:
                     votes = []
                     for r in segment_records:
-                        v = r.answer(attr)
+                        v = getattr(r, attr)
                         if attr == "markings_clear":
                             if r.markings_present == "yes":
                                 votes.append(v)

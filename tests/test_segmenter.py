@@ -165,7 +165,7 @@ class TestChunkWay:
 class TestChunkNetwork:
     def test_empty(self):
         net = equatorial_network([])
-        assert chunk_network([], net).segments == []
+        assert chunk_network([], net, 500.0).segments == []
 
     def test_additivity(self):
         net = equatorial_network([1000.0, 1000.0])

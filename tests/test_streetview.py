@@ -74,6 +74,16 @@ class _NonObjectMetadataHandler(_Handler):
         self._reply(200, server.metadata_body)
 
 
+class _RawMetadataHandler(_Handler):
+    """Answers every metadata request with the server's raw ``metadata_bytes``."""
+
+    def _serve_metadata(self, server, location):
+        self.send_response(200)
+        self.send_header("Content-Length", str(len(server.metadata_bytes)))
+        self.end_headers()
+        self.wfile.write(server.metadata_bytes)
+
+
 def server_with(handler, fixture):
     server = MockStreetViewServer(fixture)
     server.RequestHandlerClass = handler
@@ -119,12 +129,6 @@ class TestRequestBuilders:
         url = build_image_request(GeoPoint(42.28, -83.38), "K")
         assert "size=640x640" in url
         assert "location=42.2800000,-83.3800000" in url
-
-    def test_image_size_limit(self):
-        with pytest.raises(ValueError):
-            build_image_request(GeoPoint(0, 0), "K", size=(641, 640))
-        with pytest.raises(ValueError):
-            build_image_request(GeoPoint(0, 0), "K", size=(640, 0))
 
     def test_base_url_override(self):
         url = build_metadata_request(GeoPoint(0, 0), "K", base_url="http://localhost:1234/")
@@ -380,6 +384,13 @@ class TestFetchAll:
             records = fetch_all(plan_of_points(points), fast_config(server.base_url, tmp_path))
             assert server.request_count == 2
         assert [r.status for r in records] == ["TRANSPORT_ERROR(bad-json)"] * 2
+
+    def test_metadata_json_nested_too_deep_is_bad_json(self, tmp_path):
+        with server_with(_RawMetadataHandler, {}) as server:
+            server.metadata_bytes = b"[" * 100_000
+            records = fetch_all(plan_of_points([(0.0, 0.1)]),
+                                fast_config(server.base_url, tmp_path))
+        assert [r.status for r in records] == ["TRANSPORT_ERROR(bad-json)"]
 
     def test_api_key_is_percent_encoded(self, tmp_path):
         points = [(0.0, 0.1)]
