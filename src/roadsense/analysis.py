@@ -8,7 +8,6 @@ robust errors on request.
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 import os
@@ -20,7 +19,9 @@ from pathlib import Path
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 import numpy as np
 
-from .errors import AnalysisError, CollinearityError, InsufficientDataError, InputDataError
+from .errors import (AnalysisError, CollinearityError, InputDataError, InsufficientDataError,
+                     RowError)
+from .fileio import JSON_KINDS, json_field, json_typed, parse_json
 from .geometry import GeoPoint, PolygonRing, point_in_polygon
 from .labeling import ATTRIBUTES, ConsensusLabel
 from .osm_ingest import SAMPLED_ROAD_CLASSES
@@ -247,52 +248,45 @@ def build_design(rows: list[dict], factors: list[str],
     return design
 
 
-def _tract_error(path, i: int, field_name: str, problem: str) -> InputDataError:
-    return InputDataError(f"{path}: feature {i}: {field_name}: {problem}")
-
-
-def _ring(path, i: int, where: str, ring) -> list[GeoPoint]:
-    if not isinstance(ring, list):
-        raise _tract_error(path, i, where, "expected a list of positions")
+def _ring(where: str, ring) -> list[GeoPoint]:
+    number = JSON_KINDS["a number"]  # tested inline: a call per position costs
     out = []
-    for k, position in enumerate(ring):
-        # a position may carry an altitude after lon and lat (RFC 7946 3.1.1);
-        # type(), not isinstance(): a JSON true or false is no coordinate
-        if (not isinstance(position, list) or len(position) < 2
-                or type(position[0]) not in (int, float)
-                or type(position[1]) not in (int, float)):
-            raise _tract_error(path, i, f"{where}[{k}]",
-                               "expected a [lon, lat] position of numbers")
+    for k, position in enumerate(json_typed(ring, "a list", where)):
+        # a position may carry an altitude after lon and lat (RFC 7946 3.1.1)
+        if (type(position) is not list or len(position) < 2
+                or type(position[0]) not in number or type(position[1]) not in number):
+            raise RowError(f"{where}[{k}]: expected a [lon, lat] position of numbers")
         try:
             out.append(GeoPoint(position[1], position[0]))
         except ValueError as e:
-            raise _tract_error(path, i, f"{where}[{k}]", str(e)) from e
+            raise RowError(f"{where}[{k}]: {e}") from e
     return out
 
 
-def _shapes(path, i: int, geom) -> tuple[PolygonRing, ...]:
-    if not isinstance(geom, dict):
-        raise _tract_error(path, i, "geometry", "expected an object")
+def _non_empty_list(value, where: str) -> list:
+    if not value:
+        raise RowError(f"{where}: expected a non-empty list")
+    return json_typed(value, "a list", where)
+
+
+def _shapes(where: str, geom) -> tuple[PolygonRing, ...]:
+    geom = json_typed(geom, "an object", f"{where}geometry")
     gtype = geom.get("type")
-    coords = geom.get("coordinates")
     if gtype not in ("Polygon", "MultiPolygon"):
-        raise _tract_error(path, i, "geometry.type",
-                           f"unsupported geometry {gtype!r}")
-    if not isinstance(coords, list) or not coords:
-        raise _tract_error(path, i, "geometry.coordinates", "expected a non-empty list")
+        raise RowError(f"{where}geometry.type: unsupported geometry {gtype!r}")
+    where += "geometry.coordinates"
+    coords = _non_empty_list(geom.get("coordinates"), where)
     if gtype == "Polygon":
-        polygons = [("geometry.coordinates", coords)]
+        polygons = [(where, coords)]
     else:
-        polygons = [(f"geometry.coordinates[{j}]", p) for j, p in enumerate(coords)]
+        polygons = [(f"{where}[{j}]", p) for j, p in enumerate(coords)]
     shapes = []
-    for where, rings in polygons:
-        if not isinstance(rings, list) or not rings:
-            raise _tract_error(path, i, where, "expected a non-empty list of rings")
-        parsed = [_ring(path, i, f"{where}[{k}]", ring) for k, ring in enumerate(rings)]
+    for at, rings in polygons:
+        parsed = [_ring(f"{at}[{k}]", ring) for k, ring in enumerate(_non_empty_list(rings, at))]
         try:
             shapes.append(PolygonRing(parsed[0], parsed[1:]))
         except ValueError as e:
-            raise _tract_error(path, i, where, str(e)) from e
+            raise RowError(f"{at}: {e}") from e
     return tuple(shapes)
 
 
@@ -304,38 +298,22 @@ def load_tracts_geojson(path: str | Path) -> list[TractPolygon]:
     order; an altitude after them is ignored. A malformed file raises
     InputDataError naming the file, the feature index and the field.
     """
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as e:
-        raise InputDataError(f"{path}: line {e.lineno} column {e.colno}: "
-                             f"not valid JSON ({e.msg})") from e
-    except (ValueError, RecursionError) as e:  # not UTF-8, or too deep to parse
-        raise InputDataError(f"{path}: not valid JSON ({e})") from e
+    doc = parse_json(Path(path).read_bytes(), path)
     if not isinstance(doc, dict) or doc.get("type") != "FeatureCollection":
         raise InputDataError(f"{path}: expected a GeoJSON FeatureCollection")
-    features = doc.get("features", [])
-    if not isinstance(features, list):
-        raise InputDataError(f"{path}: features: expected a list")
     tracts = []
-    for i, feature in enumerate(features):
-        if not isinstance(feature, dict):
-            raise _tract_error(path, i, "feature", "expected an object")
-        props = feature.get("properties") or {}
-        if not isinstance(props, dict):
-            raise _tract_error(path, i, "properties", "expected an object")
-        for key in ("tract_id", "per_capita_income"):
-            if key not in props:
-                raise _tract_error(path, i, f"properties.{key}", "missing")
-        tract_id, income = props["tract_id"], props["per_capita_income"]
-        # type(), not isinstance(): a JSON true or false is no id and no number
-        if type(tract_id) not in (str, int):
-            raise _tract_error(path, i, "properties.tract_id",
-                               f"expected a string or an integer, got {tract_id!r}")
-        if type(income) not in (int, float) or not 0 <= income <= sys.float_info.max:
-            raise _tract_error(path, i, "properties.per_capita_income",
-                               f"expected a finite number >= 0, got {income!r}")
+    for i, feature in enumerate(json_field(doc, "features", "a list", f"{path}: ", default=[])):
+        feature = json_typed(feature, "an object", f"{path}: feature {i}")
+        where = f"{path}: feature {i}: "
+        props = json_typed(feature.get("properties") or {}, "an object", where + "properties")
+        at = where + "properties."
+        tract_id = json_field(props, "tract_id", "a string or an integer", at)
+        income = json_field(props, "per_capita_income", "a number", at)
+        if not 0 <= income <= sys.float_info.max:
+            raise RowError(f"{at}per_capita_income: expected a finite number >= 0, "
+                           f"got {income!r}")
         tracts.append(TractPolygon(tract_id=str(tract_id),
-                                   shapes=_shapes(path, i, feature.get("geometry")),
+                                   shapes=_shapes(where, feature.get("geometry")),
                                    per_capita_income=float(income)))
     return tracts
 

@@ -1,10 +1,12 @@
-"""The file layer: atomic writes, and the one CSV table format with its
-writer and its reader.
+"""The file layer: atomic writes, the one CSV table format with its writer,
+its appender and its reader, and the one JSON parse with its typed-field
+check.
 """
 
 from __future__ import annotations
 
 import csv
+import json
 import os
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from contextlib import contextmanager
@@ -43,6 +45,23 @@ def write_table(path: str | Path, header: Sequence[str],
         writer = csv.writer(f, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
+
+
+@contextmanager
+def append_rows(path: str | Path, header: Sequence[str]):
+    """Append CSV rows to path in place, deliberately not atomically: the
+    yielded function writes rows and flushes them, so rows written before a
+    crash stay. The header is written first when the file is new or empty."""
+    with open(path, "a", encoding="utf-8", newline="") as f:
+        writer = csv.writer(f, lineterminator="\n")
+        if f.tell() == 0:
+            writer.writerow(header)
+
+        def append(rows: Iterable[Sequence]) -> None:
+            writer.writerows(rows)
+            f.flush()
+
+        yield append
 
 
 def read_table(source: str | Path | IO[str], columns: Mapping[str, Callable],
@@ -97,3 +116,52 @@ def read_table(source: str | Path | IO[str], columns: Mapping[str, Callable],
             except UnicodeDecodeError:
                 break
         raise InputDataError(f"{name}: line {line}: not UTF-8 text ({e.reason})") from e
+
+
+def parse_json(data: bytes, name: str | Path, line: int = 1):
+    """The JSON value held in data, decoded as UTF-8 (a leading byte-order
+    mark is dropped). ``line`` is the number of data's first line in
+    ``name``, so that an InputDataError names the line of the file."""
+    try:
+        text = data.decode("utf-8-sig")
+    except UnicodeDecodeError as e:
+        line += e.object.count(b"\n", 0, e.start)
+        raise InputDataError(f"{name}: line {line}: not UTF-8 text ({e.reason})") from e
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as e:
+        raise InputDataError(f"{name}: line {line + e.lineno - 1} column {e.colno}: "
+                             f"not valid JSON ({e.msg})") from e
+    except (ValueError, RecursionError) as e:  # an integer too long to convert
+        reason = "nested too deep to parse" if isinstance(e, RecursionError) else e
+        raise InputDataError(f"{name}: line {line}: not valid JSON ({reason})") from e
+
+
+# the types json.loads gives each kind of value, checked with type() so that
+# a bool is no number; a list of integers or of strings also checks its items
+JSON_KINDS = {"an integer": (int,), "a number": (int, float), "a string": (str,),
+              "a string or null": (str, type(None)), "a string or an integer": (str, int),
+              "a list": (list,), "a list of integers": (list,), "a list of strings": (list,),
+              "an object": (dict,)}
+_ITEMS = {"a list of integers": int, "a list of strings": str}
+
+
+def json_typed(value, kind: str, where: str):
+    """value when it is of the JSON_KINDS ``kind``; otherwise a RowError
+    ``<where>: expected <kind>, got <value>``."""
+    item = _ITEMS.get(kind)
+    if type(value) not in JSON_KINDS[kind] or item and any(type(v) is not item for v in value):
+        raise RowError(f"{where}: expected {kind}, got {value!r:.60}")
+    return value
+
+
+def json_field(obj: dict, key: str, kind: str, where: str, default=...):
+    """obj[key] checked by json_typed, where ``where`` is the prefix of the
+    key with its separator (say ``<file>: line 5: node record: ``). An absent
+    key gives ``default``, or when there is none (``...``) a SchemaError
+    ``<where><key>: missing``."""
+    if key not in obj:
+        if default is ...:
+            raise SchemaError(f"{where}{key}: missing")
+        return default
+    return json_typed(obj[key], kind, where + key)

@@ -71,9 +71,6 @@ class ConsensusLabel:
     verdicts: dict      # attribute -> yes | no | unresolved | na
     n_workers: int
 
-    def verdict(self, attribute: str) -> str:
-        return self.verdicts[attribute]
-
 
 # LabelRecord lists its fields in the order of the batch columns; answers stay raw
 _LABEL_COLUMNS = (dict.fromkeys(REQUIRED_COLUMNS[:3], str.strip)

@@ -18,15 +18,9 @@ from itertools import islice
 from pathlib import Path
 from xml.parsers import expat
 
-from .errors import (
-    CoordinateRangeError,
-    InputDataError,
-    MissingNodeError,
-    OsmParseError,
-    RowError,
-    SchemaError,
-)
-from .fileio import atomic_open
+from .errors import (CoordinateRangeError, InputDataError, MissingNodeError, OsmParseError,
+                     RowError)
+from .fileio import atomic_open, json_field, parse_json
 from .geometry import GeoPoint, check_coordinate
 
 log = logging.getLogger(__name__)
@@ -46,10 +40,6 @@ class Way:
     def __post_init__(self):
         if len(self.node_ids) < 2:
             raise InputDataError(f"way {self.id} has fewer than 2 node references")
-
-    @property
-    def is_named_class(self) -> bool:
-        return self.highway_class in SAMPLED_ROAD_CLASSES
 
 
 @dataclass
@@ -198,62 +188,41 @@ def write_network(network: RoadNetwork, path: str | Path) -> None:
             f.write(batch)
 
 
-def _typed(where: str, key: str, value, types: tuple, what: str):
-    """value when its JSON type is one of ``types`` (so bool is no number);
-    a RowError naming the field otherwise."""
-    if type(value) not in types:
-        raise RowError(f"{where}: field {key!r} must be {what}, got {type(value).__name__}")
-    return value
-
-
-_INT, _NUMBER, _STR, _OPT_STR = (int,), (int, float), (str,), (str, type(None))
-
-
 def read_network(path: str | Path) -> RoadNetwork:
     """Read a network file back. A bad record raises an InputDataError
     subclass naming the file, the line and the field: ids and node refs
-    are ints, lat/lon numbers, highway and city strings, name a string or
-    null."""
+    are integers, lat/lon numbers, highway and city strings, name a string
+    or null."""
     nodes: dict[int, GeoPoint] = {}
     ways: list[Way] = []
     source_name = ""
     with open(path, "rb") as f:
         for lineno, raw in enumerate(f, start=1):
-            try:
-                rec = json.loads(raw.decode("utf-8")) if raw.strip() else None
-            except UnicodeDecodeError as e:
-                raise InputDataError(f"{path}: line {lineno}: not UTF-8 text "
-                                     f"({e.reason})") from e
-            except (json.JSONDecodeError, RecursionError) as e:
-                raise InputDataError(f"{path}: bad JSON on line {lineno}: {e}") from e
-            if rec is None:
+            if not raw.strip():
                 continue
+            rec = parse_json(raw, path, lineno)
             kind = rec.get("type") if isinstance(rec, dict) else None
-            where = f"{path}: line {lineno}: {kind} record"
+            where = f"{path}: line {lineno}: {kind} record: "
             try:
                 if kind == "meta":
-                    source_name = _typed(where, "city", rec.get("city", ""), _STR, "a string")
+                    source_name = json_field(rec, "city", "a string", where, default="")
                 elif kind == "node":
-                    nid = _typed(where, "id", rec["id"], _INT, "an integer")
-                    nodes[nid] = GeoPoint(_typed(where, "lat", rec["lat"], _NUMBER, "a number"),
-                                          _typed(where, "lon", rec["lon"], _NUMBER, "a number"))
+                    nodes[json_field(rec, "id", "an integer", where)] = GeoPoint(
+                        json_field(rec, "lat", "a number", where),
+                        json_field(rec, "lon", "a number", where))
                 elif kind == "way":
-                    refs = _typed(where, "nodes", rec["nodes"], (list,), "a list of node ids")
+                    refs = json_field(rec, "nodes", "a list of integers", where)
                     if len(refs) < 2:
-                        raise RowError(f"{where}: field 'nodes' holds fewer than 2 node ids")
-                    if not all(type(ref) is int for ref in refs):
-                        raise RowError(f"{where}: field 'nodes' must hold integer node ids")
+                        raise RowError(f"{where}nodes: holds fewer than 2 node ids")
                     ways.append(Way(
-                        id=_typed(where, "id", rec["id"], _INT, "an integer"),
+                        id=json_field(rec, "id", "an integer", where),
                         node_ids=tuple(refs),
-                        highway_class=_typed(where, "highway", rec["highway"], _STR, "a string"),
-                        name=_typed(where, "name", rec.get("name"), _OPT_STR, "a string or null")))
+                        highway_class=json_field(rec, "highway", "a string", where),
+                        name=json_field(rec, "name", "a string or null", where, default=None)))
                 else:
-                    raise InputDataError(f"{path}: unknown record type {kind!r} on line {lineno}")
-            except KeyError as e:
-                raise SchemaError(f"{where} lacks field {e}") from e
+                    raise InputDataError(f"{path}: line {lineno}: unknown record type {kind!r}")
             except ValueError as e:  # GeoPoint names the coordinate out of range
-                raise CoordinateRangeError(f"{where}: {e}") from e
+                raise CoordinateRangeError(f"{where}{e}") from e
     network = RoadNetwork(nodes=nodes, ways=ways, source_name=source_name)
     for way in ways:
         for nid in way.node_ids:

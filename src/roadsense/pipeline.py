@@ -21,7 +21,7 @@ from pathlib import Path
 
 from . import __version__
 from .errors import ConfigError, InputDataError, RoadsenseError, RowError, SchemaError
-from .fileio import write_atomic
+from .fileio import json_field, parse_json, write_atomic
 from .osm_ingest import SAMPLED_ROAD_CLASSES, filter_roads, parse_osm, write_network
 from .sampler import sample_segments, write_plan_csv
 from .segmenter import chunk_network, write_segments_csv
@@ -54,8 +54,8 @@ def check_sample_n(n: int) -> None:
 
 
 def parse_classes(raw: str) -> tuple:
-    """A comma-separated list of road classes, sorted."""
-    return tuple(sorted(c.strip() for c in raw.split(",") if c.strip()))
+    """A comma-separated list of road classes, sorted, each once."""
+    return tuple(sorted({c.strip() for c in raw.split(",") if c.strip()}))
 
 
 def check_classes(classes) -> None:
@@ -126,10 +126,9 @@ class RunConfig:
 
 
 # a setting's type is the type of its default: it sets how an INI value
-# converts and which JSON types a manifest may hold
+# converts and which JSON_KINDS a manifest may hold
 SETTINGS = {f.name: type(f.default) for f in fields(RunConfig)}
-_KINDS = {int: ((int,), "an integer"), float: ((int, float), "a number"),
-          str: ((str,), "a string"), tuple: ((list,), "a list of strings")}
+_KINDS = {int: "an integer", float: "a number", str: "a string", tuple: "a list of strings"}
 
 
 def _convert(key: str, raw: str):
@@ -139,7 +138,7 @@ def _convert(key: str, raw: str):
     try:
         return kind(raw)
     except ValueError:
-        raise ConfigError(f"config key {key} expects {_KINDS[kind][1]}, got {raw!r}")
+        raise ConfigError(f"config key {key} expects {_KINDS[kind]}, got {raw!r}")
 
 
 def _reject_unknown(key: str) -> None:
@@ -207,14 +206,17 @@ def load_config(path: str | Path | None, overrides: dict | None = None) -> RunCo
 
 
 def _read_manifest(manifest_path: str | Path) -> dict:
-    """A manifest whose config is an object; an InputDataError naming the
-    file and the key otherwise."""
-    try:
-        manifest = json.loads(Path(manifest_path).read_text(encoding="utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as e:  # or too deep
-        raise InputDataError(f"{manifest_path}: not a JSON manifest ({e})") from e
-    if not isinstance(manifest, dict) or not isinstance(manifest.get("config"), dict):
-        raise InputDataError(f"{manifest_path}: key config: not an object of run settings")
+    """A manifest whose config holds run settings of their JSON types; an
+    InputDataError naming the file and the key otherwise."""
+    manifest = parse_json(Path(manifest_path).read_bytes(), manifest_path)
+    where = f"{manifest_path}: key "
+    data = json_field(manifest if isinstance(manifest, dict) else {}, "config", "an object", where)
+    where += "config."
+    for key in data:
+        if key not in SETTINGS:
+            raise InputDataError(f"{where}{key}: not a run setting")
+        json_field(data, key, _KINDS[SETTINGS[key]], where)
+    json_field(data, "classes", _KINDS[tuple], where)
     return manifest
 
 
@@ -222,21 +224,13 @@ def config_from_manifest(manifest_path: str | Path, api_key: str = "",
                          out_dir: str | None = None) -> RunConfig:
     """Rebuild the run configuration recorded in a manifest."""
     data = _read_manifest(manifest_path)["config"]
-    for key, value in data.items():
-        if key not in SETTINGS:
-            raise InputDataError(f"{manifest_path}: key config.{key}: not a run setting")
-        types, what = _KINDS[SETTINGS[key]]
-        # JSON's own types, so a bool is no number
-        if type(value) not in types or (type(value) is list
-                                        and not all(type(c) is str for c in value)):
-            raise InputDataError(f"{manifest_path}: key config.{key}: not {what}")
-    if "classes" not in data:
-        raise InputDataError(f"{manifest_path}: key config.classes: missing")
-    data = dict(data, classes=tuple(data["classes"]))
-    data["api_key"] = api_key_or_env(api_key)
+    data = dict(data, classes=tuple(data["classes"]), api_key=api_key_or_env(api_key))
     if out_dir is not None:
         data["out_dir"] = out_dir
-    return RunConfig(**data).validate()
+    try:
+        return RunConfig(**data).validate()
+    except ConfigError as e:  # a value of the right type out of its range
+        raise InputDataError(f"{manifest_path}: {e}") from e
 
 
 def _sha256(path: Path) -> str:

@@ -52,7 +52,6 @@ class SplitMix64:
 @dataclass
 class SamplePlan:
     seed: int
-    requested_n: int
     population_n: int
     segments: list[RoadSegment] = field(default_factory=list)
     warning: str | None = None
@@ -78,7 +77,7 @@ def sample_segments(population: list[RoadSegment], n: int, seed: int) -> SampleP
         j = i + rng.next_below(pop_n - i)
         indices[i], indices[j] = indices[j], indices[i]
     chosen = [population[indices[i]] for i in range(k)]
-    return SamplePlan(seed=seed, requested_n=n, population_n=pop_n,
+    return SamplePlan(seed=seed, population_n=pop_n,
                       segments=chosen, warning=warning)
 
 
@@ -131,7 +130,7 @@ def sample_stratified(population: list[RoadSegment], n: int, seed: int) -> Sampl
     for i, cls in enumerate(sorted(classes)):
         sub = sample_segments(classes[cls], alloc[cls], seed + i + 1)
         chosen.extend(sub.segments)
-    return SamplePlan(seed=seed, requested_n=n, population_n=len(population),
+    return SamplePlan(seed=seed, population_n=len(population),
                       segments=chosen, warning=warning)
 
 
@@ -145,4 +144,4 @@ def write_plan_csv(plan: SamplePlan, path: str | Path) -> None:
 
 def read_plan_csv(path: str | Path) -> SamplePlan:
     segments = read_segments_csv(path)
-    return SamplePlan(0, len(segments), len(segments), segments)
+    return SamplePlan(0, len(segments), segments)

@@ -11,7 +11,6 @@ network hiccup says nothing about imagery coverage.
 
 from __future__ import annotations
 
-import csv
 import http.client
 import itertools
 import json
@@ -27,8 +26,8 @@ from datetime import datetime, timezone
 from pathlib import Path
 from urllib.parse import quote, urlsplit
 
-from .errors import ConfigError, InsufficientDataError, KeyQuotaError
-from .fileio import read_table, write_atomic, write_table
+from .errors import ConfigError, InputDataError, InsufficientDataError, KeyQuotaError
+from .fileio import append_rows, json_typed, parse_json, read_table, write_atomic, write_table
 from .geometry import GeoPoint
 from .sampler import SamplePlan, sample_points
 
@@ -236,11 +235,9 @@ def _fetch_one(segment_id: str, point: GeoPoint, config: ClientConfig,
     if status_code != 200:
         return QueryRecord(segment_id, point, transport_error(status_code),
                            queried_at=queried_at)
-    try:
-        body = json.loads(data)
-    except (ValueError, RecursionError):  # or nested too deep
-        body = None
-    if not isinstance(body, dict):
+    try:  # named, never by its URL: that holds the API key
+        body = json_typed(parse_json(data, "metadata answer"), "an object", "metadata answer")
+    except InputDataError:
         return QueryRecord(segment_id, point, transport_error("bad-json"),
                            queried_at=queried_at)
     status = body.get("status", "UNKNOWN_ERROR")
@@ -342,21 +339,18 @@ def _fetch_window(to_fetch: list[tuple[int, str, GeoPoint]], config: ClientConfi
 
     n_workers = min(config.max_concurrency, len(to_fetch))
     check_storm = len(to_fetch) >= 20
-    new_file = not journal_path.exists() or journal_path.stat().st_size == 0
-    with open(journal_path, "a", encoding="utf-8", newline="") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        if new_file:
-            writer.writerow(QUERIES_CSV_HEADER.split(","))
+    with append_rows(journal_path, QUERIES_CSV_HEADER.split(",")) as append:
         journaled = 0
 
         def journal() -> None:
+            # workers append to `done` meanwhile: advance by the slice taken,
+            # once it is written (a row written twice reads back the same)
             nonlocal journaled
-            while journaled < len(done):
-                idx, rec = done[journaled]
+            taken = done[journaled:]
+            for idx, rec in taken:
                 records[idx] = rec
-                writer.writerow(_query_row(rec))
-                journaled += 1
-            f.flush()
+            append(_query_row(rec) for _, rec in taken)
+            journaled += len(taken)
 
         workers: list[threading.Thread] = []
         try:

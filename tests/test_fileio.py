@@ -1,12 +1,16 @@
 import ast
+import json
 from pathlib import Path
 
 import pytest
 
 import roadsense
+from roadsense.analysis import load_tracts_geojson
 from roadsense.cli import main
-from roadsense.errors import RowError, SchemaError
+from roadsense.errors import InputDataError, RowError, SchemaError
 from roadsense.fileio import atomic_open, read_table, write_table
+from roadsense.osm_ingest import read_network
+from roadsense.pipeline import MANIFEST_NAME, RunConfig, _write_manifest, config_from_manifest
 from roadsense.segmenter import SEGMENTS_CSV_HEADER, read_segments_csv
 from roadsense.streetview import _read_journal
 
@@ -121,6 +125,78 @@ def test_malformed_table_exits_3_naming_file_and_line(tmp_path, capsys, case):
     assert not (tmp_path / "plan.csv").exists()
 
 
+def _json_files(tmp_path):
+    """For each JSON reader: a valid file holding the string "MARK" below its
+    first line, the reader, and the CLI command that reads that file."""
+    network = tmp_path / "network.ndjson"
+    network.write_text('{"type": "node", "id": 1, "lat": 0.0, "lon": 0.0}\n'
+                       '{"type": "meta", "city": "MARK"}\n')
+    _write_manifest(RunConfig(city="MARK", osm_path="city.osm", out_dir="run"), tmp_path,
+                    "0" * 64)
+    tracts = tmp_path / "tracts.geojson"
+    tracts.write_text(json.dumps({"type": "FeatureCollection", "features": [
+        {"type": "Feature", "properties": {"tract_id": "MARK", "per_capita_income": 1},
+         "geometry": {"type": "Polygon",
+                      "coordinates": [[[0, 0], [1, 0], [1, 1], [0, 1], [0, 0]]]}}]},
+        indent=2))
+    segments = tmp_path / "segments.csv"
+    segments.write_text(SEGMENTS_CSV_HEADER + "\n" + SEGMENT_ROW + "\n")
+    consensus = tmp_path / "consensus.csv"
+    consensus.write_text(CONSENSUS_HEADER + "\n1#0,yes,no,yes,yes,no,yes,1\n")
+    return {
+        "network": (network, read_network,
+                    ["segment", "--network", str(network), "--out", str(tmp_path / "s.csv")]),
+        "manifest": (tmp_path / MANIFEST_NAME, config_from_manifest, None),
+        "tracts": (tracts, load_tracts_geojson,
+                   ["regress", "--outcome", "potholes", "--consensus", str(consensus),
+                    "--segments", str(segments), "--factors", "income_quintile",
+                    "--tracts", str(tracts)]),
+    }
+
+
+# how each case edits the file, and the message it gives after the location of
+# "MARK" (the last two are found for a JSON value as a whole: its first line)
+BAD_JSON = {
+    "not_utf8": (lambda data: data.replace(b"MARK", b"caf\xe9"), ": not UTF-8 text ("),
+    "not_json": (lambda data: data.replace(b'"MARK"', b"MARK"), ": not valid JSON ("),
+    "nested_too_deep": (lambda data: data.replace(b'"MARK"', b"[" * 100_000),
+                        ": not valid JSON (nested too deep to parse)"),
+    "integer_too_long": (lambda data: data.replace(b'"MARK"', b"1" * 5000),
+                         ": not valid JSON (Exceeds the limit"),
+}
+
+
+@pytest.mark.parametrize("reader", ["network", "manifest", "tracts"])
+@pytest.mark.parametrize("case", [*BAD_JSON, "bom"])
+def test_json_file_readers_share_one_parse(tmp_path, capsys, reader, case):
+    path, read, command = _json_files(tmp_path)[reader]
+    data = path.read_bytes()
+    if case == "bom":  # a UTF-8 byte-order mark is accepted
+        expected = read(path)
+        path.write_bytes(b"\xef\xbb\xbf" + data)
+        assert read(path) == expected
+        return
+    edit, message = BAD_JSON[case]
+    path.write_bytes(edit(data))
+    mark = data.index(b"MARK")
+    line = data.count(b"\n", 0, mark) + 1
+    if case in ("nested_too_deep", "integer_too_long") and reader != "network":
+        line = 1
+    where = f"line {line}"
+    if case == "not_json":  # where the quote of "MARK" was
+        column = mark - data.rfind(b"\n", 0, mark) - 1
+        where += f" column {column}"
+    expected = f"{path}: {where}{message}"
+    with pytest.raises(InputDataError) as exc:
+        read(path)
+    assert str(exc.value).startswith(expected)
+    if command is not None:
+        assert main(command) == 3
+        err = capsys.readouterr().err
+        assert expected in err
+        assert "Traceback" not in err
+
+
 def _write_calls(tree: ast.AST):
     """(function, line) of each call that writes a file: open() or .open() in a
     mode that writes or appends, .write_text() and .write_bytes()."""
@@ -146,14 +222,23 @@ def _write_calls(tree: ast.AST):
                 yield scopes.get(node), node.lineno
 
 
+def _json_parse_calls(tree: ast.AST):
+    """Line of each json.loads() call."""
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "loads" and isinstance(node.func.value, ast.Name)
+                and node.func.value.id == "json"):
+            yield node.lineno
+
+
 def test_every_file_write_goes_through_fileio():
-    found = []
+    writes, parses = [], []
     for path in sorted(Path(roadsense.__file__).parent.glob("*.py")):
         if path.name == "fileio.py":
             continue
-        for scope, line in _write_calls(ast.parse(path.read_text(encoding="utf-8"))):
-            found.append((path.name, scope, line))
-    # the fetch journal appends each completed query in place, deliberately
-    # not atomically, so that an interrupted run keeps every row
-    assert [(name, scope) for name, scope, _ in found] == [
-        ("streetview.py", "_fetch_window")], found
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        writes += [(path.name, scope, line) for scope, line in _write_calls(tree)]
+        if path.name != "mockserver.py":  # the test stand-in reads its own fixture
+            parses += [(path.name, line) for line in _json_parse_calls(tree)]
+    assert writes == []
+    assert parses == []

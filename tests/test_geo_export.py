@@ -25,7 +25,7 @@ def make_plan(n, with_geometry=True):
             geometry=Polyline([start, mid, end]) if with_geometry else None,
             start=start, end=end, length_m=77.0,
             highway_class="primary", city="bangkok"))
-    return SamplePlan(seed=1, requested_n=n, population_n=n, segments=segs)
+    return SamplePlan(seed=1, population_n=n, segments=segs)
 
 
 class TestGeojson:

@@ -135,19 +135,19 @@ class TestAggregate:
                 record("a2", "w2", "s1", potholes="yes"),
                 record("a3", "w3", "s1", potholes="no")]
         out = aggregate(tally(parse_labels(batch_csv(rows))))
-        assert out[0].verdict("potholes") == "yes"
+        assert out[0].verdicts["potholes"] == "yes"
         assert out[0].n_workers == 3
 
     def test_tie_unresolved(self):
         rows = [record("a1", "w1", "s1", potholes="yes"),
                 record("a2", "w2", "s1", potholes="no")]
         out = aggregate(tally(parse_labels(batch_csv(rows))))
-        assert out[0].verdict("potholes") == "unresolved"
+        assert out[0].verdicts["potholes"] == "unresolved"
 
     def test_single_label_passthrough(self):
         rows = [record("a1", "w1", "s1", potholes="no")]
         out = aggregate(tally(parse_labels(batch_csv(rows))))
-        assert out[0].verdict("potholes") == "no"
+        assert out[0].verdicts["potholes"] == "no"
         assert out[0].n_workers == 1
 
     def test_markings_clear_conditional(self):
@@ -156,21 +156,21 @@ class TestAggregate:
                 record("a2", "w2", "s1", markings_present="no", markings_clear="na"),
                 record("a3", "w3", "s1", markings_present="no", markings_clear="na")]
         out = aggregate(tally(parse_labels(batch_csv(rows))))
-        assert out[0].verdict("markings_present") == "no"
-        assert out[0].verdict("markings_clear") == "yes"
+        assert out[0].verdicts["markings_present"] == "no"
+        assert out[0].verdicts["markings_clear"] == "yes"
 
     def test_markings_clear_na_propagates(self):
         rows = [record("a1", "w1", "s1", markings_present="no", markings_clear="na"),
                 record("a2", "w2", "s1", markings_present="no", markings_clear="na")]
         out = aggregate(tally(parse_labels(batch_csv(rows))))
-        assert out[0].verdict("markings_clear") == "na"
+        assert out[0].verdicts["markings_clear"] == "na"
 
     def test_nosidewalk_counts_as_no(self):
         rows = [record("a1", "w1", "s1", sidewalk="nosidewalk"),
                 record("a2", "w2", "s1", sidewalk="nosidewalk"),
                 record("a3", "w3", "s1", sidewalk="yes")]
         out = aggregate(tally(parse_labels(batch_csv(rows))))
-        assert out[0].verdict("sidewalk_paved") == "no"
+        assert out[0].verdicts["sidewalk_paved"] == "no"
 
     def test_exclusion_drops_worker(self):
         rows = [record("a1", "w1", "s1", potholes="yes"),
@@ -178,7 +178,7 @@ class TestAggregate:
                 record("a3", "bad", "s1", potholes="no")]
         out = aggregate(tally(parse_labels(batch_csv(rows))), excluding={"bad"})
         assert out[0].n_workers == 2
-        assert out[0].verdict("potholes") == "yes"
+        assert out[0].verdicts["potholes"] == "yes"
 
     def test_exclusion_omits_empty_segments(self):
         rows = [record("a1", "only", "s1"), record("a2", "w2", "s2")]
@@ -245,7 +245,7 @@ class TestAggregate:
                         expect = "no"
                     else:
                         expect = "unresolved"
-                    assert got[seg].verdict(attr) == expect, (seg, attr)
+                    assert got[seg].verdicts[attr] == expect, (seg, attr)
 
 
 def random_batch(rng):
@@ -320,7 +320,7 @@ class TestOneTally:
                 record("a2", "w1", "s1", potholes="yes"),
                 record("a3", "w2", "s1", potholes="no")]
         (out,) = aggregate(tally(parse_labels(batch_csv(rows))))
-        assert out.verdict("potholes") == "yes"
+        assert out.verdicts["potholes"] == "yes"
         assert out.n_workers == 2
 
 

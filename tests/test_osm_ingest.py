@@ -74,8 +74,8 @@ class TestParse:
         """)
         net = parse_osm(doc)
         assert [w.highway_class for w in net.ways] == ["residential", "trunk"]
-        assert not net.ways[0].is_named_class
-        assert net.ways[1].is_named_class
+        assert net.ways[0].highway_class not in SAMPLED_ROAD_CLASSES
+        assert net.ways[1].highway_class in SAMPLED_ROAD_CLASSES
 
     def test_missing_node_reference(self):
         doc = osm_doc("""
@@ -150,7 +150,7 @@ class TestFilter:
         net = self.make_network()
         out = filter_roads(net, set(SAMPLED_ROAD_CLASSES))
         assert len(out) == 7
-        assert all(w.is_named_class for w in out)
+        assert all(w.highway_class in SAMPLED_ROAD_CLASSES for w in out)
 
     def test_union_property(self):
         net = self.make_network()
@@ -338,7 +338,7 @@ class TestReadNetworkErrors:
         with pytest.raises(SchemaError) as exc:
             read_network(path)
         assert str(path) in str(exc.value)
-        assert "line 2" in str(exc.value) and "'lon'" in str(exc.value)
+        assert "line 2: node record: lon: missing" in str(exc.value)
         assert exc.value.exit_code == 3
 
     def test_coordinate_out_of_range(self, tmp_path):
@@ -354,7 +354,7 @@ class TestReadNetworkErrors:
         with pytest.raises(RowError) as exc:
             read_network(path)
         assert str(path) in str(exc.value)
-        assert "line 2" in str(exc.value) and "'nodes'" in str(exc.value)
+        assert "line 2: way record: nodes: holds fewer than 2" in str(exc.value)
 
     @pytest.mark.parametrize("record, field", [
         ({"type": "way", "id": 5, "nodes": [[1], 2], "highway": "primary"}, "nodes"),
@@ -378,27 +378,13 @@ class TestReadNetworkErrors:
         with pytest.raises(RowError) as exc:
             read_network(path)
         assert str(exc.value).startswith(f"{path}: line 3: ")
-        assert f"field {field!r}" in str(exc.value)
+        assert f" record: {field}: expected " in str(exc.value)
         code = main(["segment", "--network", str(path), "--out", str(tmp_path / "s.csv")])
         assert code == 3
-        assert f"field {field!r}" in capsys.readouterr().err
-
-    def test_line_nested_too_deep_names_the_line(self, tmp_path):
-        path = tmp_path / "bad.ndjson"
-        path.write_text('{"type": "meta", "city": "x"}\n' + "[" * 100_000 + "\n")
-        with pytest.raises(InputDataError) as exc:
-            read_network(path)
-        assert str(exc.value).startswith(f"{path}: bad JSON on line 2")
-
-    def test_line_that_is_not_utf8_names_the_line(self, tmp_path):
-        path = tmp_path / "bad.ndjson"
-        path.write_bytes(b'{"type": "meta", "city": "x"}\n{"type": "meta", "city": "caf\xe9"}\n')
-        with pytest.raises(InputDataError) as exc:
-            read_network(path)
-        assert str(exc.value).startswith(f"{path}: line 2: not UTF-8 text")
+        assert f" record: {field}: expected " in capsys.readouterr().err
 
     def test_cli_exits_3(self, tmp_path, capsys):
         path = self.write(tmp_path, {"type": "node", "id": 1, "lat": 0.0})
         code = main(["segment", "--network", str(path), "--out", str(tmp_path / "s.csv")])
         assert code == 3
-        assert "'lon'" in capsys.readouterr().err
+        assert "line 1: node record: lon: missing" in capsys.readouterr().err

@@ -63,7 +63,6 @@ class TestSampleSegments:
         plan = sample_segments(make_population(10), 0, seed=1)
         assert plan.segments == []
         assert plan.population_n == 10
-        assert plan.requested_n == 0
         assert plan.warning is None
 
     def test_exhaustive_draw(self):

@@ -107,8 +107,7 @@ def plan_of_points(points):
             segment_id=f"{i}#0", way_id=i, index=0,
             geometry=Polyline([start, end]), start=start, end=end,
             length_m=111.0, highway_class="primary", city="t"))
-    return SamplePlan(seed=0, requested_n=len(segs), population_n=len(segs),
-                      segments=segs)
+    return SamplePlan(seed=0, population_n=len(segs), segments=segs)
 
 
 class TestRequestBuilders:
@@ -391,6 +390,17 @@ class TestFetchAll:
             records = fetch_all(plan_of_points([(0.0, 0.1)]),
                                 fast_config(server.base_url, tmp_path))
         assert [r.status for r in records] == ["TRANSPORT_ERROR(bad-json)"]
+
+    @pytest.mark.parametrize("body, status", [
+        (b'\xef\xbb\xbf{"status": "ZERO_RESULTS"}', "ZERO_RESULTS"),
+        ('{"status": "ZERO_RESULTS"}'.encode("utf-16"), "TRANSPORT_ERROR(bad-json)"),
+    ], ids=["utf-8-with-bom", "utf-16"])
+    def test_metadata_answer_is_utf8_with_or_without_a_bom(self, tmp_path, body, status):
+        with server_with(_RawMetadataHandler, {}) as server:
+            server.metadata_bytes = body
+            records = fetch_all(plan_of_points([(0.0, 0.1)]),
+                                fast_config(server.base_url, tmp_path))
+        assert [r.status for r in records] == [status]
 
     def test_api_key_is_percent_encoded(self, tmp_path):
         points = [(0.0, 0.1)]

@@ -47,7 +47,7 @@ def _valid_files(directory: Path) -> dict:
     """reader name -> (reader, valid file bytes)"""
     segments = _segments()
     write_segments_csv(segments, directory / "segments.csv")
-    write_plan_csv(SamplePlan(1, 3, 3, segments), directory / "plan.csv")
+    write_plan_csv(SamplePlan(1, 3, segments), directory / "plan.csv")
     records = [QueryRecord("1#0", segments[0].start, "OK", "p1", "2017-05",
                            "images/1#0.jpg", "2026-01-01T00:00:00Z"),
                QueryRecord("2#0", segments[1].start, "ZERO_RESULTS",
