@@ -1,6 +1,6 @@
 """The file layer: atomic writes, the one CSV table format with its writer,
-its appender and its reader, and the one JSON parse with its typed-field
-check.
+its appender and its reader, the one UTF-8 decode of a whole text file, and
+the one JSON parse with its typed-field check.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import IO
 
-from .errors import InputDataError, RowError, SchemaError
+from .errors import InputDataError, RoadsenseError, RowError, SchemaError
 
 
 @contextmanager
@@ -68,11 +68,12 @@ def read_table(source: str | Path | IO[str], columns: Mapping[str, Callable],
                build: Callable, name: str | Path | None = None) -> list:
     """Rows of a CSV table as ``build(*values)``, where ``columns`` maps each
     required column to the converter of its values. Other columns and blank
-    lines are skipped. ``source`` is a path or a text stream opened with
-    newline=""; ``name`` names a stream in errors.
+    lines are skipped. ``source`` is a path, read as UTF-8 with or without a
+    byte-order mark, or a text stream opened with newline=""; ``name`` names a
+    stream in errors.
     """
     if isinstance(source, (str, os.PathLike)):
-        with open(source, encoding="utf-8", newline="") as f:
+        with open(source, encoding="utf-8-sig", newline="") as f:
             return read_table(f, columns, build, source)
     reader = csv.reader(source)
     try:
@@ -118,15 +119,23 @@ def read_table(source: str | Path | IO[str], columns: Mapping[str, Callable],
         raise InputDataError(f"{name}: line {line}: not UTF-8 text ({e.reason})") from e
 
 
-def parse_json(data: bytes, name: str | Path, line: int = 1):
-    """The JSON value held in data, decoded as UTF-8 (a leading byte-order
-    mark is dropped). ``line`` is the number of data's first line in
-    ``name``, so that an InputDataError names the line of the file."""
+def decode_text(data: bytes, name: str | Path, line: int = 1,
+                error: type[RoadsenseError] = InputDataError) -> str:
+    """data decoded as UTF-8, a leading byte-order mark dropped. ``line`` is
+    the number of data's first line in ``name``; bytes that are not UTF-8
+    raise ``error`` naming the line of the file that holds them."""
     try:
-        text = data.decode("utf-8-sig")
-    except UnicodeDecodeError as e:
+        return data.decode("utf-8-sig")
+    except UnicodeDecodeError as e:  # e.object is data after the mark
         line += e.object.count(b"\n", 0, e.start)
-        raise InputDataError(f"{name}: line {line}: not UTF-8 text ({e.reason})") from e
+        raise error(f"{name}: line {line}: not UTF-8 text ({e.reason})") from e
+
+
+def parse_json(data: bytes, name: str | Path, line: int = 1):
+    """The JSON value held in data, decoded by decode_text. ``line`` is the
+    number of data's first line in ``name``, so that an InputDataError names
+    the line of the file."""
+    text = decode_text(data, name, line)
     try:
         return json.loads(text)
     except json.JSONDecodeError as e:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 EARTH_RADIUS_M = 6_371_000.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GeoPoint:
     lat: float  # degrees, [-90, 90]
     lon: float  # degrees, [-180, 180]
@@ -76,7 +76,7 @@ def interpolate(a: GeoPoint, b: GeoPoint, t: float) -> GeoPoint:
     return _from_unit_xyz(x, y, z)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Polyline:
     """Ordered chain of at least two points; zero-length edges are dropped
     at construction."""

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import io
 import logging
+import sys
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import lru_cache, partial
@@ -65,15 +66,17 @@ class WorkerScore:
     flagged: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConsensusLabel:
     segment_id: str
     verdicts: dict      # attribute -> yes | no | unresolved | na
     n_workers: int
 
 
-# LabelRecord lists its fields in the order of the batch columns; answers stay raw
-_LABEL_COLUMNS = (dict.fromkeys(REQUIRED_COLUMNS[:3], str.strip)
+# LabelRecord lists its fields in the order of the batch columns; answers stay
+# raw, and a worker id, which repeats on each of that worker's rows, is interned
+_LABEL_COLUMNS = ({"AssignmentId": str.strip, "WorkerId": lambda v: sys.intern(v.strip()),
+                   "Input.segment_id": str.strip}
                   | dict.fromkeys(REQUIRED_COLUMNS[3:], str))
 
 
@@ -249,9 +252,10 @@ def _consensus(segment_id, *values) -> ConsensusLabel:
 
 
 def _verdict(allowed: frozenset, raw: str) -> str:
+    """raw, interned: each consensus row holds six of a handful of tokens."""
     if raw not in allowed:
         raise ValueError(f"unrecognized verdict {raw!r}")
-    return raw
+    return sys.intern(raw)
 
 
 def read_consensus_csv(path: str | Path) -> list[ConsensusLabel]:

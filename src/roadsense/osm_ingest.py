@@ -30,7 +30,7 @@ log = logging.getLogger(__name__)
 SAMPLED_ROAD_CLASSES = frozenset({"trunk", "primary", "secondary", "tertiary"})
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Way:
     id: int
     node_ids: tuple[int, ...]

@@ -21,7 +21,7 @@ from pathlib import Path
 
 from . import __version__
 from .errors import ConfigError, InputDataError, RoadsenseError, RowError, SchemaError
-from .fileio import json_field, parse_json, write_atomic
+from .fileio import decode_text, json_field, parse_json, write_atomic
 from .osm_ingest import SAMPLED_ROAD_CLASSES, filter_roads, parse_osm, write_network
 from .sampler import sample_segments, write_plan_csv
 from .segmenter import chunk_network, write_segments_csv
@@ -153,12 +153,7 @@ def _reject_unknown(key: str) -> None:
 def _read_ini(path: str | Path) -> configparser.ConfigParser:
     """Parse an INI config; a file without a section header reads as [run].
     Every defect is a ConfigError naming the file and the line."""
-    raw = Path(path).read_bytes()
-    try:
-        text = raw.decode("utf-8-sig")  # editors may save a byte-order mark
-    except UnicodeDecodeError as e:
-        line = raw.count(b"\n", 0, e.start) + 1
-        raise ConfigError(f"{path}: line {line}: not UTF-8 text ({e.reason})") from e
+    text = decode_text(Path(path).read_bytes(), path, error=ConfigError)
     parser, added = configparser.ConfigParser(), 0
     try:
         try:
@@ -236,7 +231,9 @@ def config_from_manifest(manifest_path: str | Path, api_key: str = "",
 def _sha256(path: Path) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as f:
-        for chunk in iter(lambda: f.read(1 << 20), b""):
+        # small reads: freed 1 MiB buffers would raise glibc's mmap threshold and
+        # move where parse_osm's growing arrays land, and with them its peak RSS
+        for chunk in iter(lambda: f.read(1 << 16), b""):
             h.update(chunk)
     return h.hexdigest()
 

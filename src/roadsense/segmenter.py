@@ -9,6 +9,7 @@ rule covers every meter of road exactly once without near-zero units.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -22,7 +23,7 @@ SEGMENTS_CSV_HEADER = ("segment_id,way_id,index,start_lat,start_lon,"
                        "end_lat,end_lon,length_m,highway_class,city")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RoadSegment:
     segment_id: str            # "<way_id>#<index>"
     way_id: int
@@ -196,8 +197,10 @@ def _segment_row(s: RoadSegment) -> list[str]:
     ]
 
 
+# a road class or city repeats on every row of it: interned, each is held once
 _SEGMENT_COLUMNS = dict(zip(SEGMENTS_CSV_HEADER.split(","),
-                            (str, int, int, float, float, float, float, float, str, str)))
+                            (str, int, int, float, float, float, float, float,
+                             sys.intern, sys.intern)))
 
 
 def _segment(segment_id, way_id, index, lat0, lon0, lat1, lon1, *rest) -> RoadSegment:

@@ -53,7 +53,7 @@ def format_location(p: GeoPoint) -> str:
     return f"{p.lat:.7f},{p.lon:.7f}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QueryRecord:
     segment_id: str
     location: GeoPoint

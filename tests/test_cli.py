@@ -147,9 +147,10 @@ class TestLoadConfig:
         (b"[run]\nseed = 1\n[run]\ncity = x\n", "line 3: section [run]"),
         (b"city = x\nseed\n", "line 2: expected key = value"),
         (b"[run]\nseed = 1\ncity = caf\xe9\n", "line 3: not UTF-8 text"),
+        (b"\xef\xbb\xbf[run]\n\xff = 1\n", "line 2: not UTF-8 text"),
         (b"[run]\napi_key = a%(b\n", "key api_key: bad % interpolation"),
     ], ids=["duplicate-option", "duplicate-section", "option-without-value",
-            "not-utf-8", "bad-interpolation"])
+            "not-utf-8", "not-utf-8-after-a-byte-order-mark", "bad-interpolation"])
     def test_malformed_config_file_exits_2_naming_file_and_line(
             self, fixture_city_file, tmp_path, capsys, content, where):
         config = tmp_path / "run.ini"

@@ -104,6 +104,14 @@ def test_mutated_table_parses_or_raises_a_typed_error(tmp_path_factory, reader_n
     check()
 
 
+@pytest.mark.parametrize("reader_name", ["segments", "plan", "queries", "consensus"])
+def test_table_with_a_byte_order_mark_reads_as_without(tmp_path, reader_name):
+    reader, valid = _valid_files(tmp_path)[reader_name]
+    path = tmp_path / "bom.csv"
+    path.write_bytes(b"\xef\xbb\xbf" + valid)
+    assert reader(path) == reader(tmp_path / f"{reader_name}.csv")
+
+
 # a Polygon tract and a MultiPolygon tract whose first part has a hole
 TRACTS = json.dumps({"type": "FeatureCollection", "features": [
     {"type": "Feature", "properties": {"tract_id": "100", "per_capita_income": 12000},
