@@ -11,14 +11,13 @@ network hiccup says nothing about imagery coverage.
 
 from __future__ import annotations
 
-import http.client
-import itertools
 import json
 import logging
 import math
 import os
 import queue
-import ssl
+import re
+import socket
 import threading
 import time
 from dataclasses import asdict, dataclass
@@ -101,36 +100,34 @@ class ClientConfig:
         _server_of(self.base_url)
 
 
-def _server_of(base_url: str) -> tuple[str, str, int | None]:
-    """Scheme, host and port of an http(s) base URL."""
+_URL_PATH = re.compile(r"[!-~]*")   # printable ASCII, no space
+
+
+def _server_of(base_url: str) -> tuple[str, str, int | None, str]:
+    """Scheme, host, port and path of an http(s) base URL."""
     try:
         url = urlsplit(base_url)
         scheme, host, port = url.scheme, url.hostname, url.port  # .port raises unless in range
+        if host:
+            host.encode("idna")  # a UnicodeError, which is a ValueError, unless a DNS name
     except ValueError:
         scheme = host = port = None
-    if scheme not in ("http", "https") or not host:
+    if scheme not in ("http", "https") or not host or not _URL_PATH.fullmatch(url.path):
         raise ConfigError("base_url must be an http:// or https:// URL with a host, "
-                          f"got {base_url!r}")
-    return scheme, host, port
+                          f"and a path, if any, of printable ASCII, got {base_url!r}")
+    return scheme, host, port, url.path.rstrip("/")
 
 
-def build_metadata_request(p: GeoPoint, api_key: str,
-                           base_url: str = DEFAULT_BASE_URL) -> str:
-    """Metadata (availability) URL for a point, coordinates at 7 decimals."""
+def request_target(p: GeoPoint, api_key: str, image: bool = False) -> str:
+    """Path and query of the metadata request for a point or, with image=True,
+    of its image request: coordinates at 7 decimals, the key percent-encoded.
+    The base URL's path goes in front of it."""
     if not api_key:
         raise ConfigError("imagery API key is empty; set STREETVIEW_API_KEY "
                           "or pass --api-key")
-    return (f"{base_url.rstrip('/')}/maps/api/streetview/metadata"
-            f"?location={format_location(p)}&key={quote(api_key, safe='')}")
-
-
-def build_image_request(p: GeoPoint, api_key: str,
-                        base_url: str = DEFAULT_BASE_URL) -> str:
-    if not api_key:
-        raise ConfigError("imagery API key is empty; set STREETVIEW_API_KEY "
-                          "or pass --api-key")
-    return (f"{base_url.rstrip('/')}/maps/api/streetview"
-            f"?size={IMAGE_SIZE}&location={format_location(p)}&key={quote(api_key, safe='')}")
+    endpoint = f"?size={IMAGE_SIZE}&" if image else "/metadata?"
+    return (f"/maps/api/streetview{endpoint}"
+            f"location={format_location(p)}&key={quote(api_key, safe='')}")
 
 
 class TokenBucket:
@@ -157,64 +154,190 @@ class TokenBucket:
             time.sleep(wait)
 
 
-def _open_connection(config: ClientConfig) -> http.client.HTTPConnection:
-    """A keep-alive connection to the base URL's host. It connects on its
-    first request, and again on the first request after a close()."""
-    scheme, host, port = _server_of(config.base_url)
-    if scheme == "https":
-        return http.client.HTTPSConnection(host, port, timeout=TIMEOUT_S,
-                                           context=ssl.create_default_context())
-    return http.client.HTTPConnection(host, port, timeout=TIMEOUT_S)
+# Errors of a reply the client cannot read. Each is an OSError, and its class
+# name is its TRANSPORT_ERROR code; where http.client names the condition,
+# the name is http.client's.
+class BadStatusLine(OSError):
+    """The reply does not start with an HTTP status line."""
 
 
-# how a kept-alive connection that the server has since closed fails on
-# reuse, before any byte of the response (RemoteDisconnected is a
-# ConnectionResetError)
-_STALE_CONNECTION = (ConnectionResetError, BrokenPipeError)
+class IncompleteRead(OSError):
+    """The reply ends early, or a chunk size is not hexadecimal."""
 
 
-def _get(conn: http.client.HTTPConnection, target: str) -> tuple[int, bytes]:
-    """One GET of `target` on a worker's connection: (status, body).
+class LineTooLong(OSError):
+    """The status line or the header fields exceed 64 KiB."""
 
-    A reused connection found closed by the server is reopened once and the
-    request sent again. On any other failure the connection is closed, so a
-    broken socket is never reused.
-    """
-    reused = conn.sock is not None
-    try:
+
+class BadContentLength(OSError):
+    """Content-Length is not a decimal number."""
+
+
+class RemoteDisconnected(ConnectionResetError):
+    """The server closed the connection before any byte of a reply."""
+
+
+_MAX_HEAD = 65536
+_CHUNK_SIZE = re.compile(rb"[0-9A-Fa-f]{1,16}")
+
+
+class _Connection:
+    """One keep-alive HTTP/1.1 connection to the server of a base URL. It
+    connects on its first GET, and again on the first GET after a close().
+    Replies are read into one buffer; a body is framed by chunked transfer
+    coding, else by Content-Length, else by the end of the stream."""
+
+    def __init__(self, base_url: str, context=None):
+        scheme, self.host, port, path = _server_of(base_url)
+        default_port = 443 if scheme == "https" else 80
+        self.address = (self.host, port or default_port)
+        self.context = context   # an ssl.SSLContext for https
+        host = self.host.encode("idna")
+        if b":" in host:
+            host = b"[" + host + b"]"
+        if port not in (None, default_port):
+            host += b":%d" % port
+        self.request_line = b"GET " + path.encode()
+        self.request_rest = b" HTTP/1.1\r\nHost: " + host + b"\r\nAccept-Encoding: identity\r\n\r\n"
+        self.sock = None
+        self.buf = bytearray()
+        self.received = False   # a byte of the current reply has arrived
+
+    def close(self) -> None:
+        if self.sock is not None:
+            self.sock.close()
+            self.sock = None
+        self.buf.clear()
+
+    def get(self, target: str) -> tuple[int, bytes]:
+        """GET `target` under the base URL's path: (status, body).
+
+        A reused connection that the server has closed is reopened once and
+        the request sent again, but only when no byte of a reply had come.
+        On any other failure the connection is closed, so a broken socket is
+        never reused.
+        """
+        request = self.request_line + target.encode() + self.request_rest
         try:
-            conn.request("GET", target)
-            resp = conn.getresponse()
-        except _STALE_CONNECTION:
-            if not reused:
-                raise
-            conn.close()
-            conn.request("GET", target)
-            resp = conn.getresponse()
-        return resp.status, resp.read()
-    except BaseException:
-        conn.close()
-        raise
+            if self.sock is not None:
+                try:
+                    return self._exchange(request)
+                except (ConnectionResetError, BrokenPipeError):
+                    if self.received:
+                        raise
+                    self.close()
+            sock = socket.create_connection(self.address, TIMEOUT_S)
+            if self.context is not None:
+                try:
+                    sock = self.context.wrap_socket(sock, server_hostname=self.host)
+                except BaseException:
+                    sock.close()
+                    raise
+            self.sock = sock
+            return self._exchange(request)
+        except BaseException:
+            self.close()
+            raise
+
+    def _more(self, eof_error: type[OSError]) -> None:
+        """Receive more of the reply. At the end of the stream, raise
+        eof_error, or RemoteDisconnected while no byte of the reply has come."""
+        data = self.sock.recv(65536)
+        if not data:
+            raise (eof_error if self.received else RemoteDisconnected)("connection closed")
+        self.received = True
+        self.buf += data
+
+    def _exchange(self, request: bytes) -> tuple[int, bytes]:
+        self.received = False
+        self.sock.sendall(request)
+        buf = self.buf
+        status = 100
+        while status < 200:   # skip interim replies (100 Continue) and their fields
+            while (eol := buf.find(b"\r\n")) < 0:
+                if len(buf) > _MAX_HEAD:
+                    raise LineTooLong("status line")
+                self._more(BadStatusLine)
+            version, _, rest = bytes(buf[:eol]).partition(b" ")
+            code = rest[:3]
+            if not (version.startswith(b"HTTP/") and code.isdigit() and len(code) == 3
+                    and rest[3:4] in (b"", b" ")):
+                raise BadStatusLine("not an HTTP status line")
+            status = int(code)
+            while (end := buf.find(b"\r\n\r\n", eol)) < 0:
+                if len(buf) > _MAX_HEAD:
+                    raise LineTooLong("header fields")
+                self._more(IncompleteRead)
+            fields = {}
+            for line in bytes(buf[eol + 2:end]).split(b"\r\n"):
+                name, _, value = line.partition(b":")
+                fields[name.strip().lower()] = value.strip()
+            del buf[:end + 4]
+
+        connection = fields.get(b"connection", b"").lower()
+        if version == b"HTTP/1.0":
+            close = b"keep-alive" not in connection and b"keep-alive" not in fields
+        else:
+            close = b"close" in connection
+        if status in (204, 304):
+            body = b""
+        elif fields.get(b"transfer-encoding", b"").lower() == b"chunked":
+            body = self._read_chunked()
+        elif (length := fields.get(b"content-length")) is not None:
+            if not length.isdigit():
+                raise BadContentLength(repr(length[:20]))
+            n = int(length)
+            while len(buf) < n:
+                self._more(IncompleteRead)
+            body = bytes(buf[:n])
+            del buf[:n]
+        else:   # the body ends with the stream
+            while data := self.sock.recv(65536):
+                buf += data
+            body = bytes(buf)
+            close = True
+        if close:
+            self.close()
+        return status, body
+
+    def _read_chunked(self) -> bytes:
+        buf = self.buf
+        body = bytearray()
+        while True:
+            while (eol := buf.find(b"\r\n")) < 0:
+                self._more(IncompleteRead)
+            size = buf[:eol].partition(b";")[0].strip()
+            if not _CHUNK_SIZE.fullmatch(size):
+                raise IncompleteRead("bad chunk size")
+            size = int(size, 16)
+            if not size:   # the last chunk: skip the trailer up to its blank line
+                while (end := buf.find(b"\r\n\r\n", eol)) < 0:
+                    self._more(IncompleteRead)
+                del buf[:end + 4]
+                return bytes(body)
+            start = eol + 2
+            while len(buf) < start + size + 2:
+                self._more(IncompleteRead)
+            body += buf[start:start + size]
+            del buf[:start + size + 2]
 
 
 def _now_utc() -> str:
     return datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
-def _get_with_retries(conn: http.client.HTTPConnection, url: str, config: ClientConfig,
+def _get_with_retries(conn: _Connection, target: str, config: ClientConfig,
                       bucket: TokenBucket) -> tuple[int, bytes] | str:
     """GET with exponential backoff; returns (status, body) or an error-code
     string. The code of a failed transport is its exception's class name."""
-    split = urlsplit(url)
-    target = f"{split.path}?{split.query}"
     last_code = "unreachable"
     for attempt in range(config.retries + 1):
         if attempt:
             time.sleep(config.backoff_s * (2 ** (attempt - 1)))
         bucket.acquire()
         try:
-            status, body = _get(conn, target)
-        except (OSError, http.client.HTTPException) as e:
+            status, body = conn.get(target)
+        except OSError as e:
             last_code = type(e).__name__
             continue
         if status >= 500:
@@ -225,10 +348,9 @@ def _get_with_retries(conn: http.client.HTTPConnection, url: str, config: Client
 
 
 def _fetch_one(segment_id: str, point: GeoPoint, config: ClientConfig,
-               bucket: TokenBucket, conn: http.client.HTTPConnection) -> QueryRecord:
+               bucket: TokenBucket, conn: _Connection) -> QueryRecord:
     queried_at = config.fixed_time or _now_utc()
-    meta_url = build_metadata_request(point, config.api_key, config.base_url)
-    resp = _get_with_retries(conn, meta_url, config, bucket)
+    resp = _get_with_retries(conn, request_target(point, config.api_key), config, bucket)
     if isinstance(resp, str):
         return QueryRecord(segment_id, point, resp, queried_at=queried_at)
     status_code, data = resp
@@ -249,8 +371,8 @@ def _fetch_one(segment_id: str, point: GeoPoint, config: ClientConfig,
         return QueryRecord(segment_id, point, transport_error(status), queried_at=queried_at)
 
     image_path = None
-    img_url = build_image_request(point, config.api_key, config.base_url)
-    img = _get_with_retries(conn, img_url, config, bucket)
+    img = _get_with_retries(conn, request_target(point, config.api_key, image=True),
+                            config, bucket)
     if not isinstance(img, str) and img[0] == 200:
         rel = f"images/{segment_id}.jpg"
         target = config.out_dir / rel
@@ -309,91 +431,86 @@ def image_on_disk(rec: QueryRecord, config: ClientConfig) -> bool:
 
 def _fetch_window(to_fetch: list[tuple[int, str, GeoPoint]], config: ClientConfig,
                   journal_path: Path, records: dict[int, QueryRecord]) -> None:
-    """Fetch the points through a sliding window: one worker thread per
-    in-flight query, each with its own keep-alive connection, a new point
-    queued as each query completes. Each record goes into `records` and is
-    appended to the journal.
+    """Fetch the points on max_concurrency worker threads, each with its own
+    keep-alive connection. A worker takes the next point, fetches it, then
+    puts its record into `records` and appends it to the journal under the
+    same lock, so the main thread does no work per query. The worker that
+    adds one of the first 20 records runs the REQUEST_DENIED storm check.
 
-    Workers append their records to `done` themselves and the queue only
-    wakes the main thread, so a KeyboardInterrupt may land anywhere in the
-    main thread without losing a record. All workers start before any work
-    is queued, so every query sent belongs to a worker that is joined.
+    The main thread only waits for the workers to exit. On a
+    KeyboardInterrupt, or when a worker fails, no further point is handed
+    out and the queries in flight, already paid for, finish and keep their
+    rows. The wait is on a queue, never in Thread.join(): on Python 3.11 a
+    KeyboardInterrupt inside join() can mark a running thread as finished
+    (bpo-45274), so that the next join() returns before its record is kept.
     """
+    context = None
+    if _server_of(config.base_url)[0] == "https":
+        import ssl  # loaded only for TLS
+        context = ssl.create_default_context()
     bucket = TokenBucket(config.rate_per_s)
-    done: list[tuple[int, QueryRecord]] = []   # completion order
-    work: queue.SimpleQueue = queue.SimpleQueue()
-    wakeup: queue.SimpleQueue = queue.SimpleQueue()   # None, or a worker's exception
+    points = iter(to_fetch)
+    lock = threading.Lock()
+    exited: queue.SimpleQueue = queue.SimpleQueue()
+    stop = True          # hand out no further point
+    running = 0          # workers started and not yet exited
+    error: BaseException | None = None
+    unchecked = 20 if len(to_fetch) >= 20 else 0   # storm check: records left to count
+    denied = 0
 
-    def worker() -> None:
-        conn = _open_connection(config)
-        try:
-            while (item := work.get()) is not None:
-                try:
-                    done.append((item[0], _fetch_one(*item[1:], config, bucket, conn)))
-                except BaseException as e:  # the main thread re-raises it
-                    wakeup.put(e)
-                else:
-                    wakeup.put(None)
-        finally:
-            conn.close()
-
-    n_workers = min(config.max_concurrency, len(to_fetch))
-    check_storm = len(to_fetch) >= 20
     with append_rows(journal_path, QUERIES_CSV_HEADER.split(",")) as append:
-        journaled = 0
 
-        def journal() -> None:
-            # workers append to `done` meanwhile: advance by the slice taken,
-            # once it is written (a row written twice reads back the same)
-            nonlocal journaled
-            taken = done[journaled:]
-            for idx, rec in taken:
+        def keep(idx: int, rec: QueryRecord) -> None:
+            nonlocal unchecked, denied
+            with lock:
                 records[idx] = rec
-            append(_query_row(rec) for _, rec in taken)
-            journaled += len(taken)
-
-        workers: list[threading.Thread] = []
-        try:
-            for _ in range(n_workers):
-                t = threading.Thread(target=worker, daemon=True)
-                t.start()
-                workers.append(t)
-            queued = iter(to_fetch)
-            in_flight = 0
-            for item in itertools.islice(queued, n_workers):
-                work.put(item)
-                in_flight += 1
-            while in_flight:
-                error = wakeup.get()
-                in_flight -= 1
-                if error is not None:
-                    raise error
-                journal()
-                if check_storm:
-                    first = done[:20]
-                    denied = sum(1 for _, r in first if r.status == STATUS_REQUEST_DENIED)
+                append((_query_row(rec),))
+                if unchecked:
+                    unchecked -= 1
+                    denied += rec.status == STATUS_REQUEST_DENIED
                     if denied > 10:
                         raise KeyQuotaError(
-                            f"{denied} of the first {len(first)} queries were "
+                            f"{denied} of the first {20 - unchecked} queries were "
                             "REQUEST_DENIED; check the API key and quota before continuing")
-                    check_storm = len(first) < 20
-                item = next(queued, None)
-                if item is not None:
-                    work.put(item)
-                    in_flight += 1
-        finally:
-            # drop the queued points; queries already sent are paid for, so
-            # let them finish and keep their rows
+
+        def worker(conn: _Connection) -> None:
+            nonlocal stop, running, error
             try:
                 while True:
-                    work.get_nowait()
-            except queue.Empty:
-                pass
-            for _ in range(n_workers):
-                work.put(None)
-            for t in workers:
-                t.join()
-            journal()
+                    with lock:
+                        item = None if stop else next(points, None)
+                    if item is None:
+                        break
+                    keep(item[0], _fetch_one(*item[1:], config, bucket, conn))
+            except BaseException as e:  # the main thread re-raises the first
+                with lock:
+                    stop = True
+                    error = error or e
+            finally:
+                conn.close()
+                with lock:
+                    running -= 1
+                exited.put(None)
+
+        try:
+            # no worker takes a point before all are started and counted: a
+            # KeyboardInterrupt in this loop leaves no query in flight that
+            # `running` misses (a worker started but not counted may take it
+            # below zero)
+            with lock:
+                for _ in range(min(config.max_concurrency, len(to_fetch))):
+                    conn = _Connection(config.base_url, context)
+                    threading.Thread(target=worker, args=(conn,), daemon=True).start()
+                    running += 1
+                stop = False
+            while running > 0:
+                exited.get()
+        finally:
+            stop = True
+            while running > 0:
+                exited.get()
+    if error is not None:
+        raise error
 
 
 def _read_journal(path: Path) -> list[QueryRecord]:

@@ -1,11 +1,12 @@
 import _thread
 import http.client
 import json
+import signal
 import socket
 import sys
+import threading
 import time
 from collections import Counter
-from urllib.parse import urlsplit
 
 import pytest
 
@@ -17,12 +18,11 @@ from roadsense.segmenter import RoadSegment
 from roadsense.streetview import (
     ClientConfig,
     QueryRecord,
-    build_image_request,
-    build_metadata_request,
     estimate_coverage,
     fetch_all,
     format_location,
     read_queries_csv,
+    request_target,
     wilson_interval,
     write_queries_csv,
 )
@@ -45,8 +45,20 @@ class _InterruptingHandler(_Handler):
             server.gets += 1
             fire = server.gets == server.interrupt_at
         if fire:
-            _thread.interrupt_main()
+            self.interrupt()
         super().do_GET()
+
+    def interrupt(self):
+        _thread.interrupt_main()
+
+
+class _SignallingHandler(_InterruptingHandler):
+    """Sends SIGINT to the main thread instead, as the terminal does on
+    Ctrl-C, then holds its reply for 0.3 s."""
+
+    def interrupt(self):
+        signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
+        time.sleep(0.3)
 
 
 class _SilentlyClosingHandler(_Handler):
@@ -84,6 +96,15 @@ class _RawMetadataHandler(_Handler):
         self.wfile.write(server.metadata_bytes)
 
 
+class _PrefixedHandler(_Handler):
+    """Serves the API under /v1 only."""
+
+    def do_GET(self):
+        prefixed = self.path.startswith("/v1/maps/")
+        self.path = self.path.removeprefix("/v1") if prefixed else "/unprefixed"
+        super().do_GET()
+
+
 def server_with(handler, fixture):
     server = MockStreetViewServer(fixture)
     server.RequestHandlerClass = handler
@@ -91,9 +112,9 @@ def server_with(handler, fixture):
 
 
 class InterruptingServer(MockStreetViewServer):
-    def __init__(self, fixture, interrupt_at):
+    def __init__(self, fixture, interrupt_at, handler=_InterruptingHandler):
         super().__init__(fixture)
-        self.RequestHandlerClass = _InterruptingHandler
+        self.RequestHandlerClass = handler
         self.interrupt_at = interrupt_at
         self.gets = 0
 
@@ -112,26 +133,28 @@ def plan_of_points(points):
 
 class TestRequestBuilders:
     def test_metadata_url_format(self):
-        url = build_metadata_request(GeoPoint(6.5244, 3.3792), "K")
-        assert url == ("https://maps.googleapis.com/maps/api/streetview/metadata"
-                       "?location=6.5244000,3.3792000&key=K")
+        assert request_target(GeoPoint(6.5244, 3.3792), "K") == (
+            "/maps/api/streetview/metadata?location=6.5244000,3.3792000&key=K")
 
     def test_seven_decimal_rounding(self):
-        url = build_metadata_request(GeoPoint(13.12345678, 0.0), "K")
-        assert "location=13.1234568,0.0000000" in url
+        assert "location=13.1234568,0.0000000&" in request_target(GeoPoint(13.12345678, 0.0), "K")
 
     def test_empty_key(self):
         with pytest.raises(ConfigError):
-            build_metadata_request(GeoPoint(0, 0), "")
+            request_target(GeoPoint(0, 0), "")
 
     def test_image_url_default_size(self):
-        url = build_image_request(GeoPoint(42.28, -83.38), "K")
-        assert "size=640x640" in url
-        assert "location=42.2800000,-83.3800000" in url
+        assert request_target(GeoPoint(42.28, -83.38), "K", image=True) == (
+            "/maps/api/streetview?size=640x640&location=42.2800000,-83.3800000&key=K")
 
-    def test_base_url_override(self):
-        url = build_metadata_request(GeoPoint(0, 0), "K", base_url="http://localhost:1234/")
-        assert url.startswith("http://localhost:1234/maps/api/streetview/metadata")
+    def test_base_url_override(self, tmp_path):
+        # the base URL's path, without its trailing slash, goes before each target
+        points = [(0.0, 0.1)]
+        fixture = {format_location(GeoPoint(*p)): {"status": "OK"} for p in points}
+        with server_with(_PrefixedHandler, fixture) as server:
+            config = fast_config(server.base_url + "/v1/", tmp_path)
+            assert [r.status for r in fetch_all(plan_of_points(points), config)] == ["OK"]
+            assert server.request_count == 2
 
 
 @pytest.fixture
@@ -350,6 +373,27 @@ class TestFetchAll:
         # one metadata request per point and one image per OK point, no more
         assert requested == {format_location(GeoPoint(*p)): 1 + (p in ok) for p in points}
 
+    @pytest.mark.parametrize("workers, k", [(1, 1), (1, 5), (2, 5), (2, 31)])
+    def test_sigint_during_a_query_keeps_its_row(self, tmp_path, workers, k):
+        # a real signal wakes the main thread's wait at once, while the query
+        # that sent it is in flight; with one worker, the main thread was
+        # waiting on that very query
+        points = [(0.0, i * 0.01) for i in range(60)]
+        ok = points[::2]
+        fixture = {format_location(GeoPoint(*p)): {"status": "OK"} for p in ok}
+        plan = plan_of_points(points)
+        with InterruptingServer(fixture, k, _SignallingHandler) as server:
+            config = fast_config(server.base_url, tmp_path, max_concurrency=workers)
+            with pytest.raises(KeyboardInterrupt):
+                fetch_all(plan, config)
+            sent = set(server.requested_locations)
+            journaled = {format_location(r.location)
+                         for r in read_queries_csv(tmp_path / "queries.csv")}
+            fetch_all(plan, config)
+            requested = Counter(server.requested_locations)
+        assert sent <= journaled
+        assert requested == {format_location(GeoPoint(*p)): 1 + (p in ok) for p in points}
+
     def test_rerun_makes_no_network_calls(self, tmp_path):
         points = [(0.0, i * 0.01) for i in range(5)]
         fixture = {format_location(GeoPoint(*p)): {"status": "OK"} for p in points}
@@ -409,7 +453,7 @@ class TestFetchAll:
             records = fetch_all(plan_of_points(points),
                                 fast_config(server.base_url, tmp_path, api_key="k y/\u00fc"))
         assert records[0].status == "OK"
-        assert build_metadata_request(GeoPoint(0, 0), "k y/\u00fc").endswith("&key=k%20y%2F%C3%BC")
+        assert request_target(GeoPoint(0, 0), "k y/\u00fc").endswith("&key=k%20y%2F%C3%BC")
 
     def test_refused_connection_is_named_by_its_exception(self, tmp_path):
         with socket.socket() as s:
@@ -437,7 +481,7 @@ class TestClientConfig:
 
     @pytest.mark.parametrize("base_url", [
         "maps.googleapis.com", "127.0.0.1:8080", "ftp://x", "http://", "http://h:port",
-        "https://h:99999", "http://[::1"])
+        "https://h:99999", "http://[::1", "http://h/a b", "http://h/\u00fc", "http://a..b"])
     def test_base_url_needs_http_scheme_and_host(self, tmp_path, base_url):
         with pytest.raises(ConfigError, match="base_url"):
             fast_config(base_url, tmp_path)
@@ -447,11 +491,10 @@ class TestMockServer:
     def test_stop_returns_promptly_with_keep_alive_connections_open(self):
         fixture = {format_location(GeoPoint(0.0, 0.1)): {"status": "OK"}}
         server = MockStreetViewServer(fixture).start()
-        url = urlsplit(build_metadata_request(GeoPoint(0.0, 0.1), "K", server.base_url))
-        conn = http.client.HTTPConnection(url.hostname, url.port, timeout=5)
+        conn = http.client.HTTPConnection(*server.server_address, timeout=5)
         try:
             for _ in range(3):
-                conn.request("GET", f"{url.path}?{url.query}")
+                conn.request("GET", request_target(GeoPoint(0.0, 0.1), "K"))
                 resp = conn.getresponse()
                 assert json.loads(resp.read())["status"] == "OK"
             assert resp.version == 11   # HTTP/1.1, connection left open
