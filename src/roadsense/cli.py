@@ -21,11 +21,8 @@ from .osm_ingest import filter_roads, parse_osm, read_network, write_network
 from .pipeline import (
     SETTINGS,
     RunConfig,
-    check_classes,
-    check_sample_n,
-    check_seed,
-    check_target_m,
-    client_config,
+    api_key_or_env,
+    check_settings,
     load_config,
     parse_classes,
     run_pipeline,
@@ -69,8 +66,6 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_segment(args) -> int:
-    check_target_m(args.target_m)
-    check_classes(args.classes)
     network = read_network(args.network)
     ways = filter_roads(network, set(args.classes))
     result = chunk_network(ways, network, args.target_m,
@@ -84,8 +79,6 @@ def cmd_segment(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    check_seed(args.seed)
-    check_sample_n(args.sample_n)
     population = read_segments_csv(args.segments)
     if args.stratify_by_class:
         plan = sample_stratified(population, args.sample_n, args.seed)
@@ -101,7 +94,9 @@ def cmd_sample(args) -> int:
 
 def cmd_fetch(args) -> int:
     plan = read_plan_csv(args.plan)
-    records = fetch_all(plan, client_config(args))
+    config = RunConfig(**{name: getattr(args, name) for name in args.settings})
+    config.api_key = api_key_or_env(config.api_key)
+    records = fetch_all(plan, config)
     n_ok = sum(1 for r in records if r.status == "OK")
     print(f"{args.out_dir}/queries.csv: {len(records)} records, {n_ok} OK")
     return 0
@@ -241,7 +236,6 @@ def cmd_regress(args) -> int:
 
 
 def cmd_export(args) -> int:
-    check_target_m(args.target_m)
     plan = read_plan_csv(args.plan)
     if args.mode == "lines":
         if not args.network:
@@ -266,11 +260,13 @@ _FLAGS = {"osm_path": "--osm", "sample_n": "--n"}  # else the field name, dashed
 
 
 def _add_setting(p: argparse.ArgumentParser, name: str, **kwargs) -> None:
-    """Add the flag of RunConfig field `name`, by default with its default."""
+    """Add the flag of RunConfig field `name`, by default with its default,
+    and record it in the command's `settings`, which main checks first."""
     kind = SETTINGS[name]
     kwargs.setdefault("default", getattr(RunConfig, name))
     p.add_argument(_FLAGS.get(name, "--" + name.replace("_", "-")), dest=name,
                    type=parse_classes if kind is tuple else kind, **kwargs)
+    p.set_defaults(settings=(*(p.get_default("settings") or ()), name))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -362,7 +358,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", default=None)
     for name in SETTINGS:
         _add_setting(p, name, default=None)
-    p.set_defaults(func=cmd_run)
+    # run checks its settings once the config file is merged in, in load_config
+    p.set_defaults(func=cmd_run, settings=())
 
     return parser
 
@@ -375,6 +372,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     logging.basicConfig(level=args.log_level, format="%(levelname)s %(name)s: %(message)s")
     try:
+        check_settings(args, getattr(args, "settings", ()))
         return args.func(args)
     except RoadsenseError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -45,7 +45,6 @@ class Way:
 @dataclass
 class ParseStats:
     duplicate_node_ids: int = 0
-    ways_without_highway: int = 0
 
 
 @dataclass
@@ -103,7 +102,6 @@ def parse_osm(source: str | bytes | os.PathLike, source_name: str = "") -> RoadN
             attrs, refs, tags = open_ways.pop()
             highway = tags.get("highway")
             if highway is None:
-                stats.ways_without_highway += 1
                 return
             try:
                 wid = int(attrs["id"])

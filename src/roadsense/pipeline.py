@@ -28,7 +28,7 @@ from .segmenter import chunk_network, write_segments_csv
 from .streetview import (
     DEFAULT_BASE_URL,
     STATUS_OK,
-    ClientConfig,
+    _server_of,
     coverage_json,
     estimate_coverage,
     fetch_all,
@@ -43,30 +43,9 @@ RUN_ARTIFACTS = ("network.ndjson", "segments.csv", "plan.csv",
                  "queries.csv", "coverage.json")
 
 
-def check_seed(seed: int) -> None:
-    if not 0 <= seed < 2 ** 64:
-        raise ConfigError(f"seed must fit in 64 unsigned bits, got {seed}")
-
-
-def check_sample_n(n: int) -> None:
-    if n < 0:
-        raise ConfigError(f"sample size (--n, sample_n) must be >= 0, got {n}")
-
-
 def parse_classes(raw: str) -> tuple:
     """A comma-separated list of road classes, sorted, each once."""
     return tuple(sorted({c.strip() for c in raw.split(",") if c.strip()}))
-
-
-def check_classes(classes) -> None:
-    if not classes:
-        raise ConfigError("classes must name at least one road class")
-
-
-def check_target_m(target_m: float) -> None:
-    if not (math.isfinite(target_m) and target_m > 0):
-        raise ConfigError(f"target length (--target-m, target_m) must be a positive "
-                          f"finite number, got {target_m}")
 
 
 def api_key_or_env(api_key: str | None) -> str:
@@ -74,18 +53,30 @@ def api_key_or_env(api_key: str | None) -> str:
     return api_key or os.environ.get("STREETVIEW_API_KEY", "")
 
 
-def client_config(settings) -> ClientConfig:
-    """The fetch settings of a RunConfig, or of the fetch command's parsed
-    flags (the same names), as a ClientConfig."""
-    return ClientConfig(
-        api_key=api_key_or_env(settings.api_key),
-        out_dir=Path(settings.out_dir),
-        base_url=settings.base_url,
-        max_concurrency=settings.max_concurrency,
-        rate_per_s=settings.rate_per_s,
-        retries=settings.retries,
-        fixed_time=settings.fixed_time or None,
-    )
+# (name, ok, message) of each checked run setting, in checking order, so the
+# first of several bad settings is the one reported; api_key and fixed_time take any value
+RULES = (
+    ("sample_n", lambda n: n >= 0, "sample size (--n, sample_n) must be >= 0, got {}"),
+    ("target_m", lambda m: math.isfinite(m) and m > 0,
+     "target length (--target-m, target_m) must be a positive finite number, got {}"),
+    ("classes", bool, "classes must name at least one road class"),
+    ("max_concurrency", lambda n: n >= 1, "max_concurrency must be >= 1, got {}"),
+    ("retries", lambda n: n >= 0, "retries must be >= 0, got {}"),
+    ("rate_per_s", lambda r: r > 0, "rate_per_s must be positive, got {}"),
+    ("base_url", _server_of, None),  # raises its own message
+    ("seed", lambda s: 0 <= s < 2 ** 64, "seed must fit in 64 unsigned bits, got {}"),
+    ("city", bool, "city is required"),
+    ("osm_path", bool, "osm_path is required"),
+    ("out_dir", bool, "out_dir is required"),
+)
+
+
+def check_settings(settings, names) -> None:
+    """A ConfigError for the first setting among `names` whose value on
+    `settings`, a RunConfig or a command's parsed flags, breaks its rule."""
+    for name, ok, message in RULES:
+        if name in names and not ok(value := getattr(settings, name)):
+            raise ConfigError(message.format(value))
 
 
 @dataclass
@@ -105,17 +96,7 @@ class RunConfig:
     fixed_time: str = ""           # pin queried_at timestamps when set
 
     def validate(self) -> "RunConfig":
-        check_sample_n(self.sample_n)
-        check_target_m(self.target_m)
-        check_classes(self.classes)
-        client_config(self)  # checks the fetch settings
-        check_seed(self.seed)
-        if not self.city:
-            raise ConfigError("city is required")
-        if not self.osm_path:
-            raise ConfigError("osm_path is required")
-        if not self.out_dir:
-            raise ConfigError("out_dir is required")
+        check_settings(self, SETTINGS)
         return self
 
     def redacted_dict(self) -> dict:
@@ -273,8 +254,7 @@ def _is_up_to_date(config: RunConfig, out_dir: Path, osm_digest: str) -> bool:
         records = read_queries_csv(out_dir / "queries.csv")
     except (SchemaError, RowError):
         return False
-    client = client_config(config)
-    return all(image_on_disk(r, client) for r in records if r.status == STATUS_OK)
+    return all(image_on_disk(r, out_dir) for r in records if r.status == STATUS_OK)
 
 
 def run_pipeline(config: RunConfig) -> Path:
@@ -315,7 +295,7 @@ def run_pipeline(config: RunConfig) -> Path:
         write_plan_csv(plan, out_dir / "plan.csv")
 
         stage = "fetch"
-        records = fetch_all(plan, client_config(config))
+        records = fetch_all(plan, config)
 
         stage = "coverage"
         write_atomic(out_dir / "coverage.json", coverage_json(estimate_coverage(records)))

@@ -23,6 +23,7 @@ import time
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import TYPE_CHECKING
 from urllib.parse import quote, urlsplit
 
 from .errors import ConfigError, InputDataError, InsufficientDataError, KeyQuotaError
@@ -30,11 +31,15 @@ from .fileio import append_rows, json_typed, parse_json, read_table, write_atomi
 from .geometry import GeoPoint
 from .sampler import SamplePlan, sample_points
 
+if TYPE_CHECKING:  # pipeline imports this module
+    from .pipeline import RunConfig
+
 log = logging.getLogger(__name__)
 
 DEFAULT_BASE_URL = "https://maps.googleapis.com"
 IMAGE_SIZE = "640x640"  # the API's largest image
 TIMEOUT_S = 10.0        # per connect and per read
+BACKOFF_S = 0.5         # the first retry's wait; each further retry doubles it
 WILSON_Z = 1.959964
 
 STATUS_OK = "OK"
@@ -79,27 +84,6 @@ class CoverageEstimate:
     excluded: int = 0  # TRANSPORT_ERROR / REQUEST_DENIED records left out
 
 
-@dataclass(frozen=True)
-class ClientConfig:
-    api_key: str
-    out_dir: Path
-    base_url: str
-    max_concurrency: int
-    rate_per_s: float
-    retries: int
-    backoff_s: float = 0.5
-    fixed_time: str | None = None  # pin queried_at for reproducible artifacts
-
-    def __post_init__(self):
-        if self.max_concurrency < 1:
-            raise ConfigError(f"max_concurrency must be >= 1, got {self.max_concurrency}")
-        if self.retries < 0:
-            raise ConfigError(f"retries must be >= 0, got {self.retries}")
-        if not self.rate_per_s > 0:
-            raise ConfigError(f"rate_per_s must be positive, got {self.rate_per_s}")
-        _server_of(self.base_url)
-
-
 _URL_PATH = re.compile(r"[!-~]*")   # printable ASCII, no space
 
 
@@ -122,9 +106,6 @@ def request_target(p: GeoPoint, api_key: str, image: bool = False) -> str:
     """Path and query of the metadata request for a point or, with image=True,
     of its image request: coordinates at 7 decimals, the key percent-encoded.
     The base URL's path goes in front of it."""
-    if not api_key:
-        raise ConfigError("imagery API key is empty; set STREETVIEW_API_KEY "
-                          "or pass --api-key")
     endpoint = f"?size={IMAGE_SIZE}&" if image else "/metadata?"
     return (f"/maps/api/streetview{endpoint}"
             f"location={format_location(p)}&key={quote(api_key, safe='')}")
@@ -326,14 +307,14 @@ def _now_utc() -> str:
     return datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
-def _get_with_retries(conn: _Connection, target: str, config: ClientConfig,
+def _get_with_retries(conn: _Connection, target: str, config: RunConfig,
                       bucket: TokenBucket) -> tuple[int, bytes] | str:
     """GET with exponential backoff; returns (status, body) or an error-code
     string. The code of a failed transport is its exception's class name."""
     last_code = "unreachable"
     for attempt in range(config.retries + 1):
         if attempt:
-            time.sleep(config.backoff_s * (2 ** (attempt - 1)))
+            time.sleep(BACKOFF_S * (2 ** (attempt - 1)))
         bucket.acquire()
         try:
             status, body = conn.get(target)
@@ -347,7 +328,7 @@ def _get_with_retries(conn: _Connection, target: str, config: ClientConfig,
     return transport_error(last_code)
 
 
-def _fetch_one(segment_id: str, point: GeoPoint, config: ClientConfig,
+def _fetch_one(segment_id: str, point: GeoPoint, config: RunConfig,
                bucket: TokenBucket, conn: _Connection) -> QueryRecord:
     queried_at = config.fixed_time or _now_utc()
     resp = _get_with_retries(conn, request_target(point, config.api_key), config, bucket)
@@ -375,9 +356,7 @@ def _fetch_one(segment_id: str, point: GeoPoint, config: ClientConfig,
                             config, bucket)
     if not isinstance(img, str) and img[0] == 200:
         rel = f"images/{segment_id}.jpg"
-        target = config.out_dir / rel
-        target.parent.mkdir(parents=True, exist_ok=True)
-        write_atomic(target, img[1])
+        write_atomic(Path(config.out_dir, rel), img[1])
         image_path = rel
     else:
         log.warning("metadata OK but image fetch failed for %s", segment_id)
@@ -388,7 +367,7 @@ def _fetch_one(segment_id: str, point: GeoPoint, config: ClientConfig,
                        queried_at=queried_at)
 
 
-def fetch_all(plan: SamplePlan, config: ClientConfig) -> list[QueryRecord]:
+def fetch_all(plan: SamplePlan, config: RunConfig) -> list[QueryRecord]:
     """One record per sampled point, in plan order.
 
     <out_dir>/queries.csv is also the fetch journal. Each query's row is
@@ -404,32 +383,37 @@ def fetch_all(plan: SamplePlan, config: ClientConfig) -> list[QueryRecord]:
     At most max_concurrency queries are in flight at a time. When at least
     20 points are to be fetched and more than 10 of the first 20 completed
     queries come back REQUEST_DENIED, the run aborts with a key/quota
-    diagnosis.
+    diagnosis. A point to fetch needs an API key, checked before any request.
     """
-    config.out_dir.mkdir(parents=True, exist_ok=True)
-    queries_path = config.out_dir / "queries.csv"
+    out_dir = Path(config.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    queries_path = out_dir / "queries.csv"
     existing = {(rec.segment_id, format_location(rec.location)): rec
                 for rec in _read_journal(queries_path)}
     records: dict[int, QueryRecord] = {}
     to_fetch: list[tuple[int, str, GeoPoint]] = []
     for i, (seg_id, p) in enumerate(sample_points(plan)):
         rec = existing.get((seg_id, format_location(p)))
-        if rec is not None and (rec.status != STATUS_OK or image_on_disk(rec, config)):
+        if rec is not None and (rec.status != STATUS_OK or image_on_disk(rec, out_dir)):
             records[i] = rec
         else:
             to_fetch.append((i, seg_id, p))
     if to_fetch:
+        if not config.api_key:
+            raise ConfigError("imagery API key is empty; set STREETVIEW_API_KEY "
+                              "or pass --api-key")
+        (out_dir / "images").mkdir(exist_ok=True)
         _fetch_window(to_fetch, config, queries_path, records)
     ordered = [records[i] for i in range(len(plan.segments))]
     write_queries_csv(ordered, queries_path)
     return ordered
 
 
-def image_on_disk(rec: QueryRecord, config: ClientConfig) -> bool:
-    return rec.image_path is not None and (config.out_dir / rec.image_path).is_file()
+def image_on_disk(rec: QueryRecord, run_dir: Path) -> bool:
+    return rec.image_path is not None and (run_dir / rec.image_path).is_file()
 
 
-def _fetch_window(to_fetch: list[tuple[int, str, GeoPoint]], config: ClientConfig,
+def _fetch_window(to_fetch: list[tuple[int, str, GeoPoint]], config: RunConfig,
                   journal_path: Path, records: dict[int, QueryRecord]) -> None:
     """Fetch the points on max_concurrency worker threads, each with its own
     keep-alive connection. A worker takes the next point, fetches it, then

@@ -6,6 +6,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))  # make oracles importable
 
+from roadsense import streetview
 from roadsense.geometry import EARTH_RADIUS_M
 
 
@@ -59,3 +60,9 @@ def fixture_city_file(tmp_path):
     path = tmp_path / "city.osm"
     path.write_text(fixture_city_xml(), encoding="utf-8")
     return path
+
+
+@pytest.fixture
+def no_backoff(monkeypatch):
+    """Retry at once instead of after streetview.BACKOFF_S seconds."""
+    monkeypatch.setattr(streetview, "BACKOFF_S", 0.0)

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -17,6 +18,7 @@ from roadsense.osm_ingest import SAMPLED_ROAD_CLASSES, filter_roads, parse_osm
 from roadsense.mockserver import MockStreetViewServer
 from roadsense.pipeline import (
     MANIFEST_NAME,
+    RULES,
     RUN_ARTIFACTS,
     SETTINGS,
     RunConfig,
@@ -129,6 +131,18 @@ class TestLoadConfig:
         with pytest.raises(ConfigError):
             load_config(None, {"city": "x", "osm_path": "a", "out_dir": "o",
                                "max_concurrency": 0})
+
+    def test_several_bad_settings_report_the_first_in_a_fixed_order(self):
+        order = ["sample_n", "target_m", "classes", "max_concurrency", "retries",
+                 "rate_per_s", "base_url", "seed", "city", "osm_path", "out_dir"]
+        config = RunConfig(sample_n=-1, target_m=0.0, classes=(), max_concurrency=0,
+                           retries=-1, rate_per_s=0.0, base_url="x", seed=-1)
+        for name in order:
+            with pytest.raises(ConfigError) as exc:
+                config.validate()
+            assert name in str(exc.value)
+            setattr(config, name, NON_DEFAULT[name])
+        config.validate()
 
     @pytest.mark.parametrize("line, key", [
         ("target_m = nan", "target_m"), ("target_m = inf", "target_m"),
@@ -410,6 +424,82 @@ class TestRunPipeline:
         assert "stage" in capsys.readouterr().err
 
 
+# (stage command, setting, a value out of range) for every checked setting
+# that a stage command takes
+BAD_STAGE_SETTINGS = [
+    *(("segment", "classes", v) for v in ("", " , ")),
+    *((command, "target_m", v) for command in ("segment", "export --mode lines")
+      for v in ("nan", "inf", "0", "-1")),
+    *((command, name, v) for command in ("sample", "sample --stratify-by-class")
+      for name, v in (("sample_n", "-1"), ("seed", "-1"), ("seed", str(2 ** 64)))),
+    ("fetch", "out_dir", ""),
+    *(("fetch", "rate_per_s", v) for v in ("0", "-1", "nan")),
+    ("fetch", "max_concurrency", "0"),
+    ("fetch", "retries", "-1"),
+    *(("fetch", "base_url", v) for v in (
+        "maps.googleapis.com", "127.0.0.1:8080", "ftp://x", "http://", "http://h:port",
+        "https://h:99999", "http://[::1", "http://h/a b", "http://h/\u00fc", "http://a..b")),
+]
+
+
+def files_under(path: Path) -> list:
+    return sorted(p.relative_to(path) for p in path.rglob("*"))
+
+
+class TestStageSettings:
+    @pytest.mark.parametrize("command, name, value", BAD_STAGE_SETTINGS,
+                             ids=[f"{c}-{n}={v!r}" for c, n, v in BAD_STAGE_SETTINGS])
+    def test_bad_setting_exits_2_with_runs_message_before_any_work(
+            self, fixture_city_file, tmp_path, capsys, monkeypatch, command, name, value):
+        net, segments, plan = (tmp_path / f for f in ("net.ndjson", "s.csv", "p.csv"))
+        main(["ingest", "--osm", str(fixture_city_file), "--city", "f", "--out", str(net)])
+        main(["segment", "--network", str(net), "--out", str(segments)])
+        main(["sample", "--segments", str(segments), "--n", "2", "--out", str(plan)])
+        capsys.readouterr()
+        out = tmp_path / "out"
+        cwd = tmp_path / "cwd"  # where an empty path would write
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        flag = dict((setting, f) for f, setting in run_help_flags(capsys))[name]
+        before = files_under(tmp_path)
+        with MockStreetViewServer({"__default__": {"status": "OK"}}) as server:
+            command, *options = command.split()
+            inputs = {
+                "segment": ["--network", net, "--out", out],
+                "export": ["--plan", plan, "--network", net, "--out", out],
+                "sample": ["--segments", segments, "--n", "2", "--out", out],
+                "fetch": ["--plan", plan, "--out-dir", out, "--api-key", "k",
+                          "--base-url", server.base_url],
+            }[command]
+            assert main([command, *map(str, inputs), *options, flag, value]) == 2
+            err = capsys.readouterr().err
+            assert main(run_args(fixture_city_file, out, server.base_url) + [flag, value]) == 2
+            assert capsys.readouterr().err == err
+            assert server.request_count == 0
+        assert err.startswith("error: ") and name in err
+        assert files_under(tmp_path) == before
+
+    def test_every_setting_has_a_rule_and_every_stage_setting_is_checked(self):
+        ruled = [name for name, _, _ in RULES]
+        assert sorted(ruled + ["api_key", "fixed_time"]) == sorted(SETTINGS)
+        parser = roadsense.cli.build_parser()
+        commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        for command, p in commands.choices.items():
+            if command == "run":  # run checks its settings in load_config
+                continue
+            # a flag named like a setting is one (added by _add_setting), except
+            # the --city that names the input of ingest and summarize
+            named = {a.dest for a in p._actions if a.dest in SETTINGS}
+            if command in ("ingest", "summarize"):
+                named.remove("city")
+            # main checks the settings a command took before it runs
+            taken = set(p.get_default("settings") or ())
+            assert taken == named, command
+            # and the table above shows that check for each of them
+            rows = {n for c, n, _ in BAD_STAGE_SETTINGS if c.split()[0] == command}
+            assert rows == taken & set(ruled), command
+
+
 class TestStageCommands:
     def test_ingest_segment_sample_export(self, fixture_city_file, tmp_path, capsys):
         net_file = tmp_path / "net.ndjson"
@@ -448,27 +538,6 @@ class TestStageCommands:
                      "--out", str(tmp_path / "x.geojson")])
         assert code == 3
 
-    @pytest.mark.parametrize("target_m", ["nan", "inf", "0", "-1"])
-    def test_segment_and_lines_export_reject_bad_target_m(self, fixture_city_file, tmp_path,
-                                                          capsys, target_m):
-        net_file = tmp_path / "net.ndjson"
-        seg_file = tmp_path / "s.csv"
-        plan_file = tmp_path / "p.csv"
-        main(["ingest", "--osm", str(fixture_city_file), "--city", "f",
-              "--out", str(net_file)])
-        main(["segment", "--network", str(net_file), "--out", str(seg_file)])
-        main(["sample", "--segments", str(seg_file), "--n", "2", "--out", str(plan_file)])
-        capsys.readouterr()
-        out = tmp_path / "out"
-        assert main(["segment", "--network", str(net_file), "--target-m", target_m,
-                     "--out", str(out)]) == 2
-        assert "target_m" in capsys.readouterr().err
-        assert main(["export", "--plan", str(plan_file), "--mode", "lines",
-                     "--network", str(net_file), "--target-m", target_m,
-                     "--out", str(out)]) == 2
-        assert "target_m" in capsys.readouterr().err
-        assert not out.exists()
-
     @pytest.mark.parametrize("command", ["segment", "run"])
     @pytest.mark.parametrize("classes", ["", " , "])
     def test_empty_classes_exit_2_and_write_nothing(self, fixture_city_file, tmp_path,
@@ -485,21 +554,6 @@ class TestStageCommands:
         assert main(args + ["--classes", classes]) == 2
         assert "classes must name at least one road class" in capsys.readouterr().err
         assert not out.exists()
-
-    def test_fetch_rejects_zero_rate(self, fixture_city_file, tmp_path, capsys):
-        net_file = tmp_path / "net.ndjson"
-        seg_file = tmp_path / "s.csv"
-        plan_file = tmp_path / "p.csv"
-        main(["ingest", "--osm", str(fixture_city_file), "--city", "f",
-              "--out", str(net_file)])
-        main(["segment", "--network", str(net_file), "--out", str(seg_file)])
-        main(["sample", "--segments", str(seg_file), "--n", "2", "--out", str(plan_file)])
-        capsys.readouterr()
-        code = main(["fetch", "--plan", str(plan_file), "--out-dir", str(tmp_path / "run"),
-                     "--api-key", "k", "--base-url", "http://127.0.0.1:9",
-                     "--rate-per-s", "0"])
-        assert code == 2
-        assert "rate_per_s" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["fetch", "run"])
     @pytest.mark.parametrize("base_url", ["{host}", "ftp://{host}", "http://"])
@@ -518,39 +572,6 @@ class TestStageCommands:
             assert main(args) == 2
             assert server.request_count == 0
         assert "base_url" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
-    @pytest.mark.parametrize("stratified", [False, True])
-    def test_sample_rejects_seed_out_of_range(self, fixture_city_file, tmp_path, capsys,
-                                              seed, stratified):
-        net_file = tmp_path / "net.ndjson"
-        seg_file = tmp_path / "s.csv"
-        plan_file = tmp_path / "p.csv"
-        main(["ingest", "--osm", str(fixture_city_file), "--city", "f",
-              "--out", str(net_file)])
-        main(["segment", "--network", str(net_file), "--out", str(seg_file)])
-        capsys.readouterr()
-        args = ["sample", "--segments", str(seg_file), "--n", "2", "--seed", seed,
-                "--out", str(plan_file)]
-        code = main(args + ["--stratify-by-class"] if stratified else args)
-        assert code == 2
-        assert "seed" in capsys.readouterr().err
-        assert not plan_file.exists()
-
-    @pytest.mark.parametrize("stratified", [False, True])
-    def test_sample_rejects_negative_n(self, fixture_city_file, tmp_path, capsys, stratified):
-        net_file = tmp_path / "net.ndjson"
-        seg_file = tmp_path / "s.csv"
-        plan_file = tmp_path / "p.csv"
-        main(["ingest", "--osm", str(fixture_city_file), "--city", "f",
-              "--out", str(net_file)])
-        main(["segment", "--network", str(net_file), "--out", str(seg_file)])
-        capsys.readouterr()
-        args = ["sample", "--segments", str(seg_file), "--n", "-1", "--out", str(plan_file)]
-        code = main(args + ["--stratify-by-class"] if stratified else args)
-        assert code == 2
-        assert "--n" in capsys.readouterr().err
-        assert not plan_file.exists()
 
     def test_ingest_reports_kept_road_nodes(self, tmp_path, capsys):
         osm = tmp_path / "city.osm"

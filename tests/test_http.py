@@ -19,6 +19,8 @@ from roadsense.mockserver import TINY_JPEG, MockStreetViewServer
 from roadsense.streetview import fetch_all, format_location
 from test_streetview import fast_config, plan_of_points
 
+pytestmark = pytest.mark.usefixtures("no_backoff")
+
 POINTS = [(0.0, 0.1), (0.0, 0.2)]
 METADATA = json.dumps({"status": "OK", "pano_id": "p", "date": "2017-06"}).encode()
 CERTDATA = Path(ssl.__file__).parent / "test" / "certdata"

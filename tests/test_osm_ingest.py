@@ -63,7 +63,6 @@ class TestParse:
         """)
         net = parse_osm(doc)
         assert [w.id for w in net.ways] == [11]
-        assert net.stats.ways_without_highway == 1
 
     def test_residential_and_trunk_both_retained(self):
         doc = osm_doc("""

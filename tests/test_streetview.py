@@ -1,22 +1,25 @@
 import _thread
 import http.client
 import json
+import os
 import signal
 import socket
 import sys
 import threading
 import time
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
-from roadsense.errors import ConfigError, InsufficientDataError, KeyQuotaError, RowError
+from roadsense.cli import main
+from roadsense.errors import InsufficientDataError, KeyQuotaError, RowError
 from roadsense.geometry import GeoPoint, Polyline
 from roadsense.mockserver import MockStreetViewServer, _Handler
-from roadsense.sampler import SamplePlan
+from roadsense.pipeline import RunConfig
+from roadsense.sampler import SamplePlan, write_plan_csv
 from roadsense.segmenter import RoadSegment
 from roadsense.streetview import (
-    ClientConfig,
     QueryRecord,
     estimate_coverage,
     fetch_all,
@@ -28,12 +31,15 @@ from roadsense.streetview import (
 )
 
 
+pytestmark = pytest.mark.usefixtures("no_backoff")
+
+
 def fast_config(base_url, out_dir, **kw):
-    defaults = dict(api_key="test-key", out_dir=out_dir, base_url=base_url,
-                    rate_per_s=100000.0, retries=3, backoff_s=0.0,
+    defaults = dict(api_key="test-key", out_dir=str(out_dir), base_url=base_url,
+                    rate_per_s=100000.0, retries=3,
                     max_concurrency=8, fixed_time="2026-01-01T00:00:00Z")
     defaults.update(kw)
-    return ClientConfig(**defaults)
+    return RunConfig(**defaults)
 
 
 class _InterruptingHandler(_Handler):
@@ -138,10 +144,6 @@ class TestRequestBuilders:
 
     def test_seven_decimal_rounding(self):
         assert "location=13.1234568,0.0000000&" in request_target(GeoPoint(13.12345678, 0.0), "K")
-
-    def test_empty_key(self):
-        with pytest.raises(ConfigError):
-            request_target(GeoPoint(0, 0), "")
 
     def test_image_url_default_size(self):
         assert request_target(GeoPoint(42.28, -83.38), "K", image=True) == (
@@ -405,6 +407,55 @@ class TestFetchAll:
             fetch_all(plan, config)
             assert server.request_count == before
 
+    def test_empty_key_with_points_to_fetch_exits_2_before_any_request(
+            self, tmp_path, capsys, monkeypatch):
+        monkeypatch.delenv("STREETVIEW_API_KEY", raising=False)
+        write_plan_csv(plan_of_points([(0.0, 0.1), (0.0, 0.2)]), tmp_path / "plan.csv")
+        with MockStreetViewServer({"__default__": {"status": "OK"}}) as server:
+            assert main(["fetch", "--plan", str(tmp_path / "plan.csv"),
+                         "--out-dir", str(tmp_path / "run"), "--api-key", "",
+                         "--base-url", server.base_url]) == 2
+            assert server.request_count == 0
+        assert "error: imagery API key is empty" in capsys.readouterr().err
+        assert not (tmp_path / "run" / "images").exists()
+
+    def test_empty_key_with_every_point_journaled_exits_0(self, tmp_path, monkeypatch):
+        points = [(0.0, 0.1), (0.0, 0.2)]
+        write_plan_csv(plan_of_points(points), tmp_path / "plan.csv")
+        fixture = {format_location(GeoPoint(*points[0])): {"status": "OK"}}
+        args = ["fetch", "--plan", str(tmp_path / "plan.csv"),
+                "--out-dir", str(tmp_path / "run"), "--fixed-time", "2026-01-01T00:00:00Z"]
+        with MockStreetViewServer(fixture) as server:
+            args += ["--base-url", server.base_url]
+            monkeypatch.setenv("STREETVIEW_API_KEY", "k")  # the key when no flag gives one
+            assert main(args) == 0
+            assert server.request_count == 3
+            journal = (tmp_path / "run" / "queries.csv").read_bytes()
+            monkeypatch.delenv("STREETVIEW_API_KEY")
+            before = server.request_count
+            assert main(args + ["--api-key", ""]) == 0
+            assert server.request_count == before
+        assert (tmp_path / "run" / "queries.csv").read_bytes() == journal
+
+    def test_images_dir_is_made_once_per_fetch(self, tmp_path, monkeypatch):
+        points = [(0.0, i * 0.01) for i in range(6)]
+        fixture = {format_location(GeoPoint(*p)): {"status": "OK"} for p in points}
+        made = []
+        mkdir = Path.mkdir
+        monkeypatch.setattr(Path, "mkdir", lambda path, *a, **kw: (made.append(path),
+                                                                   mkdir(path, *a, **kw)))
+        with MockStreetViewServer(fixture) as server:
+            records = fetch_all(plan_of_points(points), fast_config(server.base_url, tmp_path))
+        assert [r.status for r in records] == ["OK"] * 6
+        assert made == [tmp_path, tmp_path / "images"]
+
+    def test_fetch_without_an_ok_answer_leaves_an_empty_images_dir(self, tmp_path):
+        with MockStreetViewServer({}) as server:
+            records = fetch_all(plan_of_points([(0.0, 0.1)]),
+                                fast_config(server.base_url, tmp_path))
+        assert [r.status for r in records] == ["ZERO_RESULTS"]
+        assert os.listdir(tmp_path / "images") == []
+
 
     def test_stale_keep_alive_connection_is_reopened(self, tmp_path):
         points = [(0.0, i * 0.01) for i in range(20)]
@@ -469,22 +520,6 @@ class TestFetchAll:
                                 fast_config(server.base_url, tmp_path))
             assert server.request_count == 1
         assert records[0].status == "TRANSPORT_ERROR(302)"
-
-
-class TestClientConfig:
-    @pytest.mark.parametrize("field, value", [
-        ("rate_per_s", 0.0), ("rate_per_s", -1.0), ("rate_per_s", float("nan")),
-        ("max_concurrency", 0), ("retries", -1)])
-    def test_invalid_settings_rejected(self, tmp_path, field, value):
-        with pytest.raises(ConfigError, match=field):
-            fast_config("http://127.0.0.1:9", tmp_path, **{field: value})
-
-    @pytest.mark.parametrize("base_url", [
-        "maps.googleapis.com", "127.0.0.1:8080", "ftp://x", "http://", "http://h:port",
-        "https://h:99999", "http://[::1", "http://h/a b", "http://h/\u00fc", "http://a..b"])
-    def test_base_url_needs_http_scheme_and_host(self, tmp_path, base_url):
-        with pytest.raises(ConfigError, match="base_url"):
-            fast_config(base_url, tmp_path)
 
 
 class TestMockServer:
