@@ -12,7 +12,7 @@ import logging
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 # these fits are too small to share out; idle OpenBLAS threads only spin on the CPU
@@ -184,28 +184,10 @@ def ols_fit(design: np.ndarray, response: np.ndarray,
 
 @dataclass
 class Design:
-    """Dummy-coded design matrix with the factor levels it was built from."""
+    """Dummy-coded design matrix and its column names."""
 
     matrix: np.ndarray
     names: list[str]
-    factor_levels: dict = field(default_factory=dict)   # factor -> ordered levels
-    baselines: dict = field(default_factory=dict)
-
-    def encode(self, rows: list[dict]) -> np.ndarray:
-        """Encode new rows against the fitted levels; unseen levels error."""
-        out = np.zeros((len(rows), len(self.names)))
-        out[:, 0] = 1.0
-        col_index = {name: j for j, name in enumerate(self.names)}
-        for i, row in enumerate(rows):
-            for factor, levels in self.factor_levels.items():
-                value = row[factor]
-                if value not in levels:
-                    raise AnalysisError(
-                        f"unseen level {value!r} for factor {factor}; "
-                        f"known levels: {sorted(levels)}")
-                if value != self.baselines[factor]:
-                    out[i, col_index[f"{factor}={value}"]] = 1.0
-        return out
 
 
 def build_design(rows: list[dict], factors: list[str],
@@ -219,7 +201,7 @@ def build_design(rows: list[dict], factors: list[str],
     defaults its baseline to the lowest bin.
     """
     baselines = dict(baselines or {})
-    factor_levels: dict[str, tuple] = {}
+    names = ["intercept"]
     for factor in factors:
         if factor == "road_class":
             levels = ROAD_CLASS_LEVELS
@@ -235,17 +217,17 @@ def build_design(rows: list[dict], factors: list[str],
         if baselines[factor] not in levels:
             raise AnalysisError(
                 f"baseline {baselines[factor]!r} not a level of {factor}")
-        factor_levels[factor] = levels
+        names += [f"{factor}={level}" for level in levels if level != baselines[factor]]
 
-    names = ["intercept"]
-    for factor in factors:
-        for level in factor_levels[factor]:
-            if level != baselines[factor]:
-                names.append(f"{factor}={level}")
-    design = Design(matrix=np.empty(0), names=names,
-                    factor_levels=factor_levels, baselines=baselines)
-    design.matrix = design.encode(rows)
-    return design
+    matrix = np.zeros((len(rows), len(names)))
+    matrix[:, 0] = 1.0
+    column = {name: j for j, name in enumerate(names)}
+    for i, row in enumerate(rows):
+        for factor in factors:
+            j = column.get(f"{factor}={row[factor]}")  # none for the baseline
+            if j is not None:
+                matrix[i, j] = 1.0
+    return Design(matrix=matrix, names=names)
 
 
 def _ring(where: str, ring) -> list[GeoPoint]:

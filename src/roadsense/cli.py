@@ -17,35 +17,25 @@ from pathlib import Path
 from . import __version__, geo_export, labeling
 from .errors import ConfigError, InputDataError, RoadsenseError
 from .fileio import write_atomic, write_table
-from .osm_ingest import filter_roads, parse_osm, read_network, write_network
+from .osm_ingest import read_network
 from .pipeline import (
     SETTINGS,
+    STAGES,
     RunConfig,
     api_key_or_env,
     check_settings,
+    coverage,
+    fetch,
+    ingest,
     load_config,
     parse_classes,
     run_pipeline,
+    sample,
+    segment,
 )
-from .sampler import (
-    read_plan_csv,
-    sample_points,
-    sample_segments,
-    sample_stratified,
-    write_plan_csv,
-)
-from .segmenter import (
-    chunk_network,
-    read_segments_csv,
-    rebuild_segment_geometry,
-    write_segments_csv,
-)
-from .streetview import (
-    coverage_json,
-    estimate_coverage,
-    fetch_all,
-    read_queries_csv,
-)
+from .sampler import read_plan_csv, sample_points
+from .segmenter import ChunkResult, read_segments_csv, rebuild_segment_geometry
+from .streetview import read_queries_csv
 
 log = logging.getLogger(__name__)
 
@@ -56,8 +46,7 @@ def _check_flag(ok: bool, flag: str, what: str, value) -> None:
 
 
 def cmd_ingest(args) -> int:
-    network = parse_osm(Path(args.osm), source_name=args.city)
-    write_network(network, args.out)
+    network = ingest(args, None, args.out)
     print(f"{args.out}: {len(network.nodes)} nodes, {len(network.ways)} road ways")
     if network.stats.duplicate_node_ids:
         print(f"warning: {network.stats.duplicate_node_ids} duplicate node ids "
@@ -66,12 +55,8 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_segment(args) -> int:
-    network = read_network(args.network)
-    ways = filter_roads(network, set(args.classes))
-    result = chunk_network(ways, network, args.target_m,
-                           skip_degenerate=args.skip_degenerate)
-    write_segments_csv(result.segments, args.out)
-    msg = f"{args.out}: {len(result.segments)} segments from {len(ways)} ways"
+    result = segment(args, read_network(args.network), args.out)
+    msg = f"{args.out}: {len(result.segments)} segments from {result.n_ways} ways"
     if result.skipped_way_ids:
         msg += f" ({len(result.skipped_way_ids)} degenerate ways skipped)"
     print(msg)
@@ -79,12 +64,8 @@ def cmd_segment(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    population = read_segments_csv(args.segments)
-    if args.stratify_by_class:
-        plan = sample_stratified(population, args.sample_n, args.seed)
-    else:
-        plan = sample_segments(population, args.sample_n, args.seed)
-    write_plan_csv(plan, args.out)
+    # segments.csv holds the segment stage's result, less its counts
+    plan = sample(args, ChunkResult(read_segments_csv(args.segments), [], 0), args.out)
     print(f"{args.out}: {len(plan.segments)} of {plan.population_n} segments "
           f"(seed {plan.seed})")
     if plan.warning:
@@ -94,18 +75,15 @@ def cmd_sample(args) -> int:
 
 def cmd_fetch(args) -> int:
     plan = read_plan_csv(args.plan)
-    config = RunConfig(**{name: getattr(args, name) for name in args.settings})
-    config.api_key = api_key_or_env(config.api_key)
-    records = fetch_all(plan, config)
+    args.api_key = api_key_or_env(args.api_key)
+    records = fetch(args, plan, Path(args.out_dir) / "queries.csv")
     n_ok = sum(1 for r in records if r.status == "OK")
     print(f"{args.out_dir}/queries.csv: {len(records)} records, {n_ok} OK")
     return 0
 
 
 def cmd_coverage(args) -> int:
-    est = estimate_coverage(read_queries_csv(args.queries))
-    if args.out:
-        write_atomic(args.out, coverage_json(est))
+    est = coverage(args, read_queries_csv(args.queries), args.out)
     print(f"coverage: {est.proportion:.4f} "
           f"[{est.ci_low:.4f}, {est.ci_high:.4f}] "
           f"({est.successes}/{est.total} queries successful, "
@@ -257,6 +235,9 @@ def cmd_run(args) -> int:
 
 
 _FLAGS = {"osm_path": "--osm", "sample_n": "--n"}  # else the field name, dashed
+_HELP = {"fixed_time": "pin queried_at timestamps (ISO-8601) for reproducible runs"}
+# a stage command needs these; run may take them from its config file
+_REQUIRED = ("osm_path", "city", "sample_n", "out_dir")
 
 
 def _add_setting(p: argparse.ArgumentParser, name: str, **kwargs) -> None:
@@ -265,7 +246,8 @@ def _add_setting(p: argparse.ArgumentParser, name: str, **kwargs) -> None:
     kind = SETTINGS[name]
     kwargs.setdefault("default", getattr(RunConfig, name))
     p.add_argument(_FLAGS.get(name, "--" + name.replace("_", "-")), dest=name,
-                   type=parse_classes if kind is tuple else kind, **kwargs)
+                   type=parse_classes if kind is tuple else kind, help=_HELP.get(name),
+                   **kwargs)
     p.set_defaults(settings=(*(p.get_default("settings") or ()), name))
 
 
@@ -278,41 +260,33 @@ def build_parser() -> argparse.ArgumentParser:
                         default="WARNING", help="lowest level of log line shown (default WARNING)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("ingest", help="parse an OSM XML extract into a network file")
-    p.add_argument("--osm", required=True)
-    p.add_argument("--city", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_ingest)
+    def stage_parser(name, func, help, *inputs):
+        """A stage command: its input flags, then one per setting its stage reads."""
+        p = sub.add_parser(name, help=help)
+        for flag in inputs:
+            p.add_argument(flag, required=True)
+        for setting in next(s for n, s, _ in STAGES if n == name):
+            _add_setting(p, setting, required=setting in _REQUIRED)
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("segment", help="chunk filtered roads into segments")
-    p.add_argument("--network", required=True)
-    _add_setting(p, "classes")
-    _add_setting(p, "target_m")
+    p = stage_parser("ingest", cmd_ingest, "parse an OSM XML extract into a network file")
+    p.add_argument("--out", required=True)
+
+    p = stage_parser("segment", cmd_segment, "chunk filtered roads into segments", "--network")
     p.add_argument("--skip-degenerate", action="store_true")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_segment)
 
-    p = sub.add_parser("sample", help="draw a seeded random sample of segments")
-    p.add_argument("--segments", required=True)
-    _add_setting(p, "sample_n", required=True)
-    _add_setting(p, "seed")
+    p = stage_parser("sample", cmd_sample, "draw a seeded random sample of segments",
+                     "--segments")
     p.add_argument("--stratify-by-class", action="store_true")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_sample)
 
-    p = sub.add_parser("fetch", help="query imagery availability for a plan")
-    p.add_argument("--plan", required=True)
-    _add_setting(p, "out_dir", required=True)
-    for name in ("api_key", "base_url", "max_concurrency", "rate_per_s", "retries"):
-        _add_setting(p, name)
-    _add_setting(p, "fixed_time",
-                 help="pin queried_at timestamps (ISO-8601) for reproducible runs")
-    p.set_defaults(func=cmd_fetch)
+    stage_parser("fetch", cmd_fetch, "query imagery availability for a plan", "--plan")
 
-    p = sub.add_parser("coverage", help="estimate imagery coverage from queries.csv")
-    p.add_argument("--queries", required=True)
+    p = stage_parser("coverage", cmd_coverage, "estimate imagery coverage from queries.csv",
+                     "--queries")
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_coverage)
 
     p = sub.add_parser("labels", help="parse, score, or aggregate label batches")
     p.add_argument("action", choices=["parse", "score", "aggregate"])
@@ -377,7 +351,7 @@ def main(argv=None) -> int:
     except RoadsenseError as e:
         print(f"error: {e}", file=sys.stderr)
         return e.exit_code
-    except FileNotFoundError as e:
+    except (FileNotFoundError, IsADirectoryError, NotADirectoryError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
     except KeyboardInterrupt:

@@ -16,14 +16,14 @@ import json
 import logging
 import math
 import os
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 from . import __version__
 from .errors import ConfigError, InputDataError, RoadsenseError, RowError, SchemaError
 from .fileio import decode_text, json_field, parse_json, write_atomic
 from .osm_ingest import SAMPLED_ROAD_CLASSES, filter_roads, parse_osm, write_network
-from .sampler import sample_segments, write_plan_csv
+from .sampler import sample_segments, sample_stratified, write_plan_csv
 from .segmenter import chunk_network, write_segments_csv
 from .streetview import (
     DEFAULT_BASE_URL,
@@ -98,12 +98,6 @@ class RunConfig:
     def validate(self) -> "RunConfig":
         check_settings(self, SETTINGS)
         return self
-
-    def redacted_dict(self) -> dict:
-        data = asdict(self)
-        data["classes"] = sorted(self.classes)
-        data["api_key"] = "<redacted>" if self.api_key else ""
-        return data
 
 
 # a setting's type is the type of its default: it sets how an INI value
@@ -181,9 +175,11 @@ def load_config(path: str | Path | None, overrides: dict | None = None) -> RunCo
     return RunConfig(**values).validate()
 
 
-def _read_manifest(manifest_path: str | Path) -> dict:
-    """A manifest whose config holds run settings of their JSON types; an
-    InputDataError naming the file and the key otherwise."""
+def config_from_manifest(manifest_path: str | Path, api_key: str = "",
+                         out_dir: str | None = None) -> RunConfig:
+    """Rebuild the run configuration recorded in a manifest; an InputDataError
+    naming the file and the key unless its config holds run settings of their
+    JSON types and in their ranges."""
     manifest = parse_json(Path(manifest_path).read_bytes(), manifest_path)
     where = f"{manifest_path}: key "
     data = json_field(manifest if isinstance(manifest, dict) else {}, "config", "an object", where)
@@ -193,13 +189,6 @@ def _read_manifest(manifest_path: str | Path) -> dict:
             raise InputDataError(f"{where}{key}: not a run setting")
         json_field(data, key, _KINDS[SETTINGS[key]], where)
     json_field(data, "classes", _KINDS[tuple], where)
-    return manifest
-
-
-def config_from_manifest(manifest_path: str | Path, api_key: str = "",
-                         out_dir: str | None = None) -> RunConfig:
-    """Rebuild the run configuration recorded in a manifest."""
-    data = _read_manifest(manifest_path)["config"]
     data = dict(data, classes=tuple(data["classes"]), api_key=api_key_or_env(api_key))
     if out_dir is not None:
         data["out_dir"] = out_dir
@@ -223,7 +212,8 @@ def _write_manifest(config: RunConfig, out_dir: Path, osm_digest: str) -> None:
     manifest = {
         "tool": "roadsense",
         "version": __version__,
-        "config": config.redacted_dict(),
+        "config": {**asdict(config), "classes": sorted(config.classes),
+                   "api_key": "<redacted>" if config.api_key else ""},
         "osm_sha256": osm_digest,
         "artifacts": list(RUN_ARTIFACTS),
     }
@@ -232,19 +222,15 @@ def _write_manifest(config: RunConfig, out_dir: Path, osm_digest: str) -> None:
 
 def _is_up_to_date(config: RunConfig, out_dir: Path, osm_digest: str) -> bool:
     manifest_path = out_dir / MANIFEST_NAME
-    if not manifest_path.exists():
-        return False
     try:
-        manifest = _read_manifest(manifest_path)
-    except InputDataError:
+        # out_dir naming and the key slot do not affect artifact content
+        recorded = config_from_manifest(manifest_path, out_dir=config.out_dir)
+        digest = parse_json(manifest_path.read_bytes(), manifest_path).get("osm_sha256")
+    except (OSError, InputDataError):
         return False
-    expected = dict(config.redacted_dict())
-    recorded = manifest["config"]
-    # out_dir naming and the key slot do not affect artifact content
-    for transient in ("out_dir", "api_key"):
-        expected.pop(transient, None)
-        recorded.pop(transient, None)
-    if recorded != expected or manifest.get("osm_sha256") != osm_digest:
+    # the manifest records classes sorted
+    expected = replace(config, api_key=recorded.api_key, classes=tuple(sorted(config.classes)))
+    if recorded != expected or digest != osm_digest:
         return False
     if not all((out_dir / name).exists() for name in RUN_ARTIFACTS):
         return False
@@ -255,6 +241,60 @@ def _is_up_to_date(config: RunConfig, out_dir: Path, osm_digest: str) -> bool:
     except (SchemaError, RowError):
         return False
     return all(image_on_disk(r, out_dir) for r in records if r.status == STATUS_OK)
+
+
+# Each stage function takes the settings (a RunConfig, or a stage command's
+# parsed flags), the previous stage's result and the path of the artifact
+# it writes, and returns its own result. It calls the layer functions as
+# module globals, where perfbench/traced_cli.py wraps them.
+def ingest(settings, _, path):
+    network = parse_osm(Path(settings.osm_path), source_name=settings.city)
+    write_network(network, path)
+    return network
+
+
+def segment(settings, network, path):
+    ways = filter_roads(network, set(settings.classes))
+    # run skips degenerate ways and warns; the segment command skips them only
+    # with --skip-degenerate, and prints how many itself
+    skip = getattr(settings, "skip_degenerate", None)
+    result = chunk_network(ways, network, settings.target_m, skip_degenerate=skip is not False)
+    if skip is None and result.skipped_way_ids:
+        log.warning("segment: skipped %d degenerate ways", len(result.skipped_way_ids))
+    write_segments_csv(result.segments, path)
+    return result
+
+
+def sample(settings, chunks, path):
+    stratified = getattr(settings, "stratify_by_class", False)  # the sample command's flag
+    plan = (sample_stratified if stratified else sample_segments)(
+        chunks.segments, settings.sample_n, settings.seed)
+    write_plan_csv(plan, path)
+    return plan
+
+
+def fetch(settings, plan, path):
+    """fetch_all journals into out_dir/queries.csv, which is `path`."""
+    return fetch_all(plan, settings)
+
+
+def coverage(settings, records, path):
+    est = estimate_coverage(records)
+    if path:  # the coverage command writes coverage.json only with --out
+        write_atomic(path, coverage_json(est))
+    return est
+
+
+# the stages of a run, in order: (name, the settings it reads, function);
+# the stage commands take these settings as flags
+STAGES = (
+    ("ingest", ("osm_path", "city"), ingest),
+    ("segment", ("classes", "target_m"), segment),
+    ("sample", ("sample_n", "seed"), sample),
+    ("fetch", ("out_dir", "api_key", "base_url", "max_concurrency", "rate_per_s", "retries",
+               "fixed_time"), fetch),
+    ("coverage", (), coverage),
+)
 
 
 def run_pipeline(config: RunConfig) -> Path:
@@ -269,7 +309,7 @@ def run_pipeline(config: RunConfig) -> Path:
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     osm_path = Path(config.osm_path)
-    if not osm_path.exists():
+    if not osm_path.is_file():
         raise InputDataError(f"stage ingest: OSM file not found: {osm_path}")
     osm_digest = _sha256(osm_path)
 
@@ -278,31 +318,14 @@ def run_pipeline(config: RunConfig) -> Path:
         print(f"{out_dir}: up to date")
         return out_dir
 
-    stage = "ingest"
-    try:
-        network = parse_osm(osm_path, source_name=config.city)
-        write_network(network, out_dir / "network.ndjson")
-
-        stage = "segment"
-        ways = filter_roads(network, set(config.classes))
-        result = chunk_network(ways, network, config.target_m, skip_degenerate=True)
-        if result.skipped_way_ids:
-            log.warning("segment: skipped %d degenerate ways", len(result.skipped_way_ids))
-        write_segments_csv(result.segments, out_dir / "segments.csv")
-
-        stage = "sample"
-        plan = sample_segments(result.segments, config.sample_n, config.seed)
-        write_plan_csv(plan, out_dir / "plan.csv")
-
-        stage = "fetch"
-        records = fetch_all(plan, config)
-
-        stage = "coverage"
-        write_atomic(out_dir / "coverage.json", coverage_json(estimate_coverage(records)))
-    except RoadsenseError as e:
-        raise type(e)(f"stage {stage}: {e}") from e
-    except Exception as e:
-        raise RoadsenseError(f"stage {stage}: {e}") from e
+    result = None
+    for (name, _, stage), artifact in zip(STAGES, RUN_ARTIFACTS):
+        try:
+            result = stage(config, result, out_dir / artifact)
+        except RoadsenseError as e:
+            raise type(e)(f"stage {name}: {e}") from e
+        except Exception as e:
+            raise RoadsenseError(f"stage {name}: {e}") from e
 
     _write_manifest(config, out_dir, osm_digest)
     return out_dir

@@ -40,6 +40,7 @@ class RoadSegment:
 class ChunkResult:
     segments: list[RoadSegment]
     skipped_way_ids: list[int]
+    n_ways: int                # ways chunked or skipped
 
 
 def _cut_distances(length_m: float, target_m: float) -> list[float]:
@@ -149,7 +150,7 @@ def chunk_network(ways: list[Way], network: RoadNetwork,
             if not skip_degenerate:
                 raise
             skipped.append(way.id)
-    return ChunkResult(segments=segments, skipped_way_ids=skipped)
+    return ChunkResult(segments=segments, skipped_way_ids=skipped, n_ways=len(ways))
 
 
 def rebuild_segment_geometry(segments: list[RoadSegment], network: RoadNetwork,

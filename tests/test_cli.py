@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -22,6 +23,7 @@ from roadsense.pipeline import (
     RUN_ARTIFACTS,
     SETTINGS,
     RunConfig,
+    _is_up_to_date,
     _write_manifest,
     config_from_manifest,
     load_config,
@@ -29,7 +31,7 @@ from roadsense.pipeline import (
 )
 from roadsense.sampler import read_plan_csv, sample_segments, write_plan_csv
 from roadsense.segmenter import chunk_network
-from roadsense.streetview import format_location, read_queries_csv
+from roadsense.streetview import QUERIES_CSV_HEADER, format_location, read_queries_csv
 
 LABEL_HEADER = ("AssignmentId,WorkerId,Input.segment_id,Answer.potholes,Answer.cracks,"
                 "Answer.markings_present,Answer.markings_clear,Answer.litter,"
@@ -377,6 +379,55 @@ class TestRunPipeline:
             assert server.request_count > before
         assert (out_dir / "plan.csv").read_bytes() != plan_bytes
 
+    @pytest.mark.parametrize("name", sorted(SETTINGS))
+    def test_up_to_date_ignores_only_out_dir_the_key_and_the_order_of_classes(
+            self, tmp_path, name):
+        config = RunConfig(city="x", osm_path="a.osm", out_dir=str(tmp_path),
+                           classes=("trunk", "primary"))
+        _write_manifest(config, tmp_path, "digest")
+        for artifact in RUN_ARTIFACTS:
+            (tmp_path / artifact).write_text(QUERIES_CSV_HEADER + "\n")
+        assert _is_up_to_date(config, tmp_path, "digest")
+        assert _is_up_to_date(replace(config, classes=("primary", "trunk")), tmp_path, "digest")
+        assert not _is_up_to_date(config, tmp_path, "another digest")
+        changed = replace(config, **{name: NON_DEFAULT[name]})
+        assert _is_up_to_date(changed, tmp_path, "digest") == (name in ("out_dir", "api_key"))
+
+    def test_rerun_of_a_config_with_unsorted_classes_is_up_to_date(
+            self, fixture_city_file, tmp_path, capsys):
+        with MockStreetViewServer({"__default__": {"status": "OK"}}) as server:
+            config = RunConfig(city="fixtureville", osm_path=str(fixture_city_file),
+                               out_dir=str(tmp_path / "run"), classes=("trunk", "primary"),
+                               sample_n=12, seed=7, base_url=server.base_url, api_key="k",
+                               rate_per_s=100000.0, fixed_time="2026-01-01T00:00:00Z")
+            run_pipeline(config)
+            before = server.request_count
+            capsys.readouterr()
+            run_pipeline(config)
+            assert server.request_count == before
+        assert capsys.readouterr().out == f"{tmp_path / 'run'}: up to date\n"
+
+    @pytest.mark.parametrize("stage, answer, code, message", [
+        ("ingest", None, 3, "malformed OSM XML at line 2"),
+        ("fetch", {"status": "REQUEST_DENIED"}, 4, "REQUEST_DENIED; check the API key"),
+        ("coverage", {"status": "OK", "fail_first": 1}, 5, "no usable records"),
+    ], ids=["malformed-osm", "request-denied-storm", "every-answer-a-transport-error"])
+    def test_a_failing_stage_prefixes_its_name(self, fixture_city_file, tmp_path, capsys,
+                                                stage, answer, code, message):
+        plan = planned_points(fixture_city_file.read_text(), "fixtureville",
+                              set(SAMPLED_ROAD_CLASSES), 500.0, 30, 7)
+        assert len(plan.segments) == 30
+        osm = fixture_city_file
+        if answer is None:
+            osm = tmp_path / "bad.osm"
+            osm.write_text("<osm><node id='1' lat='0' lon='0'>\n<way>")
+        fixture = {format_location(s.start): answer for s in plan.segments} if answer else {}
+        with MockStreetViewServer(fixture) as server:
+            args = run_args(osm, tmp_path / "run", server.base_url, n=30)
+            assert main(args + ["--retries", "0"]) == code
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: stage {stage}: ") and message in err
+
     @pytest.mark.parametrize("manifest", [b'["config"]', b'{"config": "x"}', b"\xff"],
                              ids=["list", "config-is-a-string", "not-utf-8"])
     def test_rerun_over_a_malformed_manifest_runs_again(self, fixture_city_file, tmp_path,
@@ -427,6 +478,8 @@ class TestRunPipeline:
 # (stage command, setting, a value out of range) for every checked setting
 # that a stage command takes
 BAD_STAGE_SETTINGS = [
+    ("ingest", "city", ""),
+    ("ingest", "osm_path", ""),
     *(("segment", "classes", v) for v in ("", " , ")),
     *((command, "target_m", v) for command in ("segment", "export --mode lines")
       for v in ("nan", "inf", "0", "-1")),
@@ -465,6 +518,7 @@ class TestStageSettings:
         with MockStreetViewServer({"__default__": {"status": "OK"}}) as server:
             command, *options = command.split()
             inputs = {
+                "ingest": ["--osm", fixture_city_file, "--city", "f", "--out", out],
                 "segment": ["--network", net, "--out", out],
                 "export": ["--plan", plan, "--network", net, "--out", out],
                 "sample": ["--segments", segments, "--n", "2", "--out", out],
@@ -488,9 +542,9 @@ class TestStageSettings:
             if command == "run":  # run checks its settings in load_config
                 continue
             # a flag named like a setting is one (added by _add_setting), except
-            # the --city that names the input of ingest and summarize
+            # the --city that names the input of summarize
             named = {a.dest for a in p._actions if a.dest in SETTINGS}
-            if command in ("ingest", "summarize"):
+            if command == "summarize":
                 named.remove("city")
             # main checks the settings a command took before it runs
             taken = set(p.get_default("settings") or ())
@@ -572,6 +626,26 @@ class TestStageCommands:
             assert main(args) == 2
             assert server.request_count == 0
         assert "base_url" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, path", [
+        ("ingest", "adir"), ("segment", "adir"), ("coverage", "adir"), ("run", "adir"),
+        ("ingest", "afile/x"), ("segment", "afile/x"), ("coverage", "afile/x"),
+    ])
+    def test_a_directory_as_input_exits_3(self, tmp_path, capsys, command, path):
+        (tmp_path / "adir").mkdir()
+        (tmp_path / "afile").write_text("")
+        source = str(tmp_path / path)
+        args = {
+            "ingest": ["--osm", source, "--city", "f", "--out", tmp_path / "net.ndjson"],
+            "segment": ["--network", source, "--out", tmp_path / "s.csv"],
+            "coverage": ["--queries", source, "--out", tmp_path / "c.json"],
+            "run": ["--osm", source, "--city", "f", "--out-dir", tmp_path / "run",
+                    "--api-key", "k"],
+        }[command]
+        assert main([command, *map(str, args)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and source in err
+        assert not any(p.is_file() for p in tmp_path.rglob("*") if p.name != "afile")
 
     def test_ingest_reports_kept_road_nodes(self, tmp_path, capsys):
         osm = tmp_path / "city.osm"
