@@ -82,12 +82,7 @@ class TractPolygon:
 
 @dataclass(frozen=True)
 class QuintileBinning:
-    cut_points: tuple[float, float, float, float]
-
-    def __post_init__(self):
-        cp = self.cut_points
-        if not all(cp[i] < cp[i + 1] for i in range(3)):
-            raise ValueError(f"cut points must be strictly ascending, got {cp}")
+    cut_points: tuple[float, float, float, float]  # strictly ascending: quintile_bins
 
     def bin_of(self, income: float) -> str:
         # values equal to a cut point fall in the lower bin
@@ -106,18 +101,10 @@ def summarize_city(consensus: list[ConsensusLabel], city: str) -> CitySummary:
         raise InsufficientDataError(f"no consensus labels for {city}")
     proportions = {}
     unresolved = {}
-    for attr in ATTRIBUTES:
-        yes = no = 0
-        unresolved[attr] = 0
-        for c in consensus:
-            v = c.verdicts[attr]
-            if v == "yes":
-                yes += 1
-            elif v == "no":
-                no += 1
-            elif v == "unresolved":
-                unresolved[attr] += 1
-            # na falls through: question not applicable
+    # each attribute's column of verdicts; na counts nowhere: question not applicable
+    for attr, column in zip(ATTRIBUTES, zip(*(c.verdicts for c in consensus))):
+        yes, no = column.count("yes"), column.count("no")
+        unresolved[attr] = column.count("unresolved")
         if yes + no > 0:
             proportions[attr] = yes / (yes + no)
         else:
@@ -371,14 +358,20 @@ def quintile_bins(incomes: list[float]) -> QuintileBinning:
     """Cut points at the 20/40/60/80 empirical percentiles.
 
     Linear interpolation between order statistics; at least 5 distinct
-    values required.
+    values required, and no two cut points may tie.
     """
     values = np.asarray(incomes, dtype=float)
     if len(set(values.tolist())) < 5:
         raise AnalysisError(
             f"need at least 5 distinct income values, got {len(set(values.tolist()))}")
-    cuts = np.percentile(values, [20, 40, 60, 80], method="linear")
-    return QuintileBinning(cut_points=tuple(float(c) for c in cuts))
+    cuts = tuple(float(c) for c in np.percentile(values, [20, 40, 60, 80], method="linear"))
+    tied = sorted({a for a, b in zip(cuts, cuts[1:]) if a >= b})
+    if tied:
+        raise AnalysisError(
+            f"income quintile cut points {', '.join(f'{c:g}' for c in cuts)} tie at "
+            f"{', '.join(f'{c:g}' for c in tied)}: a fifth or more of the points share "
+            "one income; --by-tract takes quintiles over unique tract incomes")
+    return QuintileBinning(cut_points=cuts)
 
 
 def expected_incidents(rate: float, journey_km: float, capture_km: float) -> float:
@@ -418,11 +411,17 @@ def summary_csv_rows(summaries: list[CitySummary]) -> list[list[str]]:
             for s in summaries]
 
 
+def fixed(value: float, places: int) -> str:
+    """value to `places` decimals; one that rounds to zero is written unsigned."""
+    text = f"{value:.{places}f}"
+    return text.lstrip("-") if float(text) == 0 else text
+
+
 def regression_table(result: RegressionResult) -> str:
     width = max(len(n) for n in result.coefficient_names)
     lines = [f"{'coefficient'.ljust(width)}  estimate      std. error"]
     for name, est, se in zip(result.coefficient_names, result.estimates,
                              result.standard_errors):
         lines.append(f"{name.ljust(width)}  {est:+.6f}    {se:.6f}")
-    lines.append(f"n = {result.n}, R^2 = {result.r_squared:.4f}")
+    lines.append(f"n = {result.n}, R^2 = {fixed(result.r_squared, 4)}")
     return "\n".join(lines)

@@ -34,7 +34,7 @@ from .pipeline import (
     segment,
 )
 from .sampler import read_plan_csv, sample_points
-from .segmenter import ChunkResult, read_segments_csv, rebuild_segment_geometry
+from .segmenter import ChunkResult, read_segments_csv, segment_shapes
 from .streetview import read_queries_csv
 
 log = logging.getLogger(__name__)
@@ -48,9 +48,6 @@ def _check_flag(ok: bool, flag: str, what: str, value) -> None:
 def cmd_ingest(args) -> int:
     network = ingest(args, None, args.out)
     print(f"{args.out}: {len(network.nodes)} nodes, {len(network.ways)} road ways")
-    if network.stats.duplicate_node_ids:
-        print(f"warning: {network.stats.duplicate_node_ids} duplicate node ids "
-              "(last definition kept)")
     return 0
 
 
@@ -68,8 +65,6 @@ def cmd_sample(args) -> int:
     plan = sample(args, ChunkResult(read_segments_csv(args.segments), [], 0), args.out)
     print(f"{args.out}: {len(plan.segments)} of {plan.population_n} segments "
           f"(seed {plan.seed})")
-    if plan.warning:
-        print(f"warning: {plan.warning}")
     return 0
 
 
@@ -147,9 +142,13 @@ def cmd_summarize(args) -> int:
 
 def _regression_rows(args):
     from . import analysis
+    factors = [f.strip() for f in args.factors.split(",") if f.strip()]
+    for i, factor in enumerate(factors):
+        _check_flag(factor in ("road_class", "city", "income_quintile")
+                    and factor not in factors[:i], "--factors",
+                    "road_class, city or income_quintile, each at most once", factor)
     consensus = {c.segment_id: c for c in labeling.read_consensus_csv(args.consensus)}
     plan = read_plan_csv(args.segments)  # segments.csv reads as a plan of every segment
-    factors = [f.strip() for f in args.factors.split(",") if f.strip()]
     rows = []
     outcomes = []
     skipped_unresolved = 0
@@ -169,11 +168,12 @@ def _regression_rows(args):
             incomes = [matched_income[s.segment_id][1] for s in plan.segments
                        if s.segment_id in matched_income and s.segment_id in consensus]
         bins = analysis.quintile_bins(incomes)
+    outcome = labeling.ATTRIBUTES.index(args.outcome)
     for s in plan.segments:
         label = consensus.get(s.segment_id)
         if label is None:
             continue
-        verdict = label.verdicts[args.outcome]
+        verdict = label.verdicts[outcome]
         if verdict not in ("yes", "no"):
             skipped_unresolved += 1
             continue
@@ -190,12 +190,6 @@ def _regression_rows(args):
     return rows, outcomes, factors
 
 
-def _fixed8(value: float) -> str:
-    """value to 8 decimals; one that rounds to zero is written unsigned."""
-    text = f"{value:.8f}"
-    return "0.00000000" if text == "-0.00000000" else text
-
-
 def cmd_regress(args) -> int:
     from . import analysis
     rows, outcomes, factors = _regression_rows(args)
@@ -208,21 +202,20 @@ def cmd_regress(args) -> int:
     print(analysis.regression_table(result))
     if args.csv:
         write_table(args.csv, ["coefficient", "estimate", "std_error"],
-                    ([n, _fixed8(e), _fixed8(s)] for n, e, s in
+                    ([n, analysis.fixed(e, 8), analysis.fixed(s, 8)] for n, e, s in
                      zip(result.coefficient_names, result.estimates, result.standard_errors)))
     return 0
 
 
 def cmd_export(args) -> int:
     plan = read_plan_csv(args.plan)
+    shapes = None
     if args.mode == "lines":
         if not args.network:
             raise InputDataError("--network is required for lines mode "
                                  "(full segment shapes live in the network file)")
-        network = read_network(args.network)
-        plan.segments = rebuild_segment_geometry(plan.segments, network, args.target_m)
-    doc = geo_export.export_geojson(plan, mode=args.mode)
-    write_atomic(args.out, doc)
+        shapes = segment_shapes(plan.segments, read_network(args.network), args.target_m)
+    write_atomic(args.out, geo_export.export_geojson(plan, shapes))
     print(f"{args.out}: {len(plan.segments)} features ({args.mode})")
     return 0
 
@@ -351,7 +344,7 @@ def main(argv=None) -> int:
     except RoadsenseError as e:
         print(f"error: {e}", file=sys.stderr)
         return e.exit_code
-    except (FileNotFoundError, IsADirectoryError, NotADirectoryError) as e:
+    except (FileNotFoundError, FileExistsError, IsADirectoryError, NotADirectoryError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
     except KeyboardInterrupt:

@@ -18,12 +18,11 @@ def _coord(p) -> str:
     return f"[{p.lon:.7f},{p.lat:.7f}]"
 
 
-def _feature(segment: RoadSegment, rank: int, mode: str) -> str:
-    if mode == "points":
+def _feature(segment: RoadSegment, rank: int, shape) -> str:
+    if shape is None:
         geometry = f'{{"type":"Point","coordinates":{_coord(segment.start)}}}'
     else:
-        points = segment.geometry.points if segment.geometry else (segment.start, segment.end)
-        coords = ",".join(_coord(p) for p in points)
+        coords = ",".join(_coord(p) for p in shape)
         geometry = f'{{"type":"LineString","coordinates":[{coords}]}}'
     props = json.dumps({"segment_id": segment.segment_id, "city": segment.city,
                         "highway_class": segment.highway_class, "sample_rank": rank},
@@ -31,11 +30,10 @@ def _feature(segment: RoadSegment, rank: int, mode: str) -> str:
     return f'{{"type":"Feature","geometry":{geometry},"properties":{props}}}'
 
 
-def export_geojson(plan: SamplePlan, mode: str = "points") -> str:
-    """FeatureCollection of the plan: start points, or full polylines."""
-    if mode not in ("points", "lines"):
-        raise ValueError(f"mode must be 'points' or 'lines', got {mode!r}")
-    features = ",\n".join(_feature(s, rank, mode)
+def export_geojson(plan: SamplePlan, shapes: list | None = None) -> str:
+    """FeatureCollection of the plan: start points or, given each segment's
+    shape (segmenter.segment_shapes), lines."""
+    features = ",\n".join(_feature(s, rank, shapes[rank] if shapes else None)
                           for rank, s in enumerate(plan.segments))
     if features:
         return ('{"type":"FeatureCollection","features":[\n'

@@ -69,7 +69,7 @@ class WorkerScore:
 @dataclass(frozen=True, slots=True)
 class ConsensusLabel:
     segment_id: str
-    verdicts: dict      # attribute -> yes | no | unresolved | na
+    verdicts: tuple     # yes | no | unresolved | na per attribute, in ATTRIBUTES order
     n_workers: int
 
 
@@ -197,8 +197,7 @@ def aggregate(labels: LabelTally,
                 n_omitted += 1
                 continue
             counts -= sum(_ballot(r[3:]) for r in recs if r.worker_id in excluding)
-        verdicts = dict(zip(ATTRIBUTES, _verdicts(counts)[0]))
-        out.append(ConsensusLabel(segment_id, verdicts, len(workers)))
+        out.append(ConsensusLabel(segment_id, _verdicts(counts)[0], len(workers)))
     if n_omitted:
         log.warning("aggregate: %d segments lost all labels after exclusion", n_omitted)
     return out
@@ -240,15 +239,14 @@ def flagged_workers(scores: list[WorkerScore]) -> set[str]:
 
 def write_consensus_csv(labels: list[ConsensusLabel], path: str | Path) -> None:
     write_table(path, CONSENSUS_CSV_HEADER.split(","),
-                ([c.segment_id, *(c.verdicts[a] for a in ATTRIBUTES), c.n_workers]
-                 for c in labels))
+                ([c.segment_id, *c.verdicts, c.n_workers] for c in labels))
 
 
 def _consensus(segment_id, *values) -> ConsensusLabel:
     # values are the verdicts in ATTRIBUTES order, then n_workers
     if values[-1] < 1:
         raise ValueError(f"column n_workers: must be at least 1, got {values[-1]}")
-    return ConsensusLabel(segment_id, dict(zip(ATTRIBUTES, values)), values[-1])
+    return ConsensusLabel(segment_id, values[:-1], values[-1])
 
 
 def _verdict(allowed: frozenset, raw: str) -> str:

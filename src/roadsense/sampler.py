@@ -54,22 +54,20 @@ class SamplePlan:
     seed: int
     population_n: int
     segments: list[RoadSegment] = field(default_factory=list)
-    warning: str | None = None
 
 
 def sample_segments(population: list[RoadSegment], n: int, seed: int) -> SamplePlan:
     """Uniform sample of n segments without replacement, in draw order.
 
     Asking for more than the population returns the whole population
-    (shuffled) and records a warning on the plan.
+    (shuffled) and logs a warning.
     """
     if n < 0:
         raise ValueError(f"sample size must be >= 0, got {n}")
     pop_n = len(population)
-    warning = None
     if n > pop_n:
-        warning = f"requested {n} segments but population has only {pop_n}"
-        log.warning("sample_segments: %s", warning)
+        log.warning("sample_segments: requested %d segments but population has only %d",
+                    n, pop_n)
     k = min(n, pop_n)
     rng = SplitMix64(seed)
     indices = list(range(pop_n))
@@ -77,8 +75,7 @@ def sample_segments(population: list[RoadSegment], n: int, seed: int) -> SampleP
         j = i + rng.next_below(pop_n - i)
         indices[i], indices[j] = indices[j], indices[i]
     chosen = [population[indices[i]] for i in range(k)]
-    return SamplePlan(seed=seed, population_n=pop_n,
-                      segments=chosen, warning=warning)
+    return SamplePlan(seed=seed, population_n=pop_n, segments=chosen)
 
 
 def sample_points(plan: SamplePlan) -> list[tuple[str, GeoPoint]]:
@@ -122,16 +119,13 @@ def sample_stratified(population: list[RoadSegment], n: int, seed: int) -> Sampl
         classes.setdefault(s.highway_class, []).append(s)
     alloc = stratified_counts({c: len(v) for c, v in classes.items()}, n)
     chosen: list[RoadSegment] = []
-    warning = None
     if n > len(population):
-        warning = (f"requested {n} segments but population has only "
-                   f"{len(population)}")
-        log.warning("sample_stratified: %s", warning)
+        log.warning("sample_stratified: requested %d segments but population has only %d",
+                    n, len(population))
     for i, cls in enumerate(sorted(classes)):
         sub = sample_segments(classes[cls], alloc[cls], seed + i + 1)
         chosen.extend(sub.segments)
-    return SamplePlan(seed=seed, population_n=len(population),
-                      segments=chosen, warning=warning)
+    return SamplePlan(seed=seed, population_n=len(population), segments=chosen)
 
 
 PLAN_CSV_HEADER = SEGMENTS_CSV_HEADER + ",sample_rank"

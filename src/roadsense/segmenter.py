@@ -28,7 +28,6 @@ class RoadSegment:
     segment_id: str            # "<way_id>#<index>"
     way_id: int
     index: int
-    geometry: Polyline | None  # full shape; None when re-read from CSV
     start: GeoPoint
     end: GeoPoint
     length_m: float
@@ -58,18 +57,19 @@ def _cut_distances(length_m: float, target_m: float) -> list[float]:
     return [target_m * (i + 1) for i in range(n_cuts)]
 
 
-def chunk_way(way: Way, network: RoadNetwork, target_m: float) -> list[RoadSegment]:
-    """Split one way into consecutive segments tiling it with no gaps.
+def way_pieces(way: Way, network: RoadNetwork,
+               target_m: float) -> list[tuple[list[GeoPoint], float]]:
+    """The way cut by the tail rule into consecutive pieces, each a shape and
+    its length in meters, tiling the way with no gaps.
 
-    Segment geometry keeps every intermediate way vertex plus the
-    interpolated cut points; a cut point is shared bit-exactly as the end
-    of one segment and the start of the next.
+    A shape keeps every intermediate way vertex plus the interpolated cut
+    points; a cut point is shared bit-exactly as the end of one piece and the
+    start of the next.
     """
     if target_m <= 0:
         raise ValueError(f"target_m must be positive, got {target_m}")
-    points = network.way_points(way)
     try:
-        line = Polyline(points)
+        line = Polyline(network.way_points(way))
     except ValueError as e:
         raise DegenerateWayError(f"way {way.id}: {e}") from e
     edges = line.edge_lengths_m()
@@ -79,7 +79,7 @@ def chunk_way(way: Way, network: RoadNetwork, target_m: float) -> list[RoadSegme
 
     cuts = _cut_distances(total, target_m)
     if not cuts:
-        return [_segment_of(way, network, 0, line, total)]
+        return [(list(line.points), total)]
     # each piece's length adds up the way's own edge lengths in order, as
     # Polyline.length_m would; only an edge split at a cut point is measured
     pieces: list[tuple[list[GeoPoint], float]] = []
@@ -114,23 +114,20 @@ def chunk_way(way: Way, network: RoadNetwork, target_m: float) -> list[RoadSegme
             current.append(b)
     # cuts are strictly interior, so the leftover always reaches the last vertex
     pieces.append((current, length))
-    return [_segment_of(way, network, idx, Polyline(piece), piece_m)
-            for idx, (piece, piece_m) in enumerate(pieces)]
+    # consecutive points of a piece always differ, so a piece of two points has
+    # two distinct ones; only cuts closer together than float coordinates
+    # resolve, a nanometer or so apart, could leave a piece of one point
+    if any(len(piece) < 2 for piece, _ in pieces):
+        raise DegenerateWayError(f"way {way.id}: target {target_m} m cuts a piece "
+                                 "of no length")
+    return pieces
 
 
-def _segment_of(way: Way, network: RoadNetwork, idx: int, geom: Polyline,
-                length_m: float) -> RoadSegment:
-    return RoadSegment(
-        segment_id=f"{way.id}#{idx}",
-        way_id=way.id,
-        index=idx,
-        geometry=geom,
-        start=geom.points[0],
-        end=geom.points[-1],
-        length_m=length_m,
-        highway_class=way.highway_class,
-        city=network.source_name,
-    )
+def chunk_way(way: Way, network: RoadNetwork, target_m: float) -> list[RoadSegment]:
+    """Split one way into consecutive segments, one per piece of way_pieces."""
+    return [RoadSegment(f"{way.id}#{idx}", way.id, idx, piece[0], piece[-1], length_m,
+                        way.highway_class, network.source_name)
+            for idx, (piece, length_m) in enumerate(way_pieces(way, network, target_m))]
 
 
 def chunk_network(ways: list[Way], network: RoadNetwork,
@@ -153,30 +150,28 @@ def chunk_network(ways: list[Way], network: RoadNetwork,
     return ChunkResult(segments=segments, skipped_way_ids=skipped, n_ways=len(ways))
 
 
-def rebuild_segment_geometry(segments: list[RoadSegment], network: RoadNetwork,
-                             target_m: float) -> list[RoadSegment]:
-    """Re-attach full geometry to segments that lost it in CSV transit.
+def segment_shapes(segments: list[RoadSegment], network: RoadNetwork,
+                   target_m: float) -> list[list[GeoPoint]]:
+    """Each segment's full shape, which CSV does not store.
 
     Chunking is deterministic, so re-chunking the parent ways with the
     same target reproduces each segment's shape; segments are matched by
     segment_id.
     """
     by_way = {w.id: w for w in network.ways}
-    rebuilt: dict[str, RoadSegment] = {}
+    shapes: dict[str, list[GeoPoint]] = {}
     for way_id in sorted({s.way_id for s in segments}):
         way = by_way.get(way_id)
         if way is None:
             raise DegenerateWayError(f"way {way_id} not present in the network file")
-        for seg in chunk_way(way, network, target_m):
-            rebuilt[seg.segment_id] = seg
-    out = []
+        for idx, (piece, _) in enumerate(way_pieces(way, network, target_m)):
+            shapes[f"{way_id}#{idx}"] = piece
     for s in segments:
-        if s.segment_id not in rebuilt:
+        if s.segment_id not in shapes:
             raise DegenerateWayError(
                 f"segment {s.segment_id} not reproducible from the network "
                 f"at target {target_m} m")
-        out.append(rebuilt[s.segment_id])
-    return out
+    return [shapes[s.segment_id] for s in segments]
 
 
 def write_segments_csv(segments: list[RoadSegment], path: str | Path) -> None:
@@ -206,14 +201,11 @@ _SEGMENT_COLUMNS = dict(zip(SEGMENTS_CSV_HEADER.split(","),
 
 def _segment(segment_id, way_id, index, lat0, lon0, lat1, lon1, *rest) -> RoadSegment:
     # rest: length_m, highway_class, city
-    return RoadSegment(segment_id, way_id, index, None, GeoPoint(lat0, lon0),
+    return RoadSegment(segment_id, way_id, index, GeoPoint(lat0, lon0),
                        GeoPoint(lat1, lon1), *rest)
 
 
 def read_segments_csv(path: str | Path) -> list[RoadSegment]:
-    """Read segments back from CSV.
-
-    Interior vertices are not stored in CSV, so geometry comes back None;
-    exports that need the true shape re-chunk from the network file.
-    """
+    """Read segments back from CSV, which holds no interior vertices:
+    segment_shapes re-chunks the network file for them."""
     return read_table(path, _SEGMENT_COLUMNS, _segment)

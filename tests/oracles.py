@@ -268,7 +268,7 @@ def aggregate_labels(records, excluding=frozenset()):
     out = []
     for segment_id in sorted(by_segment):
         recs = by_segment[segment_id]
-        verdicts = {attr: tally_attribute(recs, attr) for attr in ATTRIBUTES}
+        verdicts = tuple(tally_attribute(recs, attr) for attr in ATTRIBUTES)
         out.append(ConsensusLabel(segment_id=segment_id, verdicts=verdicts,
                                   n_workers=len({r.worker_id for r in recs})))
     return out

@@ -18,6 +18,7 @@ from roadsense.analysis import (
     TractPolygon,
     build_design,
     expected_incidents,
+    fixed,
     join_income,
     load_tracts_geojson,
     ols_fit,
@@ -26,7 +27,7 @@ from roadsense.analysis import (
     summarize_city,
     summary_table,
 )
-from roadsense.cli import _fixed8, main
+from roadsense.cli import main
 from roadsense.errors import AnalysisError, CollinearityError, InputDataError, InsufficientDataError
 from roadsense.geometry import GeoPoint, PolygonRing, point_in_polygon
 from roadsense.labeling import ATTRIBUTES, ConsensusLabel
@@ -36,7 +37,8 @@ from roadsense.segmenter import SEGMENTS_CSV_HEADER
 def consensus(segment_id, **verdicts):
     v = {a: "no" for a in ATTRIBUTES}
     v.update(verdicts)
-    return ConsensusLabel(segment_id=segment_id, verdicts=v, n_workers=1)
+    return ConsensusLabel(segment_id=segment_id, verdicts=tuple(v[a] for a in ATTRIBUTES),
+                          n_workers=1)
 
 
 class TestSummarize:
@@ -204,11 +206,12 @@ class TestOls:
         assert fits > 250
 
     def test_coefficient_rounding_to_zero_is_written_unsigned(self):
-        assert _fixed8(-1e-17) == "0.00000000"
-        assert _fixed8(-0.0) == "0.00000000"
-        assert _fixed8(-4e-9) == "0.00000000"
-        assert _fixed8(-6e-9) == "-0.00000001"
-        assert _fixed8(0.125) == "0.12500000"
+        assert fixed(-1e-17, 8) == "0.00000000"
+        assert fixed(-0.0, 8) == "0.00000000"
+        assert fixed(-4e-9, 8) == "0.00000000"
+        assert fixed(-6e-9, 8) == "-0.00000001"
+        assert fixed(0.125, 8) == "0.12500000"
+        assert fixed(-2.2e-16, 4) == "0.0000"
 
     def test_analysis_import_leaves_scipy_unloaded(self):
         src = str(Path(roadsense.__file__).resolve().parent.parent)
@@ -511,8 +514,9 @@ class TestQuintiles:
             assert bins.bin_of(x) == scaled.bin_of(x * 3.5)
 
     def test_strictly_ascending_required(self):
-        with pytest.raises(ValueError):
-            QuintileBinning(cut_points=(1.0, 1.0, 2.0, 3.0))
+        # 8 of 12 incomes are 1: the first three cut points are all 1
+        with pytest.raises(AnalysisError, match=r"cut points 1, 1, 1, 2.8 tie at 1:"):
+            quintile_bins([1.0] * 8 + [2.0, 3.0, 4.0, 5.0])
 
 
 class TestExpectedIncidents:

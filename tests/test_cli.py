@@ -1,5 +1,6 @@
 import argparse
 import json
+import logging
 import math
 import os
 import re
@@ -30,7 +31,7 @@ from roadsense.pipeline import (
     run_pipeline,
 )
 from roadsense.sampler import read_plan_csv, sample_segments, write_plan_csv
-from roadsense.segmenter import chunk_network
+from roadsense.segmenter import SEGMENTS_CSV_HEADER, chunk_network
 from roadsense.streetview import QUERIES_CSV_HEADER, format_location, read_queries_csv
 
 LABEL_HEADER = ("AssignmentId,WorkerId,Input.segment_id,Answer.potholes,Answer.cracks,"
@@ -660,6 +661,25 @@ class TestStageCommands:
         kinds = [json.loads(line)["type"] for line in net_file.read_text().splitlines()]
         assert kinds == ["meta", "node", "node", "way"]
 
+    def test_ingest_and_sample_warn_once_in_the_log(self, tmp_path, capsys, caplog):
+        osm = tmp_path / "city.osm"
+        osm.write_text("<osm>"
+                       '<node id="1" lat="0" lon="0"/><node id="1" lat="0" lon="0"/>'
+                       '<node id="2" lat="0" lon="0.01"/>'
+                       '<way id="9"><nd ref="1"/><nd ref="2"/><tag k="highway" v="primary"/>'
+                       "</way></osm>", encoding="utf-8")
+        net_file, seg_file = tmp_path / "net.ndjson", tmp_path / "segments.csv"
+        with caplog.at_level(logging.WARNING):
+            assert main(["ingest", "--osm", str(osm), "--city", "f",
+                         "--out", str(net_file)]) == 0
+            assert main(["segment", "--network", str(net_file), "--out", str(seg_file)]) == 0
+            assert main(["sample", "--segments", str(seg_file), "--n", "5",
+                         "--out", str(tmp_path / "plan.csv")]) == 0
+        assert [r.getMessage() for r in caplog.records] == [
+            "parse_osm: 1 duplicate node ids (last definition wins)",
+            "sample_segments: requested 5 segments but population has only 2"]
+        assert "warning" not in capsys.readouterr().out
+
     def test_cli_import_leaves_numpy_and_scipy_unloaded(self):
         src = str(Path(roadsense.__file__).resolve().parent.parent)
         env = {**os.environ, "PYTHONPATH": src}
@@ -855,3 +875,78 @@ class TestStageCommands:
         assert "road_class=primary" in printed
         assert "R^2" in printed
         assert out_csv.read_text().startswith("coefficient,")
+
+    def test_export_mode_outside_the_choices_exits_2(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["export", "--plan", str(tmp_path / "plan.csv"), "--mode", "polygons",
+                  "--out", str(tmp_path / "x.geojson")])
+        assert exc.value.code == 2
+        assert "invalid choice: 'polygons'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run", "fetch"])
+    def test_out_dir_that_is_a_file_exits_3(self, fixture_city_file, tmp_path, capsys,
+                                             command):
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        plan_file = tmp_path / "plan.csv"
+        write_plan_csv(planned_points(fixture_city_file.read_bytes(), "f",
+                                      SAMPLED_ROAD_CLASSES, 500.0, 2, 0), plan_file)
+        inputs = {"run": ["--osm", str(fixture_city_file), "--city", "f"],
+                  "fetch": ["--plan", str(plan_file)]}[command]
+        assert main([command, *inputs, "--out-dir", str(afile), "--api-key", "k",
+                     "--base-url", "http://127.0.0.1:9"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(afile) in err
+        assert afile.read_text() == ""
+
+
+def regress_inputs(tmp_path, per_tract):
+    """segments.csv, consensus.csv and tracts.geojson for regress: tract k, the
+    one-degree square east of longitude k, has income k + 1 and holds
+    per_tract[k] primary segments of city f; every third segment has potholes."""
+    segments, consensus, features = [SEGMENTS_CSV_HEADER], [CONSENSUS_CSV_HEADER], []
+    for k, n in enumerate(per_tract):
+        for j in range(n):
+            sid = f"{k}{j}#0"
+            lon = k + 0.1 + 0.05 * j
+            segments.append(f"{sid},1,0,0.5,{lon},0.5,{lon + 0.01},100.0,primary,f")
+            potholes = "yes" if len(consensus) % 3 == 1 else "no"
+            consensus.append(f"{sid},{potholes},no,yes,yes,no,yes,1")
+        ring = [[k, 0], [k + 1, 0], [k + 1, 1], [k, 1], [k, 0]]
+        features.append({"type": "Feature", "geometry": {"type": "Polygon", "coordinates": [ring]},
+                         "properties": {"tract_id": f"t{k}", "per_capita_income": k + 1}})
+    paths = tmp_path / "segments.csv", tmp_path / "consensus.csv", tmp_path / "tracts.geojson"
+    paths[0].write_text("\n".join(segments) + "\n")
+    paths[1].write_text("\n".join(consensus) + "\n")
+    paths[2].write_text(json.dumps({"type": "FeatureCollection", "features": features}))
+    return ["regress", "--outcome", "potholes", "--segments", str(paths[0]),
+            "--consensus", str(paths[1]), "--tracts", str(paths[2])]
+
+
+class TestRegressFlags:
+    def test_tied_quintile_cut_points_exit_5_suggesting_by_tract(self, tmp_path, capsys):
+        # 8 of 12 points share the lowest income: the first three cut points tie
+        args = regress_inputs(tmp_path, [8, 1, 1, 1, 1])
+        assert main(args + ["--factors", "income_quintile"]) == 5
+        err = capsys.readouterr().err
+        assert err.startswith("error: income quintile cut points 1, 1, 1, 2.8 tie at 1:")
+        assert "--by-tract" in err
+        assert main(args + ["--factors", "income_quintile", "--by-tract"]) == 0
+
+    @pytest.mark.parametrize("factors, bad", [
+        ("foo", "foo"), ("road_class,road_class", "road_class"),
+        ("city, income_quintile ,city", "city"),
+    ], ids=["unknown", "repeated", "repeated-after-spaces"])
+    def test_bad_factors_exit_2_naming_the_factor(self, tmp_path, capsys, factors, bad):
+        args = regress_inputs(tmp_path, [3, 3, 3, 3, 3])
+        assert main(args + ["--factors", factors]) == 2
+        assert capsys.readouterr().err == (
+            "error: --factors must be road_class, city or income_quintile, each at most "
+            f"once, got {bad}\n")
+
+    def test_intercept_only_fit_prints_an_unsigned_zero_r_squared(self, tmp_path, capsys):
+        # 4 of 12 outcomes are 1: the residual and total sums of squares
+        # differ in the last bit, and R^2 comes out at -2.2e-16
+        args = regress_inputs(tmp_path, [12])
+        assert main(args + ["--factors", "city"]) == 0
+        assert capsys.readouterr().out.endswith("n = 12, R^2 = 0.0000\n")

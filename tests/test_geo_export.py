@@ -5,26 +5,23 @@ import random
 import string
 from dataclasses import replace
 
-import pytest
-
 from roadsense.fileio import write_table
 from roadsense.geo_export import export_geojson
-from roadsense.geometry import GeoPoint, Polyline
+from roadsense.geometry import GeoPoint
 from roadsense.sampler import SamplePlan
 from roadsense.segmenter import RoadSegment
 
 
-def make_plan(n, with_geometry=True):
-    segs = []
-    for i in range(n):
-        start = GeoPoint(13.0 + i * 0.001, 100.5)
-        mid = GeoPoint(13.0 + i * 0.001, 100.5005)
-        end = GeoPoint(13.0005 + i * 0.001, 100.501)
-        segs.append(RoadSegment(
-            segment_id=f"{i}#0", way_id=i, index=0,
-            geometry=Polyline([start, mid, end]) if with_geometry else None,
-            start=start, end=end, length_m=77.0,
-            highway_class="primary", city="bangkok"))
+def shape(i):
+    return [GeoPoint(13.0 + i * 0.001, 100.5), GeoPoint(13.0 + i * 0.001, 100.5005),
+            GeoPoint(13.0005 + i * 0.001, 100.501)]
+
+
+def make_plan(n):
+    segs = [RoadSegment(segment_id=f"{i}#0", way_id=i, index=0, start=shape(i)[0],
+                        end=shape(i)[-1], length_m=77.0, highway_class="primary",
+                        city="bangkok")
+            for i in range(n)]
     return SamplePlan(seed=1, population_n=n, segments=segs)
 
 
@@ -34,7 +31,7 @@ class TestGeojson:
         assert doc == {"type": "FeatureCollection", "features": []}
 
     def test_points_mode_single(self):
-        doc = json.loads(export_geojson(make_plan(1), mode="points"))
+        doc = json.loads(export_geojson(make_plan(1)))
         assert len(doc["features"]) == 1
         feat = doc["features"][0]
         assert feat["geometry"]["type"] == "Point"
@@ -44,14 +41,10 @@ class TestGeojson:
         assert feat["properties"]["city"] == "bangkok"
 
     def test_lines_mode_full_shape(self):
-        doc = json.loads(export_geojson(make_plan(1), mode="lines"))
+        doc = json.loads(export_geojson(make_plan(1), [shape(0)]))
         geom = doc["features"][0]["geometry"]
         assert geom["type"] == "LineString"
-        assert len(geom["coordinates"]) == 3
-
-    def test_lines_mode_without_geometry_uses_chord(self):
-        doc = json.loads(export_geojson(make_plan(1, with_geometry=False), mode="lines"))
-        assert len(doc["features"][0]["geometry"]["coordinates"]) == 2
+        assert geom["coordinates"] == [[100.5, 13.0], [100.5005, 13.0], [100.501, 13.0005]]
 
     def test_bulk_plan_feature_count(self):
         doc = json.loads(export_geojson(make_plan(1000)))
@@ -76,13 +69,9 @@ class TestGeojson:
     def test_quote_and_backslash_in_properties(self):
         plan = make_plan(2)
         plan.segments[0] = replace(plan.segments[0], city='Ba"ng\\kok')
-        doc = json.loads(export_geojson(plan, mode="lines"))
+        doc = json.loads(export_geojson(plan, [shape(0), shape(1)]))
         assert doc["features"][0]["properties"]["city"] == 'Ba"ng\\kok'
         assert doc["features"][1]["properties"]["city"] == "bangkok"
-
-    def test_bad_mode(self):
-        with pytest.raises(ValueError):
-            export_geojson(make_plan(1), mode="polygons")
 
 
 class TestCsv:

@@ -26,6 +26,10 @@ def batch_csv(rows):
     return HEADER + "\n" + "\n".join(",".join(r) for r in rows) + "\n"
 
 
+def verdict(label, attribute):
+    return label.verdicts[ATTRIBUTES.index(attribute)]
+
+
 def record(assignment, worker, segment, potholes="no", cracks="no",
            markings_present="yes", markings_clear="yes", litter="no",
            sidewalk="yes"):
@@ -135,19 +139,19 @@ class TestAggregate:
                 record("a2", "w2", "s1", potholes="yes"),
                 record("a3", "w3", "s1", potholes="no")]
         out = aggregate(tally(parse_labels(batch_csv(rows))))
-        assert out[0].verdicts["potholes"] == "yes"
+        assert verdict(out[0], "potholes") == "yes"
         assert out[0].n_workers == 3
 
     def test_tie_unresolved(self):
         rows = [record("a1", "w1", "s1", potholes="yes"),
                 record("a2", "w2", "s1", potholes="no")]
         out = aggregate(tally(parse_labels(batch_csv(rows))))
-        assert out[0].verdicts["potholes"] == "unresolved"
+        assert verdict(out[0], "potholes") == "unresolved"
 
     def test_single_label_passthrough(self):
         rows = [record("a1", "w1", "s1", potholes="no")]
         out = aggregate(tally(parse_labels(batch_csv(rows))))
-        assert out[0].verdicts["potholes"] == "no"
+        assert verdict(out[0], "potholes") == "no"
         assert out[0].n_workers == 1
 
     def test_markings_clear_conditional(self):
@@ -156,21 +160,21 @@ class TestAggregate:
                 record("a2", "w2", "s1", markings_present="no", markings_clear="na"),
                 record("a3", "w3", "s1", markings_present="no", markings_clear="na")]
         out = aggregate(tally(parse_labels(batch_csv(rows))))
-        assert out[0].verdicts["markings_present"] == "no"
-        assert out[0].verdicts["markings_clear"] == "yes"
+        assert verdict(out[0], "markings_present") == "no"
+        assert verdict(out[0], "markings_clear") == "yes"
 
     def test_markings_clear_na_propagates(self):
         rows = [record("a1", "w1", "s1", markings_present="no", markings_clear="na"),
                 record("a2", "w2", "s1", markings_present="no", markings_clear="na")]
         out = aggregate(tally(parse_labels(batch_csv(rows))))
-        assert out[0].verdicts["markings_clear"] == "na"
+        assert verdict(out[0], "markings_clear") == "na"
 
     def test_nosidewalk_counts_as_no(self):
         rows = [record("a1", "w1", "s1", sidewalk="nosidewalk"),
                 record("a2", "w2", "s1", sidewalk="nosidewalk"),
                 record("a3", "w3", "s1", sidewalk="yes")]
         out = aggregate(tally(parse_labels(batch_csv(rows))))
-        assert out[0].verdicts["sidewalk_paved"] == "no"
+        assert verdict(out[0], "sidewalk_paved") == "no"
 
     def test_exclusion_drops_worker(self):
         rows = [record("a1", "w1", "s1", potholes="yes"),
@@ -178,7 +182,7 @@ class TestAggregate:
                 record("a3", "bad", "s1", potholes="no")]
         out = aggregate(tally(parse_labels(batch_csv(rows))), excluding={"bad"})
         assert out[0].n_workers == 2
-        assert out[0].verdicts["potholes"] == "yes"
+        assert verdict(out[0], "potholes") == "yes"
 
     def test_exclusion_omits_empty_segments(self):
         rows = [record("a1", "only", "s1"), record("a2", "w2", "s2")]
@@ -245,7 +249,7 @@ class TestAggregate:
                         expect = "no"
                     else:
                         expect = "unresolved"
-                    assert got[seg].verdicts[attr] == expect, (seg, attr)
+                    assert verdict(got[seg], attr) == expect, (seg, attr)
 
 
 def random_batch(rng):
@@ -312,7 +316,7 @@ class TestOneTally:
             scores, out, logs = expected
             n_flagged += any(s.flagged for s in scores)
             n_omitted += any("lost all labels" in m for _, _, m in logs)
-            n_ties += any(v == "unresolved" for c in out for v in c.verdicts.values())
+            n_ties += any(v == "unresolved" for c in out for v in c.verdicts)
         assert min(n_flagged, n_omitted, n_ties) >= 20, (n_flagged, n_omitted, n_ties)
 
     def test_second_assignment_is_a_vote_not_a_worker(self):
@@ -320,7 +324,7 @@ class TestOneTally:
                 record("a2", "w1", "s1", potholes="yes"),
                 record("a3", "w2", "s1", potholes="no")]
         (out,) = aggregate(tally(parse_labels(batch_csv(rows))))
-        assert out.verdicts["potholes"] == "yes"
+        assert verdict(out, "potholes") == "yes"
         assert out.n_workers == 2
 
 

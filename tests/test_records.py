@@ -16,18 +16,17 @@ from roadsense.segmenter import RoadSegment
 from roadsense.streetview import QueryRecord
 
 A, B = GeoPoint(42.33, -83.05), GeoPoint(42.331, -83.05)
-VERDICTS = dict(zip(ATTRIBUTES, ("yes", "no", "yes", "unresolved", "no", "yes")))
+VERDICTS = ("yes", "no", "yes", "unresolved", "no", "yes")
 
 # each builds a fresh record, equal to the one built before
 RECORDS = {
     "GeoPoint": lambda: GeoPoint(42.33, -83.05),
     "Polyline": lambda: Polyline([A, B]),
     "Way": lambda: Way(7, (1, 2), "primary", "Woodward Avenue"),
-    "RoadSegment": lambda: RoadSegment("7#0", 7, 0, Polyline([A, B]), A, B, 111.2,
-                                       "primary", "wayne"),
+    "RoadSegment": lambda: RoadSegment("7#0", 7, 0, A, B, 111.2, "primary", "wayne"),
     "QueryRecord": lambda: QueryRecord("7#0", A, "OK", "p1", "2017-05", "images/7#0.jpg",
                                        "2026-01-01T00:00:00Z"),
-    "ConsensusLabel": lambda: ConsensusLabel("7#0", dict(VERDICTS), 3),
+    "ConsensusLabel": lambda: ConsensusLabel("7#0", tuple(VERDICTS), 3),
 }
 
 
@@ -39,11 +38,7 @@ def test_record_is_slotted_frozen_and_compares_by_value(name):
     with pytest.raises(dataclasses.FrozenInstanceError):
         setattr(record, field, getattr(twin, field))
     assert record == twin and record is not twin
-    if name == "ConsensusLabel":  # its verdicts are a dict, so it never hashed
-        with pytest.raises(TypeError):
-            hash(record)
-    else:
-        assert hash(record) == hash(twin)
+    assert hash(record) == hash(twin)
 
 
 N_ROWS = 5_000
@@ -69,18 +64,18 @@ def test_plan_rows_retain_under_500_bytes_each(tmp_path):
     for i in range(N_ROWS):
         start = GeoPoint(42.3 + 0.1 * rng.random(), -83.1 + 0.1 * rng.random())
         end = GeoPoint(start.lat + 0.001, start.lon)
-        segments.append(RoadSegment(f"{1000 + i}#0", 1000 + i, 0, None, start, end, 111.2,
+        segments.append(RoadSegment(f"{1000 + i}#0", 1000 + i, 0, start, end, 111.2,
                                     CLASSES[i % 4], "wayne"))
     write_plan_csv(SamplePlan(3, N_ROWS, segments), tmp_path / "plan.csv")
     assert retained_per_row(read_plan_csv, tmp_path / "plan.csv") < 500
 
 
-def test_consensus_rows_retain_under_500_bytes_each(tmp_path):
-    # six verdicts per row, each one of four interned tokens, beside a slotted
-    # record: about 390 bytes a row
+def test_consensus_rows_retain_under_250_bytes_each(tmp_path):
+    # a tuple of six verdicts, each one of four interned tokens, beside a
+    # slotted record: about 210 bytes a row
     rng = random.Random(3)
     labels = [ConsensusLabel(f"{1000 + i}#0",
-                             {a: rng.choice(("yes", "no", "unresolved")) for a in ATTRIBUTES}, 3)
+                             tuple(rng.choice(("yes", "no", "unresolved")) for _ in ATTRIBUTES), 3)
               for i in range(N_ROWS)]
     write_consensus_csv(labels, tmp_path / "consensus.csv")
-    assert retained_per_row(read_consensus_csv, tmp_path / "consensus.csv") < 500
+    assert retained_per_row(read_consensus_csv, tmp_path / "consensus.csv") < 250

@@ -1,9 +1,10 @@
 import itertools
+import logging
 
 import pytest
 from scipy import stats
 
-from roadsense.geometry import GeoPoint, Polyline
+from roadsense.geometry import GeoPoint
 from roadsense.sampler import (
     PLAN_CSV_HEADER,
     SplitMix64,
@@ -23,7 +24,7 @@ def make_population(n, highway_class="primary"):
         end = GeoPoint(0.001, (i % 1700) * 0.1)
         segs.append(RoadSegment(
             segment_id=f"{i}#0", way_id=i, index=0,
-            geometry=Polyline([start, end]), start=start, end=end,
+            start=start, end=end,
             length_m=500.0, highway_class=highway_class, city="t"))
     return segs
 
@@ -59,18 +60,28 @@ class TestSplitMix64:
 
 
 class TestSampleSegments:
-    def test_empty_draw(self):
-        plan = sample_segments(make_population(10), 0, seed=1)
+    def test_empty_draw(self, caplog):
+        with caplog.at_level(logging.WARNING, logger="roadsense.sampler"):
+            plan = sample_segments(make_population(10), 0, seed=1)
         assert plan.segments == []
         assert plan.population_n == 10
-        assert plan.warning is None
+        assert caplog.records == []
 
-    def test_exhaustive_draw(self):
+    def test_exhaustive_draw(self, caplog):
         pop = make_population(10)
-        plan = sample_segments(pop, 15, seed=1)
+        with caplog.at_level(logging.WARNING, logger="roadsense.sampler"):
+            plan = sample_segments(pop, 15, seed=1)
         assert len(plan.segments) == 10
         assert {s.segment_id for s in plan.segments} == {s.segment_id for s in pop}
-        assert plan.warning is not None
+        assert [r.getMessage() for r in caplog.records] == [
+            "sample_segments: requested 15 segments but population has only 10"]
+
+    def test_stratified_over_ask_warns_once(self, caplog):
+        with caplog.at_level(logging.WARNING, logger="roadsense.sampler"):
+            plan = sample_stratified(make_population(10), 15, seed=1)
+        assert len(plan.segments) == 10
+        assert [r.getMessage() for r in caplog.records] == [
+            "sample_stratified: requested 15 segments but population has only 10"]
 
     def test_without_replacement(self):
         pop = make_population(100)
@@ -165,7 +176,7 @@ class TestStratified:
     def test_stratified_sample_counts(self):
         pop = (make_population(60, "primary")
                + [RoadSegment(segment_id=f"t{i}", way_id=1000 + i, index=0,
-                              geometry=None, start=GeoPoint(1, i * 0.1),
+                              start=GeoPoint(1, i * 0.1),
                               end=GeoPoint(1, i * 0.1 + 0.001), length_m=500.0,
                               highway_class="tertiary", city="t")
                   for i in range(40)])

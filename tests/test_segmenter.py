@@ -4,13 +4,15 @@ import pytest
 
 from oracles import equator_lon_for_meters, polyline_length_m
 from roadsense.errors import DegenerateWayError
-from roadsense.geometry import GeoPoint
+from roadsense.geometry import GeoPoint, Polyline
 from roadsense.osm_ingest import RoadNetwork, Way
 from roadsense.segmenter import (
     SEGMENTS_CSV_HEADER,
     chunk_network,
     chunk_way,
     read_segments_csv,
+    segment_shapes,
+    way_pieces,
     write_segments_csv,
 )
 
@@ -40,15 +42,13 @@ class TestChunkWay:
 
     def test_small_remainder_merges(self):
         net = equatorial_network([1234.0])
-        segs = chunk_way(net.ways[0], net, 500.0)
-        lengths = [polyline_length_m(s.geometry.points) for s in segs]
+        lengths = [polyline_length_m(piece) for piece, _ in way_pieces(net.ways[0], net, 500.0)]
         assert lengths == pytest.approx([500.0, 734.0], abs=1e-3)
 
     def test_way_shorter_than_target(self):
         net = equatorial_network([300.0])
-        segs = chunk_way(net.ways[0], net, 500.0)
-        assert len(segs) == 1
-        assert polyline_length_m(segs[0].geometry.points) == pytest.approx(300.0, abs=1e-3)
+        (piece, _), = way_pieces(net.ways[0], net, 500.0)
+        assert polyline_length_m(piece) == pytest.approx(300.0, abs=1e-3)
 
     def test_large_remainder_is_own_segment(self):
         net = equatorial_network([1250.1])
@@ -76,8 +76,9 @@ class TestChunkWay:
         assert [s.index for s in segs] == [0, 1, 2]
         assert all(s.highway_class == "primary" for s in segs)
         assert all(s.city == "bangkok" for s in segs)
-        assert all(s.start == s.geometry.points[0] for s in segs)
-        assert all(s.end == s.geometry.points[-1] for s in segs)
+        pieces = way_pieces(net.ways[0], net, 500.0)
+        assert [(s.start, s.end, s.length_m) for s in segs] == [
+            (piece[0], piece[-1], length) for piece, length in pieces]
 
     def test_consecutive_segments_share_cut_point(self):
         net = equatorial_network([1700.0])
@@ -93,8 +94,7 @@ class TestChunkWay:
         net = RoadNetwork(nodes=nodes,
                           ways=[Way(id=7, node_ids=(1, 2, 3), highway_class="trunk")],
                           source_name="x")
-        segs = chunk_way(net.ways[0], net, 500.0)
-        all_points = [p for s in segs for p in s.geometry.points]
+        all_points = [p for piece, _ in way_pieces(net.ways[0], net, 500.0) for p in piece]
         assert bend in all_points
 
     def test_lengths_sum_to_way_length(self):
@@ -121,9 +121,9 @@ class TestChunkWay:
             for s in segs[:-1]:
                 assert s.length_m == pytest.approx(500.0, abs=1e-3)
 
-    def test_each_length_is_its_geometry_length_exactly(self):
+    def test_each_length_is_its_shape_length_exactly(self):
         # lengths add up the way's own edge lengths; they must equal a fresh
-        # measurement of each segment's geometry to the last bit
+        # measurement of each piece's shape to the last bit
         rng = random.Random(23)
         for _ in range(300):
             lat, lon = rng.uniform(-70, 70), rng.uniform(-170, 170)
@@ -138,22 +138,29 @@ class TestChunkWay:
                               source_name="x")
             target = rng.choice([137.0, 274.0, 500.0, rng.uniform(20.0, 2000.0)])
             try:
-                segs = chunk_way(net.ways[0], net, target)
+                pieces = way_pieces(net.ways[0], net, target)
             except DegenerateWayError:
                 continue
-            for s in segs:
-                assert s.length_m == s.geometry.length_m()
+            for piece, length in pieces:
+                assert length == Polyline(piece).length_m()
 
     def test_cut_on_a_vertex_keeps_lengths_exact(self):
         net = RoadNetwork(
             nodes={i: GeoPoint(0.0, equator_lon_for_meters(137.0 * i)) for i in range(8)},
             ways=[Way(id=1, node_ids=tuple(range(8)), highway_class="primary")],
             source_name="x")
-        segs = chunk_way(net.ways[0], net, 274.0)
-        assert len(segs) == 4
-        assert all(s.end in net.nodes.values() for s in segs)
-        for s in segs:
-            assert s.length_m == s.geometry.length_m()
+        pieces = way_pieces(net.ways[0], net, 274.0)
+        assert len(pieces) == 4
+        assert all(piece[-1] in net.nodes.values() for piece, _ in pieces)
+        for piece, length in pieces:
+            assert length == Polyline(piece).length_m()
+
+    def test_piece_of_no_length_is_a_degenerate_way(self, monkeypatch):
+        # cuts that land on the point before them leave a piece of one point
+        net = equatorial_network([1500.0])
+        monkeypatch.setattr("roadsense.segmenter.interpolate", lambda a, b, t: a)
+        with pytest.raises(DegenerateWayError, match="way 100: target 500.0 m cuts a piece"):
+            chunk_way(net.ways[0], net, 500.0)
 
     def test_determinism(self):
         net = equatorial_network([1234.0])
@@ -213,3 +220,20 @@ class TestSegmentsCsv:
         write_segments_csv(segs, p1)
         write_segments_csv(segs, p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+class TestSegmentShapes:
+    def test_shapes_follow_the_given_segments(self):
+        net = equatorial_network([1234.0, 700.0])
+        segs = chunk_network(net.ways, net, 500.0).segments
+        pieces = [p for w in net.ways for p, _ in way_pieces(w, net, 500.0)]
+        picked = [segs[2], segs[0]]
+        assert segment_shapes(picked, net, 500.0) == [pieces[2], pieces[0]]
+
+    def test_missing_way_and_other_target(self):
+        net = equatorial_network([1234.0])
+        segs = chunk_way(net.ways[0], net, 500.0)
+        with pytest.raises(DegenerateWayError, match="way 100 not present"):
+            segment_shapes(segs, equatorial_network([]), 500.0)
+        with pytest.raises(DegenerateWayError, match="segment 100#1 not reproducible"):
+            segment_shapes(segs, net, 1000.0)

@@ -14,7 +14,7 @@ import pytest
 
 from roadsense.cli import main
 from roadsense.errors import InsufficientDataError, KeyQuotaError, RowError
-from roadsense.geometry import GeoPoint, Polyline
+from roadsense.geometry import GeoPoint
 from roadsense.mockserver import MockStreetViewServer, _Handler
 from roadsense.pipeline import RunConfig
 from roadsense.sampler import SamplePlan, write_plan_csv
@@ -132,7 +132,7 @@ def plan_of_points(points):
         end = GeoPoint(lat + 0.001, lon)
         segs.append(RoadSegment(
             segment_id=f"{i}#0", way_id=i, index=0,
-            geometry=Polyline([start, end]), start=start, end=end,
+            start=start, end=end,
             length_m=111.0, highway_class="primary", city="t"))
     return SamplePlan(seed=0, population_n=len(segs), segments=segs)
 

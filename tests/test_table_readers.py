@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from roadsense.analysis import load_tracts_geojson
 from roadsense.errors import RoadsenseError
-from roadsense.geometry import GeoPoint, Polyline
+from roadsense.geometry import GeoPoint
 from roadsense.labeling import (
     aggregate,
     parse_labels,
@@ -38,8 +38,7 @@ def _segments() -> list[RoadSegment]:
     out = []
     for i in range(1, 4):
         start, end = GeoPoint(13.0 + i * 0.001, 100.5), GeoPoint(13.0 + i * 0.001, 100.501)
-        out.append(RoadSegment(f"{i}#0", i, 0, Polyline([start, end]), start, end,
-                               108.4, "primary", "bangkok"))
+        out.append(RoadSegment(f"{i}#0", i, 0, start, end, 108.4, "primary", "bangkok"))
     return out
 
 
