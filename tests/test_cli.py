@@ -581,6 +581,42 @@ class TestStageCommands:
         doc = json.loads(lines_file.read_text())
         assert all(f["geometry"]["type"] == "LineString" for f in doc["features"])
 
+    def test_chained_stage_commands_write_the_run_artifacts(self, fixture_city_file, tmp_path,
+                                                           capsys):
+        xml = fixture_city_file.read_text()
+        plan = planned_points(xml, "fixtureville", set(SAMPLED_ROAD_CLASSES), 500.0, 12, 7)
+        run_dir, d = tmp_path / "run", tmp_path / "stages"
+        d.mkdir()
+        with MockStreetViewServer(fixture_for_plan(plan)) as server:
+            assert main(run_args(fixture_city_file, run_dir, server.base_url)) == 0
+            n_segments = len((run_dir / "segments.csv").read_text().splitlines()) - 1
+            # run_args's fetch settings
+            fetch_flags = ["--base-url", server.base_url, "--api-key", "test-key",
+                           "--rate-per-s", "100000", "--max-concurrency", "8",
+                           "--fixed-time", "2026-01-01T00:00:00Z"]
+            commands = [
+                (["ingest", "--osm", str(fixture_city_file), "--city", "fixtureville",
+                  "--out", str(d / "network.ndjson")],
+                 f"{d / 'network.ndjson'}: 28 nodes, 14 road ways"),
+                (["segment", "--network", str(d / "network.ndjson"), "--skip-degenerate",
+                  "--out", str(d / "segments.csv")],
+                 f"{d / 'segments.csv'}: {n_segments} segments from 12 ways"),
+                (["sample", "--segments", str(d / "segments.csv"), "--n", "12", "--seed", "7",
+                  "--out", str(d / "plan.csv")],
+                 f"{d / 'plan.csv'}: 12 of {n_segments} segments (seed 7)"),
+                (["fetch", "--plan", str(d / "plan.csv"), "--out-dir", str(d), *fetch_flags],
+                 f"{d}/queries.csv: 12 records, 6 OK"),
+                (["coverage", "--queries", str(d / "queries.csv"),
+                  "--out", str(d / "coverage.json")],
+                 "coverage: 0.5000 [0.2538, 0.7462] (6/12 queries successful, 0 excluded)"),
+            ]
+            capsys.readouterr()
+            for argv, summary in commands:
+                assert main(argv) == 0, argv[0]
+                assert capsys.readouterr().out == summary + "\n", argv[0]
+        for name in RUN_ARTIFACTS:
+            assert (d / name).read_bytes() == (run_dir / name).read_bytes(), name
+
     def test_lines_export_without_network_fails(self, tmp_path, fixture_city_file):
         net_file = tmp_path / "net.ndjson"
         seg_file = tmp_path / "s.csv"
