@@ -17,7 +17,7 @@ from pathlib import Path
 from . import __version__, geo_export, labeling
 from .errors import ConfigError, InputDataError, RoadsenseError
 from .fileio import write_atomic, write_table
-from .osm_ingest import read_network
+from .osm_ingest import filter_roads, read_network
 from .pipeline import (
     SETTINGS,
     STAGES,
@@ -33,8 +33,8 @@ from .pipeline import (
     sample,
     segment,
 )
-from .sampler import read_plan_csv, sample_points
-from .segmenter import ChunkResult, read_segments_csv, segment_shapes
+from .sampler import sample_points
+from .segmenter import read_segments_csv, segment_shapes, skipped_ways
 from .streetview import read_queries_csv
 
 log = logging.getLogger(__name__)
@@ -52,24 +52,25 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_segment(args) -> int:
-    result = segment(args, read_network(args.network), args.out)
-    msg = f"{args.out}: {len(result.segments)} segments from {result.n_ways} ways"
-    if result.skipped_way_ids:
-        msg += f" ({len(result.skipped_way_ids)} degenerate ways skipped)"
+    network = read_network(args.network)
+    segments = segment(args, network, args.out)
+    ways = filter_roads(network, set(args.classes))
+    msg = f"{args.out}: {len(segments)} segments from {len(ways)} ways"
+    if skipped := skipped_ways(ways, segments):
+        msg += f" ({skipped} degenerate ways skipped)"
     print(msg)
     return 0
 
 
 def cmd_sample(args) -> int:
-    # segments.csv holds the segment stage's result, less its counts
-    plan = sample(args, ChunkResult(read_segments_csv(args.segments), [], 0), args.out)
-    print(f"{args.out}: {len(plan.segments)} of {plan.population_n} segments "
-          f"(seed {plan.seed})")
+    segments = read_segments_csv(args.segments)
+    plan = sample(args, segments, args.out)
+    print(f"{args.out}: {len(plan)} of {len(segments)} segments (seed {args.seed})")
     return 0
 
 
 def cmd_fetch(args) -> int:
-    plan = read_plan_csv(args.plan)
+    plan = read_segments_csv(args.plan)
     args.api_key = api_key_or_env(args.api_key)
     records = fetch(args, plan, Path(args.out_dir) / "queries.csv")
     n_ok = sum(1 for r in records if r.status == "OK")
@@ -148,7 +149,7 @@ def _regression_rows(args):
                     and factor not in factors[:i], "--factors",
                     "road_class, city or income_quintile, each at most once", factor)
     consensus = {c.segment_id: c for c in labeling.read_consensus_csv(args.consensus)}
-    plan = read_plan_csv(args.segments)  # segments.csv reads as a plan of every segment
+    plan = read_segments_csv(args.segments)  # segments.csv or plan.csv
     rows = []
     outcomes = []
     skipped_unresolved = 0
@@ -165,11 +166,11 @@ def _regression_rows(args):
         if args.by_tract:
             incomes = sorted({income for _, income in matched_income.values()})
         else:
-            incomes = [matched_income[s.segment_id][1] for s in plan.segments
+            incomes = [matched_income[s.segment_id][1] for s in plan
                        if s.segment_id in matched_income and s.segment_id in consensus]
         bins = analysis.quintile_bins(incomes)
     outcome = labeling.ATTRIBUTES.index(args.outcome)
-    for s in plan.segments:
+    for s in plan:
         label = consensus.get(s.segment_id)
         if label is None:
             continue
@@ -208,15 +209,15 @@ def cmd_regress(args) -> int:
 
 
 def cmd_export(args) -> int:
-    plan = read_plan_csv(args.plan)
+    plan = read_segments_csv(args.plan)
     shapes = None
     if args.mode == "lines":
         if not args.network:
             raise InputDataError("--network is required for lines mode "
                                  "(full segment shapes live in the network file)")
-        shapes = segment_shapes(plan.segments, read_network(args.network), args.target_m)
+        shapes = segment_shapes(plan, read_network(args.network), args.target_m)
     write_atomic(args.out, geo_export.export_geojson(plan, shapes))
-    print(f"{args.out}: {len(plan.segments)} features ({args.mode})")
+    print(f"{args.out}: {len(plan)} features ({args.mode})")
     return 0
 
 

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 
-from .sampler import SamplePlan
 from .segmenter import RoadSegment
 
 
@@ -30,11 +29,11 @@ def _feature(segment: RoadSegment, rank: int, shape) -> str:
     return f'{{"type":"Feature","geometry":{geometry},"properties":{props}}}'
 
 
-def export_geojson(plan: SamplePlan, shapes: list | None = None) -> str:
+def export_geojson(plan: list[RoadSegment], shapes: list | None = None) -> str:
     """FeatureCollection of the plan: start points or, given each segment's
     shape (segmenter.segment_shapes), lines."""
     features = ",\n".join(_feature(s, rank, shapes[rank] if shapes else None)
-                          for rank, s in enumerate(plan.segments))
+                          for rank, s in enumerate(plan))
     if features:
         return ('{"type":"FeatureCollection","features":[\n'
                 + features + "\n]}\n")

@@ -13,7 +13,7 @@ import json
 import logging
 import os
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import islice
 from pathlib import Path
 from xml.parsers import expat
@@ -43,16 +43,11 @@ class Way:
 
 
 @dataclass
-class ParseStats:
-    duplicate_node_ids: int = 0
-
-
-@dataclass
 class RoadNetwork:
+    """What network.ndjson holds: the kept nodes, the road ways and the city."""
     nodes: dict[int, GeoPoint]
     ways: list[Way]
     source_name: str = ""
-    stats: ParseStats = field(default_factory=ParseStats, compare=False)
 
     def way_points(self, way: Way) -> list[GeoPoint]:
         return [self.nodes[nid] for nid in way.node_ids]
@@ -65,12 +60,11 @@ def parse_osm(source: str | bytes | os.PathLike, source_name: str = "") -> RoadN
     or bytes. Every node is checked, but only the nodes that a highway=*
     way references are kept, in document order; until the ways are known
     all coordinates sit in compact arrays. Duplicate node ids follow
-    last-definition-wins and are counted over all nodes. A way referencing
-    a node id absent from the document raises MissingNodeError.
+    last-definition-wins; a warning counts them over all nodes. A way
+    referencing a node id absent from the document raises MissingNodeError.
     """
     ids, lats, lons = array("q"), array("d"), array("d")
     ways: list[Way] = []
-    stats = ParseStats()
     open_nodes: list[dict] = []
     open_ways: list[tuple[dict, list, dict]] = []  # (attrs, nd refs, tags)
 
@@ -141,12 +135,10 @@ def parse_osm(source: str | bytes | os.PathLike, source_name: str = "") -> RoadN
 
     # extracts list nodes by ascending id, which rules duplicates out
     # without a set of every id
-    if not all(a < b for a, b in zip(ids, islice(ids, 1, None))):
-        stats.duplicate_node_ids = len(ids) - len(set(ids))
-    if stats.duplicate_node_ids:
-        log.warning("parse_osm: %d duplicate node ids (last definition wins)",
-                    stats.duplicate_node_ids)
-    return RoadNetwork(nodes=nodes, ways=ways, source_name=source_name, stats=stats)
+    if (not all(a < b for a, b in zip(ids, islice(ids, 1, None)))
+            and (duplicates := len(ids) - len(set(ids)))):
+        log.warning("parse_osm: %d duplicate node ids (last definition wins)", duplicates)
+    return RoadNetwork(nodes=nodes, ways=ways, source_name=source_name)
 
 
 def filter_roads(network: RoadNetwork, classes: set[str]) -> list[Way]:

@@ -24,7 +24,7 @@ from .errors import ConfigError, InputDataError, RoadsenseError, RowError, Schem
 from .fileio import decode_text, json_field, parse_json, write_atomic
 from .osm_ingest import SAMPLED_ROAD_CLASSES, filter_roads, parse_osm, write_network
 from .sampler import sample_segments, sample_stratified, write_plan_csv
-from .segmenter import chunk_network, write_segments_csv
+from .segmenter import chunk_network, skipped_ways, write_segments_csv
 from .streetview import (
     DEFAULT_BASE_URL,
     STATUS_OK,
@@ -181,6 +181,10 @@ def config_from_manifest(manifest_path: str | Path, api_key: str = "",
     naming the file and the key unless its config holds run settings of their
     JSON types and in their ranges."""
     manifest = parse_json(Path(manifest_path).read_bytes(), manifest_path)
+    return _manifest_config(manifest, manifest_path, api_key, out_dir)
+
+
+def _manifest_config(manifest, manifest_path, api_key: str, out_dir: str | None) -> RunConfig:
     where = f"{manifest_path}: key "
     data = json_field(manifest if isinstance(manifest, dict) else {}, "config", "an object", where)
     where += "config."
@@ -223,14 +227,14 @@ def _write_manifest(config: RunConfig, out_dir: Path, osm_digest: str) -> None:
 def _is_up_to_date(config: RunConfig, out_dir: Path, osm_digest: str) -> bool:
     manifest_path = out_dir / MANIFEST_NAME
     try:
+        manifest = parse_json(manifest_path.read_bytes(), manifest_path)
         # out_dir naming and the key slot do not affect artifact content
-        recorded = config_from_manifest(manifest_path, out_dir=config.out_dir)
-        digest = parse_json(manifest_path.read_bytes(), manifest_path).get("osm_sha256")
+        recorded = _manifest_config(manifest, manifest_path, "", config.out_dir)
     except (OSError, InputDataError):
         return False
     # the manifest records classes sorted
     expected = replace(config, api_key=recorded.api_key, classes=tuple(sorted(config.classes)))
-    if recorded != expected or digest != osm_digest:
+    if recorded != expected or manifest.get("osm_sha256") != osm_digest:
         return False
     if not all((out_dir / name).exists() for name in RUN_ARTIFACTS):
         return False
@@ -244,9 +248,10 @@ def _is_up_to_date(config: RunConfig, out_dir: Path, osm_digest: str) -> bool:
 
 
 # Each stage function takes the settings (a RunConfig, or a stage command's
-# parsed flags), the previous stage's result and the path of the artifact
-# it writes, and returns its own result. It calls the layer functions as
-# module globals, where perfbench/traced_cli.py wraps them.
+# parsed flags), the previous stage's rows and the path of the artifact it
+# writes, and returns the rows that artifact holds, so the next stage gets
+# the same input whether it reads the file back or not. It calls the layer
+# functions as module globals, where perfbench/traced_cli.py wraps them.
 def ingest(settings, _, path):
     network = parse_osm(Path(settings.osm_path), source_name=settings.city)
     write_network(network, path)
@@ -258,17 +263,18 @@ def segment(settings, network, path):
     # run skips degenerate ways and warns; the segment command skips them only
     # with --skip-degenerate, and prints how many itself
     skip = getattr(settings, "skip_degenerate", None)
-    result = chunk_network(ways, network, settings.target_m, skip_degenerate=skip is not False)
-    if skip is None and result.skipped_way_ids:
-        log.warning("segment: skipped %d degenerate ways", len(result.skipped_way_ids))
-    write_segments_csv(result.segments, path)
-    return result
+    segments = chunk_network(ways, network, settings.target_m, skip_degenerate=skip is not False)
+    if skip is None and (skipped := skipped_ways(ways, segments)):
+        log.warning("segment: skipped %d degenerate ways", skipped)
+    write_segments_csv(segments, path)
+    return segments
 
 
-def sample(settings, chunks, path):
+def sample(settings, segments, path):
+    """The sample, in draw order."""
     stratified = getattr(settings, "stratify_by_class", False)  # the sample command's flag
     plan = (sample_stratified if stratified else sample_segments)(
-        chunks.segments, settings.sample_n, settings.seed)
+        segments, settings.sample_n, settings.seed)
     write_plan_csv(plan, path)
     return plan
 
@@ -306,11 +312,11 @@ def run_pipeline(config: RunConfig) -> Path:
     fetch stage resumes from the records already on disk.
     """
     config.validate()
-    out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     osm_path = Path(config.osm_path)
     if not osm_path.is_file():
         raise InputDataError(f"stage ingest: OSM file not found: {osm_path}")
+    out_dir = Path(config.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     osm_digest = _sha256(osm_path)
 
     if _is_up_to_date(config, out_dir, osm_digest):

@@ -12,12 +12,11 @@ plans anywhere.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from .fileio import write_table
 from .geometry import GeoPoint
-from .segmenter import SEGMENTS_CSV_HEADER, RoadSegment, _segment_row, read_segments_csv
+from .segmenter import SEGMENTS_CSV_HEADER, RoadSegment, _segment_row
 
 log = logging.getLogger(__name__)
 
@@ -49,14 +48,7 @@ class SplitMix64:
                 return x % bound
 
 
-@dataclass
-class SamplePlan:
-    seed: int
-    population_n: int
-    segments: list[RoadSegment] = field(default_factory=list)
-
-
-def sample_segments(population: list[RoadSegment], n: int, seed: int) -> SamplePlan:
+def sample_segments(population: list[RoadSegment], n: int, seed: int) -> list[RoadSegment]:
     """Uniform sample of n segments without replacement, in draw order.
 
     Asking for more than the population returns the whole population
@@ -74,13 +66,12 @@ def sample_segments(population: list[RoadSegment], n: int, seed: int) -> SampleP
     for i in range(k):
         j = i + rng.next_below(pop_n - i)
         indices[i], indices[j] = indices[j], indices[i]
-    chosen = [population[indices[i]] for i in range(k)]
-    return SamplePlan(seed=seed, population_n=pop_n, segments=chosen)
+    return [population[indices[i]] for i in range(k)]
 
 
-def sample_points(plan: SamplePlan) -> list[tuple[str, GeoPoint]]:
+def sample_points(plan: list[RoadSegment]) -> list[tuple[str, GeoPoint]]:
     """Start points of the sampled segments, in plan order."""
-    return [(s.segment_id, s.start) for s in plan.segments]
+    return [(s.segment_id, s.start) for s in plan]
 
 
 def stratified_counts(class_counts: dict[str, int], n: int) -> dict[str, int]:
@@ -107,7 +98,7 @@ def stratified_counts(class_counts: dict[str, int], n: int) -> dict[str, int]:
     return alloc
 
 
-def sample_stratified(population: list[RoadSegment], n: int, seed: int) -> SamplePlan:
+def sample_stratified(population: list[RoadSegment], n: int, seed: int) -> list[RoadSegment]:
     """Sample n segments allocated proportionally to highway-class counts.
 
     Each stratum is drawn with the same pinned generator; the i-th class in
@@ -123,19 +114,15 @@ def sample_stratified(population: list[RoadSegment], n: int, seed: int) -> Sampl
         log.warning("sample_stratified: requested %d segments but population has only %d",
                     n, len(population))
     for i, cls in enumerate(sorted(classes)):
-        sub = sample_segments(classes[cls], alloc[cls], seed + i + 1)
-        chosen.extend(sub.segments)
-    return SamplePlan(seed=seed, population_n=len(population), segments=chosen)
+        chosen.extend(sample_segments(classes[cls], alloc[cls], seed + i + 1))
+    return chosen
 
 
 PLAN_CSV_HEADER = SEGMENTS_CSV_HEADER + ",sample_rank"
 
 
-def write_plan_csv(plan: SamplePlan, path: str | Path) -> None:
+def write_plan_csv(plan: list[RoadSegment], path: str | Path) -> None:
+    """plan.csv: segments.csv's columns plus each segment's draw rank, which
+    read_segments_csv skips when it reads the plan back."""
     write_table(path, PLAN_CSV_HEADER.split(","),
-                (_segment_row(s) + [str(rank)] for rank, s in enumerate(plan.segments)))
-
-
-def read_plan_csv(path: str | Path) -> SamplePlan:
-    segments = read_segments_csv(path)
-    return SamplePlan(0, len(segments), segments)
+                (_segment_row(s) + [str(rank)] for rank, s in enumerate(plan)))

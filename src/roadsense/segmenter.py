@@ -35,13 +35,6 @@ class RoadSegment:
     city: str
 
 
-@dataclass
-class ChunkResult:
-    segments: list[RoadSegment]
-    skipped_way_ids: list[int]
-    n_ways: int                # ways chunked or skipped
-
-
 def _cut_distances(length_m: float, target_m: float) -> list[float]:
     """Interior cut positions implementing the tail rule."""
     k = int(length_m // target_m)
@@ -132,22 +125,26 @@ def chunk_way(way: Way, network: RoadNetwork, target_m: float) -> list[RoadSegme
 
 def chunk_network(ways: list[Way], network: RoadNetwork,
                   target_m: float,
-                  skip_degenerate: bool = False) -> ChunkResult:
+                  skip_degenerate: bool = False) -> list[RoadSegment]:
     """chunk_way over a list of ways, concatenated in input order.
 
-    With skip_degenerate, degenerate ways are counted and skipped instead
-    of raising.
+    With skip_degenerate, degenerate ways are skipped instead of raising;
+    skipped_ways counts them.
     """
     segments: list[RoadSegment] = []
-    skipped: list[int] = []
     for way in ways:
         try:
             segments.extend(chunk_way(way, network, target_m))
         except DegenerateWayError:
             if not skip_degenerate:
                 raise
-            skipped.append(way.id)
-    return ChunkResult(segments=segments, skipped_way_ids=skipped, n_ways=len(ways))
+    return segments
+
+
+def skipped_ways(ways: list[Way], segments: list[RoadSegment]) -> int:
+    """How many of `ways` chunk_network skipped: every way it chunks yields
+    exactly one segment of index 0, even where way ids repeat."""
+    return len(ways) - sum(s.index == 0 for s in segments)
 
 
 def segment_shapes(segments: list[RoadSegment], network: RoadNetwork,

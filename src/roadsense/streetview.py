@@ -29,7 +29,8 @@ from urllib.parse import quote, urlsplit
 from .errors import ConfigError, InputDataError, InsufficientDataError, KeyQuotaError
 from .fileio import append_rows, json_typed, parse_json, read_table, write_atomic, write_table
 from .geometry import GeoPoint
-from .sampler import SamplePlan, sample_points
+from .sampler import sample_points
+from .segmenter import RoadSegment
 
 if TYPE_CHECKING:  # pipeline imports this module
     from .pipeline import RunConfig
@@ -367,8 +368,8 @@ def _fetch_one(segment_id: str, point: GeoPoint, config: RunConfig,
                        queried_at=queried_at)
 
 
-def fetch_all(plan: SamplePlan, config: RunConfig) -> list[QueryRecord]:
-    """One record per sampled point, in plan order.
+def fetch_all(plan: list[RoadSegment], config: RunConfig) -> list[QueryRecord]:
+    """One record per sampled segment's start point, in plan order.
 
     <out_dir>/queries.csv is also the fetch journal. Each query's row is
     appended and flushed as soon as the query completes, so an interrupted
@@ -404,7 +405,7 @@ def fetch_all(plan: SamplePlan, config: RunConfig) -> list[QueryRecord]:
                               "or pass --api-key")
         (out_dir / "images").mkdir(exist_ok=True)
         _fetch_window(to_fetch, config, queries_path, records)
-    ordered = [records[i] for i in range(len(plan.segments))]
+    ordered = [records[i] for i in range(len(plan))]
     write_queries_csv(ordered, queries_path)
     return ordered
 

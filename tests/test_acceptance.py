@@ -57,12 +57,12 @@ def test_criterion_1_coverage_reproduction(tmp_path):
     xml = fixture_city_xml(ways)
     network = parse_osm(xml, source_name="dhaka")
     segments = chunk_network(filter_roads(network, set(SAMPLED_ROAD_CLASSES)),
-                             network, 500.0).segments
+                             network, 500.0)
     assert len(segments) >= 1000
     plan = sample_segments(segments, 1000, seed=99)
 
     fixture = {}
-    for i, seg in enumerate(plan.segments):
+    for i, seg in enumerate(plan):
         fixture[format_location(seg.start)] = {
             "status": "OK" if i < 246 else "ZERO_RESULTS"}
     osm_path = tmp_path / "dhaka.osm"
@@ -235,7 +235,7 @@ def test_criterion_5_sampling_determinism_and_uniformity(tmp_path):
     counts = [0] * len(population)
     n_seeds = 5000
     for seed in range(n_seeds):
-        for seg in sample_segments(population, 1000, seed).segments:
+        for seg in sample_segments(population, 1000, seed):
             counts[seg.way_id] += 1
     expected = n_seeds * 1000 / len(population)
     chi2 = sum((c - expected) ** 2 / expected for c in counts)
@@ -343,10 +343,10 @@ def test_criterion_9_end_to_end_smoke(tmp_path, capsys):
 
     network = parse_osm(xml, source_name="fixtureville")
     segments = chunk_network(filter_roads(network, set(SAMPLED_ROAD_CLASSES)),
-                             network, 500.0).segments
+                             network, 500.0)
     plan = sample_segments(segments, 30, seed=5)
     fixture = {format_location(s.start): {"status": "OK" if i % 5 else "ZERO_RESULTS"}
-               for i, s in enumerate(plan.segments)}
+               for i, s in enumerate(plan)}
 
     out_a = tmp_path / "run_a"
     with MockStreetViewServer(fixture) as server:
@@ -360,7 +360,7 @@ def test_criterion_9_end_to_end_smoke(tmp_path, capsys):
         batch = tmp_path / "batch.csv"
         rows = [LABEL_HEADER]
         classes = set()
-        for i, seg in enumerate(plan.segments):
+        for i, seg in enumerate(plan):
             classes.add(seg.highway_class)
             pothole = "yes" if i % 3 == 0 else "no"
             crack = "yes" if i % 2 == 0 else "no"

@@ -13,6 +13,7 @@ import pytest
 
 import roadsense
 import roadsense.cli
+from conftest import fixture_city_xml
 from roadsense.cli import main
 from roadsense.errors import ConfigError, InputDataError
 from roadsense.labeling import CONSENSUS_CSV_HEADER
@@ -30,8 +31,8 @@ from roadsense.pipeline import (
     load_config,
     run_pipeline,
 )
-from roadsense.sampler import read_plan_csv, sample_segments, write_plan_csv
-from roadsense.segmenter import SEGMENTS_CSV_HEADER, chunk_network
+from roadsense.sampler import sample_segments, write_plan_csv
+from roadsense.segmenter import SEGMENTS_CSV_HEADER, chunk_network, read_segments_csv
 from roadsense.streetview import QUERIES_CSV_HEADER, format_location, read_queries_csv
 
 LABEL_HEADER = ("AssignmentId,WorkerId,Input.segment_id,Answer.potholes,Answer.cracks,"
@@ -43,14 +44,13 @@ def planned_points(xml, city, classes, target_m, n, seed):
     """Replicate the deterministic local stages to predict sampled points."""
     network = parse_osm(xml, source_name=city)
     ways = filter_roads(network, classes)
-    segments = chunk_network(ways, network, target_m, skip_degenerate=True).segments
-    plan = sample_segments(segments, n, seed)
-    return plan
+    segments = chunk_network(ways, network, target_m, skip_degenerate=True)
+    return sample_segments(segments, n, seed)
 
 
 def fixture_for_plan(plan, ok_every=2):
     fixture = {}
-    for i, seg in enumerate(plan.segments):
+    for i, seg in enumerate(plan):
         status = "OK" if i % ok_every == 0 else "ZERO_RESULTS"
         fixture[format_location(seg.start)] = {"status": status}
     return fixture
@@ -417,12 +417,12 @@ class TestRunPipeline:
                                                 stage, answer, code, message):
         plan = planned_points(fixture_city_file.read_text(), "fixtureville",
                               set(SAMPLED_ROAD_CLASSES), 500.0, 30, 7)
-        assert len(plan.segments) == 30
+        assert len(plan) == 30
         osm = fixture_city_file
         if answer is None:
             osm = tmp_path / "bad.osm"
             osm.write_text("<osm><node id='1' lat='0' lon='0'>\n<way>")
-        fixture = {format_location(s.start): answer for s in plan.segments} if answer else {}
+        fixture = {format_location(s.start): answer for s in plan} if answer else {}
         with MockStreetViewServer(fixture) as server:
             args = run_args(osm, tmp_path / "run", server.base_url, n=30)
             assert main(args + ["--retries", "0"]) == code
@@ -451,7 +451,7 @@ class TestRunPipeline:
                 args = run_args(fixture_city_file, out_dir, server.base_url, n=100)
                 assert main(args + ["--target-m", target_m]) == 0
         planned = {s.segment_id: format_location(s.start)
-                   for s in read_plan_csv(out_dir / "plan.csv").segments}
+                   for s in read_segments_csv(out_dir / "plan.csv")}
         recorded = {r.segment_id: format_location(r.location)
                     for r in read_queries_csv(out_dir / "queries.csv")}
         assert recorded == planned
@@ -474,6 +474,7 @@ class TestRunPipeline:
                      "--out-dir", str(tmp_path / "o"), "--api-key", "k"])
         assert code == 3
         assert "stage" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
 
 # (stage command, setting, a value out of range) for every checked setting
@@ -616,6 +617,24 @@ class TestStageCommands:
                 assert capsys.readouterr().out == summary + "\n", argv[0]
         for name in RUN_ARTIFACTS:
             assert (d / name).read_bytes() == (run_dir / name).read_bytes(), name
+
+    def test_degenerate_way_is_skipped_counted_or_an_error(self, tmp_path, capsys, caplog):
+        osm, net_file, seg_file = (tmp_path / n for n in ("c.osm", "net.ndjson", "seg.csv"))
+        osm.write_text(fixture_city_xml([(100, "primary", 1200.0), (101, "trunk", 0.4),
+                                         (102, "footway", 0.4), (103, "tertiary", 600.0)]))
+        assert main(["ingest", "--osm", str(osm), "--city", "fixtureville",
+                     "--out", str(net_file)]) == 0
+        segment = ["segment", "--network", str(net_file), "--out", str(seg_file)]
+        assert main(segment) == 3
+        assert "way 101" in capsys.readouterr().err
+        assert main(segment + ["--skip-degenerate"]) == 0
+        assert capsys.readouterr().out == (f"{seg_file}: 3 segments from 3 ways "
+                                           "(1 degenerate ways skipped)\n")
+        with (caplog.at_level(logging.WARNING, logger="roadsense.pipeline"),
+              MockStreetViewServer({"__default__": {"status": "OK"}}) as server):
+            assert main(run_args(osm, tmp_path / "run", server.base_url, n=2)) == 0
+        assert caplog.messages == ["segment: skipped 1 degenerate ways"]
+        assert (tmp_path / "run" / "segments.csv").read_bytes() == seg_file.read_bytes()
 
     def test_lines_export_without_network_fails(self, tmp_path, fixture_city_file):
         net_file = tmp_path / "net.ndjson"

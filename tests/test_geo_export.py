@@ -8,7 +8,6 @@ from dataclasses import replace
 from roadsense.fileio import write_table
 from roadsense.geo_export import export_geojson
 from roadsense.geometry import GeoPoint
-from roadsense.sampler import SamplePlan
 from roadsense.segmenter import RoadSegment
 
 
@@ -18,11 +17,10 @@ def shape(i):
 
 
 def make_plan(n):
-    segs = [RoadSegment(segment_id=f"{i}#0", way_id=i, index=0, start=shape(i)[0],
+    return [RoadSegment(segment_id=f"{i}#0", way_id=i, index=0, start=shape(i)[0],
                         end=shape(i)[-1], length_m=77.0, highway_class="primary",
                         city="bangkok")
             for i in range(n)]
-    return SamplePlan(seed=1, population_n=n, segments=segs)
 
 
 class TestGeojson:
@@ -68,7 +66,7 @@ class TestGeojson:
 
     def test_quote_and_backslash_in_properties(self):
         plan = make_plan(2)
-        plan.segments[0] = replace(plan.segments[0], city='Ba"ng\\kok')
+        plan[0] = replace(plan[0], city='Ba"ng\\kok')
         doc = json.loads(export_geojson(plan, [shape(0), shape(1)]))
         assert doc["features"][0]["properties"]["city"] == 'Ba"ng\\kok'
         assert doc["features"][1]["properties"]["city"] == "bangkok"

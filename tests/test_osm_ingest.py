@@ -1,4 +1,5 @@
 import json
+import logging
 import tracemalloc
 
 import pytest
@@ -25,6 +26,9 @@ from roadsense.osm_ingest import (
     read_network,
     write_network,
 )
+
+
+DUPLICATE_WARNING = "parse_osm: {} duplicate node ids (last definition wins)"
 
 
 def osm_doc(body: str) -> str:
@@ -103,16 +107,17 @@ class TestParse:
         with pytest.raises(InputDataError):
             parse_osm(doc)
 
-    def test_duplicate_node_last_wins(self):
+    def test_duplicate_node_last_wins(self, caplog):
         doc = osm_doc("""
           <node id="1" lat="0" lon="0"/>
           <node id="1" lat="5" lon="5"/>
           <node id="2" lat="0" lon="1"/>
           <way id="10"><nd ref="1"/><nd ref="2"/><tag k="highway" v="primary"/></way>
         """)
-        net = parse_osm(doc)
+        with caplog.at_level(logging.WARNING, logger="roadsense.osm_ingest"):
+            net = parse_osm(doc)
         assert net.nodes[1].lat == 5
-        assert net.stats.duplicate_node_ids == 1
+        assert caplog.messages == [DUPLICATE_WARNING.format(1)]
 
     def test_no_highway_way_silently_dropped_count_matches(self):
         # every highway-tagged way in the input shows up in the output
@@ -285,7 +290,7 @@ class TestStreamingIngest:
         """)
         assert list(parse_osm(doc).nodes) == [9, 5]
 
-    def test_duplicate_among_pruned_nodes_counted(self):
+    def test_duplicate_among_pruned_nodes_counted(self, caplog):
         doc = osm_doc("""
           <node id="1" lat="0" lon="0"/>
           <node id="2" lat="0" lon="1"/>
@@ -293,8 +298,9 @@ class TestStreamingIngest:
           <node id="50" lat="4" lon="4"/>
           <way id="10"><nd ref="1"/><nd ref="2"/><tag k="highway" v="primary"/></way>
         """)
-        net = parse_osm(doc)
-        assert net.stats.duplicate_node_ids == 1
+        with caplog.at_level(logging.WARNING, logger="roadsense.osm_ingest"):
+            net = parse_osm(doc)
+        assert caplog.messages == [DUPLICATE_WARNING.format(1)]
         assert 50 not in net.nodes
 
     def test_bad_node_reports_line(self):

@@ -11,8 +11,8 @@ import pytest
 from roadsense.geometry import GeoPoint, Polyline
 from roadsense.labeling import ATTRIBUTES, ConsensusLabel, read_consensus_csv, write_consensus_csv
 from roadsense.osm_ingest import Way
-from roadsense.sampler import SamplePlan, read_plan_csv, write_plan_csv
-from roadsense.segmenter import RoadSegment
+from roadsense.sampler import write_plan_csv
+from roadsense.segmenter import RoadSegment, read_segments_csv
 from roadsense.streetview import QueryRecord
 
 A, B = GeoPoint(42.33, -83.05), GeoPoint(42.331, -83.05)
@@ -52,7 +52,7 @@ def retained_per_row(read, path) -> float:
         retained, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(getattr(rows, "segments", rows)) == N_ROWS
+    assert len(rows) == N_ROWS
     return retained / N_ROWS
 
 
@@ -66,8 +66,8 @@ def test_plan_rows_retain_under_500_bytes_each(tmp_path):
         end = GeoPoint(start.lat + 0.001, start.lon)
         segments.append(RoadSegment(f"{1000 + i}#0", 1000 + i, 0, start, end, 111.2,
                                     CLASSES[i % 4], "wayne"))
-    write_plan_csv(SamplePlan(3, N_ROWS, segments), tmp_path / "plan.csv")
-    assert retained_per_row(read_plan_csv, tmp_path / "plan.csv") < 500
+    write_plan_csv(segments, tmp_path / "plan.csv")
+    assert retained_per_row(read_segments_csv, tmp_path / "plan.csv") < 500
 
 
 def test_consensus_rows_retain_under_250_bytes_each(tmp_path):

@@ -63,30 +63,29 @@ class TestSampleSegments:
     def test_empty_draw(self, caplog):
         with caplog.at_level(logging.WARNING, logger="roadsense.sampler"):
             plan = sample_segments(make_population(10), 0, seed=1)
-        assert plan.segments == []
-        assert plan.population_n == 10
+        assert plan == []
         assert caplog.records == []
 
     def test_exhaustive_draw(self, caplog):
         pop = make_population(10)
         with caplog.at_level(logging.WARNING, logger="roadsense.sampler"):
             plan = sample_segments(pop, 15, seed=1)
-        assert len(plan.segments) == 10
-        assert {s.segment_id for s in plan.segments} == {s.segment_id for s in pop}
+        assert len(plan) == 10
+        assert {s.segment_id for s in plan} == {s.segment_id for s in pop}
         assert [r.getMessage() for r in caplog.records] == [
             "sample_segments: requested 15 segments but population has only 10"]
 
     def test_stratified_over_ask_warns_once(self, caplog):
         with caplog.at_level(logging.WARNING, logger="roadsense.sampler"):
             plan = sample_stratified(make_population(10), 15, seed=1)
-        assert len(plan.segments) == 10
+        assert len(plan) == 10
         assert [r.getMessage() for r in caplog.records] == [
             "sample_stratified: requested 15 segments but population has only 10"]
 
     def test_without_replacement(self):
         pop = make_population(100)
         plan = sample_segments(pop, 40, seed=9)
-        ids = [s.segment_id for s in plan.segments]
+        ids = [s.segment_id for s in plan]
         assert len(ids) == len(set(ids)) == 40
 
     def test_determinism_byte_identical(self, tmp_path):
@@ -99,14 +98,14 @@ class TestSampleSegments:
 
     def test_different_seeds_differ(self):
         pop = make_population(100)
-        a = [s.segment_id for s in sample_segments(pop, 20, seed=1).segments]
-        b = [s.segment_id for s in sample_segments(pop, 20, seed=2).segments]
+        a = [s.segment_id for s in sample_segments(pop, 20, seed=1)]
+        b = [s.segment_id for s in sample_segments(pop, 20, seed=2)]
         assert a != b
 
     def test_permutation_when_n_equals_population(self):
         pop = make_population(8)
         plan = sample_segments(pop, 8, seed=3)
-        assert sorted(s.segment_id for s in plan.segments) == sorted(s.segment_id for s in pop)
+        assert sorted(s.segment_id for s in plan) == sorted(s.segment_id for s in pop)
 
     def test_negative_n(self):
         with pytest.raises(ValueError):
@@ -120,8 +119,8 @@ class TestSampleSegments:
             for n, seed in itertools.product(range(pop_n + 1), range(64)):
                 plan1 = sample_segments(pop, n, seed)
                 plan2 = sample_segments(pop, n, seed)
-                ids = [s.segment_id for s in plan1.segments]
-                assert ids == [s.segment_id for s in plan2.segments]
+                ids = [s.segment_id for s in plan1]
+                assert ids == [s.segment_id for s in plan2]
                 assert len(ids) == n
                 assert len(set(ids)) == n
 
@@ -130,7 +129,7 @@ class TestSampleSegments:
         pop = make_population(3)
         seen = set()
         for seed in range(200):
-            seen.add(tuple(s.segment_id for s in sample_segments(pop, 3, seed).segments))
+            seen.add(tuple(s.segment_id for s in sample_segments(pop, 3, seed)))
         assert len(seen) == 6
 
     def test_inclusion_frequencies_uniform(self):
@@ -139,7 +138,7 @@ class TestSampleSegments:
         pop = make_population(pop_n)
         counts = [0] * pop_n
         for seed in range(n_seeds):
-            for s in sample_segments(pop, n, seed).segments:
+            for s in sample_segments(pop, n, seed):
                 counts[s.way_id] += 1
         expected = n_seeds * n / pop_n
         chi2 = sum((c - expected) ** 2 / expected for c in counts)
@@ -182,14 +181,14 @@ class TestStratified:
                   for i in range(40)])
         plan = sample_stratified(pop, 10, seed=5)
         by_class = {}
-        for s in plan.segments:
+        for s in plan:
             by_class[s.highway_class] = by_class.get(s.highway_class, 0) + 1
         assert by_class == {"primary": 6, "tertiary": 4}
-        ids = [s.segment_id for s in plan.segments]
+        ids = [s.segment_id for s in plan]
         assert len(ids) == len(set(ids))
 
     def test_stratified_deterministic(self):
         pop = make_population(30, "primary") + make_population(30, "secondary")[0:20]
-        a = sample_stratified(pop, 12, seed=4).segments
-        b = sample_stratified(pop, 12, seed=4).segments
+        a = sample_stratified(pop, 12, seed=4)
+        b = sample_stratified(pop, 12, seed=4)
         assert [s.segment_id for s in a] == [s.segment_id for s in b]

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -12,6 +13,7 @@ from roadsense.segmenter import (
     chunk_way,
     read_segments_csv,
     segment_shapes,
+    skipped_ways,
     way_pieces,
     write_segments_csv,
 )
@@ -172,18 +174,20 @@ class TestChunkWay:
 class TestChunkNetwork:
     def test_empty(self):
         net = equatorial_network([])
-        assert chunk_network([], net, 500.0).segments == []
+        assert chunk_network([], net, 500.0) == []
 
     def test_additivity(self):
         net = equatorial_network([1000.0, 1000.0])
-        result = chunk_network(net.ways, net, 500.0)
-        assert len(result.segments) == 4
+        assert len(chunk_network(net.ways, net, 500.0)) == 4
 
     def test_skip_degenerate(self):
         net = equatorial_network([1000.0, 0.4, 600.0])
-        result = chunk_network(net.ways, net, 500.0, skip_degenerate=True)
-        assert len(result.skipped_way_ids) == 1
-        assert {s.way_id for s in result.segments} == {100, 102}
+        segments = chunk_network(net.ways, net, 500.0, skip_degenerate=True)
+        assert skipped_ways(net.ways, segments) == 1
+        assert {s.way_id for s in segments} == {100, 102}
+        # the count holds where a skipped way repeats a chunked way's id
+        ways = [net.ways[0], dataclasses.replace(net.ways[1], id=100)]
+        assert skipped_ways(ways, chunk_network(ways, net, 500.0, skip_degenerate=True)) == 1
 
     def test_degenerate_raises_with_way_id(self):
         net = equatorial_network([1000.0, 0.4])
@@ -193,8 +197,8 @@ class TestChunkNetwork:
 
     def test_order_follows_input(self):
         net = equatorial_network([600.0, 700.0])
-        result = chunk_network(list(reversed(net.ways)), net, 500.0)
-        assert [s.way_id for s in result.segments] == [101, 100]
+        segments = chunk_network(list(reversed(net.ways)), net, 500.0)
+        assert [s.way_id for s in segments] == [101, 100]
 
 
 class TestSegmentsCsv:
@@ -225,7 +229,7 @@ class TestSegmentsCsv:
 class TestSegmentShapes:
     def test_shapes_follow_the_given_segments(self):
         net = equatorial_network([1234.0, 700.0])
-        segs = chunk_network(net.ways, net, 500.0).segments
+        segs = chunk_network(net.ways, net, 500.0)
         pieces = [p for w in net.ways for p, _ in way_pieces(w, net, 500.0)]
         picked = [segs[2], segs[0]]
         assert segment_shapes(picked, net, 500.0) == [pieces[2], pieces[0]]

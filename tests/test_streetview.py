@@ -17,7 +17,7 @@ from roadsense.errors import InsufficientDataError, KeyQuotaError, RowError
 from roadsense.geometry import GeoPoint
 from roadsense.mockserver import MockStreetViewServer, _Handler
 from roadsense.pipeline import RunConfig
-from roadsense.sampler import SamplePlan, write_plan_csv
+from roadsense.sampler import write_plan_csv
 from roadsense.segmenter import RoadSegment
 from roadsense.streetview import (
     QueryRecord,
@@ -134,7 +134,7 @@ def plan_of_points(points):
             segment_id=f"{i}#0", way_id=i, index=0,
             start=start, end=end,
             length_m=111.0, highway_class="primary", city="t"))
-    return SamplePlan(seed=0, population_n=len(segs), segments=segs)
+    return segs
 
 
 class TestRequestBuilders:
@@ -190,7 +190,7 @@ class TestFetchAll:
         with MockStreetViewServer(fixture) as server:
             plan = plan_of_points(points)
             records = fetch_all(plan, fast_config(server.base_url, tmp_path))
-        assert [r.segment_id for r in records] == [s.segment_id for s in plan.segments]
+        assert [r.segment_id for r in records] == [s.segment_id for s in plan]
         assert [r.status for r in records] == ["OK", "ZERO_RESULTS"] * 25
 
     def test_zero_results_mix(self, tmp_path):

@@ -23,7 +23,7 @@ from roadsense.labeling import (
 )
 from roadsense.osm_ingest import parse_osm, read_network, write_network
 from roadsense.pipeline import RunConfig, _write_manifest, config_from_manifest, load_config
-from roadsense.sampler import SamplePlan, read_plan_csv, write_plan_csv
+from roadsense.sampler import write_plan_csv
 from roadsense.segmenter import RoadSegment, read_segments_csv, write_segments_csv
 from roadsense.streetview import QueryRecord, read_queries_csv, write_queries_csv
 
@@ -46,7 +46,7 @@ def _valid_files(directory: Path) -> dict:
     """reader name -> (reader, valid file bytes)"""
     segments = _segments()
     write_segments_csv(segments, directory / "segments.csv")
-    write_plan_csv(SamplePlan(1, 3, segments), directory / "plan.csv")
+    write_plan_csv(segments, directory / "plan.csv")
     records = [QueryRecord("1#0", segments[0].start, "OK", "p1", "2017-05",
                            "images/1#0.jpg", "2026-01-01T00:00:00Z"),
                QueryRecord("2#0", segments[1].start, "ZERO_RESULTS",
@@ -54,7 +54,7 @@ def _valid_files(directory: Path) -> dict:
     write_queries_csv(records, directory / "queries.csv")
     write_consensus_csv(aggregate(tally(parse_labels(LABELS))), directory / "consensus.csv")
     files = {name: (reader, (directory / f"{name}.csv").read_bytes())
-             for name, reader in (("segments", read_segments_csv), ("plan", read_plan_csv),
+             for name, reader in (("segments", read_segments_csv), ("plan", read_segments_csv),
                                   ("queries", read_queries_csv),
                                   ("consensus", read_consensus_csv))}
     files["labels"] = (parse_labels, LABELS)
