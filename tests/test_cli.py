@@ -777,6 +777,29 @@ class TestStageCommands:
         assert json.loads(out.read_text())["proportion"] == 0.3
         assert "0.3000" in capsys.readouterr().out
 
+    def test_coverage_golden_line_and_json(self, tmp_path, capsys):
+        queries, out = tmp_path / "queries.csv", tmp_path / "coverage.json"
+        t = "2026-01-01T00:00:00Z"
+        queries.write_text(
+            "segment_id,lat,lon,status,pano_id,capture_date,image_path,queried_at\n"
+            f"s1,13.0000000,100.0000000,OK,p1,2019-05,images/s1.jpg,{t}\n"
+            f"s2,13.0010000,100.0000000,ZERO_RESULTS,,,,{t}\n"
+            f"s3,13.0020000,100.0000000,TRANSPORT_ERROR(503),,,,{t}\n"
+            f"s4,13.0030000,100.0000000,OK,p4,2020-01,images/s4.jpg,{t}\n"
+            f"s5,13.0040000,100.0000000,ZERO_RESULTS,,,,{t}\n"
+            f"s6,13.0050000,100.0000000,ZERO_RESULTS,,,,{t}\n")
+        assert main(["coverage", "--queries", str(queries), "--out", str(out)]) == 0
+        assert capsys.readouterr().out == (
+            "coverage: 0.4000 [0.1176, 0.7693] (2/5 queries successful, 1 excluded)\n")
+        assert out.read_bytes() == (b'{\n'
+                                    b'  "ci_high": 0.7692757205908813,\n'
+                                    b'  "ci_low": 0.11762077314099711,\n'
+                                    b'  "excluded": 1,\n'
+                                    b'  "proportion": 0.4,\n'
+                                    b'  "successes": 2,\n'
+                                    b'  "total": 5\n'
+                                    b'}\n')
+
     def test_labels_flow(self, tmp_path, capsys):
         batch = tmp_path / "batch.csv"
         rows = [LABEL_HEADER]
@@ -879,6 +902,34 @@ class TestStageCommands:
         assert "0.23" in out
         assert "2.3" in out
         assert "note:" in out
+
+    def test_summarize_golden_table_and_csv(self, tmp_path, capsys):
+        # every verdict kind; litter has none that resolves, so it prints - and
+        # leaves its CSV cell empty
+        consensus, csv_out = tmp_path / "consensus.csv", tmp_path / "summary.csv"
+        consensus.write_text(
+            f"{CONSENSUS_CSV_HEADER}\n"
+            "s1,yes,no,yes,yes,unresolved,yes,3\n"
+            "s2,no,no,yes,no,unresolved,no,3\n"
+            "s3,no,yes,no,na,unresolved,yes,2\n"
+            "s4,unresolved,no,no,na,unresolved,yes,3\n"
+            "s5,no,unresolved,yes,yes,unresolved,no,1\n"
+            "s6,yes,no,yes,unresolved,unresolved,yes,3\n"
+            "s7,no,no,yes,yes,unresolved,yes,3\n")
+        assert main(["summarize", "--consensus", str(consensus), "--city", "jakarta",
+                     "--journey-km", "10", "--capture-km", "0.5", "--csv", str(csv_out)]) == 0
+        assert capsys.readouterr().out == (
+            "city     n  potholes  cracks  clear road markings  roads w/ markings  litter  "
+            "paved sidewalk\n"
+            "jakarta  7  0.33      0.17    0.75                 0.71               -       "
+            "0.71          \n"
+            "expected potholes over 10 km at 0.5 km per photo: 6.7\n"
+            "note: the expected count scales with 1/capture-km; the same rate gives 2x the "
+            "count at 0.5 km per photo vs 1 km per photo\n")
+        assert csv_out.read_bytes() == (
+            b"city,n_images,potholes,cracks,markings_clear,markings_present,litter,"
+            b"sidewalk_paved\n"
+            b"jakarta,7,0.333333,0.166667,0.750000,0.714286,,0.714286\n")
 
     @pytest.mark.parametrize("column, bad", [(0, "maybe"), (6, "0")],
                              ids=["potholes-maybe", "n_workers-0"])
