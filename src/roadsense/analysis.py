@@ -1,5 +1,5 @@
-"""Condition statistics: per-city proportions, linear probability models
-with dummy-coded factors, census-tract income joins, and quintile bins.
+"""Condition statistics that need numpy: linear probability models with
+dummy-coded factors, census-tract income joins, and quintile bins.
 
 The regressions are plain OLS on 0/1 outcomes so coefficients read as
 differences in proportions. Classical standard errors by default; HC1
@@ -19,37 +19,17 @@ from pathlib import Path
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 import numpy as np
 
-from .errors import (AnalysisError, CollinearityError, InputDataError, InsufficientDataError,
-                     RowError)
+from .errors import AnalysisError, CollinearityError, InputDataError, RowError
 from .fileio import JSON_KINDS, json_field, json_typed, parse_json
 from .geometry import GeoPoint, PolygonRing, point_in_polygon
-from .labeling import ATTRIBUTES, ConsensusLabel
 from .osm_ingest import SAMPLED_ROAD_CLASSES
 
 log = logging.getLogger(__name__)
-
-# display order and names follow the condition summary table
-SUMMARY_COLUMNS = (
-    ("potholes", "potholes"),
-    ("cracks", "cracks"),
-    ("markings_clear", "clear road markings"),
-    ("markings_present", "roads w/ markings"),
-    ("litter", "litter"),
-    ("sidewalk_paved", "paved sidewalk"),
-)
 
 ROAD_CLASS_LEVELS = tuple(sorted(SAMPLED_ROAD_CLASSES))
 ROAD_CLASS_BASELINE = "tertiary"
 
 PIVOT_TOLERANCE = 1e-10
-
-
-@dataclass
-class CitySummary:
-    city: str
-    n_images: int
-    proportions: dict            # attribute -> ratio; absent when unresolvable
-    unresolved_counts: dict      # attribute -> count
 
 
 @dataclass
@@ -88,29 +68,6 @@ class QuintileBinning:
         # values equal to a cut point fall in the lower bin
         idx = sum(1 for c in self.cut_points if c < income)
         return ("Q1", "Q2", "Q3", "Q4", "Q5")[idx]  # shared constants, not a new string per row
-
-
-def summarize_city(consensus: list[ConsensusLabel], city: str) -> CitySummary:
-    """Per-attribute yes-proportions, excluding unresolved verdicts.
-
-    markings_clear is the proportion among images whose consensus says
-    markings are present (na verdicts drop out), reported alongside the
-    unconditional markings_present proportion.
-    """
-    if not consensus:
-        raise InsufficientDataError(f"no consensus labels for {city}")
-    proportions = {}
-    unresolved = {}
-    # each attribute's column of verdicts; na counts nowhere: question not applicable
-    for attr, column in zip(ATTRIBUTES, zip(*(c.verdicts for c in consensus))):
-        yes, no = column.count("yes"), column.count("no")
-        unresolved[attr] = column.count("unresolved")
-        if yes + no > 0:
-            proportions[attr] = yes / (yes + no)
-        else:
-            log.warning("summarize_city(%s): no resolvable labels for %s", city, attr)
-    return CitySummary(city=city, n_images=len(consensus),
-                       proportions=proportions, unresolved_counts=unresolved)
 
 
 def ols_fit(design: np.ndarray, response: np.ndarray,
@@ -372,43 +329,6 @@ def quintile_bins(incomes: list[float]) -> QuintileBinning:
             f"{', '.join(f'{c:g}' for c in tied)}: a fifth or more of the points share "
             "one income; --by-tract takes quintiles over unique tract incomes")
     return QuintileBinning(cut_points=cuts)
-
-
-def expected_incidents(rate: float, journey_km: float, capture_km: float) -> float:
-    """Expected incident count over a journey: rate * journey / capture.
-
-    The capture length matters: a 0.23 segment rate over 10 km gives 2.3
-    expected incidents when each photo covers 1 km, 4.6 when it covers
-    0.5 km.
-    """
-    if capture_km <= 0:
-        raise ValueError(f"capture_km must be positive, got {capture_km}")
-    return rate * journey_km / capture_km
-
-
-def summary_table(summaries: list[CitySummary]) -> str:
-    """Aligned-text condition table, one row per city."""
-    headers = ["city", "n"] + [display for _, display in SUMMARY_COLUMNS]
-    rows = []
-    for s in summaries:
-        row = [s.city, str(s.n_images)]
-        for attr, _ in SUMMARY_COLUMNS:
-            row.append(f"{s.proportions[attr]:.2f}" if attr in s.proportions else "-")
-        rows.append(row)
-    widths = [max(len(headers[i]), *(len(r[i]) for r in rows)) if rows else len(headers[i])
-              for i in range(len(headers))]
-    lines = ["  ".join(h.ljust(w) for h, w in zip(headers, widths))]
-    for row in rows:
-        lines.append("  ".join(v.ljust(w) for v, w in zip(row, widths)))
-    return "\n".join(lines)
-
-
-def summary_csv_rows(summaries: list[CitySummary]) -> list[list[str]]:
-    """Rows of city, n_images, then each SUMMARY_COLUMNS proportion."""
-    return [[s.city, str(s.n_images)]
-            + [f"{s.proportions[attr]:.6f}" if attr in s.proportions else ""
-               for attr, _ in SUMMARY_COLUMNS]
-            for s in summaries]
 
 
 def fixed(value: float, places: int) -> str:

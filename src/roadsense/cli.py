@@ -14,7 +14,7 @@ import math
 import sys
 from pathlib import Path
 
-from . import __version__, geo_export, labeling
+from . import __version__, geo_export, labeling, stats
 from .errors import ConfigError, InputDataError, RoadsenseError
 from .fileio import write_atomic, write_table
 from .osm_ingest import filter_roads, read_network
@@ -121,19 +121,18 @@ def cmd_summarize(args) -> int:
     if args.journey_km is not None:
         _check_flag(math.isfinite(args.journey_km) and args.journey_km >= 0, "--journey-km",
                     "a finite number >= 0", args.journey_km)
-    from . import analysis  # numpy loads only for the analysis commands
     consensus = labeling.read_consensus_csv(args.consensus)
-    summary = analysis.summarize_city(consensus, args.city)
-    print(analysis.summary_table([summary]))
+    summary = stats.summarize_city(consensus, args.city)
+    print(stats.summary_table([summary]))
     if args.csv:
-        write_table(args.csv, ["city", "n_images"] + [a for a, _ in analysis.SUMMARY_COLUMNS],
-                    analysis.summary_csv_rows([summary]))
+        write_table(args.csv, ["city", "n_images"] + [a for a, _ in stats.SUMMARY_COLUMNS],
+                    stats.summary_csv_rows([summary]))
     if args.journey_km is not None:
         rate = summary.proportions.get("potholes")
         if rate is None:
             print("expected potholes: unavailable (no resolvable pothole labels)")
         else:
-            count = analysis.expected_incidents(rate, args.journey_km, args.capture_km)
+            count = stats.expected_incidents(rate, args.journey_km, args.capture_km)
             print(f"expected potholes over {args.journey_km:g} km at "
                   f"{args.capture_km:g} km per photo: {count:.1f}")
             print("note: the expected count scales with 1/capture-km; the same "

@@ -25,16 +25,8 @@ from .fileio import decode_text, json_field, parse_json, write_atomic
 from .osm_ingest import SAMPLED_ROAD_CLASSES, filter_roads, parse_osm, write_network
 from .sampler import sample_segments, sample_stratified, write_plan_csv
 from .segmenter import chunk_network, skipped_ways, write_segments_csv
-from .streetview import (
-    DEFAULT_BASE_URL,
-    STATUS_OK,
-    _server_of,
-    coverage_json,
-    estimate_coverage,
-    fetch_all,
-    image_on_disk,
-    read_queries_csv,
-)
+from .stats import STATUS_OK, coverage_json, estimate_coverage
+from .streetview import DEFAULT_BASE_URL, _server_of, fetch_all, image_on_disk, read_queries_csv
 
 log = logging.getLogger(__name__)
 

@@ -11,26 +11,25 @@ network hiccup says nothing about imagery coverage.
 
 from __future__ import annotations
 
-import json
 import logging
-import math
 import os
 import queue
 import re
 import socket
 import threading
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import TYPE_CHECKING
 from urllib.parse import quote, urlsplit
 
-from .errors import ConfigError, InputDataError, InsufficientDataError, KeyQuotaError
+from .errors import ConfigError, InputDataError, KeyQuotaError
 from .fileio import append_rows, json_typed, parse_json, read_table, write_atomic, write_table
 from .geometry import GeoPoint
 from .sampler import sample_points
 from .segmenter import RoadSegment
+from .stats import STATUS_OK, STATUS_ZERO_RESULTS
 
 if TYPE_CHECKING:  # pipeline imports this module
     from .pipeline import RunConfig
@@ -41,10 +40,7 @@ DEFAULT_BASE_URL = "https://maps.googleapis.com"
 IMAGE_SIZE = "640x640"  # the API's largest image
 TIMEOUT_S = 10.0        # per connect and per read
 BACKOFF_S = 0.5         # the first retry's wait; each further retry doubles it
-WILSON_Z = 1.959964
 
-STATUS_OK = "OK"
-STATUS_ZERO_RESULTS = "ZERO_RESULTS"
 STATUS_REQUEST_DENIED = "REQUEST_DENIED"
 
 QUERIES_CSV_HEADER = "segment_id,lat,lon,status,pano_id,capture_date,image_path,queried_at"
@@ -73,16 +69,6 @@ class QueryRecord:
             raise ValueError("image_path only allowed on OK records")
         if self.pano_id is not None and self.status != STATUS_OK:
             raise ValueError("pano_id implies an OK record")
-
-
-@dataclass(frozen=True)
-class CoverageEstimate:
-    successes: int
-    total: int
-    proportion: float
-    ci_low: float
-    ci_high: float
-    excluded: int = 0  # TRANSPORT_ERROR / REQUEST_DENIED records left out
 
 
 _URL_PATH = re.compile(r"[!-~]*")   # printable ASCII, no space
@@ -542,35 +528,3 @@ def _query_record(segment_id, lat, lon, status, pano_id, capture_date, image_pat
 def read_queries_csv(path: str | Path) -> list[QueryRecord]:
     return read_table(path, _QUERY_COLUMNS, _query_record)
 
-
-def wilson_interval(successes: int, total: int, z: float = WILSON_Z) -> tuple[float, float]:
-    """95% Wilson score interval for a binomial proportion."""
-    p = successes / total
-    denom = 1.0 + z * z / total
-    center = (p + z * z / (2.0 * total)) / denom
-    half = z * math.sqrt(p * (1.0 - p) / total + z * z / (4.0 * total * total)) / denom
-    return max(0.0, center - half), min(1.0, center + half)
-
-
-def estimate_coverage(records: list[QueryRecord]) -> CoverageEstimate:
-    """Proportion of OK among {OK, ZERO_RESULTS}, with a Wilson interval.
-
-    TRANSPORT_ERROR and REQUEST_DENIED records carry no information about
-    imagery coverage and are excluded from both numerator and denominator.
-    """
-    usable = [r for r in records if r.status in (STATUS_OK, STATUS_ZERO_RESULTS)]
-    excluded = len(records) - len(usable)
-    if not usable:
-        raise InsufficientDataError(
-            f"no usable records: {len(records)} total, all excluded")
-    successes = sum(1 for r in usable if r.status == STATUS_OK)
-    total = len(usable)
-    low, high = wilson_interval(successes, total)
-    return CoverageEstimate(successes=successes, total=total,
-                            proportion=successes / total,
-                            ci_low=low, ci_high=high, excluded=excluded)
-
-
-def coverage_json(est: CoverageEstimate) -> str:
-    """The coverage.json document for an estimate."""
-    return json.dumps(asdict(est), indent=2, sort_keys=True) + "\n"

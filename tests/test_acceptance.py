@@ -16,12 +16,7 @@ from scipy import stats
 
 from conftest import fixture_city_xml, lon_span
 from oracles import normal_equations_ols, polyline_length_m
-from roadsense.analysis import (
-    build_design,
-    expected_incidents,
-    ols_fit,
-    summarize_city,
-)
+from roadsense.analysis import build_design, ols_fit
 from roadsense.cli import main
 from roadsense.errors import CollinearityError
 from roadsense.geometry import GeoPoint, PolygonRing, point_in_polygon
@@ -31,6 +26,7 @@ from roadsense.osm_ingest import SAMPLED_ROAD_CLASSES, RoadNetwork, Way, filter_
 from roadsense.pipeline import MANIFEST_NAME, RUN_ARTIFACTS, config_from_manifest, run_pipeline
 from roadsense.sampler import sample_segments, write_plan_csv
 from roadsense.segmenter import chunk_network, chunk_way
+from roadsense.stats import expected_incidents, summarize_city
 from roadsense.streetview import format_location
 from test_sampler import make_population
 

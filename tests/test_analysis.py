@@ -17,21 +17,19 @@ from roadsense.analysis import (
     QuintileBinning,
     TractPolygon,
     build_design,
-    expected_incidents,
     fixed,
     join_income,
     load_tracts_geojson,
     ols_fit,
     quintile_bins,
     regression_table,
-    summarize_city,
-    summary_table,
 )
 from roadsense.cli import main
 from roadsense.errors import AnalysisError, CollinearityError, InputDataError, InsufficientDataError
 from roadsense.geometry import GeoPoint, PolygonRing, point_in_polygon
 from roadsense.labeling import ATTRIBUTES, ConsensusLabel
 from roadsense.segmenter import SEGMENTS_CSV_HEADER
+from roadsense.stats import expected_incidents, summarize_city, summary_table
 
 
 def consensus(segment_id, **verdicts):
@@ -61,7 +59,6 @@ class TestSummarize:
                   consensus("c", potholes="no")]
         s = summarize_city(labels, "x")
         assert s.proportions["potholes"] == pytest.approx(0.5)
-        assert s.unresolved_counts["potholes"] == 1
 
     def test_markings_clear_conditional(self):
         # 2 images with markings (1 clear), 2 without markings (na)

@@ -850,6 +850,21 @@ class TestStageCommands:
         assert printed.splitlines()[-1] == "0 False"
         assert len(out.read_text().splitlines()) == 11
 
+    def test_summarize_leaves_numpy_unloaded(self, tmp_path):
+        consensus, out = tmp_path / "consensus.csv", tmp_path / "summary.csv"
+        consensus.write_text(f"{CONSENSUS_CSV_HEADER}\np0,yes,no,yes,yes,no,yes,1\n"
+                             "p1,no,no,yes,no,unresolved,yes,3\n")
+        src = str(Path(roadsense.__file__).resolve().parent.parent)
+        code = ("import sys; from roadsense.cli import main; "
+                f"code = main(['summarize', '--consensus', {str(consensus)!r}, "
+                f"'--city', 'x', '--journey-km', '10', '--csv', {str(out)!r}]); "
+                "print(code, 'numpy' in sys.modules)")
+        printed = subprocess.run([sys.executable, "-c", code],
+                                 env={**os.environ, "PYTHONPATH": src}, check=True,
+                                 capture_output=True, text=True).stdout
+        assert printed.splitlines()[-1] == "0 False"
+        assert out.read_text().startswith("city,n_images,")
+
     @pytest.mark.parametrize("verdict", ["YES", "maybe"])
     def test_summarize_rejects_a_verdict_outside_the_vocabulary(self, tmp_path, capsys,
                                                                 verdict):

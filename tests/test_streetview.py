@@ -19,14 +19,13 @@ from roadsense.mockserver import MockStreetViewServer, _Handler
 from roadsense.pipeline import RunConfig
 from roadsense.sampler import write_plan_csv
 from roadsense.segmenter import RoadSegment
+from roadsense.stats import estimate_coverage, wilson_interval
 from roadsense.streetview import (
     QueryRecord,
-    estimate_coverage,
     fetch_all,
     format_location,
     read_queries_csv,
     request_target,
-    wilson_interval,
     write_queries_csv,
 )
 
