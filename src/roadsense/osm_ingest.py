@@ -61,10 +61,12 @@ def parse_osm(source: str | bytes | os.PathLike, source_name: str = "") -> RoadN
     way references are kept, in document order; until the ways are known
     all coordinates sit in compact arrays. Duplicate node ids follow
     last-definition-wins; a warning counts them over all nodes. A way
-    referencing a node id absent from the document raises MissingNodeError.
+    referencing a node id absent from the document raises MissingNodeError,
+    and a highway way whose id an earlier one has an InputDataError.
     """
     ids, lats, lons = array("q"), array("d"), array("d")
     ways: list[Way] = []
+    way_ids: set[int] = set()
     open_nodes: list[dict] = []
     open_ways: list[tuple[dict, list, dict]] = []  # (attrs, nd refs, tags)
 
@@ -102,6 +104,9 @@ def parse_osm(source: str | bytes | os.PathLike, source_name: str = "") -> RoadN
                 node_ids = tuple(int(ref) for ref in refs)
             except (KeyError, ValueError, TypeError) as e:
                 raise OsmParseError(f"way element missing/invalid id or nd ref: {e}") from e
+            if wid in way_ids:
+                raise InputDataError(f"way {wid}: repeats the id of an earlier highway way")
+            way_ids.add(wid)
             ways.append(Way(id=wid, node_ids=node_ids, highway_class=highway,
                             name=tags.get("name")))
 
@@ -182,9 +187,10 @@ def read_network(path: str | Path) -> RoadNetwork:
     """Read a network file back. A bad record raises an InputDataError
     subclass naming the file, the line and the field: ids and node refs
     are integers, lat/lon numbers, highway and city strings, name a string
-    or null."""
+    or null, and no way id repeats."""
     nodes: dict[int, GeoPoint] = {}
     ways: list[Way] = []
+    way_ids: set[int] = set()
     source_name = ""
     with open(path, "rb") as f:
         for lineno, raw in enumerate(f, start=1):
@@ -204,8 +210,12 @@ def read_network(path: str | Path) -> RoadNetwork:
                     refs = json_field(rec, "nodes", "a list of integers", where)
                     if len(refs) < 2:
                         raise RowError(f"{where}nodes: holds fewer than 2 node ids")
+                    wid = json_field(rec, "id", "an integer", where)
+                    if wid in way_ids:
+                        raise RowError(f"{where}id: {wid} repeats an earlier way's id")
+                    way_ids.add(wid)
                     ways.append(Way(
-                        id=json_field(rec, "id", "an integer", where),
+                        id=wid,
                         node_ids=tuple(refs),
                         highway_class=json_field(rec, "highway", "a string", where),
                         name=json_field(rec, "name", "a string or null", where, default=None)))

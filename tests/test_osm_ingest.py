@@ -131,6 +131,31 @@ class TestParse:
         assert len(net.ways) == n_highway_in_input
 
 
+    def test_repeated_highway_way_id_names_the_second_way(self, tmp_path, capsys):
+        doc = osm_doc("""<node id="1" lat="0" lon="0"/>
+<node id="2" lat="0" lon="1"/>
+<way id="100"><nd ref="1"/><nd ref="2"/><tag k="highway" v="primary"/></way>
+<way id="100"><nd ref="2"/><nd ref="1"/><tag k="highway" v="trunk"/></way>""")
+        with pytest.raises(InputDataError) as exc:
+            parse_osm(doc)
+        assert str(exc.value) == "line 6: way 100: repeats the id of an earlier highway way"
+        path, out = tmp_path / "city.osm", tmp_path / "network.ndjson"
+        path.write_text(doc, encoding="utf-8")
+        assert main(["ingest", "--osm", str(path), "--city", "x", "--out", str(out)]) == 3
+        assert "line 6: way 100: repeats the id" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_repeated_id_of_a_way_without_highway_is_ignored(self):
+        doc = osm_doc("""
+          <node id="1" lat="0" lon="0"/>
+          <node id="2" lat="0" lon="1"/>
+          <way id="100"><nd ref="1"/><nd ref="2"/><tag k="waterway" v="river"/></way>
+          <way id="100"><nd ref="1"/><nd ref="2"/><tag k="highway" v="trunk"/></way>
+          <way id="100"><nd ref="1"/><nd ref="2"/><tag k="building" v="yes"/></way>
+        """)
+        assert [w.highway_class for w in parse_osm(doc).ways] == ["trunk"]
+
+
 class TestFilter:
     def make_network(self):
         body = ['<node id="1" lat="0" lon="0"/>', '<node id="2" lat="0" lon="1"/>']
@@ -217,10 +242,11 @@ def _coordinate(limit):
 def networks(draw):
     ids = draw(st.lists(_IDS, min_size=2, max_size=8, unique=True))
     nodes = {nid: GeoPoint(draw(_coordinate(90)), draw(_coordinate(180))) for nid in ids}
-    ways = [Way(id=draw(_IDS), node_ids=tuple(draw(st.lists(st.sampled_from(ids),
-                                                            min_size=2, max_size=5))),
+    # a network file holds each way id once
+    ways = [Way(id=wid, node_ids=tuple(draw(st.lists(st.sampled_from(ids),
+                                                     min_size=2, max_size=5))),
                 highway_class=draw(_TEXT), name=draw(st.one_of(st.none(), _TEXT)))
-            for _ in range(draw(st.integers(0, 4)))]
+            for wid in draw(st.lists(_IDS, max_size=4, unique=True))]
     return RoadNetwork(nodes=nodes, ways=ways, source_name=draw(_TEXT))
 
 
@@ -387,6 +413,19 @@ class TestReadNetworkErrors:
         code = main(["segment", "--network", str(path), "--out", str(tmp_path / "s.csv")])
         assert code == 3
         assert f" record: {field}: expected " in capsys.readouterr().err
+
+    def test_repeated_way_id_names_file_line_and_id(self, tmp_path, capsys):
+        way = {"type": "way", "id": 100, "nodes": [1, 2], "highway": "primary"}
+        path = self.write(tmp_path, {"type": "node", "id": 1, "lat": 0.0, "lon": 0.0},
+                          {"type": "node", "id": 2, "lat": 0.0, "lon": 0.01},
+                          way, dict(way, nodes=[2, 1]))
+        with pytest.raises(RowError) as exc:
+            read_network(path)
+        assert str(exc.value) == f"{path}: line 4: way record: id: 100 repeats an earlier way's id"
+        out = tmp_path / "s.csv"
+        assert main(["segment", "--network", str(path), "--out", str(out)]) == 3
+        assert "line 4: way record: id: 100 repeats" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_cli_exits_3(self, tmp_path, capsys):
         path = self.write(tmp_path, {"type": "node", "id": 1, "lat": 0.0})
