@@ -123,10 +123,10 @@ def cmd_summarize(args) -> int:
                     "a finite number >= 0", args.journey_km)
     consensus = labeling.read_consensus_csv(args.consensus)
     summary = stats.summarize_city(consensus, args.city)
-    print(stats.summary_table([summary]))
-    if args.csv:
+    if args.csv:  # written first, so that a failed write prints no table
         write_table(args.csv, ["city", "n_images"] + [a for a, _ in stats.SUMMARY_COLUMNS],
                     stats.summary_csv_rows([summary]))
+    print(stats.summary_table([summary]))
     if args.journey_km is not None:
         rate = summary.proportions.get("potholes")
         if rate is None:
@@ -199,11 +199,11 @@ def cmd_regress(args) -> int:
     design = analysis.build_design(rows, factors, baselines=baselines)
     result = analysis.ols_fit(design.matrix, outcomes, names=design.names,
                               robust=args.robust)
-    print(analysis.regression_table(result))
-    if args.csv:
+    if args.csv:  # written first, so that a failed write prints no table
         write_table(args.csv, ["coefficient", "estimate", "std_error"],
                     ([n, analysis.fixed(e, 8), analysis.fixed(s, 8)] for n, e, s in
                      zip(result.coefficient_names, result.estimates, result.standard_errors)))
+    print(analysis.regression_table(result))
     return 0
 
 

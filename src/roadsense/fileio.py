@@ -19,12 +19,17 @@ from .errors import InputDataError, RoadsenseError, RowError, SchemaError
 @contextmanager
 def atomic_open(path: str | Path, mode: str = "w"):
     """Open a temp file beside path for writing ("w" text, "wb" bytes);
-    when the block ends cleanly, rename it over path, otherwise delete it."""
+    when the block ends cleanly, rename it over path, otherwise delete it.
+    An error opening the temp file names path."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     text = {} if "b" in mode else {"encoding": "utf-8", "newline": ""}
     try:
-        with open(tmp, mode, **text) as f:
+        f = open(tmp, mode, **text)
+    except OSError as e:  # say a missing directory, not the hidden temp name
+        raise type(e)(e.errno, e.strerror, str(path)) from None
+    try:
+        with f:
             yield f
         os.replace(tmp, path)
     except BaseException:

@@ -1044,6 +1044,22 @@ def regress_inputs(tmp_path, per_tract):
             "--consensus", str(paths[1]), "--tracts", str(paths[2])]
 
 
+@pytest.mark.parametrize("command", ["summarize", "regress"])
+def test_csv_into_a_missing_directory_exits_3_naming_the_path(tmp_path, capsys, command):
+    target = tmp_path / "nodir" / "out.csv"
+    if command == "summarize":
+        consensus = tmp_path / "consensus.csv"
+        consensus.write_text(f"{CONSENSUS_CSV_HEADER}\np0,yes,no,yes,yes,no,yes,1\n")
+        args = ["summarize", "--consensus", str(consensus), "--city", "x"]
+    else:
+        args = regress_inputs(tmp_path, [3, 3, 3, 3, 3]) + ["--factors", "income_quintile"]
+    assert main(args + ["--csv", str(target)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == f"error: [Errno 2] No such file or directory: '{target}'\n"
+    assert captured.out == ""  # a failed write prints no table
+    assert not target.parent.exists()
+
+
 class TestRegressFlags:
     def test_tied_quintile_cut_points_exit_5_suggesting_by_tract(self, tmp_path, capsys):
         # 8 of 12 points share the lowest income: the first three cut points tie
