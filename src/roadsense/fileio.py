@@ -26,7 +26,7 @@ def atomic_open(path: str | Path, mode: str = "w"):
     text = {} if "b" in mode else {"encoding": "utf-8", "newline": ""}
     try:
         f = open(tmp, mode, **text)
-    except OSError as e:  # say a missing directory, not the hidden temp name
+    except OSError as e:  # name the path asked for, not the hidden temp file beside it
         raise type(e)(e.errno, e.strerror, str(path)) from None
     try:
         with f:

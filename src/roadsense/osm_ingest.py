@@ -62,7 +62,7 @@ def parse_osm(source: str | bytes | os.PathLike, source_name: str = "") -> RoadN
     all coordinates sit in compact arrays. Duplicate node ids follow
     last-definition-wins; a warning counts them over all nodes. A way
     referencing a node id absent from the document raises MissingNodeError,
-    and a highway way whose id an earlier one has an InputDataError.
+    and a highway way that repeats an earlier one's id an InputDataError.
     """
     ids, lats, lons = array("q"), array("d"), array("d")
     ways: list[Way] = []

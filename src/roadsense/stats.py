@@ -1,8 +1,6 @@
-"""Estimation without numpy: imagery coverage as a proportion with its Wilson
-interval, per-city condition proportions with their table and CSV rows, and
-expected incident counts. estimate_coverage reads only the status of each
-query record (streetview.QueryRecord), so this module needs no layer above it.
-"""
+"""Estimators that need no numpy: imagery coverage with its Wilson interval,
+per-city condition proportions with their table and CSV rows, and expected
+incident counts. estimate_coverage reads only each query record's status."""
 
 from __future__ import annotations
 

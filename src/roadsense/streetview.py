@@ -1,5 +1,5 @@
-"""Imagery availability client: build API URLs, fetch outcomes for sampled
-points, and estimate coverage as the success proportion.
+"""Imagery availability client: build API URLs and fetch outcomes for
+sampled points; stats.estimate_coverage turns them into coverage.
 
 The metadata endpoint is always consulted first; it is the authoritative,
 unbilled signal for "imagery exists here". The image itself is downloaded

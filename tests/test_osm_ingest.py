@@ -59,11 +59,13 @@ class TestParse:
         assert net.source_name == "bangkok"
 
     def test_way_without_highway_dropped(self):
+        # a way without a highway tag may also repeat a road's id
         doc = osm_doc("""
           <node id="1" lat="0" lon="0"/>
           <node id="2" lat="0" lon="1"/>
           <way id="10"><nd ref="1"/><nd ref="2"/><tag k="waterway" v="river"/></way>
           <way id="11"><nd ref="1"/><nd ref="2"/><tag k="highway" v="trunk"/></way>
+          <way id="11"><nd ref="1"/><nd ref="2"/><tag k="building" v="yes"/></way>
         """)
         net = parse_osm(doc)
         assert [w.id for w in net.ways] == [11]
@@ -144,16 +146,6 @@ class TestParse:
         assert main(["ingest", "--osm", str(path), "--city", "x", "--out", str(out)]) == 3
         assert "line 6: way 100: repeats the id" in capsys.readouterr().err
         assert not out.exists()
-
-    def test_repeated_id_of_a_way_without_highway_is_ignored(self):
-        doc = osm_doc("""
-          <node id="1" lat="0" lon="0"/>
-          <node id="2" lat="0" lon="1"/>
-          <way id="100"><nd ref="1"/><nd ref="2"/><tag k="waterway" v="river"/></way>
-          <way id="100"><nd ref="1"/><nd ref="2"/><tag k="highway" v="trunk"/></way>
-          <way id="100"><nd ref="1"/><nd ref="2"/><tag k="building" v="yes"/></way>
-        """)
-        assert [w.highway_class for w in parse_osm(doc).ways] == ["trunk"]
 
 
 class TestFilter:
