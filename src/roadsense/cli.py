@@ -37,7 +37,7 @@ from .sampler import sample_points
 from .segmenter import read_segments_csv, segment_shapes, skipped_ways
 from .streetview import read_queries_csv
 
-log = logging.getLogger(__name__)
+log = logging.getLogger("roadsense.cli")  # not __main__ under python -m
 
 
 def _check_flag(ok: bool, flag: str, what: str, value) -> None:
@@ -272,7 +272,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = stage_parser("sample", cmd_sample, "draw a seeded random sample of segments",
                      "--segments")
-    p.add_argument("--stratify-by-class", action="store_true")
     p.add_argument("--out", required=True)
 
     stage_parser("fetch", cmd_fetch, "query imagery availability for a plan", "--plan")

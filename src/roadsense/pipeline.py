@@ -23,7 +23,7 @@ from . import __version__
 from .errors import ConfigError, InputDataError, RoadsenseError, RowError, SchemaError
 from .fileio import decode_text, json_field, parse_json, write_atomic
 from .osm_ingest import SAMPLED_ROAD_CLASSES, filter_roads, parse_osm, write_network
-from .sampler import sample_segments, sample_stratified, write_plan_csv
+from .sampler import sample_segments, write_plan_csv
 from .segmenter import chunk_network, skipped_ways, write_segments_csv
 from .stats import STATUS_OK, coverage_json, estimate_coverage
 from .streetview import DEFAULT_BASE_URL, _server_of, fetch_all, image_on_disk, read_queries_csv
@@ -264,9 +264,7 @@ def segment(settings, network, path):
 
 def sample(settings, segments, path):
     """The sample, in draw order."""
-    stratified = getattr(settings, "stratify_by_class", False)  # the sample command's flag
-    plan = (sample_stratified if stratified else sample_segments)(
-        segments, settings.sample_n, settings.seed)
+    plan = sample_segments(segments, settings.sample_n, settings.seed)
     write_plan_csv(plan, path)
     return plan
 

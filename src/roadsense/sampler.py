@@ -49,7 +49,8 @@ class SplitMix64:
 
 
 def sample_segments(population: list[RoadSegment], n: int, seed: int) -> list[RoadSegment]:
-    """Uniform sample of n segments without replacement, in draw order.
+    """Uniform sample of n segments without replacement, in draw order: the
+    sample for n is the first n segments of the sample for any larger n.
 
     Asking for more than the population returns the whole population
     (shuffled) and logs a warning.
@@ -72,50 +73,6 @@ def sample_segments(population: list[RoadSegment], n: int, seed: int) -> list[Ro
 def sample_points(plan: list[RoadSegment]) -> list[tuple[str, GeoPoint]]:
     """Start points of the sampled segments, in plan order."""
     return [(s.segment_id, s.start) for s in plan]
-
-
-def stratified_counts(class_counts: dict[str, int], n: int) -> dict[str, int]:
-    """Allocate n across classes proportionally (largest-remainder rounding)."""
-    total = sum(class_counts.values())
-    if total == 0 or n <= 0:
-        return {c: 0 for c in class_counts}
-    shares = {c: n * cnt / total for c, cnt in class_counts.items()}
-    alloc = {c: min(int(shares[c]), class_counts[c]) for c in shares}
-    leftover = n - sum(alloc.values())
-    # hand out remaining units by largest fractional part, then name for ties
-    order = sorted(shares, key=lambda c: (-(shares[c] - int(shares[c])), c))
-    while leftover > 0:
-        progressed = False
-        for c in order:
-            if leftover == 0:
-                break
-            if alloc[c] < class_counts[c]:
-                alloc[c] += 1
-                leftover -= 1
-                progressed = True
-        if not progressed:
-            break  # every class exhausted
-    return alloc
-
-
-def sample_stratified(population: list[RoadSegment], n: int, seed: int) -> list[RoadSegment]:
-    """Sample n segments allocated proportionally to highway-class counts.
-
-    Each stratum is drawn with the same pinned generator; the i-th class in
-    sorted name order is seeded with seed + i + 1, and strata are
-    concatenated in that order.
-    """
-    classes: dict[str, list[RoadSegment]] = {}
-    for s in population:
-        classes.setdefault(s.highway_class, []).append(s)
-    alloc = stratified_counts({c: len(v) for c, v in classes.items()}, n)
-    chosen: list[RoadSegment] = []
-    if n > len(population):
-        log.warning("sample_stratified: requested %d segments but population has only %d",
-                    n, len(population))
-    for i, cls in enumerate(sorted(classes)):
-        chosen.extend(sample_segments(classes[cls], alloc[cls], seed + i + 1))
-    return chosen
 
 
 PLAN_CSV_HEADER = SEGMENTS_CSV_HEADER + ",sample_rank"

@@ -485,7 +485,7 @@ BAD_STAGE_SETTINGS = [
     *(("segment", "classes", v) for v in ("", " , ")),
     *((command, "target_m", v) for command in ("segment", "export --mode lines")
       for v in ("nan", "inf", "0", "-1")),
-    *((command, name, v) for command in ("sample", "sample --stratify-by-class")
+    *(("sample", name, v)
       for name, v in (("sample_n", "-1"), ("seed", "-1"), ("seed", str(2 ** 64)))),
     ("fetch", "out_dir", ""),
     *(("fetch", "rate_per_s", v) for v in ("0", "-1", "nan")),
@@ -581,6 +581,21 @@ class TestStageCommands:
                      "--out", str(lines_file)]) == 0
         doc = json.loads(lines_file.read_text())
         assert all(f["geometry"]["type"] == "LineString" for f in doc["features"])
+
+    def test_sample_plan_for_n_is_a_prefix_of_the_plan_for_more(self, fixture_city_file,
+                                                                tmp_path, capsys):
+        net, seg = tmp_path / "net.ndjson", tmp_path / "segments.csv"
+        assert main(["ingest", "--osm", str(fixture_city_file), "--city", "f",
+                     "--out", str(net)]) == 0
+        assert main(["segment", "--network", str(net), "--out", str(seg)]) == 0
+        plans = {}
+        for n in (5, 9):
+            plans[n] = tmp_path / f"plan{n}.csv"
+            assert main(["sample", "--segments", str(seg), "--n", str(n), "--seed", "11",
+                         "--out", str(plans[n])]) == 0
+        five, nine = (plans[n].read_text().splitlines() for n in (5, 9))
+        assert len(five) == 1 + 5 and len(nine) == 1 + 9
+        assert five == nine[:1 + 5]
 
     def test_chained_stage_commands_write_the_run_artifacts(self, fixture_city_file, tmp_path,
                                                            capsys):
@@ -1080,6 +1095,19 @@ class TestRegressFlags:
         assert capsys.readouterr().err == (
             "error: --factors must be road_class, city or income_quintile, each at most "
             f"once, got {bad}\n")
+
+    def test_warning_under_python_m_names_the_cli_logger(self, tmp_path):
+        args = regress_inputs(tmp_path, [3] * 6) + ["--factors", "income_quintile"]
+        tracts = tmp_path / "tracts.geojson"
+        doc = json.loads(tracts.read_text())
+        del doc["features"][-1]  # the last tract's 3 points fall outside every tract
+        tracts.write_text(json.dumps(doc))
+        src = str(Path(roadsense.__file__).resolve().parent.parent)
+        done = subprocess.run([sys.executable, "-m", "roadsense.cli", *args],
+                              env={**os.environ, "PYTHONPATH": src},
+                              check=True, capture_output=True, text=True)
+        assert done.stderr == (
+            "WARNING roadsense.cli: regress: 3 sampled points fell outside every tract\n")
 
     def test_intercept_only_fit_prints_an_unsigned_zero_r_squared(self, tmp_path, capsys):
         # 4 of 12 outcomes are 1: the residual and total sums of squares

@@ -10,14 +10,12 @@ from roadsense.sampler import (
     SplitMix64,
     sample_points,
     sample_segments,
-    sample_stratified,
-    stratified_counts,
     write_plan_csv,
 )
 from roadsense.segmenter import RoadSegment
 
 
-def make_population(n, highway_class="primary"):
+def make_population(n):
     segs = []
     for i in range(n):
         start = GeoPoint(0.0, (i % 1700) * 0.1)
@@ -25,7 +23,7 @@ def make_population(n, highway_class="primary"):
         segs.append(RoadSegment(
             segment_id=f"{i}#0", way_id=i, index=0,
             start=start, end=end,
-            length_m=500.0, highway_class=highway_class, city="t"))
+            length_m=500.0, highway_class="primary", city="t"))
     return segs
 
 
@@ -75,13 +73,6 @@ class TestSampleSegments:
         assert [r.getMessage() for r in caplog.records] == [
             "sample_segments: requested 15 segments but population has only 10"]
 
-    def test_stratified_over_ask_warns_once(self, caplog):
-        with caplog.at_level(logging.WARNING, logger="roadsense.sampler"):
-            plan = sample_stratified(make_population(10), 15, seed=1)
-        assert len(plan) == 10
-        assert [r.getMessage() for r in caplog.records] == [
-            "sample_stratified: requested 15 segments but population has only 10"]
-
     def test_without_replacement(self):
         pop = make_population(100)
         plan = sample_segments(pop, 40, seed=9)
@@ -101,6 +92,18 @@ class TestSampleSegments:
         a = [s.segment_id for s in sample_segments(pop, 20, seed=1)]
         b = [s.segment_id for s in sample_segments(pop, 20, seed=2)]
         assert a != b
+
+    def test_plan_for_n_is_a_prefix_of_the_plan_for_n_plus_m(self):
+        # a larger sample only continues the draw, so a plan can grow
+        # without re-drawing the points it already holds
+        for pop_n in (1, 2, 7, 50, 301):
+            pop = make_population(pop_n)
+            for n, m, seed in itertools.product(
+                    sorted({0, 1, pop_n // 3, pop_n - 1, pop_n}), (1, 4, pop_n + 2),
+                    (0, 1, 42, (1 << 64) - 1)):
+                ids = [s.segment_id for s in sample_segments(pop, n + m, seed)]
+                assert [s.segment_id for s in sample_segments(pop, n, seed)] == ids[:n], \
+                    (pop_n, n, m, seed)
 
     def test_permutation_when_n_equals_population(self):
         pop = make_population(8)
@@ -159,36 +162,3 @@ class TestSamplePoints:
     def test_size_matches_plan(self):
         plan = sample_segments(make_population(6000), 5000, seed=11)
         assert len(sample_points(plan)) == 5000
-
-
-class TestStratified:
-    def test_allocation_largest_remainder(self):
-        alloc = stratified_counts({"primary": 50, "tertiary": 30, "trunk": 20}, 10)
-        assert alloc == {"primary": 5, "tertiary": 3, "trunk": 2}
-        assert sum(stratified_counts({"a": 3, "b": 3, "c": 3}, 5).values()) == 5
-
-    def test_allocation_never_exceeds_class_size(self):
-        alloc = stratified_counts({"a": 2, "b": 100}, 50)
-        assert alloc["a"] <= 2
-        assert sum(alloc.values()) == 50
-
-    def test_stratified_sample_counts(self):
-        pop = (make_population(60, "primary")
-               + [RoadSegment(segment_id=f"t{i}", way_id=1000 + i, index=0,
-                              start=GeoPoint(1, i * 0.1),
-                              end=GeoPoint(1, i * 0.1 + 0.001), length_m=500.0,
-                              highway_class="tertiary", city="t")
-                  for i in range(40)])
-        plan = sample_stratified(pop, 10, seed=5)
-        by_class = {}
-        for s in plan:
-            by_class[s.highway_class] = by_class.get(s.highway_class, 0) + 1
-        assert by_class == {"primary": 6, "tertiary": 4}
-        ids = [s.segment_id for s in plan]
-        assert len(ids) == len(set(ids))
-
-    def test_stratified_deterministic(self):
-        pop = make_population(30, "primary") + make_population(30, "secondary")[0:20]
-        a = sample_stratified(pop, 12, seed=4)
-        b = sample_stratified(pop, 12, seed=4)
-        assert [s.segment_id for s in a] == [s.segment_id for s in b]

@@ -1,4 +1,3 @@
-import _thread
 import http.client
 import json
 import os
@@ -42,7 +41,12 @@ def fast_config(base_url, out_dir, **kw):
 
 
 class _InterruptingHandler(_Handler):
-    """Raises KeyboardInterrupt in the main thread at the server's k-th request."""
+    """Sends SIGINT to the main thread at the server's k-th request, as the
+    terminal does on Ctrl-C, then holds its reply for 0.3 s. A real signal
+    wakes the main thread's wait at once. _thread.interrupt_main() only sets
+    a flag, which the main thread acts on at some later bytecode, perhaps in
+    a finalizer that the garbage collector runs, where the KeyboardInterrupt
+    is printed and lost."""
 
     def do_GET(self):
         server = self.server
@@ -50,20 +54,9 @@ class _InterruptingHandler(_Handler):
             server.gets += 1
             fire = server.gets == server.interrupt_at
         if fire:
-            self.interrupt()
+            signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
+            time.sleep(0.3)
         super().do_GET()
-
-    def interrupt(self):
-        _thread.interrupt_main()
-
-
-class _SignallingHandler(_InterruptingHandler):
-    """Sends SIGINT to the main thread instead, as the terminal does on
-    Ctrl-C, then holds its reply for 0.3 s."""
-
-    def interrupt(self):
-        signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
-        time.sleep(0.3)
 
 
 class _SilentlyClosingHandler(_Handler):
@@ -117,9 +110,9 @@ def server_with(handler, fixture):
 
 
 class InterruptingServer(MockStreetViewServer):
-    def __init__(self, fixture, interrupt_at, handler=_InterruptingHandler):
+    def __init__(self, fixture, interrupt_at):
         super().__init__(fixture)
-        self.RequestHandlerClass = handler
+        self.RequestHandlerClass = _InterruptingHandler
         self.interrupt_at = interrupt_at
         self.gets = 0
 
@@ -156,6 +149,17 @@ class TestRequestBuilders:
             config = fast_config(server.base_url + "/v1/", tmp_path)
             assert [r.status for r in fetch_all(plan_of_points(points), config)] == ["OK"]
             assert server.request_count == 2
+
+
+@pytest.fixture
+def sigint_raises():
+    """SIGINT raises KeyboardInterrupt even where the tests were started with
+    SIGINT ignored, as a background job of a non-interactive shell is."""
+    previous = signal.signal(signal.SIGINT, signal.default_int_handler)
+    try:
+        yield
+    finally:
+        signal.signal(signal.SIGINT, previous)
 
 
 @pytest.fixture
@@ -348,7 +352,7 @@ class TestFetchAll:
             fetch_all(plan_of_points([(0.0, 0.0)]), fast_config("http://127.0.0.1:9", tmp_path))
 
     @pytest.mark.parametrize("k", [1, 19, 20, 21, 150])
-    def test_interrupt_then_resume_pays_once(self, tmp_path, fast_switching, k):
+    def test_interrupt_then_resume_pays_once(self, tmp_path, sigint_raises, fast_switching, k):
         points = [(0.0, i * 0.01) for i in range(120)]
         ok = points[::2]
         fixture = {format_location(GeoPoint(*p)): {"status": "OK"} for p in ok}
@@ -375,15 +379,15 @@ class TestFetchAll:
         assert requested == {format_location(GeoPoint(*p)): 1 + (p in ok) for p in points}
 
     @pytest.mark.parametrize("workers, k", [(1, 1), (1, 5), (2, 5), (2, 31)])
-    def test_sigint_during_a_query_keeps_its_row(self, tmp_path, workers, k):
-        # a real signal wakes the main thread's wait at once, while the query
-        # that sent it is in flight; with one worker, the main thread was
-        # waiting on that very query
+    def test_sigint_during_a_query_keeps_its_row(self, tmp_path, sigint_raises, workers, k):
+        # the signal wakes the main thread's wait while the query that sent
+        # it is in flight; with one worker, the main thread was waiting on
+        # that very query
         points = [(0.0, i * 0.01) for i in range(60)]
         ok = points[::2]
         fixture = {format_location(GeoPoint(*p)): {"status": "OK"} for p in ok}
         plan = plan_of_points(points)
-        with InterruptingServer(fixture, k, _SignallingHandler) as server:
+        with InterruptingServer(fixture, k) as server:
             config = fast_config(server.base_url, tmp_path, max_concurrency=workers)
             with pytest.raises(KeyboardInterrupt):
                 fetch_all(plan, config)
