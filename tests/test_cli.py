@@ -597,6 +597,33 @@ class TestStageCommands:
         assert len(five) == 1 + 5 and len(nine) == 1 + 9
         assert five == nine[:1 + 5]
 
+    def test_sample_stratify_by_class_is_an_unrecognized_argument(self, fixture_city_file,
+                                                                  tmp_path, capsys):
+        # the stratified design is gone: the flag fails in argparse, before any work
+        net, seg = tmp_path / "net.ndjson", tmp_path / "segments.csv"
+        assert main(["ingest", "--osm", str(fixture_city_file), "--city", "f",
+                     "--out", str(net)]) == 0
+        assert main(["segment", "--network", str(net), "--out", str(seg)]) == 0
+        capsys.readouterr()
+        plan = tmp_path / "plan.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["sample", "--segments", str(seg), "--n", "5", "--stratify-by-class",
+                  "--out", str(plan)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --stratify-by-class" in capsys.readouterr().err
+        assert not plan.exists()
+
+    def test_run_plan_for_n_is_a_prefix_of_the_run_plan_for_more(self, fixture_city_file,
+                                                                 tmp_path, capsys):
+        plans = {}
+        with MockStreetViewServer({"__default__": {"status": "OK"}}) as server:
+            for n in (5, 9):
+                out = tmp_path / f"run{n}"
+                assert main(run_args(fixture_city_file, out, server.base_url, n=n)) == 0
+                plans[n] = (out / "plan.csv").read_text().splitlines()
+        assert len(plans[5]) == 1 + 5 and len(plans[9]) == 1 + 9
+        assert plans[5] == plans[9][:1 + 5]
+
     def test_chained_stage_commands_write_the_run_artifacts(self, fixture_city_file, tmp_path,
                                                            capsys):
         xml = fixture_city_file.read_text()
@@ -1108,6 +1135,17 @@ class TestRegressFlags:
                               check=True, capture_output=True, text=True)
         assert done.stderr == (
             "WARNING roadsense.cli: regress: 3 sampled points fell outside every tract\n")
+
+    def test_warning_in_process_names_the_cli_logger(self, tmp_path, capsys, caplog):
+        args = regress_inputs(tmp_path, [3] * 6) + ["--factors", "income_quintile"]
+        tracts = tmp_path / "tracts.geojson"
+        doc = json.loads(tracts.read_text())
+        del doc["features"][-1]
+        tracts.write_text(json.dumps(doc))
+        with caplog.at_level(logging.WARNING):
+            assert main(args) == 0
+        assert [(r.name, r.getMessage()) for r in caplog.records] == [
+            ("roadsense.cli", "regress: 3 sampled points fell outside every tract")]
 
     def test_intercept_only_fit_prints_an_unsigned_zero_r_squared(self, tmp_path, capsys):
         # 4 of 12 outcomes are 1: the residual and total sums of squares

@@ -105,6 +105,16 @@ class TestSampleSegments:
                 assert [s.segment_id for s in sample_segments(pop, n, seed)] == ids[:n], \
                     (pop_n, n, m, seed)
 
+    def test_plan_csv_for_n_is_a_prefix_of_the_plan_csv_for_more(self, tmp_path):
+        # the rank column counts the draw, so a grown plan keeps each row's rank
+        pop = make_population(40)
+        small, large = tmp_path / "small.csv", tmp_path / "large.csv"
+        write_plan_csv(sample_segments(pop, 6, seed=8), small)
+        write_plan_csv(sample_segments(pop, 15, seed=8), large)
+        rows = large.read_text().splitlines()
+        assert small.read_text().splitlines() == rows[:1 + 6]
+        assert [r.rsplit(",", 1)[1] for r in rows[1:]] == [str(i) for i in range(15)]
+
     def test_permutation_when_n_equals_population(self):
         pop = make_population(8)
         plan = sample_segments(pop, 8, seed=3)
@@ -158,6 +168,11 @@ class TestSamplePoints:
 
     def test_empty(self):
         assert sample_points(sample_segments([], 0, seed=0)) == []
+
+    def test_points_for_n_are_a_prefix_of_the_points_for_more(self):
+        pop = make_population(200)
+        more = sample_points(sample_segments(pop, 30, seed=5))
+        assert sample_points(sample_segments(pop, 12, seed=5)) == more[:12]
 
     def test_size_matches_plan(self):
         plan = sample_segments(make_population(6000), 5000, seed=11)

@@ -1,3 +1,4 @@
+import contextlib
 import http.client
 import json
 import os
@@ -151,13 +152,30 @@ class TestRequestBuilders:
             assert server.request_count == 2
 
 
-@pytest.fixture
-def sigint_raises():
-    """SIGINT raises KeyboardInterrupt even where the tests were started with
-    SIGINT ignored, as a background job of a non-interactive shell is."""
+@contextlib.contextmanager
+def default_sigint():
+    """SIGINT raises KeyboardInterrupt inside, even where the tests were started
+    with SIGINT ignored, as a background job of a non-interactive shell is;
+    the previous handler comes back on the way out."""
     previous = signal.signal(signal.SIGINT, signal.default_int_handler)
     try:
         yield
+    finally:
+        signal.signal(signal.SIGINT, previous)
+
+
+@pytest.fixture
+def sigint_raises():
+    with default_sigint():
+        yield
+
+
+def test_default_sigint_raises_inside_and_restores_an_ignored_sigint():
+    previous = signal.signal(signal.SIGINT, signal.SIG_IGN)
+    try:
+        with pytest.raises(KeyboardInterrupt), default_sigint():
+            signal.raise_signal(signal.SIGINT)
+        assert signal.getsignal(signal.SIGINT) is signal.SIG_IGN
     finally:
         signal.signal(signal.SIGINT, previous)
 
