@@ -1,4 +1,4 @@
-"""Condition statistics that need numpy: linear probability models with
+"""Condition statistics in plain Python: linear probability models with
 dummy-coded factors, census-tract income joins, and quintile bins.
 
 The regressions are plain OLS on 0/1 outcomes so coefficients read as
@@ -10,14 +10,10 @@ from __future__ import annotations
 
 import logging
 import math
-import os
+import operator
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-
-# these fits are too small to share out; idle OpenBLAS threads only spin on the CPU
-os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-import numpy as np
 
 from .errors import AnalysisError, CollinearityError, InputDataError, RowError
 from .fileio import JSON_KINDS, json_field, json_typed, parse_json
@@ -35,13 +31,10 @@ PIVOT_TOLERANCE = 1e-10
 @dataclass
 class RegressionResult:
     coefficient_names: list[str]
-    estimates: np.ndarray
-    standard_errors: np.ndarray
+    estimates: list[float]
+    standard_errors: list[float]
     n: int
     r_squared: float
-
-    def coefficient(self, name: str) -> float:
-        return float(self.estimates[self.coefficient_names.index(name)])
 
 
 @dataclass(frozen=True)
@@ -49,10 +42,6 @@ class TractPolygon:
     tract_id: str
     shapes: tuple[PolygonRing, ...]   # one entry per polygon of a multipolygon
     per_capita_income: float
-
-    def __post_init__(self):
-        if not (self.per_capita_income >= 0 and np.isfinite(self.per_capita_income)):
-            raise ValueError(f"tract {self.tract_id}: income must be finite and >= 0")
 
     def bounds(self):
         bs = [s.bounds() for s in self.shapes]
@@ -70,17 +59,28 @@ class QuintileBinning:
         return ("Q1", "Q2", "Q3", "Q4", "Q5")[idx]  # shared constants, not a new string per row
 
 
-def ols_fit(design: np.ndarray, response: np.ndarray,
-            names: list[str] | None = None, robust: bool = False) -> RegressionResult:
+def _dot(a, b) -> float:
+    return math.fsum(map(operator.mul, a, b))
+
+
+def ols_fit(design, response, names: list[str] | None = None,
+            robust: bool = False) -> RegressionResult:
     """Least squares via Householder QR, with classical (or HC1) errors.
+
+    Identical design rows are factored once: a row x seen c times with
+    responses summing to s enters the QR as sqrt(c)*x with right-hand side
+    s/sqrt(c), which keeps X'X and X'y. Every sum is a math.fsum.
 
     Rank deficiency (any |r_jj| below PIVOT_TOLERANCE times the largest) is
     reported as a collinearity error naming the first such column: the
     first column that the columns before it explain.
     """
-    x = np.asarray(design, dtype=float)
-    y = np.asarray(response, dtype=float).reshape(-1)
-    n, k = x.shape
+    y = [float(v) for v in response]
+    groups: dict[tuple[float, ...], list[float]] = {}  # distinct row -> its responses
+    for row, value in zip(design, y, strict=True):
+        groups.setdefault(tuple(map(float, row)), []).append(value)
+    rows = list(groups)
+    n, k = len(y), len(rows[0]) if rows else len(names or ())
     if names is None:
         names = [f"x{i}" for i in range(k)]
     if len(names) != k:
@@ -88,49 +88,65 @@ def ols_fit(design: np.ndarray, response: np.ndarray,
     if n <= k:
         raise AnalysisError(f"need more observations ({n}) than coefficients ({k})")
 
-    q, r = np.linalg.qr(x)
-    diag = np.abs(np.diag(r))
-    largest = diag.max() if diag.size else 0.0
+    roots = [math.sqrt(len(ys)) for ys in groups.values()]
+    cols = [[c * x[j] for x, c in zip(rows, roots)] for j in range(k)]
+    cols.append([math.fsum(ys) / c for ys, c in zip(groups.values(), roots)])
+    # reflected in place: cols[i][j] becomes r_ji above the diagonal, cols[k] Q'y
+    r_diag = [0.0] * k
+    for j in range(k):
+        v = cols[j][j:]
+        norm = math.sqrt(_dot(v, v))
+        if norm:  # else r_jj stays 0 and the rank test below names column j
+            r_diag[j] = alpha = -math.copysign(norm, v[0])
+            v[0] -= alpha
+            scale = norm * abs(v[0])  # v'v / 2
+            for col in cols[j + 1:]:
+                d = _dot(v, col[j:]) / scale
+                col[j:] = [b - d * a for a, b in zip(v, col[j:])]
+    largest = max(map(abs, r_diag), default=0.0)
     if largest == 0.0:
         raise CollinearityError(f"design is all zeros (column {names[0]})")
-    bad = np.nonzero(diag < PIVOT_TOLERANCE * largest)[0]
-    if bad.size:
+    bad = [j for j in range(k) if abs(r_diag[j]) < PIVOT_TOLERANCE * largest]
+    if bad:
         raise CollinearityError(
             f"design is rank deficient: column {names[bad[0]]} is collinear "
             "with the others")
 
-    beta = np.linalg.solve(r, q.T @ y)
-    residuals = y - x @ beta
-    rss = float(residuals @ residuals)
-    rinv = np.linalg.solve(r, np.eye(k))
-    xtx_inv = rinv @ rinv.T
+    def back_substitute(rhs: list[float]) -> list[float]:
+        out = [0.0] * k
+        for j in reversed(range(k)):
+            out[j] = (rhs[j] - _dot([c[j] for c in cols[j + 1:k]], out[j + 1:])) / r_diag[j]
+        return out
 
+    beta = back_substitute(cols[k])
+    rinv = list(zip(*(back_substitute([float(i == j) for i in range(k)]) for j in range(k))))
+    fitted = [_dot(beta, x) for x in rows]
+    sq_residuals = [math.fsum((v - fit) ** 2 for v in ys)
+                    for fit, ys in zip(fitted, groups.values())]
+    rss = math.fsum(sq_residuals)
+    # (X'X)^-1 = R^-1 R^-T; each variance is a sum of squares, never below 0
     if robust:
         # HC1: (X'X)^-1 X' diag(e^2) X (X'X)^-1 scaled by n/(n-k)
-        meat = (x * (residuals ** 2)[:, None]).T @ x
-        cov = xtx_inv @ meat @ xtx_inv * (n / (n - k))
+        xtx_inv = [[_dot(a, b) for b in rinv] for a in rinv]
+        var = [_dot(sq_residuals, [_dot(a, x) ** 2 for x in rows]) * (n / (n - k))
+               for a in xtx_inv]
     else:
-        sigma2 = rss / (n - k)
-        cov = xtx_inv * sigma2
-    # a variance that is 0 in exact arithmetic can round to a tiny negative
-    ses = np.sqrt(np.maximum(np.diag(cov), 0.0))
+        var = [_dot(a, a) * (rss / (n - k)) for a in rinv]
 
-    mean = y.mean()
-    tss = float(((y - mean) ** 2).sum())
+    mean = math.fsum(y) / n
+    tss = math.fsum((v - mean) ** 2 for v in y)
     # a constant response has no variance to explain: R^2 is 0 by convention
-    if tss <= 1e-12 * (float(y @ y) + 1.0):
-        r2 = 0.0
-    else:
-        r2 = 1.0 - rss / tss
+    r2 = 0.0 if tss <= 1e-12 * (_dot(y, y) + 1.0) else 1.0 - rss / tss
     return RegressionResult(coefficient_names=list(names), estimates=beta,
-                            standard_errors=ses, n=n, r_squared=r2)
+                            standard_errors=[math.sqrt(v) for v in var], n=n, r_squared=r2)
 
 
 @dataclass
 class Design:
-    """Dummy-coded design matrix and its column names."""
+    """Dummy-coded design rows and their column names: one shared tuple
+    per distinct combination of factor levels."""
 
-    matrix: np.ndarray
+    matrix: list[tuple[float, ...]]
     names: list[str]
 
 
@@ -163,14 +179,14 @@ def build_design(rows: list[dict], factors: list[str],
                 f"baseline {baselines[factor]!r} not a level of {factor}")
         names += [f"{factor}={level}" for level in levels if level != baselines[factor]]
 
-    matrix = np.zeros((len(rows), len(names)))
-    matrix[:, 0] = 1.0
-    column = {name: j for j, name in enumerate(names)}
-    for i, row in enumerate(rows):
-        for factor in factors:
-            j = column.get(f"{factor}={row[factor]}")  # none for the baseline
-            if j is not None:
-                matrix[i, j] = 1.0
+    coded: dict[tuple, tuple[float, ...]] = {}  # levels -> their shared design row
+    matrix = []
+    for row in rows:
+        levels = tuple(row[factor] for factor in factors)
+        if levels not in coded:
+            on = {"intercept", *map("{}={}".format, factors, levels)}  # a baseline has no column
+            coded[levels] = tuple(float(name in on) for name in names)
+        matrix.append(coded[levels])
     return Design(matrix=matrix, names=names)
 
 
@@ -314,21 +330,26 @@ def join_income(points: list[tuple[str, GeoPoint]],
 def quintile_bins(incomes: list[float]) -> QuintileBinning:
     """Cut points at the 20/40/60/80 empirical percentiles.
 
-    Linear interpolation between order statistics; at least 5 distinct
+    Linear interpolation between order statistics, rounded step for step
+    as numpy.percentile(method="linear") rounds it; at least 5 distinct
     values required, and no two cut points may tie.
     """
-    values = np.asarray(incomes, dtype=float)
-    if len(set(values.tolist())) < 5:
+    values = sorted(map(float, incomes))
+    if len(set(values)) < 5:
         raise AnalysisError(
-            f"need at least 5 distinct income values, got {len(set(values.tolist()))}")
-    cuts = tuple(float(c) for c in np.percentile(values, [20, 40, 60, 80], method="linear"))
+            f"need at least 5 distinct income values, got {len(set(values))}")
+    cuts = []
+    for q in (0.2, 0.4, 0.6, 0.8):
+        t, i = math.modf((len(values) - 1) * q)
+        a, b = values[int(i)], values[int(i) + 1]
+        cuts.append(a + (b - a) * t if t < 0.5 else b - (b - a) * (1 - t))
     tied = sorted({a for a, b in zip(cuts, cuts[1:]) if a >= b})
     if tied:
         raise AnalysisError(
             f"income quintile cut points {', '.join(f'{c:g}' for c in cuts)} tie at "
             f"{', '.join(f'{c:g}' for c in tied)}: a fifth or more of the points share "
             "one income; --by-tract takes quintiles over unique tract incomes")
-    return QuintileBinning(cut_points=cuts)
+    return QuintileBinning(cut_points=tuple(cuts))
 
 
 def fixed(value: float, places: int) -> str:

@@ -147,6 +147,10 @@ def _regression_rows(args):
         _check_flag(factor in ("road_class", "city", "income_quintile")
                     and factor not in factors[:i], "--factors",
                     "road_class, city or income_quintile, each at most once", factor)
+    _check_flag(not args.baseline_city or "city" in factors, "--baseline-city",
+                "used with the city factor", f"--factors {args.factors}")
+    _check_flag(not args.by_tract or "income_quintile" in factors, "--by-tract",
+                "used with the income_quintile factor", f"--factors {args.factors}")
     consensus = {c.segment_id: c for c in labeling.read_consensus_csv(args.consensus)}
     plan = read_segments_csv(args.segments)  # segments.csv or plan.csv
     rows = []
@@ -193,9 +197,7 @@ def _regression_rows(args):
 def cmd_regress(args) -> int:
     from . import analysis
     rows, outcomes, factors = _regression_rows(args)
-    baselines = {}
-    if args.baseline_city:
-        baselines["city"] = args.baseline_city
+    baselines = {"city": args.baseline_city} if args.baseline_city else {}
     design = analysis.build_design(rows, factors, baselines=baselines)
     result = analysis.ols_fit(design.matrix, outcomes, names=design.names,
                               robust=args.robust)

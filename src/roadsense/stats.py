@@ -1,4 +1,4 @@
-"""Estimators that need no numpy: imagery coverage with its Wilson interval,
+"""Estimators of shares: imagery coverage with its Wilson interval,
 per-city condition proportions with their table and CSV rows, and expected
 incident counts. estimate_coverage reads only each query record's status."""
 

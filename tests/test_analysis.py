@@ -160,11 +160,11 @@ class TestOls:
         x = np.column_stack([np.ones(80), rng.normal(size=80)])
         y = x @ np.array([1.0, 2.0]) + rng.normal(size=80) * (1 + np.abs(x[:, 1]))
         res = ols_fit(x, y, robust=True)
-        assert np.all(res.standard_errors > 0)
+        assert np.all(np.array(res.standard_errors) > 0)
 
     def test_robust_error_of_a_level_seen_once_is_finite(self):
         # a level on one row has leverage 1 and residual 0: its HC1 variance
-        # is 0 in exact arithmetic and rounds to a tiny negative
+        # is 0 in exact arithmetic, and rounding must not take it below 0
         rng = np.random.default_rng(39)
         classes = ["primary", "secondary", "tertiary", "trunk"]
         rows = [{"road_class": classes[rng.integers(4)],
@@ -175,7 +175,7 @@ class TestOls:
             warnings.simplefilter("error")
             res = ols_fit(design.matrix, y, names=design.names, robust=True)
         assert np.all(np.isfinite(res.standard_errors))
-        assert np.all(res.standard_errors >= 0)
+        assert np.all(np.array(res.standard_errors) >= 0)
 
     @pytest.mark.parametrize("robust", [False, True])
     def test_matches_pivoted_qr_oracle_on_dummy_designs(self, robust):
@@ -218,27 +218,6 @@ class TestOls:
                              capture_output=True, text=True).stdout
         assert out.strip() == "False"
 
-    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/task")
-    def test_fit_runs_on_one_blas_thread_by_default(self):
-        src = str(Path(roadsense.__file__).resolve().parent.parent)
-        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
-        env["PYTHONPATH"] = src
-        code = ("import os, roadsense.analysis as a, numpy as np; "
-                "x = np.random.default_rng(0).random((12000, 8)); "
-                "a.ols_fit(x, x @ np.arange(8.0)); "
-                "print(len(os.listdir('/proc/self/task')), os.environ['OPENBLAS_NUM_THREADS'])")
-        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                             capture_output=True, text=True).stdout
-        assert out.split() == ["1", "1"]
-
-    def test_blas_threads_set_by_the_operator_are_kept(self):
-        src = str(Path(roadsense.__file__).resolve().parent.parent)
-        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "2"}
-        code = "import os, roadsense.analysis; print(os.environ['OPENBLAS_NUM_THREADS'])"
-        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                             capture_output=True, text=True).stdout
-        assert out.strip() == "2"
-
     def test_regression_table_renders(self):
         res = ols_fit(np.ones((5, 1)), np.arange(5.0), names=["intercept"])
         text = regression_table(res)
@@ -252,8 +231,8 @@ class TestBuildDesign:
         # declared level set: primary/secondary/trunk columns exist
         assert d.names == ["intercept", "road_class=primary",
                            "road_class=secondary", "road_class=trunk"]
-        assert d.matrix[0].tolist() == [1.0, 1.0, 0.0, 0.0]
-        assert d.matrix[1].tolist() == [1.0, 0.0, 0.0, 0.0]
+        assert list(d.matrix[0]) == [1.0, 1.0, 0.0, 0.0]
+        assert list(d.matrix[1]) == [1.0, 0.0, 0.0, 0.0]
 
     def test_class_and_city_column_count(self):
         rows = []
@@ -301,10 +280,11 @@ class TestBuildDesign:
                     outcomes.append(1.0 if i < n_yes else 0.0)
         d = build_design(rows, ["road_class", "city"], baselines={"city": "jakarta"})
         res = ols_fit(d.matrix, np.array(outcomes), names=d.names)
-        assert res.coefficient("road_class=primary") == pytest.approx(0.03, abs=1e-9)
-        assert res.coefficient("road_class=trunk") == pytest.approx(0.05, abs=1e-9)
-        assert res.coefficient("city=wayne") == pytest.approx(-0.16, abs=1e-9)
-        assert res.coefficient("intercept") == pytest.approx(0.23, abs=1e-9)
+        names = res.coefficient_names
+        assert res.estimates[names.index("road_class=primary")] == pytest.approx(0.03, abs=1e-9)
+        assert res.estimates[names.index("road_class=trunk")] == pytest.approx(0.05, abs=1e-9)
+        assert res.estimates[names.index("city=wayne")] == pytest.approx(-0.16, abs=1e-9)
+        assert res.estimates[names.index("intercept")] == pytest.approx(0.23, abs=1e-9)
 
 
 def square_tract(tid, lat0, lon0, size, income):
@@ -514,6 +494,29 @@ class TestQuintiles:
         # 8 of 12 incomes are 1: the first three cut points are all 1
         with pytest.raises(AnalysisError, match=r"cut points 1, 1, 1, 2.8 tie at 1:"):
             quintile_bins([1.0] * 8 + [2.0, 3.0, 4.0, 5.0])
+
+    def test_cut_points_equal_numpy_percentile_bit_for_bit(self):
+        rng = random.Random(2027)
+        compared = 0
+        for i in range(3000):
+            n = rng.randint(5, 80)
+            if i % 3 == 0:  # a few values, each repeated
+                pool = [round(rng.uniform(4000.0, 90000.0), 2) for _ in range(rng.randint(5, 9))]
+                incomes = [rng.choice(pool) for _ in range(n)]
+            elif i % 3 == 1:
+                incomes = [rng.randint(0, 60) for _ in range(n)]
+            else:  # magnitudes from 1e-300 up to 1e300 in one sample
+                incomes = [rng.random() * 10.0 ** rng.randint(-300, 300) for _ in range(n)]
+            oracle = np.percentile(np.array(incomes, dtype=float), [20, 40, 60, 80],
+                                   method="linear").tolist()
+            if len(set(incomes)) < 5 or any(a >= b for a, b in zip(oracle, oracle[1:])):
+                with pytest.raises(AnalysisError):
+                    quintile_bins(incomes)
+                continue
+            assert [c.hex() for c in quintile_bins(incomes).cut_points] == [
+                c.hex() for c in oracle]
+            compared += 1
+        assert compared > 2000
 
 
 class TestExpectedIncidents:

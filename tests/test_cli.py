@@ -907,6 +907,21 @@ class TestStageCommands:
         assert printed.splitlines()[-1] == "0 False"
         assert out.read_text().startswith("city,n_images,")
 
+    def test_regress_runs_without_site_packages(self, tmp_path, capsys):
+        # python -S leaves site-packages, and numpy with it, off sys.path
+        args = regress_inputs(tmp_path, [3, 4, 5, 6, 7]) + ["--factors", "income_quintile",
+                                                             "--robust"]
+        assert main(args + ["--csv", str(tmp_path / "in_process.csv")]) == 0
+        printed = capsys.readouterr().out
+        src = str(Path(roadsense.__file__).resolve().parent.parent)
+        done = subprocess.run([sys.executable, "-S", "-m", "roadsense.cli", *args,
+                               "--csv", str(tmp_path / "coef.csv")],
+                              env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+                              text=True)
+        assert (done.returncode, done.stderr) == (0, "")
+        assert done.stdout == printed
+        assert (tmp_path / "coef.csv").read_bytes() == (tmp_path / "in_process.csv").read_bytes()
+
     @pytest.mark.parametrize("verdict", ["YES", "maybe"])
     def test_summarize_rejects_a_verdict_outside_the_vocabulary(self, tmp_path, capsys,
                                                                 verdict):
@@ -1122,6 +1137,24 @@ class TestRegressFlags:
         assert capsys.readouterr().err == (
             "error: --factors must be road_class, city or income_quintile, each at most "
             f"once, got {bad}\n")
+
+    @pytest.mark.parametrize("extra, flag", [
+        (["--factors", "income_quintile", "--baseline-city", "nowhere"], "--baseline-city"),
+        (["--factors", "city", "--by-tract", "--tracts", "missing.geojson"], "--by-tract"),
+    ], ids=["baseline-city-without-city", "by-tract-without-income-quintile"])
+    def test_a_flag_the_factors_would_ignore_exits_2(self, tmp_path, capsys, extra, flag):
+        out = tmp_path / "coef.csv"
+        assert main(regress_inputs(tmp_path, [3, 3, 3, 3, 3]) + extra + ["--csv", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {flag} must be used with the ")
+        assert not out.exists()
+
+    def test_a_consensus_sharing_no_segment_with_the_plan_exits_5(self, tmp_path, capsys):
+        args = regress_inputs(tmp_path, [3, 3, 3, 3, 3])
+        (tmp_path / "consensus.csv").write_text(
+            f"{CONSENSUS_CSV_HEADER}\nelsewhere#0,yes,no,yes,yes,no,yes,1\n")
+        assert main(args + ["--factors", "road_class"]) == 5
+        assert capsys.readouterr().err == (
+            "error: need more observations (0) than coefficients (4)\n")
 
     def test_warning_under_python_m_names_the_cli_logger(self, tmp_path):
         args = regress_inputs(tmp_path, [3] * 6) + ["--factors", "income_quintile"]
