@@ -1,6 +1,7 @@
 import contextlib
 import http.client
 import json
+import logging
 import os
 import signal
 import socket
@@ -93,6 +94,21 @@ class _RawMetadataHandler(_Handler):
         self.send_header("Content-Length", str(len(server.metadata_bytes)))
         self.end_headers()
         self.wfile.write(server.metadata_bytes)
+
+
+class _CannedReplyHandler(_Handler):
+    """Answers every metadata request with the server's (code, payload)
+    ``metadata_reply``. An image request gets the mock's JPEG when the
+    server's ``image_code`` is 200, else an empty JSON reply with that code."""
+
+    def _serve_metadata(self, server, location):
+        self._reply(*server.metadata_reply)
+
+    def _serve_image(self, server, location):
+        if server.image_code == 200:
+            super()._serve_image(server, location)
+        else:
+            self._reply(server.image_code, {})
 
 
 class _PrefixedHandler(_Handler):
@@ -240,7 +256,7 @@ class TestFetchAll:
         with MockStreetViewServer(fixture) as server:
             records = fetch_all(plan_of_points([p]),
                                 fast_config(server.base_url, tmp_path, retries=2))
-        assert records[0].status.startswith("TRANSPORT_ERROR(")
+        assert records[0].status == "TRANSPORT_ERROR(503)"
 
     def test_request_denied_storm_aborts(self, tmp_path):
         points = [(0.0, i * 0.01) for i in range(30)]
@@ -541,6 +557,41 @@ class TestFetchAll:
                                 fast_config(server.base_url, tmp_path))
             assert server.request_count == 1
         assert records[0].status == "TRANSPORT_ERROR(302)"
+
+    # (metadata code, metadata payload, image code): the row's status, whether
+    # it holds an image, and the requests sent with retries=2
+    @pytest.mark.parametrize("metadata_code, payload, image_code, status, image, requests", [
+        (200, {"status": "OK"}, 200, "OK", True, 2),
+        (200, {"status": "ZERO_RESULTS"}, 200, "ZERO_RESULTS", False, 1),
+        (200, {"status": "REQUEST_DENIED"}, 200, "REQUEST_DENIED", False, 1),
+        (404, {"status": "OK"}, 200, "TRANSPORT_ERROR(404)", False, 1),
+        (503, {"status": "OK"}, 200, "TRANSPORT_ERROR(503)", False, 3),
+        (200, {"status": "NOT_FOUND"}, 200, "ZERO_RESULTS", False, 1),
+        (200, {"status": "OVER_QUERY_LIMIT"}, 200, "TRANSPORT_ERROR(OVER_QUERY_LIMIT)", False, 1),
+        (200, {}, 200, "TRANSPORT_ERROR(UNKNOWN_ERROR)", False, 1),
+        (200, {"status": 7}, 200, "TRANSPORT_ERROR(7)", False, 1),
+        (200, {"status": "OK"}, 404, "OK", False, 2),
+        (200, {"status": "OK"}, 503, "OK", False, 4),
+    ], ids=["ok", "zero-results", "request-denied", "metadata-404", "metadata-503-past-retries",
+            "not-found", "over-query-limit", "no-status", "status-not-a-string", "image-404",
+            "image-503-past-retries"])
+    def test_each_reply_gives_its_exact_status(self, tmp_path, caplog, metadata_code,
+                                               payload, image_code, status, image, requests):
+        caplog.set_level(logging.WARNING, logger="roadsense.streetview")
+        p = (0.0, 0.1)
+        with server_with(_CannedReplyHandler, {format_location(GeoPoint(*p)): {}}) as server:
+            server.metadata_reply = (metadata_code, payload)
+            server.image_code = image_code
+            records = fetch_all(plan_of_points([p]),
+                                fast_config(server.base_url, tmp_path, retries=2))
+            assert server.request_count == requests
+        (rec,) = records
+        assert rec.status == status
+        assert rec.image_path == ("images/0#0.jpg" if image else None)
+        assert (tmp_path / "images" / "0#0.jpg").is_file() == image
+        failed = "metadata OK but image fetch failed for 0#0"
+        assert (failed in caplog.messages) == (status == "OK" and not image)
+        assert read_queries_csv(tmp_path / "queries.csv") == records
 
 
 class TestMockServer:
