@@ -73,7 +73,7 @@ def cmd_fetch(args) -> int:
     plan = read_segments_csv(args.plan)
     args.api_key = api_key_or_env(args.api_key)
     records = fetch(args, plan, Path(args.out_dir) / "queries.csv")
-    n_ok = sum(1 for r in records if r.status == "OK")
+    n_ok = sum(1 for r in records if r.status == stats.STATUS_OK)
     print(f"{args.out_dir}/queries.csv: {len(records)} records, {n_ok} OK")
     return 0
 
@@ -345,7 +345,7 @@ def main(argv=None) -> int:
     except RoadsenseError as e:
         print(f"error: {e}", file=sys.stderr)
         return e.exit_code
-    except (FileNotFoundError, FileExistsError, IsADirectoryError, NotADirectoryError) as e:
+    except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
     except KeyboardInterrupt:

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import add
 
 EARTH_RADIUS_M = 6_371_000.0
 
@@ -97,7 +99,8 @@ class Polyline:
         return [haversine_m(pts[i], pts[i + 1]) for i in range(len(pts) - 1)]
 
     def length_m(self) -> float:
-        return sum(self.edge_lengths_m())
+        # left to right, as way_pieces adds; sum() compensates from Python 3.12
+        return reduce(add, self.edge_lengths_m(), 0.0)
 
 
 def _check_ring(ring: tuple[GeoPoint, ...], kind: str) -> None:
@@ -136,36 +139,20 @@ class PolygonRing:
         return (min(lats), min(lons), max(lats), max(lons))
 
 
-def _on_segment(px, py, ax, ay, bx, by) -> bool:
-    # collinear and within the bounding box of the segment
-    cross = (bx - ax) * (py - ay) - (by - ay) * (px - ax)
-    if cross != 0.0:
-        return False
-    return (min(ax, bx) <= px <= max(ax, bx)) and (min(ay, by) <= py <= max(ay, by))
-
-
-def _ring_contains(ring: tuple[GeoPoint, ...], p: GeoPoint) -> bool:
-    """Even-odd ray casting in lon/lat coordinates (on-edge excluded here;
-    callers handle the edge rule)."""
+def _ring_side(ring: tuple[GeoPoint, ...], p: GeoPoint) -> bool | None:
+    """None if p lies on an edge of the closed ring, else whether even-odd
+    ray casting in lon/lat coordinates puts it inside."""
     x, y = p.lon, p.lat
     inside = False
-    n = len(ring) - 1  # ring is closed
-    for i in range(n):
-        ax, ay = ring[i].lon, ring[i].lat
-        bx, by = ring[i + 1].lon, ring[i + 1].lat
-        if (ay > y) != (by > y):
-            xint = ax + (y - ay) * (bx - ax) / (by - ay)
-            if x < xint:
-                inside = not inside
+    for a, b in zip(ring, ring[1:]):
+        ax, ay, bx, by = a.lon, a.lat, b.lon, b.lat
+        # collinear and within the bounding box of the edge
+        if ((bx - ax) * (y - ay) - (by - ay) * (x - ax) == 0.0
+                and min(ax, bx) <= x <= max(ax, bx) and min(ay, by) <= y <= max(ay, by)):
+            return None
+        if (ay > y) != (by > y) and x < ax + (y - ay) * (bx - ax) / (by - ay):
+            inside = not inside
     return inside
-
-
-def _ring_on_edge(ring: tuple[GeoPoint, ...], p: GeoPoint) -> bool:
-    x, y = p.lon, p.lat
-    for i in range(len(ring) - 1):
-        if _on_segment(x, y, ring[i].lon, ring[i].lat, ring[i + 1].lon, ring[i + 1].lat):
-            return True
-    return False
 
 
 def point_in_polygon(p: GeoPoint, poly: PolygonRing) -> bool:
@@ -174,14 +161,5 @@ def point_in_polygon(p: GeoPoint, poly: PolygonRing) -> bool:
     Points exactly on any edge (exterior or hole boundary) count as inside:
     a total, deterministic rule for the rare exact tie.
     """
-    if _ring_on_edge(poly.exterior, p):
-        return True
-    for hole in poly.holes:
-        if _ring_on_edge(hole, p):
-            return True
-    if not _ring_contains(poly.exterior, p):
-        return False
-    for hole in poly.holes:
-        if _ring_contains(hole, p):
-            return False
-    return True
+    sides = [_ring_side(ring, p) for ring in (poly.exterior, *poly.holes)]
+    return None in sides or (sides[0] and not any(sides[1:]))

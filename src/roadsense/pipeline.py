@@ -25,8 +25,8 @@ from .fileio import decode_text, json_field, parse_json, write_atomic
 from .osm_ingest import SAMPLED_ROAD_CLASSES, filter_roads, parse_osm, write_network
 from .sampler import sample_segments, write_plan_csv
 from .segmenter import chunk_network, skipped_ways, write_segments_csv
-from .stats import STATUS_OK, coverage_json, estimate_coverage
-from .streetview import DEFAULT_BASE_URL, _server_of, fetch_all, image_on_disk, read_queries_csv
+from .stats import coverage_json, estimate_coverage
+from .streetview import DEFAULT_BASE_URL, _server_of, fetch_all, is_final, read_queries_csv
 
 log = logging.getLogger(__name__)
 
@@ -236,7 +236,7 @@ def _is_up_to_date(config: RunConfig, out_dir: Path, osm_digest: str) -> bool:
         records = read_queries_csv(out_dir / "queries.csv")
     except (SchemaError, RowError):
         return False
-    return all(image_on_disk(r, out_dir) for r in records if r.status == STATUS_OK)
+    return all(is_final(r, out_dir) for r in records)
 
 
 # Each stage function takes the settings (a RunConfig, or a stage command's
@@ -318,7 +318,7 @@ def run_pipeline(config: RunConfig) -> Path:
     for (name, _, stage), artifact in zip(STAGES, RUN_ARTIFACTS):
         try:
             result = stage(config, result, out_dir / artifact)
-        except RoadsenseError as e:
+        except (RoadsenseError, OSError) as e:
             raise type(e)(f"stage {name}: {e}") from e
         except Exception as e:
             raise RoadsenseError(f"stage {name}: {e}") from e

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 from pathlib import Path
 
 from .errors import DegenerateWayError
@@ -66,7 +68,8 @@ def way_pieces(way: Way, network: RoadNetwork,
     except ValueError as e:
         raise DegenerateWayError(f"way {way.id}: {e}") from e
     edges = line.edge_lengths_m()
-    total = sum(edges)
+    # left to right, as each piece adds below; sum() compensates from Python 3.12
+    total = reduce(add, edges, 0.0)
     if total < 1.0:
         raise DegenerateWayError(f"way {way.id} is only {total:.3f} m long")
 

@@ -46,10 +46,6 @@ STATUS_REQUEST_DENIED = "REQUEST_DENIED"
 QUERIES_CSV_HEADER = "segment_id,lat,lon,status,pano_id,capture_date,image_path,queried_at"
 
 
-def transport_error(code) -> str:
-    return f"TRANSPORT_ERROR({code})"
-
-
 def format_location(p: GeoPoint) -> str:
     return f"{p.lat:.7f},{p.lon:.7f}"
 
@@ -295,61 +291,54 @@ def _now_utc() -> str:
 
 
 def _get_with_retries(conn: _Connection, target: str, config: RunConfig,
-                      bucket: TokenBucket) -> tuple[int, bytes] | str:
-    """GET with exponential backoff; returns (status, body) or an error-code
-    string. The code of a failed transport is its exception's class name."""
-    last_code = "unreachable"
+                      bucket: TokenBucket) -> tuple[int | str, bytes]:
+    """GET with exponential backoff: the status and body of the first reply
+    below 500 or, once the retries run out, the last failure's code and no
+    body. The code of a failed transport is its exception's class name."""
+    code: int | str = "unreachable"
     for attempt in range(config.retries + 1):
         if attempt:
             time.sleep(BACKOFF_S * (2 ** (attempt - 1)))
         bucket.acquire()
         try:
-            status, body = conn.get(target)
+            code, body = conn.get(target)
         except OSError as e:
-            last_code = type(e).__name__
+            code = type(e).__name__
             continue
-        if status >= 500:
-            last_code = str(status)
-            continue
-        return status, body
-    return transport_error(last_code)
+        if code < 500:
+            return code, body
+    return code, b""
 
 
 def _fetch_one(segment_id: str, point: GeoPoint, config: RunConfig,
                bucket: TokenBucket, conn: _Connection) -> QueryRecord:
     queried_at = config.fixed_time or _now_utc()
-    resp = _get_with_retries(conn, request_target(point, config.api_key), config, bucket)
-    if isinstance(resp, str):
-        return QueryRecord(segment_id, point, resp, queried_at=queried_at)
-    status_code, data = resp
-    if status_code != 200:
-        return QueryRecord(segment_id, point, transport_error(status_code),
-                           queried_at=queried_at)
-    try:  # named, never by its URL: that holds the API key
-        body = json_typed(parse_json(data, "metadata answer"), "an object", "metadata answer")
-    except InputDataError:
-        return QueryRecord(segment_id, point, transport_error("bad-json"),
-                           queried_at=queried_at)
-    status = body.get("status", "UNKNOWN_ERROR")
-    if status in (STATUS_ZERO_RESULTS, "NOT_FOUND"):
-        return QueryRecord(segment_id, point, STATUS_ZERO_RESULTS, queried_at=queried_at)
-    if status == STATUS_REQUEST_DENIED:
-        return QueryRecord(segment_id, point, STATUS_REQUEST_DENIED, queried_at=queried_at)
+    status, data = _get_with_retries(conn, request_target(point, config.api_key), config, bucket)
+    if status == 200:
+        try:  # named, never by its URL: that holds the API key
+            answer = json_typed(parse_json(data, "metadata answer"), "an object",
+                                "metadata answer")
+            status = answer.get("status", "UNKNOWN_ERROR")
+        except InputDataError:
+            status = "bad-json"
+    if status == "NOT_FOUND":
+        status = STATUS_ZERO_RESULTS
+    elif status not in (STATUS_OK, STATUS_ZERO_RESULTS, STATUS_REQUEST_DENIED):
+        status = f"TRANSPORT_ERROR({status})"
     if status != STATUS_OK:
-        return QueryRecord(segment_id, point, transport_error(status), queried_at=queried_at)
+        return QueryRecord(segment_id, point, status, queried_at=queried_at)
 
     image_path = None
-    img = _get_with_retries(conn, request_target(point, config.api_key, image=True),
-                            config, bucket)
-    if not isinstance(img, str) and img[0] == 200:
-        rel = f"images/{segment_id}.jpg"
-        write_atomic(Path(config.out_dir, rel), img[1])
-        image_path = rel
+    code, data = _get_with_retries(conn, request_target(point, config.api_key, image=True),
+                                   config, bucket)
+    if code == 200:
+        image_path = f"images/{segment_id}.jpg"
+        write_atomic(Path(config.out_dir, image_path), data)
     else:
         log.warning("metadata OK but image fetch failed for %s", segment_id)
     return QueryRecord(segment_id, point, STATUS_OK,
-                       pano_id=body.get("pano_id"),
-                       capture_date=body.get("date"),
+                       pano_id=answer.get("pano_id"),
+                       capture_date=answer.get("date"),
                        image_path=image_path,
                        queried_at=queried_at)
 
@@ -381,7 +370,7 @@ def fetch_all(plan: list[RoadSegment], config: RunConfig) -> list[QueryRecord]:
     to_fetch: list[tuple[int, str, GeoPoint]] = []
     for i, (seg_id, p) in enumerate(sample_points(plan)):
         rec = existing.get((seg_id, format_location(p)))
-        if rec is not None and (rec.status != STATUS_OK or image_on_disk(rec, out_dir)):
+        if rec is not None and is_final(rec, out_dir):
             records[i] = rec
         else:
             to_fetch.append((i, seg_id, p))
@@ -396,8 +385,11 @@ def fetch_all(plan: list[RoadSegment], config: RunConfig) -> list[QueryRecord]:
     return ordered
 
 
-def image_on_disk(rec: QueryRecord, run_dir: Path) -> bool:
-    return rec.image_path is not None and (run_dir / rec.image_path).is_file()
+def is_final(rec: QueryRecord, run_dir: Path) -> bool:
+    """Whether a journal row stands: it is not OK, or its image is on disk.
+    An OK row whose image was lost, or never downloaded, is fetched again."""
+    return rec.status != STATUS_OK or (
+        rec.image_path is not None and (run_dir / rec.image_path).is_file())
 
 
 def _fetch_window(to_fetch: list[tuple[int, str, GeoPoint]], config: RunConfig,

@@ -64,6 +64,14 @@ def run_args(osm_path, out_dir, base_url, n=12, seed=7):
             "--fixed-time", "2026-01-01T00:00:00Z"]
 
 
+def cli_process(args, cwd, *python_flags) -> subprocess.CompletedProcess:
+    """`python <python_flags> -m roadsense.cli <args>` in cwd, output captured."""
+    src = str(Path(roadsense.__file__).resolve().parent.parent)
+    return subprocess.run([sys.executable, *python_flags, "-m", "roadsense.cli", *args],
+                          cwd=cwd, env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True)
+
+
 def run_help_flags(capsys) -> list[tuple[str, str]]:
     """(flag, setting) for each option `run --help` lists; a flag's metavar
     is its setting's name in capitals."""
@@ -745,6 +753,41 @@ class TestStageCommands:
         assert err.startswith("error: ") and source in err
         assert not any(p.is_file() for p in tmp_path.rglob("*") if p.name != "afile")
 
+    @pytest.mark.parametrize("fault", ["symlink-loop", "name-too-long"])
+    @pytest.mark.parametrize("command", [
+        ["ingest", "--osm", "{}", "--city", "f", "--out", "net.ndjson"],
+        ["segment", "--network", "{}", "--out", "s.csv"],
+        ["sample", "--segments", "{}", "--n", "3", "--out", "p.csv"],
+        ["coverage", "--queries", "{}"],
+        ["summarize", "--consensus", "{}", "--city", "f"],
+        ["labels", "parse", "--in", "{}", "--out", "l.csv"],
+    ], ids=lambda args: args[0])
+    def test_any_os_error_on_an_input_exits_3(self, tmp_path, command, fault):
+        (tmp_path / "loop").symlink_to("loop")
+        source = "loop" if fault == "symlink-loop" else "x" * 300
+        done = cli_process([arg.format(source) for arg in command], tmp_path)
+        assert done.returncode == 3
+        assert done.stderr.startswith("error: ") and "Traceback" not in done.stderr
+        assert [p.name for p in tmp_path.iterdir()] == ["loop"]
+
+    @pytest.mark.parametrize("command", ["run", "fetch"])
+    def test_images_that_is_a_file_exits_3_from_run_and_fetch(self, fixture_city_file, tmp_path,
+                                                              command):
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        (out_dir / "images").write_text("")
+        plan_file = tmp_path / "plan.csv"
+        write_plan_csv(planned_points(fixture_city_file.read_bytes(), "f",
+                                      SAMPLED_ROAD_CLASSES, 500.0, 2, 0), plan_file)
+        inputs = {"run": ["--osm", str(fixture_city_file), "--city", "f", "--n", "2"],
+                  "fetch": ["--plan", str(plan_file)]}[command]
+        done = cli_process([command, *inputs, "--out-dir", str(out_dir), "--api-key", "k",
+                            "--base-url", "http://127.0.0.1:9"], tmp_path)
+        assert done.returncode == 3
+        prefix = "error: stage fetch: " if command == "run" else "error: "
+        assert done.stderr.startswith(prefix + "[Errno 17] File exists: ")
+        assert str(out_dir / "images") in done.stderr and "Traceback" not in done.stderr
+
     def test_ingest_reports_kept_road_nodes(self, tmp_path, capsys):
         osm = tmp_path / "city.osm"
         osm.write_text("<osm>"
@@ -876,51 +919,33 @@ class TestStageCommands:
         assert f"{batch}: line 2: column Answer.markings_clear:" in err
         assert not out.exists()
 
-    def test_labels_aggregate_leaves_numpy_unloaded(self, tmp_path):
-        batch, out = tmp_path / "batch.csv", tmp_path / "consensus.csv"
-        rows = [LABEL_HEADER] + [f"a{i},w{i % 3},s{i // 3},yes,no,yes,yes,no,yes"
-                                 for i in range(30)]
-        batch.write_text("\n".join(rows) + "\n")
-        src = str(Path(roadsense.__file__).resolve().parent.parent)
-        code = ("import sys; from roadsense.cli import main; "
-                f"code = main(['labels', 'aggregate', '--in', {str(batch)!r}, "
-                f"'--exclude-flagged', '--out', {str(out)!r}]); "
-                "print(code, 'numpy' in sys.modules)")
-        printed = subprocess.run([sys.executable, "-c", code],
-                                 env={**os.environ, "PYTHONPATH": src}, check=True,
-                                 capture_output=True, text=True).stdout
-        assert printed.splitlines()[-1] == "0 False"
-        assert len(out.read_text().splitlines()) == 11
-
-    def test_summarize_leaves_numpy_unloaded(self, tmp_path):
-        consensus, out = tmp_path / "consensus.csv", tmp_path / "summary.csv"
-        consensus.write_text(f"{CONSENSUS_CSV_HEADER}\np0,yes,no,yes,yes,no,yes,1\n"
-                             "p1,no,no,yes,no,unresolved,yes,3\n")
-        src = str(Path(roadsense.__file__).resolve().parent.parent)
-        code = ("import sys; from roadsense.cli import main; "
-                f"code = main(['summarize', '--consensus', {str(consensus)!r}, "
-                f"'--city', 'x', '--journey-km', '10', '--csv', {str(out)!r}]); "
-                "print(code, 'numpy' in sys.modules)")
-        printed = subprocess.run([sys.executable, "-c", code],
-                                 env={**os.environ, "PYTHONPATH": src}, check=True,
-                                 capture_output=True, text=True).stdout
-        assert printed.splitlines()[-1] == "0 False"
-        assert out.read_text().startswith("city,n_images,")
-
-    def test_regress_runs_without_site_packages(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command", ["labels-aggregate", "summarize", "regress"])
+    def test_runs_without_site_packages(self, tmp_path, capsys, command):
         # python -S leaves site-packages, and numpy with it, off sys.path
-        args = regress_inputs(tmp_path, [3, 4, 5, 6, 7]) + ["--factors", "income_quintile",
-                                                             "--robust"]
-        assert main(args + ["--csv", str(tmp_path / "in_process.csv")]) == 0
-        printed = capsys.readouterr().out
-        src = str(Path(roadsense.__file__).resolve().parent.parent)
-        done = subprocess.run([sys.executable, "-S", "-m", "roadsense.cli", *args,
-                               "--csv", str(tmp_path / "coef.csv")],
-                              env={**os.environ, "PYTHONPATH": src}, capture_output=True,
-                              text=True)
+        if command == "labels-aggregate":
+            # worker w2 answers the opposite of the others, so it is excluded
+            batch = tmp_path / "batch.csv"
+            batch.write_text("\n".join([LABEL_HEADER] + [
+                f"a{i},w{i % 3},s{i // 3}," + ("no,yes,yes,yes,yes,no" if i % 3 == 2
+                                               else "yes,no,yes,yes,no,yes")
+                for i in range(30)]) + "\n")
+            args = ["labels", "aggregate", "--in", str(batch), "--exclude-flagged", "--out"]
+        elif command == "summarize":
+            consensus = tmp_path / "consensus.csv"
+            consensus.write_text(f"{CONSENSUS_CSV_HEADER}\np0,yes,no,yes,yes,no,yes,1\n"
+                                 "p1,no,no,yes,no,unresolved,yes,3\n")
+            args = ["summarize", "--consensus", str(consensus), "--city", "x",
+                    "--journey-km", "10", "--csv"]
+        else:
+            args = regress_inputs(tmp_path, [3, 4, 5, 6, 7]) + [
+                "--factors", "income_quintile", "--robust", "--csv"]
+        out = tmp_path / "out.csv"
+        assert main(args + [str(out)]) == 0
+        printed, written = capsys.readouterr().out, out.read_bytes()
+        out.unlink()
+        done = cli_process(args + [str(out)], tmp_path, "-S")
         assert (done.returncode, done.stderr) == (0, "")
-        assert done.stdout == printed
-        assert (tmp_path / "coef.csv").read_bytes() == (tmp_path / "in_process.csv").read_bytes()
+        assert (done.stdout, out.read_bytes()) == (printed, written)
 
     @pytest.mark.parametrize("verdict", ["YES", "maybe"])
     def test_summarize_rejects_a_verdict_outside_the_vocabulary(self, tmp_path, capsys,

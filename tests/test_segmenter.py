@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import random
 
 import pytest
@@ -145,6 +146,21 @@ class TestChunkWay:
                 continue
             for piece, length in pieces:
                 assert length == Polyline(piece).length_m()
+
+    def test_edges_add_left_to_right_on_every_python(self):
+        # three 250 m edges total 749.9999999999999 m added left to right, but
+        # 750.0 m exactly rounded, as sum() adds from Python 3.12 on; there a
+        # 500 m target would cut the way in two pieces (500 + 250 m)
+        nodes = {k: GeoPoint(0.0, math.degrees(k * 250 / 6371000) + 4e-15) for k in range(4)}
+        net = RoadNetwork(nodes=nodes,
+                          ways=[Way(id=1, node_ids=(0, 1, 2, 3), highway_class="primary")],
+                          source_name="x")
+        edges = Polyline(nodes.values()).edge_lengths_m()
+        assert math.fsum(edges) == 750.0
+        [(shape, length)] = way_pieces(net.ways[0], net, 500.0)
+        assert shape == list(nodes.values())
+        assert length == (edges[0] + edges[1]) + edges[2] == 749.9999999999999
+        assert Polyline(shape).length_m() == length
 
     def test_cut_on_a_vertex_keeps_lengths_exact(self):
         net = RoadNetwork(
