@@ -89,7 +89,9 @@ def cmd_coverage(args) -> int:
 
 def cmd_labels(args) -> int:
     _check_flag(0 <= args.threshold <= 1, "--threshold", "a number in [0, 1]", args.threshold)
-    records = labeling.parse_labels(Path(args.infile).read_bytes(), args.infile)
+    _check_flag(not args.exclude_flagged or args.action == "aggregate", "--exclude-flagged",
+                "used with the aggregate action", args.action)
+    records = labeling.parse_labels(args.infile)
     if args.action == "parse":
         # a LabelRecord is a tuple of its fields in the order of the batch columns
         write_table(args.out, labeling.REQUIRED_COLUMNS, records)
@@ -97,8 +99,8 @@ def cmd_labels(args) -> int:
         return 0
 
     tally = labeling.tally(records)
-    scores = labeling.score_workers(tally, threshold=args.threshold)
     if args.action == "score":
+        scores = labeling.score_workers(tally, threshold=args.threshold)
         write_table(args.out, ["worker_id", "n_labels", "agreement", "flagged"],
                     ([s.worker_id, s.n_labels, f"{s.agreement:.4f}", str(s.flagged).lower()]
                      for s in scores))
@@ -107,7 +109,8 @@ def cmd_labels(args) -> int:
         return 0
 
     # aggregate
-    excluded = labeling.flagged_workers(scores) if args.exclude_flagged else set()
+    excluded = (labeling.flagged_workers(labeling.score_workers(tally, threshold=args.threshold))
+                if args.exclude_flagged else set())
     consensus = labeling.aggregate(tally, excluding=excluded)
     labeling.write_consensus_csv(consensus, args.out)
     print(f"{args.out}: consensus for {len(consensus)} segments"
@@ -269,7 +272,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
 
     p = stage_parser("segment", cmd_segment, "chunk filtered roads into segments", "--network")
-    p.add_argument("--skip-degenerate", action="store_true")
     p.add_argument("--out", required=True)
 
     p = stage_parser("sample", cmd_sample, "draw a seeded random sample of segments",

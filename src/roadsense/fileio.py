@@ -11,7 +11,6 @@ import os
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from contextlib import contextmanager
 from pathlib import Path
-from typing import IO
 
 from .errors import InputDataError, RoadsenseError, RowError, SchemaError
 
@@ -69,59 +68,55 @@ def append_rows(path: str | Path, header: Sequence[str]):
         yield append
 
 
-def read_table(source: str | Path | IO[str], columns: Mapping[str, Callable],
-               build: Callable, name: str | Path | None = None) -> list:
-    """Rows of a CSV table as ``build(*values)``, where ``columns`` maps each
+def read_table(path: str | Path, columns: Mapping[str, Callable], build: Callable) -> list:
+    """Rows of the CSV table at path, read as UTF-8 with or without a
+    byte-order mark, as ``build(*values)``, where ``columns`` maps each
     required column to the converter of its values. Other columns and blank
-    lines are skipped. ``source`` is a path, read as UTF-8 with or without a
-    byte-order mark, or a text stream opened with newline=""; ``name`` names a
-    stream in errors.
+    lines are skipped.
     """
-    if isinstance(source, (str, os.PathLike)):
-        with open(source, encoding="utf-8-sig", newline="") as f:
-            return read_table(f, columns, build, source)
-    reader = csv.reader(source)
-    try:
-        header = next(reader, None)
-        if header is None:
-            raise SchemaError(f"{name}: no header row")
-        for col in columns:
-            if col not in header:
-                raise SchemaError(f"{name}: line {reader.line_num}: "
-                                  f"missing required column: {col}")
-        fields = [(col, header.index(col), convert) for col, convert in columns.items()]
-        out = []
-        for row in reader:
-            if len(row) != len(header):
-                if not row:
-                    continue
-                raise RowError(f"{name}: line {reader.line_num}: expected "
-                               f"{len(header)} fields, got {len(row)}")
-            try:
-                values = [convert(row[i]) for _, i, convert in fields]
-            except ValueError:
-                for col, i, convert in fields:  # name the column that failed
-                    try:
-                        convert(row[i])
-                    except ValueError as e:
-                        raise RowError(f"{name}: line {reader.line_num}: "
-                                       f"column {col}: {e}") from e
-                raise
-            try:
-                out.append(build(*values))
-            except ValueError as e:
-                raise RowError(f"{name}: line {reader.line_num}: {e}") from e
-        return out
-    except csv.Error as e:
-        raise RowError(f"{name}: line {reader.line_num}: {e}") from e
-    except UnicodeDecodeError as e:
-        source.buffer.seek(0)
-        for line, raw in enumerate(source.buffer, start=1):  # find the line
-            try:
-                raw.decode("utf-8")
-            except UnicodeDecodeError:
-                break
-        raise InputDataError(f"{name}: line {line}: not UTF-8 text ({e.reason})") from e
+    with open(path, encoding="utf-8-sig", newline="") as f:
+        reader = csv.reader(f)
+        try:
+            header = next(reader, None)
+            if header is None:
+                raise SchemaError(f"{path}: no header row")
+            for col in columns:
+                if col not in header:
+                    raise SchemaError(f"{path}: line {reader.line_num}: "
+                                      f"missing required column: {col}")
+            fields = [(col, header.index(col), convert) for col, convert in columns.items()]
+            out = []
+            for row in reader:
+                if len(row) != len(header):
+                    if not row:
+                        continue
+                    raise RowError(f"{path}: line {reader.line_num}: expected "
+                                   f"{len(header)} fields, got {len(row)}")
+                try:
+                    values = [convert(row[i]) for _, i, convert in fields]
+                except ValueError:
+                    for col, i, convert in fields:  # name the column that failed
+                        try:
+                            convert(row[i])
+                        except ValueError as e:
+                            raise RowError(f"{path}: line {reader.line_num}: "
+                                           f"column {col}: {e}") from e
+                    raise
+                try:
+                    out.append(build(*values))
+                except ValueError as e:
+                    raise RowError(f"{path}: line {reader.line_num}: {e}") from e
+            return out
+        except csv.Error as e:
+            raise RowError(f"{path}: line {reader.line_num}: {e}") from e
+        except UnicodeDecodeError as e:
+            f.buffer.seek(0)
+            for line, raw in enumerate(f.buffer, start=1):  # find the line
+                try:
+                    raw.decode("utf-8")
+                except UnicodeDecodeError:
+                    break
+            raise InputDataError(f"{path}: line {line}: not UTF-8 text ({e.reason})") from e
 
 
 def decode_text(data: bytes, name: str | Path, line: int = 1,

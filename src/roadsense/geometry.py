@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import reduce
-from operator import add
 
 EARTH_RADIUS_M = 6_371_000.0
 
@@ -97,10 +95,6 @@ class Polyline:
     def edge_lengths_m(self) -> list[float]:
         pts = self.points
         return [haversine_m(pts[i], pts[i + 1]) for i in range(len(pts) - 1)]
-
-    def length_m(self) -> float:
-        # left to right, as way_pieces adds; sum() compensates from Python 3.12
-        return reduce(add, self.edge_lengths_m(), 0.0)
 
 
 def _check_ring(ring: tuple[GeoPoint, ...], kind: str) -> None:

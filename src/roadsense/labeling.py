@@ -10,7 +10,6 @@ compare against).
 
 from __future__ import annotations
 
-import io
 import logging
 import sys
 from collections import Counter, defaultdict
@@ -98,19 +97,15 @@ def _answers(cells: tuple[str, ...]) -> tuple[tuple[str, ...], bool]:
     return tuple(answers), coerced
 
 
-def parse_labels(csv_bytes: bytes | str, name: str = "label batch") -> list[LabelRecord]:
-    """Parse an MTurk-style results CSV into normalized label records.
+def parse_labels(path: str | Path) -> list[LabelRecord]:
+    """Parse the MTurk-style results CSV at path into normalized label records.
 
     Answer tokens are case-insensitive {yes, no, na, nosidewalk}. A
     markings_clear answer on a row that says markings_present = no is
     coerced to na (counted and logged): the question was not applicable.
     A markings_clear of na on a row that says markings_present = yes is a
-    RowError. ``name`` names the batch in error messages.
+    RowError.
     """
-    if isinstance(csv_bytes, bytes):
-        text = io.TextIOWrapper(io.BytesIO(csv_bytes), encoding="utf-8-sig", newline="")
-    else:
-        text = io.StringIO(csv_bytes, newline="")
     known: dict[tuple[str, ...], tuple] = {}  # raw answer cells -> _answers(cells)
     n_coerced = 0
 
@@ -121,7 +116,7 @@ def parse_labels(csv_bytes: bytes | str, name: str = "label batch") -> list[Labe
         n_coerced += answers[1]
         return LabelRecord(assignment_id, worker_id, segment_id, *answers[0])
 
-    records = read_table(text, _LABEL_COLUMNS, record, name)
+    records = read_table(path, _LABEL_COLUMNS, record)
     if n_coerced:
         log.warning("parse_labels: coerced markings_clear to na on %d rows "
                     "where markings_present was no", n_coerced)

@@ -141,7 +141,7 @@ def _read_ini(path: str | Path) -> configparser.ConfigParser:
 
 
 def load_config(path: str | Path | None, overrides: dict | None = None) -> RunConfig:
-    """Resolve a RunConfig: file values, then flag overrides on top.
+    """Resolve a RunConfig: INI file values, then typed flag overrides on top.
 
     The environment is consulted last and only for the secret:
     STREETVIEW_API_KEY fills api_key when nothing else set it.
@@ -162,7 +162,7 @@ def load_config(path: str | Path | None, overrides: dict | None = None) -> RunCo
         if value is None:
             continue
         _reject_unknown(key)
-        values[key] = _convert(key, value) if isinstance(value, str) else value
+        values[key] = value
     values["api_key"] = api_key_or_env(values.get("api_key"))
     return RunConfig(**values).validate()
 
@@ -252,11 +252,8 @@ def ingest(settings, _, path):
 
 def segment(settings, network, path):
     ways = filter_roads(network, set(settings.classes))
-    # run skips degenerate ways and warns; the segment command skips them only
-    # with --skip-degenerate, and prints how many itself
-    skip = getattr(settings, "skip_degenerate", None)
-    segments = chunk_network(ways, network, settings.target_m, skip_degenerate=skip is not False)
-    if skip is None and (skipped := skipped_ways(ways, segments)):
+    segments = chunk_network(ways, network, settings.target_m)
+    if skipped := skipped_ways(ways, segments):
         log.warning("segment: skipped %d degenerate ways", skipped)
     write_segments_csv(segments, path)
     return segments

@@ -76,8 +76,8 @@ def way_pieces(way: Way, network: RoadNetwork,
     cuts = _cut_distances(total, target_m)
     if not cuts:
         return [(list(line.points), total)]
-    # each piece's length adds up the way's own edge lengths in order, as
-    # Polyline.length_m would; only an edge split at a cut point is measured
+    # each piece's length adds up the way's own edge lengths; only an edge
+    # split at a cut point is measured
     pieces: list[tuple[list[GeoPoint], float]] = []
     current, length = [line.points[0]], 0.0
     walked = 0.0
@@ -126,21 +126,15 @@ def chunk_way(way: Way, network: RoadNetwork, target_m: float) -> list[RoadSegme
             for idx, (piece, length_m) in enumerate(way_pieces(way, network, target_m))]
 
 
-def chunk_network(ways: list[Way], network: RoadNetwork,
-                  target_m: float,
-                  skip_degenerate: bool = False) -> list[RoadSegment]:
-    """chunk_way over a list of ways, concatenated in input order.
-
-    With skip_degenerate, degenerate ways are skipped instead of raising;
-    skipped_ways counts them.
-    """
+def chunk_network(ways: list[Way], network: RoadNetwork, target_m: float) -> list[RoadSegment]:
+    """chunk_way over a list of ways, concatenated in input order, skipping
+    each way that chunk_way finds degenerate; skipped_ways counts them."""
     segments: list[RoadSegment] = []
     for way in ways:
         try:
             segments.extend(chunk_way(way, network, target_m))
         except DegenerateWayError:
-            if not skip_degenerate:
-                raise
+            continue
     return segments
 
 

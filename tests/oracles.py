@@ -18,9 +18,6 @@ import logging
 import math
 from xml.sax.saxutils import quoteattr
 
-import numpy as np
-from scipy import linalg
-
 from roadsense.geometry import GeoPoint, Polyline, interpolate, point_in_polygon
 from roadsense.labeling import (
     ATTRIBUTES,
@@ -96,7 +93,11 @@ def normal_equations_ols(design_rows, response):
 def scipy_qr_ols(design, response, robust=False):
     """(coefficients, standard errors, r_squared) via scipy's column-pivoted
     QR, with classical or HC1 errors; None when a pivot falls below 1e-10
-    times the largest (rank deficient)."""
+    times the largest (rank deficient). numpy and scipy are imported here, so
+    that the modules using the other oracles run without them."""
+    import numpy as np
+    from scipy import linalg
+
     x = np.asarray(design, dtype=float)
     y = np.asarray(response, dtype=float)
     n, k = x.shape

@@ -117,11 +117,12 @@ def _golden_city_batch(city, n=400):
     return "\n".join(rows) + "\n", expected
 
 
-def test_criterion_2_condition_table_reproduction():
+def test_criterion_2_condition_table_reproduction(tmp_path):
     """Golden-fixture summaries match the reference table within 0.005."""
     for city, reference in CONDITION_TABLE.items():
         batch, hand_counted = _golden_city_batch(city)
-        consensus = aggregate(tally(parse_labels(batch)))
+        (tmp_path / f"{city}.csv").write_text(batch)
+        consensus = aggregate(tally(parse_labels(tmp_path / f"{city}.csv")))
         summary = summarize_city(consensus, city)
         for attr, value in zip(ATTR_ORDER, reference):
             got = summary.proportions[attr]

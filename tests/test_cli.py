@@ -44,7 +44,7 @@ def planned_points(xml, city, classes, target_m, n, seed):
     """Replicate the deterministic local stages to predict sampled points."""
     network = parse_osm(xml, source_name=city)
     ways = filter_roads(network, classes)
-    segments = chunk_network(ways, network, target_m, skip_degenerate=True)
+    segments = chunk_network(ways, network, target_m)
     return sample_segments(segments, n, seed)
 
 
@@ -62,6 +62,21 @@ def run_args(osm_path, out_dir, base_url, n=12, seed=7):
             "--base-url", base_url, "--api-key", "test-key",
             "--rate-per-s", "100000", "--max-concurrency", "8",
             "--fixed-time", "2026-01-01T00:00:00Z"]
+
+
+def stage_commands(osm_path, city, d, base_url) -> list[list[str]]:
+    """ingest, segment, sample, fetch and coverage chained in directory d,
+    with the settings of run_args."""
+    return [
+        ["ingest", "--osm", str(osm_path), "--city", city, "--out", str(d / "network.ndjson")],
+        ["segment", "--network", str(d / "network.ndjson"), "--out", str(d / "segments.csv")],
+        ["sample", "--segments", str(d / "segments.csv"), "--n", "12", "--seed", "7",
+         "--out", str(d / "plan.csv")],
+        ["fetch", "--plan", str(d / "plan.csv"), "--out-dir", str(d), "--base-url", base_url,
+         "--api-key", "test-key", "--rate-per-s", "100000", "--max-concurrency", "8",
+         "--fixed-time", "2026-01-01T00:00:00Z"],
+        ["coverage", "--queries", str(d / "queries.csv"), "--out", str(d / "coverage.json")],
+    ]
 
 
 def cli_process(args, cwd, *python_flags) -> subprocess.CompletedProcess:
@@ -257,11 +272,26 @@ class TestLoadConfig:
         assert config_from_manifest(tmp_path / MANIFEST_NAME,
                                     api_key=from_file.api_key) == from_file
 
-    def test_classes_parsed(self):
+    def test_classes_parsed(self, monkeypatch):
+        seen = []
+        monkeypatch.setattr(roadsense.cli, "run_pipeline",
+                            lambda config: seen.append(config.classes) or Path(config.out_dir))
         for classes in ("trunk, primary", "primary,trunk,primary"):  # each class once
-            config = load_config(None, {"city": "x", "osm_path": "a", "out_dir": "o",
-                                        "classes": classes})
-            assert config.classes == ("primary", "trunk")
+            assert main(["run", "--city", "x", "--osm", "a", "--out-dir", "o",
+                         "--classes", classes]) == 0
+        assert seen == [("primary", "trunk")] * 2
+
+    def test_flags_are_taken_as_given(self, tmp_path, monkeypatch):
+        # argparse has typed run's flags; only INI text is converted, and stripped
+        seen = []
+        monkeypatch.setattr(roadsense.cli, "run_pipeline",
+                            lambda config: seen.append(config) or Path(config.out_dir))
+        ini = tmp_path / "run.ini"
+        ini.write_text("[run]\nosm_path = a.osm\nout_dir = o\n")
+        assert main(["run", "--config", str(ini), "--city", " x ", "--fixed-time", " t "]) == 0
+        assert (seen[0].city, seen[0].fixed_time) == (" x ", " t ")
+        ini.write_text("[run]\ncity =  x \nosm_path = a.osm\nout_dir = o\n")
+        assert load_config(ini).city == "x"
 
 
 class TestRunPipeline:
@@ -641,50 +671,69 @@ class TestStageCommands:
         with MockStreetViewServer(fixture_for_plan(plan)) as server:
             assert main(run_args(fixture_city_file, run_dir, server.base_url)) == 0
             n_segments = len((run_dir / "segments.csv").read_text().splitlines()) - 1
-            # run_args's fetch settings
-            fetch_flags = ["--base-url", server.base_url, "--api-key", "test-key",
-                           "--rate-per-s", "100000", "--max-concurrency", "8",
-                           "--fixed-time", "2026-01-01T00:00:00Z"]
-            commands = [
-                (["ingest", "--osm", str(fixture_city_file), "--city", "fixtureville",
-                  "--out", str(d / "network.ndjson")],
-                 f"{d / 'network.ndjson'}: 28 nodes, 14 road ways"),
-                (["segment", "--network", str(d / "network.ndjson"), "--skip-degenerate",
-                  "--out", str(d / "segments.csv")],
-                 f"{d / 'segments.csv'}: {n_segments} segments from 12 ways"),
-                (["sample", "--segments", str(d / "segments.csv"), "--n", "12", "--seed", "7",
-                  "--out", str(d / "plan.csv")],
-                 f"{d / 'plan.csv'}: 12 of {n_segments} segments (seed 7)"),
-                (["fetch", "--plan", str(d / "plan.csv"), "--out-dir", str(d), *fetch_flags],
-                 f"{d}/queries.csv: 12 records, 6 OK"),
-                (["coverage", "--queries", str(d / "queries.csv"),
-                  "--out", str(d / "coverage.json")],
-                 "coverage: 0.5000 [0.2538, 0.7462] (6/12 queries successful, 0 excluded)"),
+            summaries = [
+                f"{d / 'network.ndjson'}: 28 nodes, 14 road ways",
+                f"{d / 'segments.csv'}: {n_segments} segments from 12 ways",
+                f"{d / 'plan.csv'}: 12 of {n_segments} segments (seed 7)",
+                f"{d}/queries.csv: 12 records, 6 OK",
+                "coverage: 0.5000 [0.2538, 0.7462] (6/12 queries successful, 0 excluded)",
             ]
             capsys.readouterr()
-            for argv, summary in commands:
+            for argv, summary in zip(stage_commands(fixture_city_file, "fixtureville", d,
+                                                    server.base_url), summaries):
                 assert main(argv) == 0, argv[0]
                 assert capsys.readouterr().out == summary + "\n", argv[0]
         for name in RUN_ARTIFACTS:
             assert (d / name).read_bytes() == (run_dir / name).read_bytes(), name
 
-    def test_degenerate_way_is_skipped_counted_or_an_error(self, tmp_path, capsys, caplog):
+    def test_stage_commands_write_the_run_artifacts_past_a_degenerate_way_and_a_spaced_city(
+            self, tmp_path, caplog):
+        # run and the segment command skip a degenerate way alike, and neither
+        # strips a string flag
+        osm = tmp_path / "c.osm"
+        osm.write_text(fixture_city_xml([(100, "primary", 6000.0), (101, "trunk", 0.01),
+                                         (102, "tertiary", 600.0)]))
+        run_dir, d = tmp_path / "run", tmp_path / "stages"
+        d.mkdir()
+        with (caplog.at_level(logging.WARNING, logger="roadsense.pipeline"),
+              MockStreetViewServer({"__default__": {"status": "OK"}}) as server):
+            assert main(run_args(osm, run_dir, server.base_url) + ["--city", " x "]) == 0
+            for argv in stage_commands(osm, " x ", d, server.base_url):
+                assert main(argv) == 0, argv[0]
+        assert [r.getMessage() for r in caplog.records if r.name == "roadsense.pipeline"] == [
+            "segment: skipped 1 degenerate ways"] * 2
+        meta = json.loads((run_dir / "network.ndjson").read_text().splitlines()[0])
+        assert meta == {"type": "meta", "city": " x "}
+        for name in RUN_ARTIFACTS:
+            assert (d / name).read_bytes() == (run_dir / name).read_bytes(), name
+
+    def test_degenerate_way_is_skipped_and_counted(self, tmp_path, capsys, caplog):
         osm, net_file, seg_file = (tmp_path / n for n in ("c.osm", "net.ndjson", "seg.csv"))
         osm.write_text(fixture_city_xml([(100, "primary", 1200.0), (101, "trunk", 0.4),
                                          (102, "footway", 0.4), (103, "tertiary", 600.0)]))
         assert main(["ingest", "--osm", str(osm), "--city", "fixtureville",
                      "--out", str(net_file)]) == 0
         segment = ["segment", "--network", str(net_file), "--out", str(seg_file)]
-        assert main(segment) == 3
-        assert "way 101" in capsys.readouterr().err
-        assert main(segment + ["--skip-degenerate"]) == 0
+        capsys.readouterr()
+        with caplog.at_level(logging.WARNING, logger="roadsense.pipeline"):
+            assert main(segment) == 0
         assert capsys.readouterr().out == (f"{seg_file}: 3 segments from 3 ways "
                                            "(1 degenerate ways skipped)\n")
+        assert caplog.messages == ["segment: skipped 1 degenerate ways"]
+        caplog.clear()
         with (caplog.at_level(logging.WARNING, logger="roadsense.pipeline"),
               MockStreetViewServer({"__default__": {"status": "OK"}}) as server):
             assert main(run_args(osm, tmp_path / "run", server.base_url, n=2)) == 0
         assert caplog.messages == ["segment: skipped 1 degenerate ways"]
         assert (tmp_path / "run" / "segments.csv").read_bytes() == seg_file.read_bytes()
+
+    def test_skip_degenerate_is_an_unrecognized_argument(self, tmp_path, capsys):
+        # segment always skips degenerate ways: the flag fails in argparse
+        with pytest.raises(SystemExit) as exc:
+            main(["segment", "--network", str(tmp_path / "net.ndjson"), "--skip-degenerate",
+                  "--out", str(tmp_path / "seg.csv")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --skip-degenerate" in capsys.readouterr().err
 
     def test_lines_export_without_network_fails(self, tmp_path, fixture_city_file):
         net_file = tmp_path / "net.ndjson"
@@ -907,6 +956,32 @@ class TestStageCommands:
                      "--out", str(consensus)]) == 0
         text = consensus.read_text()
         assert text.splitlines()[1].startswith("s0,yes,no,yes,yes,no,yes,3")
+
+    def test_labels_aggregate_scores_workers_only_to_exclude_the_flagged(self, tmp_path,
+                                                                          caplog):
+        # one worker per image: scoring would warn that quality control is inert
+        batch = tmp_path / "batch.csv"
+        batch.write_text(LABEL_HEADER + "\na1,w1,s1,yes,no,yes,yes,no,yes\n"
+                         "a2,w2,s2,no,no,yes,yes,no,yes\n")
+        out = tmp_path / "consensus.csv"
+        with caplog.at_level(logging.WARNING, logger="roadsense.labeling"):
+            assert main(["labels", "aggregate", "--in", str(batch), "--out", str(out)]) == 0
+            assert caplog.messages == []
+            assert main(["labels", "aggregate", "--in", str(batch), "--exclude-flagged",
+                         "--out", str(out)]) == 0
+        assert [m.split(";")[0] for m in caplog.messages] == [
+            "score_workers: every segment has a single worker"]
+
+    @pytest.mark.parametrize("action", ["parse", "score"])
+    def test_labels_exclude_flagged_outside_aggregate_exits_2(self, tmp_path, capsys, action):
+        batch = tmp_path / "batch.csv"
+        batch.write_text(LABEL_HEADER + "\na1,w1,s1,yes,no,yes,yes,no,yes\n")
+        out = tmp_path / "out.csv"
+        assert main(["labels", action, "--in", str(batch), "--exclude-flagged",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == ("error: --exclude-flagged must be used with the "
+                                           f"aggregate action, got {action}\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("action", ["parse", "score", "aggregate"])
     def test_labels_markings_clear_na_with_markings_present_exits_3(

@@ -109,10 +109,10 @@ class TestPolyline:
         with pytest.raises(ValueError):
             Polyline([GeoPoint(0, 0), GeoPoint(0, 0)])
 
-    def test_length_additive(self):
+    def test_edge_lengths(self):
         line = Polyline([GeoPoint(0, 0), GeoPoint(0, 1), GeoPoint(0, 2)])
-        assert line.length_m() == pytest.approx(
-            haversine_m(GeoPoint(0, 0), GeoPoint(0, 1)) + haversine_m(GeoPoint(0, 1), GeoPoint(0, 2)))
+        assert line.edge_lengths_m() == [haversine_m(GeoPoint(0, 0), GeoPoint(0, 1)),
+                                         haversine_m(GeoPoint(0, 1), GeoPoint(0, 2))]
 
 
 class TestPointAlong:
@@ -122,7 +122,7 @@ class TestPointAlong:
 
     def test_full_distance_is_last_vertex(self):
         line = Polyline([GeoPoint(10, 10), GeoPoint(11, 11)])
-        assert point_along(line, line.length_m()) == line.points[-1]
+        assert point_along(line, sum(line.edge_lengths_m())) == line.points[-1]
 
     def test_equatorial_midpoint(self):
         # midpoint of a 111,195 m equatorial edge, derived from the arc length
@@ -134,7 +134,7 @@ class TestPointAlong:
     def test_out_of_range(self):
         line = Polyline([GeoPoint(0, 0), GeoPoint(0, 1)])
         with pytest.raises(ValueError) as exc:
-            point_along(line, line.length_m() + 1.0)
+            point_along(line, sum(line.edge_lengths_m()) + 1.0)
         assert "length" in str(exc.value)
 
     def test_walk_reproduces_distances(self):
@@ -149,7 +149,7 @@ class TestPointAlong:
                 lat += rng.uniform(-0.001, 0.001)
                 lon += rng.uniform(0.003, 0.01)
             line = Polyline(pts)
-            total = line.length_m()
+            total = sum(line.edge_lengths_m())
             n_steps = 200
             prev = point_along(line, 0.0)
             measured = 0.0

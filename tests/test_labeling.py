@@ -22,8 +22,14 @@ HEADER = ("AssignmentId,WorkerId,Input.segment_id,Answer.potholes,Answer.cracks,
           "Answer.markings_present,Answer.markings_clear,Answer.litter,Answer.sidewalk")
 
 
-def batch_csv(rows):
-    return HEADER + "\n" + "\n".join(",".join(r) for r in rows) + "\n"
+@pytest.fixture
+def batch_csv(tmp_path):
+    """A function that writes rows to a label batch file and returns its path."""
+    def write(rows):
+        path = tmp_path / "batch.csv"
+        path.write_text(HEADER + "\n" + "\n".join(",".join(r) for r in rows) + "\n")
+        return path
+    return write
 
 
 def verdict(label, attribute):
@@ -38,7 +44,7 @@ def record(assignment, worker, segment, potholes="no", cracks="no",
 
 
 class TestParse:
-    def test_all_yes_row(self):
+    def test_all_yes_row(self, batch_csv):
         records = parse_labels(batch_csv([record("a1", "w1", "s1", "yes", "yes",
                                                  "yes", "yes", "yes", "yes")]))
         assert len(records) == 1
@@ -48,48 +54,47 @@ class TestParse:
         assert r.worker_id == "w1"
         assert r.segment_id == "s1"
 
-    def test_markings_consistency_coercion(self):
+    def test_markings_consistency_coercion(self, batch_csv):
         records = parse_labels(batch_csv([
             record("a1", "w1", "s1", markings_present="no", markings_clear="yes")]))
         assert records[0].markings_clear == "na"
 
-    def test_markings_clear_na_with_markings_present_is_row_error(self):
-        text = batch_csv([record("a0", "w0", "s0"),
+    def test_markings_clear_na_with_markings_present_is_row_error(self, batch_csv):
+        path = batch_csv([record("a0", "w0", "s0"),
                           record("a1", "w1", "s1", markings_present="yes",
                                  markings_clear="NA")])
         with pytest.raises(RowError) as exc:
-            parse_labels(text, name="batch.csv")
-        assert str(exc.value).startswith("batch.csv: line 3: column Answer.markings_clear:")
+            parse_labels(path)
+        assert str(exc.value).startswith(f"{path}: line 3: column Answer.markings_clear:")
         assert exc.value.exit_code == 3
 
-    def test_missing_column_schema_error(self):
-        bad_header = HEADER.replace(",Answer.litter", "")
-        text = bad_header + "\n"
+    def test_missing_column_schema_error(self, tmp_path):
+        path = tmp_path / "batch.csv"
+        path.write_text(HEADER.replace(",Answer.litter", "") + "\n")
         with pytest.raises(SchemaError) as exc:
-            parse_labels(text)
+            parse_labels(path)
         assert "Answer.litter" in str(exc.value)
 
-    def test_unknown_token_row_error(self):
+    def test_unknown_token_row_error(self, batch_csv):
         with pytest.raises(RowError) as exc:
             parse_labels(batch_csv([record("a1", "w1", "s1", potholes="maybe")]))
         assert "line 2" in str(exc.value)
 
-    def test_case_insensitive_and_bytes(self):
-        text = batch_csv([record("a1", "w1", "s1", "YES", "No", "yes", "Yes",
-                                 "NO", "NoSidewalk")])
-        records = parse_labels(text.encode("utf-8"))
+    def test_case_insensitive(self, batch_csv):
+        records = parse_labels(batch_csv([record("a1", "w1", "s1", "YES", "No", "yes", "Yes",
+                                                 "NO", "NoSidewalk")]))
         assert records[0].potholes == "yes"
         assert records[0].sidewalk_paved == "nosidewalk"
 
 
 class TestScoreWorkers:
-    def test_single_worker_not_flagged(self):
+    def test_single_worker_not_flagged(self, batch_csv):
         records = parse_labels(batch_csv([record("a1", "w1", "s1")]))
         scores = score_workers(tally(records))
         assert scores == [type(scores[0])(worker_id="w1", n_labels=6,
                                           agreement=1.0, flagged=False)]
 
-    def test_opposite_worker_flagged(self):
+    def test_opposite_worker_flagged(self, batch_csv):
         # 3 unanimous co-workers vs 1 contrarian across 20 segments
         rows = []
         for seg in range(20):
@@ -105,7 +110,7 @@ class TestScoreWorkers:
         assert not scores["w1"].flagged
         assert flagged_workers(list(scores.values())) == {"bad"}
 
-    def test_below_overlap_not_flagged(self):
+    def test_below_overlap_not_flagged(self, batch_csv):
         # worker "e" scores 5 answers (one attribute ties -> unscored), all wrong
         rows = []
         # potholes ties 2v2: others yes,yes,no + e no
@@ -118,7 +123,7 @@ class TestScoreWorkers:
         assert scores["e"].agreement == 0.0
         assert not scores["e"].flagged
 
-    def test_hand_counted_partial_agreement(self):
+    def test_hand_counted_partial_agreement(self, batch_csv):
         # worker "m" disagrees on exactly 2 of 6 attributes over 2 segments:
         # 12 scored answers, 8 matching
         rows = []
@@ -134,7 +139,7 @@ class TestScoreWorkers:
 
 
 class TestAggregate:
-    def test_majority(self):
+    def test_majority(self, batch_csv):
         rows = [record("a1", "w1", "s1", potholes="yes"),
                 record("a2", "w2", "s1", potholes="yes"),
                 record("a3", "w3", "s1", potholes="no")]
@@ -142,19 +147,19 @@ class TestAggregate:
         assert verdict(out[0], "potholes") == "yes"
         assert out[0].n_workers == 3
 
-    def test_tie_unresolved(self):
+    def test_tie_unresolved(self, batch_csv):
         rows = [record("a1", "w1", "s1", potholes="yes"),
                 record("a2", "w2", "s1", potholes="no")]
         out = aggregate(tally(parse_labels(batch_csv(rows))))
         assert verdict(out[0], "potholes") == "unresolved"
 
-    def test_single_label_passthrough(self):
+    def test_single_label_passthrough(self, batch_csv):
         rows = [record("a1", "w1", "s1", potholes="no")]
         out = aggregate(tally(parse_labels(batch_csv(rows))))
         assert verdict(out[0], "potholes") == "no"
         assert out[0].n_workers == 1
 
-    def test_markings_clear_conditional(self):
+    def test_markings_clear_conditional(self, batch_csv):
         # clear-markings verdict only counts workers who saw markings
         rows = [record("a1", "w1", "s1", markings_present="yes", markings_clear="yes"),
                 record("a2", "w2", "s1", markings_present="no", markings_clear="na"),
@@ -163,20 +168,20 @@ class TestAggregate:
         assert verdict(out[0], "markings_present") == "no"
         assert verdict(out[0], "markings_clear") == "yes"
 
-    def test_markings_clear_na_propagates(self):
+    def test_markings_clear_na_propagates(self, batch_csv):
         rows = [record("a1", "w1", "s1", markings_present="no", markings_clear="na"),
                 record("a2", "w2", "s1", markings_present="no", markings_clear="na")]
         out = aggregate(tally(parse_labels(batch_csv(rows))))
         assert verdict(out[0], "markings_clear") == "na"
 
-    def test_nosidewalk_counts_as_no(self):
+    def test_nosidewalk_counts_as_no(self, batch_csv):
         rows = [record("a1", "w1", "s1", sidewalk="nosidewalk"),
                 record("a2", "w2", "s1", sidewalk="nosidewalk"),
                 record("a3", "w3", "s1", sidewalk="yes")]
         out = aggregate(tally(parse_labels(batch_csv(rows))))
         assert verdict(out[0], "sidewalk_paved") == "no"
 
-    def test_exclusion_drops_worker(self):
+    def test_exclusion_drops_worker(self, batch_csv):
         rows = [record("a1", "w1", "s1", potholes="yes"),
                 record("a2", "w2", "s1", potholes="yes"),
                 record("a3", "bad", "s1", potholes="no")]
@@ -184,12 +189,12 @@ class TestAggregate:
         assert out[0].n_workers == 2
         assert verdict(out[0], "potholes") == "yes"
 
-    def test_exclusion_omits_empty_segments(self):
+    def test_exclusion_omits_empty_segments(self, batch_csv):
         rows = [record("a1", "only", "s1"), record("a2", "w2", "s2")]
         out = aggregate(tally(parse_labels(batch_csv(rows))), excluding={"only"})
         assert [c.segment_id for c in out] == ["s2"]
 
-    def test_order_invariance_and_dedupe(self):
+    def test_order_invariance_and_dedupe(self, batch_csv):
         rows = [record("a1", "w1", "s1", potholes="yes"),
                 record("a2", "w2", "s1", potholes="no"),
                 record("a3", "w3", "s1", potholes="yes"),
@@ -199,7 +204,7 @@ class TestAggregate:
         assert aggregate(tally(list(reversed(records)))) == base
         assert base[0].n_workers == 3
 
-    def test_exclusion_does_not_touch_unlabeled_segments(self):
+    def test_exclusion_does_not_touch_unlabeled_segments(self, batch_csv):
         rows = [record("a1", "w1", "s1", potholes="yes"),
                 record("a2", "w2", "s2", potholes="no"),
                 record("a3", "w3", "s2", potholes="no")]
@@ -209,7 +214,7 @@ class TestAggregate:
         s2_after = next(c for c in without_w1 if c.segment_id == "s2")
         assert s2_before == s2_after
 
-    def test_matches_brute_force_tally(self):
+    def test_matches_brute_force_tally(self, batch_csv):
         # randomized instances vs an independent exhaustive tally
         rng = random.Random(31)
         binary = ["yes", "no"]
@@ -292,7 +297,7 @@ class TestOneTally:
     """score_workers and aggregate over one tally against the functions
     that deduped, grouped and tallied the records once each (oracles)."""
 
-    def test_matches_recounting_oracle(self, caplog):
+    def test_matches_recounting_oracle(self, caplog, batch_csv):
         rng = random.Random(8)
         n_flagged = n_omitted = n_ties = 0
         for _ in range(300):
@@ -319,7 +324,7 @@ class TestOneTally:
             n_ties += any(v == "unresolved" for c in out for v in c.verdicts)
         assert min(n_flagged, n_omitted, n_ties) >= 20, (n_flagged, n_omitted, n_ties)
 
-    def test_second_assignment_is_a_vote_not_a_worker(self):
+    def test_second_assignment_is_a_vote_not_a_worker(self, batch_csv):
         rows = [record("a1", "w1", "s1", potholes="yes"),
                 record("a2", "w1", "s1", potholes="yes"),
                 record("a3", "w2", "s1", potholes="no")]
@@ -329,7 +334,7 @@ class TestOneTally:
 
 
 class TestConsensusCsv:
-    def test_round_trip(self, tmp_path):
+    def test_round_trip(self, tmp_path, batch_csv):
         rows = [record("a1", "w1", "s1", potholes="yes"),
                 record("a2", "w2", "s2", markings_present="no", markings_clear="na")]
         labels = aggregate(tally(parse_labels(batch_csv(rows))))

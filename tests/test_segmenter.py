@@ -1,6 +1,8 @@
 import dataclasses
 import math
 import random
+from functools import reduce
+from operator import add
 
 import pytest
 
@@ -18,6 +20,11 @@ from roadsense.segmenter import (
     way_pieces,
     write_segments_csv,
 )
+
+
+def left_to_right_length_m(points) -> float:
+    """The length of a piece's shape with its edges added left to right."""
+    return reduce(add, Polyline(points).edge_lengths_m(), 0.0)
 
 
 def equatorial_network(lengths_m, city="testville"):
@@ -145,7 +152,7 @@ class TestChunkWay:
             except DegenerateWayError:
                 continue
             for piece, length in pieces:
-                assert length == Polyline(piece).length_m()
+                assert length == left_to_right_length_m(piece)
 
     def test_edges_add_left_to_right_on_every_python(self):
         # three 250 m edges total 749.9999999999999 m added left to right, but
@@ -160,7 +167,7 @@ class TestChunkWay:
         [(shape, length)] = way_pieces(net.ways[0], net, 500.0)
         assert shape == list(nodes.values())
         assert length == (edges[0] + edges[1]) + edges[2] == 749.9999999999999
-        assert Polyline(shape).length_m() == length
+        assert left_to_right_length_m(shape) == length
 
     def test_cut_on_a_vertex_keeps_lengths_exact(self):
         net = RoadNetwork(
@@ -171,7 +178,7 @@ class TestChunkWay:
         assert len(pieces) == 4
         assert all(piece[-1] in net.nodes.values() for piece, _ in pieces)
         for piece, length in pieces:
-            assert length == Polyline(piece).length_m()
+            assert length == left_to_right_length_m(piece)
 
     def test_piece_of_no_length_is_a_degenerate_way(self, monkeypatch):
         # cuts that land on the point before them leave a piece of one point
@@ -196,19 +203,19 @@ class TestChunkNetwork:
         net = equatorial_network([1000.0, 1000.0])
         assert len(chunk_network(net.ways, net, 500.0)) == 4
 
-    def test_skip_degenerate(self):
+    def test_degenerate_way_is_skipped(self):
         net = equatorial_network([1000.0, 0.4, 600.0])
-        segments = chunk_network(net.ways, net, 500.0, skip_degenerate=True)
+        segments = chunk_network(net.ways, net, 500.0)
+        assert segments == chunk_way(net.ways[0], net, 500.0) + chunk_way(net.ways[2], net, 500.0)
         assert skipped_ways(net.ways, segments) == 1
-        assert {s.way_id for s in segments} == {100, 102}
         # the count holds where a skipped way repeats a chunked way's id
         ways = [net.ways[0], dataclasses.replace(net.ways[1], id=100)]
-        assert skipped_ways(ways, chunk_network(ways, net, 500.0, skip_degenerate=True)) == 1
+        assert skipped_ways(ways, chunk_network(ways, net, 500.0)) == 1
 
-    def test_degenerate_raises_with_way_id(self):
+    def test_degenerate_way_raises_with_its_id_from_chunk_way(self):
         net = equatorial_network([1000.0, 0.4])
         with pytest.raises(DegenerateWayError) as exc:
-            chunk_network(net.ways, net, 500.0)
+            chunk_way(net.ways[1], net, 500.0)
         assert "101" in str(exc.value)
 
     def test_order_follows_input(self):

@@ -52,13 +52,13 @@ def _valid_files(directory: Path) -> dict:
                QueryRecord("2#0", segments[1].start, "ZERO_RESULTS",
                            queried_at="2026-01-01T00:00:00Z")]
     write_queries_csv(records, directory / "queries.csv")
-    write_consensus_csv(aggregate(tally(parse_labels(LABELS))), directory / "consensus.csv")
-    files = {name: (reader, (directory / f"{name}.csv").read_bytes())
-             for name, reader in (("segments", read_segments_csv), ("plan", read_segments_csv),
-                                  ("queries", read_queries_csv),
-                                  ("consensus", read_consensus_csv))}
-    files["labels"] = (parse_labels, LABELS)
-    return files
+    (directory / "labels.csv").write_bytes(LABELS)
+    write_consensus_csv(aggregate(tally(parse_labels(directory / "labels.csv"))),
+                        directory / "consensus.csv")
+    return {name: (reader, (directory / f"{name}.csv").read_bytes())
+            for name, reader in (("segments", read_segments_csv), ("plan", read_segments_csv),
+                                 ("queries", read_queries_csv),
+                                 ("consensus", read_consensus_csv), ("labels", parse_labels))}
 
 
 _BYTES = st.sampled_from(b',"\n\r\xff0x-.9')
@@ -86,7 +86,7 @@ def mutate(data: bytes, mutations) -> bytes:
 def test_mutated_table_parses_or_raises_a_typed_error(tmp_path_factory, reader_name):
     directory = tmp_path_factory.mktemp(reader_name)
     reader, valid = _valid_files(directory)[reader_name]
-    assert reader(valid if reader is parse_labels else directory / f"{reader_name}.csv")
+    assert reader(directory / f"{reader_name}.csv")
     path = directory / "mutated.csv"
 
     @settings(max_examples=150, deadline=None, database=None, derandomize=True,
@@ -96,14 +96,14 @@ def test_mutated_table_parses_or_raises_a_typed_error(tmp_path_factory, reader_n
         data = mutate(valid, mutations)
         path.write_bytes(data)
         try:
-            reader(data if reader is parse_labels else path)
+            reader(path)
         except RoadsenseError as e:
             assert e.exit_code in (2, 3), e
 
     check()
 
 
-@pytest.mark.parametrize("reader_name", ["segments", "plan", "queries", "consensus"])
+@pytest.mark.parametrize("reader_name", ["segments", "plan", "queries", "consensus", "labels"])
 def test_table_with_a_byte_order_mark_reads_as_without(tmp_path, reader_name):
     reader, valid = _valid_files(tmp_path)[reader_name]
     path = tmp_path / "bom.csv"
