@@ -88,7 +88,12 @@ def cmd_coverage(args) -> int:
 
 
 def cmd_labels(args) -> int:
-    _check_flag(0 <= args.threshold <= 1, "--threshold", "a number in [0, 1]", args.threshold)
+    if args.threshold is not None:
+        _check_flag(args.action == "score" or args.exclude_flagged, "--threshold",
+                    "used where workers are scored: score, or aggregate --exclude-flagged",
+                    args.action)
+        _check_flag(0 <= args.threshold <= 1, "--threshold", "a number in [0, 1]", args.threshold)
+    threshold = labeling.DEFAULT_AGREEMENT_THRESHOLD if args.threshold is None else args.threshold
     _check_flag(not args.exclude_flagged or args.action == "aggregate", "--exclude-flagged",
                 "used with the aggregate action", args.action)
     records = labeling.parse_labels(args.infile)
@@ -100,7 +105,7 @@ def cmd_labels(args) -> int:
 
     tally = labeling.tally(records)
     if args.action == "score":
-        scores = labeling.score_workers(tally, threshold=args.threshold)
+        scores = labeling.score_workers(tally, threshold=threshold)
         write_table(args.out, ["worker_id", "n_labels", "agreement", "flagged"],
                     ([s.worker_id, s.n_labels, f"{s.agreement:.4f}", str(s.flagged).lower()]
                      for s in scores))
@@ -109,7 +114,7 @@ def cmd_labels(args) -> int:
         return 0
 
     # aggregate
-    excluded = (labeling.flagged_workers(labeling.score_workers(tally, threshold=args.threshold))
+    excluded = (labeling.flagged_workers(labeling.score_workers(tally, threshold=threshold))
                 if args.exclude_flagged else set())
     consensus = labeling.aggregate(tally, excluding=excluded)
     labeling.write_consensus_csv(consensus, args.out)
@@ -288,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("action", choices=["parse", "score", "aggregate"])
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--threshold", type=float, default=labeling.DEFAULT_AGREEMENT_THRESHOLD)
+    p.add_argument("--threshold", type=float, default=None)
     p.add_argument("--exclude-flagged", action="store_true")
     p.set_defaults(func=cmd_labels)
 
@@ -325,7 +330,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_export)
 
     p = sub.add_parser("run", help="full pipeline: ingest through coverage")
-    p.add_argument("--config", default=None)
+    p.add_argument("--config", default=None,
+                   help='JSON file with a "config" object of run settings, such as a run manifest')
     for name in SETTINGS:
         _add_setting(p, name, default=None)
     # run checks its settings once the config file is merged in, in load_config

@@ -12,17 +12,21 @@ exactly as the client formats them) to canned metadata responses, e.g.
 ``fail_first: N`` makes the first N metadata hits for that location fail
 with HTTP 503, for exercising retry behavior. Locations absent from the
 fixture answer with ``default_status`` (ZERO_RESULTS unless overridden by
-a "__default__" entry). A 1x1 JPEG is served as the image of an OK location.
+a "__default__" entry); any other key is a ValueError. A 1x1 JPEG is served
+as the image of an OK location.
 """
 
 from __future__ import annotations
 
 import json
+import re
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from urllib.parse import parse_qs, urlparse
 
+# a location key as the client formats it (streetview.format_location)
+_LOCATION = re.compile(r"-?[0-9]+\.[0-9]{7},-?[0-9]+\.[0-9]{7}")
 # smallest syntactically valid JPEG: SOI + EOI with a comment segment
 TINY_JPEG = bytes.fromhex("ffd8fffe00046d6fffd9")
 
@@ -104,6 +108,9 @@ class MockStreetViewServer(ThreadingHTTPServer):
         self.fixture = dict(fixture)
         default_entry = self.fixture.pop("__default__", None)
         self.default_status = (default_entry or {}).get("status", "ZERO_RESULTS")
+        if bad := [key for key in self.fixture if not _LOCATION.fullmatch(key)]:
+            raise ValueError(f"mock fixture key {bad[0]!r} is neither a location "
+                             "'lat,lon' with 7 decimals nor '__default__'")
         self.request_count = 0
         self.requested_locations: list[str] = []
         self.failure_hits: dict[str, int] = {}

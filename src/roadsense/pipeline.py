@@ -9,7 +9,6 @@ version and input digest; the API key is always redacted).
 
 from __future__ import annotations
 
-import configparser
 import difflib
 import hashlib
 import json
@@ -21,7 +20,7 @@ from pathlib import Path
 
 from . import __version__
 from .errors import ConfigError, InputDataError, RoadsenseError, RowError, SchemaError
-from .fileio import decode_text, json_field, parse_json, write_atomic
+from .fileio import json_field, json_typed, parse_json, write_atomic
 from .osm_ingest import SAMPLED_ROAD_CLASSES, filter_roads, parse_osm, write_network
 from .sampler import sample_segments, write_plan_csv
 from .segmenter import chunk_network, skipped_ways, write_segments_csv
@@ -92,106 +91,51 @@ class RunConfig:
         return self
 
 
-# a setting's type is the type of its default: it sets how an INI value
-# converts and which JSON_KINDS a manifest may hold
+# a setting's type is the type of its default: a config file's value must be
+# of that type's JSON kind, and is converted to the type, as a flag's is
 SETTINGS = {f.name: type(f.default) for f in fields(RunConfig)}
 _KINDS = {int: "an integer", float: "a number", str: "a string", tuple: "a list of strings"}
 
 
-def _convert(key: str, raw: str):
-    raw, kind = raw.strip(), SETTINGS[key]
-    if kind is tuple:
-        return parse_classes(raw)
-    try:
-        return kind(raw)
-    except ValueError:
-        raise ConfigError(f"config key {key} expects {_KINDS[kind]}, got {raw!r}")
-
-
-def _reject_unknown(key: str) -> None:
-    if key in SETTINGS:
-        return
-    hint = difflib.get_close_matches(key, SETTINGS, n=1)
-    suggestion = f"; did you mean {hint[0]!r}?" if hint else ""
-    raise ConfigError(f"unknown config key {key!r}{suggestion} "
-                      f"(valid keys: {', '.join(SETTINGS)})")
-
-
-def _read_ini(path: str | Path) -> configparser.ConfigParser:
-    """Parse an INI config; a file without a section header reads as [run].
-    Every defect is a ConfigError naming the file and the line."""
-    text = decode_text(Path(path).read_bytes(), path, error=ConfigError)
-    parser, added = configparser.ConfigParser(), 0
-    try:
-        try:
-            parser.read_string(text)
-        except configparser.MissingSectionHeaderError:
-            parser, added = configparser.ConfigParser(), 1  # sectionless files are fine
-            parser.read_string("[run]\n" + text)
-    except configparser.DuplicateOptionError as e:
-        raise ConfigError(f"{path}: line {e.lineno - added}: option {e.option!r} "
-                          f"repeats in section [{e.section}]") from e
-    except configparser.DuplicateSectionError as e:
-        raise ConfigError(f"{path}: line {e.lineno - added}: "
-                          f"section [{e.section}] repeats") from e
-    except configparser.ParsingError as e:
-        raise ConfigError(f"{path}: line {e.errors[0][0] - added}: "
-                          "expected key = value") from e
-    return parser
-
-
 def load_config(path: str | Path | None, overrides: dict | None = None) -> RunConfig:
-    """Resolve a RunConfig: INI file values, then typed flag overrides on top.
+    """Resolve a RunConfig: the settings of the JSON file at path, which
+    holds them as its "config" object as a run manifest does, then typed
+    flag overrides on top; a setting set by neither takes its default.
 
-    The environment is consulted last and only for the secret:
-    STREETVIEW_API_KEY fills api_key when nothing else set it.
+    The API key comes from the overrides, or else the STREETVIEW_API_KEY
+    environment variable, never from the file. Every defect of the file is a
+    ConfigError naming the file and the line or the key.
     """
     values: dict = {}
     if path is not None:
-        parser = _read_ini(path)
-        for section in parser.sections() + ["DEFAULT"]:
-            try:
-                items = parser.items(section)
-            except configparser.InterpolationError as e:
-                raise ConfigError(f"{path}: key {e.option}: bad % interpolation "
-                                  "(write a literal % as %%)") from e
-            for key, raw in items:
-                _reject_unknown(key)
-                values[key] = _convert(key, raw)
-    for key, value in (overrides or {}).items():
-        if value is None:
-            continue
-        _reject_unknown(key)
-        values[key] = value
+        where = f"{path}: key config."
+        try:
+            doc = parse_json(Path(path).read_bytes(), path)
+            data = json_field(doc if isinstance(doc, dict) else {}, "config", "an object",
+                              f"{path}: key ")
+            # a manifest records "" or "<redacted>" for the key; a key is not echoed
+            if data.get("api_key", "") not in ("", "<redacted>"):
+                raise ConfigError(f"{where}api_key: a config file holds no API key; "
+                                  "give it with --api-key or STREETVIEW_API_KEY")
+            for key, value in data.items():
+                if key not in SETTINGS:
+                    hint = difflib.get_close_matches(key, SETTINGS, n=1)
+                    raise ConfigError(f"{where}{key}: not a run setting"
+                                      + (f"; did you mean {hint[0]!r}?" if hint else "")
+                                      + f" (valid keys: {', '.join(SETTINGS)})")
+                kind = SETTINGS[key]
+                json_typed(value, _KINDS[kind], where + key)
+                values[key] = tuple(sorted(set(value))) if kind is tuple else kind(value)
+            values.pop("api_key", None)
+        except InputDataError as e:  # not UTF-8 JSON, or a value of another kind
+            raise ConfigError(str(e)) from e
+        except OverflowError:  # float() of an integer past the largest float
+            raise ConfigError(f"{where}{key}: expected a number, got an integer "
+                              "too large for one") from None
+    values.update((key, value) for key, value in (overrides or {}).items()
+                  if value is not None)
     values["api_key"] = api_key_or_env(values.get("api_key"))
     return RunConfig(**values).validate()
-
-
-def config_from_manifest(manifest_path: str | Path, api_key: str = "",
-                         out_dir: str | None = None) -> RunConfig:
-    """Rebuild the run configuration recorded in a manifest; an InputDataError
-    naming the file and the key unless its config holds run settings of their
-    JSON types and in their ranges."""
-    manifest = parse_json(Path(manifest_path).read_bytes(), manifest_path)
-    return _manifest_config(manifest, manifest_path, api_key, out_dir)
-
-
-def _manifest_config(manifest, manifest_path, api_key: str, out_dir: str | None) -> RunConfig:
-    where = f"{manifest_path}: key "
-    data = json_field(manifest if isinstance(manifest, dict) else {}, "config", "an object", where)
-    where += "config."
-    for key in data:
-        if key not in SETTINGS:
-            raise InputDataError(f"{where}{key}: not a run setting")
-        json_field(data, key, _KINDS[SETTINGS[key]], where)
-    json_field(data, "classes", _KINDS[tuple], where)
-    data = dict(data, classes=tuple(data["classes"]), api_key=api_key_or_env(api_key))
-    if out_dir is not None:
-        data["out_dir"] = out_dir
-    try:
-        return RunConfig(**data).validate()
-    except ConfigError as e:  # a value of the right type out of its range
-        raise InputDataError(f"{manifest_path}: {e}") from e
 
 
 def _sha256(path: Path) -> str:
@@ -219,14 +163,15 @@ def _write_manifest(config: RunConfig, out_dir: Path, osm_digest: str) -> None:
 def _is_up_to_date(config: RunConfig, out_dir: Path, osm_digest: str) -> bool:
     manifest_path = out_dir / MANIFEST_NAME
     try:
-        manifest = parse_json(manifest_path.read_bytes(), manifest_path)
-        # out_dir naming and the key slot do not affect artifact content
-        recorded = _manifest_config(manifest, manifest_path, "", config.out_dir)
-    except (OSError, InputDataError):
+        # out_dir naming and the key do not affect artifact content
+        recorded = load_config(manifest_path, {"out_dir": config.out_dir})
+        digest = parse_json(manifest_path.read_bytes(), manifest_path).get("osm_sha256")
+    except (ConfigError, InputDataError, OSError):
         return False
-    # the manifest records classes sorted
-    expected = replace(config, api_key=recorded.api_key, classes=tuple(sorted(config.classes)))
-    if recorded != expected or manifest.get("osm_sha256") != osm_digest:
+    # load_config reads classes sorted, each once
+    expected = replace(config, api_key=recorded.api_key,
+                       classes=tuple(sorted(set(config.classes))))
+    if recorded != expected or digest != osm_digest:
         return False
     if not all((out_dir / name).exists() for name in RUN_ARTIFACTS):
         return False

@@ -23,7 +23,7 @@ from roadsense.geometry import GeoPoint, PolygonRing, point_in_polygon
 from roadsense.labeling import aggregate, parse_labels, tally
 from roadsense.mockserver import MockStreetViewServer
 from roadsense.osm_ingest import SAMPLED_ROAD_CLASSES, RoadNetwork, Way, filter_roads, parse_osm
-from roadsense.pipeline import MANIFEST_NAME, RUN_ARTIFACTS, config_from_manifest, run_pipeline
+from roadsense.pipeline import MANIFEST_NAME, RUN_ARTIFACTS
 from roadsense.sampler import sample_segments, write_plan_csv
 from roadsense.segmenter import chunk_network, chunk_way
 from roadsense.stats import expected_incidents, summarize_city
@@ -382,9 +382,8 @@ def test_criterion_9_end_to_end_smoke(tmp_path, capsys):
 
         # manifest-verified reproducibility: fresh directory, same bytes
         out_b = tmp_path / "run_b"
-        config = config_from_manifest(out_a / MANIFEST_NAME, api_key="k",
-                                      out_dir=str(out_b))
-        run_pipeline(config)
+        assert main(["run", "--config", str(out_a / MANIFEST_NAME), "--out-dir", str(out_b),
+                     "--api-key", "k"]) == 0
     for name in RUN_ARTIFACTS:
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
     assert (consensus.read_text().count("\n")) == 31  # header + 30 segments

@@ -15,7 +15,7 @@ import roadsense
 import roadsense.cli
 from conftest import fixture_city_xml
 from roadsense.cli import main
-from roadsense.errors import ConfigError, InputDataError
+from roadsense.errors import ConfigError
 from roadsense.labeling import CONSENSUS_CSV_HEADER
 from roadsense.osm_ingest import SAMPLED_ROAD_CLASSES, filter_roads, parse_osm
 from roadsense.mockserver import MockStreetViewServer
@@ -27,7 +27,6 @@ from roadsense.pipeline import (
     RunConfig,
     _is_up_to_date,
     _write_manifest,
-    config_from_manifest,
     load_config,
     run_pipeline,
 )
@@ -93,7 +92,7 @@ def run_help_flags(capsys) -> list[tuple[str, str]]:
     with pytest.raises(SystemExit):
         main(["run", "--help"])
     return [(m[1], m[2].lower()) for line in capsys.readouterr().out.splitlines()
-            if (m := re.match(r"  (--[a-z-]+) ([A-Z_]+)$", line))]
+            if (m := re.match(r"  (--[a-z-]+) ([A-Z_]+)(  |$)", line))]
 
 
 # a value other than the default for each run setting
@@ -113,31 +112,39 @@ class TestLoadConfig:
         assert config.target_m == 500.0
 
     def test_flag_overrides_file(self, tmp_path):
-        f = tmp_path / "run.ini"
-        f.write_text("[run]\ncity = filecity\nseed = 7\nosm_path = a.osm\n"
-                     "out_dir = out\n")
+        f = tmp_path / "run.json"
+        f.write_text(json.dumps({"config": {"city": "filecity", "seed": 7,
+                                            "osm_path": "a.osm", "out_dir": "out"}}))
         config = load_config(f, {"seed": 42})
         assert config.seed == 42
         assert config.city == "filecity"
-
-    def test_sectionless_file(self, tmp_path):
-        f = tmp_path / "run.conf"
-        f.write_text("city = x\nosm_path = a.osm\nout_dir = out\nsample_n = 3\n")
-        assert load_config(f).sample_n == 3
+        assert config.sample_n == RunConfig.sample_n  # not in the file: the default
 
     def test_unknown_key_suggestion(self, tmp_path):
-        f = tmp_path / "run.ini"
-        f.write_text("[run]\nseeed = 7\n")
+        f = tmp_path / "run.json"
+        f.write_text('{"config": {"seeed": 7}}')
         with pytest.raises(ConfigError) as exc:
             load_config(f)
-        assert "seed" in str(exc.value)
+        assert str(exc.value).startswith(
+            f"{f}: key config.seeed: not a run setting; did you mean 'seed'?")
 
     def test_type_mismatch(self, tmp_path):
-        f = tmp_path / "run.ini"
-        f.write_text("[run]\ncity=x\nosm_path=a\nout_dir=o\nsample_n = lots\n")
+        f = tmp_path / "run.json"
+        f.write_text('{"config": {"city": "x", "osm_path": "a", "out_dir": "o", '
+                     '"sample_n": "lots"}}')
         with pytest.raises(ConfigError) as exc:
             load_config(f)
-        assert "integer" in str(exc.value)
+        assert str(exc.value) == f"{f}: key config.sample_n: expected an integer, got 'lots'"
+
+    def test_values_convert_to_the_type_of_their_setting(self, tmp_path):
+        f = tmp_path / "run.json"
+        f.write_text('{"config": {"city": "x", "osm_path": "a", "out_dir": "o", '
+                     '"rate_per_s": 200, "target_m": 500, '
+                     '"classes": ["trunk", "primary", "trunk"]}}')
+        config = load_config(f)
+        assert type(config.rate_per_s) is float and config.rate_per_s == 200.0
+        assert type(config.target_m) is float
+        assert config.classes == ("primary", "trunk")
 
     def test_env_key_lowest_priority(self, tmp_path, monkeypatch):
         monkeypatch.setenv("STREETVIEW_API_KEY", "env-key")
@@ -171,40 +178,51 @@ class TestLoadConfig:
         config.validate()
 
     @pytest.mark.parametrize("line, key", [
-        ("target_m = nan", "target_m"), ("target_m = inf", "target_m"),
-        ("target_m = -inf", "target_m"), ("classes =", "classes")])
+        ('"target_m": NaN', "target_m"), ('"target_m": Infinity', "target_m"),
+        ('"target_m": -Infinity', "target_m"), ('"classes": []', "classes")])
     def test_run_config_rejects_non_finite_and_empty_settings(
             self, fixture_city_file, tmp_path, capsys, line, key):
-        config = tmp_path / "run.ini"
-        config.write_text(f"[run]\n{line}\n")
+        config = tmp_path / "run.json"
+        config.write_text(f'{{"config": {{{line}}}}}')
         args = run_args(fixture_city_file, tmp_path / "run", "http://127.0.0.1:9")
         assert main(args + ["--config", str(config)]) == 2
         assert key in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("content, where", [
-        (b"[run]\nseed = 1\nseed = 2\n", "line 3: option 'seed'"),
-        (b"[run]\nseed = 1\n[run]\ncity = x\n", "line 3: section [run]"),
-        (b"city = x\nseed\n", "line 2: expected key = value"),
-        (b"[run]\nseed = 1\ncity = caf\xe9\n", "line 3: not UTF-8 text"),
-        (b"\xef\xbb\xbf[run]\n\xff = 1\n", "line 2: not UTF-8 text"),
-        (b"[run]\napi_key = a%(b\n", "key api_key: bad % interpolation"),
-    ], ids=["duplicate-option", "duplicate-section", "option-without-value",
-            "not-utf-8", "not-utf-8-after-a-byte-order-mark", "bad-interpolation"])
+        (b"[run]\nseed = 1\n", "line 1 column 2: not valid JSON"),
+        (b"city = x\nseed = 1\n", "line 1 column 1: not valid JSON"),
+        (b'{"config": {"seed": 1}\n', "line 2 column 1: not valid JSON"),
+        (b'{"config": {"seed": 1,\n "city": "caf\xe9"}}\n', "line 2: not UTF-8 text"),
+        (b'\xef\xbb\xbf{"config":\n {"\xff": 1}}\n', "line 2: not UTF-8 text"),
+    ], ids=["ini-text", "ini-text-without-a-section", "unclosed-object", "not-utf-8",
+            "not-utf-8-after-a-byte-order-mark"])
     def test_malformed_config_file_exits_2_naming_file_and_line(
             self, fixture_city_file, tmp_path, capsys, content, where):
-        config = tmp_path / "run.ini"
+        config = tmp_path / "run.json"
         config.write_bytes(content)
         args = run_args(fixture_city_file, tmp_path / "run", "http://127.0.0.1:9")
         assert main(args + ["--config", str(config)]) == 2
         err = capsys.readouterr().err
         assert f"error: {config}: {where}" in err
-        assert "(b" not in err  # the value of a key is not echoed
         assert not (tmp_path / "run").exists()
 
+    def test_api_key_in_a_config_file_exits_2_without_echoing_it(
+            self, fixture_city_file, tmp_path, capsys):
+        config = tmp_path / "run.json"
+        config.write_text('{"config": {"api_key": "secret"}}')
+        before = files_under(tmp_path)
+        args = run_args(fixture_city_file, tmp_path / "run", "http://127.0.0.1:9")
+        assert main(args + ["--config", str(config)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {config}: key config.api_key: ")
+        assert "--api-key" in captured.err
+        assert "secret" not in captured.out + captured.err
+        assert files_under(tmp_path) == before  # no file, so none holds the key
+
     def test_config_file_with_a_byte_order_mark(self, fixture_city_file, tmp_path):
-        config = tmp_path / "run.ini"
-        config.write_bytes(b"\xef\xbb\xbf[run]\nseed = 11\n")
+        config = tmp_path / "run.json"
+        config.write_bytes(b'\xef\xbb\xbf{"config": {"seed": 11}}')
         plan = planned_points(fixture_city_file.read_text(), "fixtureville",
                               set(SAMPLED_ROAD_CLASSES), 500.0, 12, 11)
         with MockStreetViewServer(fixture_for_plan(plan)) as server:
@@ -215,34 +233,42 @@ class TestLoadConfig:
         assert manifest["config"]["seed"] == 11
 
     @pytest.mark.parametrize("manifest, expected", [
-        ({"config": {"city": "x", "osm_path": "a.osm", "out_dir": "o"}}, "key config.classes:"),
+        ({"settings": {"city": "x", "osm_path": "a.osm", "out_dir": "o"}}, "key config:"),
         ({"config": [["city", "x"]]}, "key config:"),
         ({"config": "city=x"}, "key config:"),
         (["config"], "key config:"),
-        ({"config": {"classes": ["primary"], "colour": "red"}}, "key config.colour:"),
+        ({"config": {"classes": ["primary"], "colour": "red"}},
+         "key config.colour: not a run setting (valid keys: city, "),
         ({"config": {"classes": ["primary"], "target_m": "500"}}, "key config.target_m:"),
         ({"config": {"classes": ["primary"], "seed": True}}, "key config.seed:"),
         ({"config": {"classes": ["primary"], "sample_n": 1.5}}, "key config.sample_n:"),
         ({"config": {"classes": ["primary"], "base_url": 7}}, "key config.base_url:"),
         ({"config": {"classes": ["primary", 1]}}, "key config.classes:"),
+        ({"config": {"classes": "primary"}}, "key config.classes:"),
+        ({"config": {"target_m": 10 ** 400}},
+         "key config.target_m: expected a number, got an integer too large for one"),
+        ({"config": {"api_key": 12345}}, "key config.api_key: a config file holds no API key"),
         ({"config": {"classes": ["primary"], "sample_n": -1}},
          "sample size (--n, sample_n) must be >= 0, got -1"),
         ({"config": {"classes": ["primary"], "target_m": math.nan}},
          "target length (--target-m, target_m) must be a positive finite number, got nan"),
         ({"config": {"classes": []}}, "classes must name at least one road class"),
         ({"config": {"classes": ["primary"], "city": ""}}, "city is required"),
-    ], ids=["lacks-classes", "config-is-a-list", "config-is-a-string",
+    ], ids=["lacks-config", "config-is-a-list", "config-is-a-string",
             "manifest-is-a-list", "unknown-key", "target-m-is-a-string", "seed-is-true",
             "sample-n-is-a-float", "base-url-is-a-number", "class-is-a-number",
+            "classes-is-a-string", "target-m-past-the-float-range", "api-key-is-a-number",
             "sample-n-is-negative", "target-m-is-nan", "classes-is-empty", "city-is-empty"])
-    def test_malformed_manifest_is_input_data_error_naming_the_key(self, tmp_path,
-                                                                 manifest, expected):
+    def test_malformed_config_file_is_a_config_error_naming_the_key(
+            self, tmp_path, manifest, expected):
         path = tmp_path / MANIFEST_NAME
         path.write_text(json.dumps(manifest))
-        with pytest.raises(InputDataError) as exc:
-            config_from_manifest(path)
-        assert str(exc.value).startswith(f"{path}: {expected}")
-        assert exc.value.exit_code == 3
+        with pytest.raises(ConfigError) as exc:
+            load_config(path)
+        # a value of its kind out of its range gives its rule's message alone
+        where = f"{path}: " if expected.startswith("key ") else ""
+        assert str(exc.value).startswith(where + expected)
+        assert "12345" not in str(exc.value)
 
     def test_run_help_lists_one_flag_per_setting(self, capsys):
         names = [name for _, name in run_help_flags(capsys)]
@@ -254,23 +280,24 @@ class TestLoadConfig:
         monkeypatch.delenv("STREETVIEW_API_KEY", raising=False)
         value = NON_DEFAULT[name]
         assert value != getattr(RunConfig, name)
-        settings = {"city": "x", "osm_path": "a.osm", "out_dir": "o",
-                    name: ",".join(value) if isinstance(value, tuple) else str(value)}
-        ini = tmp_path / "run.ini"
-        ini.write_text("".join(f"{k} = {v}\n" for k, v in settings.items()))
-        from_file = load_config(ini)
-        assert getattr(from_file, name) == value
-
+        settings = {"city": "x", "osm_path": "a.osm", "out_dir": "o", name: value}
         flags = dict((setting, flag) for flag, setting in run_help_flags(capsys))
         seen = []
         monkeypatch.setattr(roadsense.cli, "run_pipeline",
                             lambda config: seen.append(config) or Path(config.out_dir))
-        assert main(["run", *(a for k, v in settings.items() for a in (flags[k], v))]) == 0
-        assert seen == [from_file]
+        assert main(["run", *(a for k, v in settings.items() for a in
+                              (flags[k], ",".join(v) if isinstance(v, tuple) else str(v)))]) == 0
+        from_flags, = seen
+        assert getattr(from_flags, name) == value
 
-        _write_manifest(from_file, tmp_path, "0" * 64)
-        assert config_from_manifest(tmp_path / MANIFEST_NAME,
-                                    api_key=from_file.api_key) == from_file
+        # a file holds every setting but the API key, which a flag gives
+        key = {"api_key": settings.pop("api_key", None)}
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"config": settings}))
+        assert load_config(config, key) == from_flags
+        _write_manifest(from_flags, tmp_path, "0" * 64)
+        assert load_config(tmp_path / MANIFEST_NAME, key) == from_flags
+        assert load_config(tmp_path / MANIFEST_NAME).api_key == ""  # not "<redacted>"
 
     def test_classes_parsed(self, monkeypatch):
         seen = []
@@ -282,16 +309,16 @@ class TestLoadConfig:
         assert seen == [("primary", "trunk")] * 2
 
     def test_flags_are_taken_as_given(self, tmp_path, monkeypatch):
-        # argparse has typed run's flags; only INI text is converted, and stripped
+        # argparse has typed run's flags, and a config file's strings are JSON
+        # strings: neither is stripped
         seen = []
         monkeypatch.setattr(roadsense.cli, "run_pipeline",
                             lambda config: seen.append(config) or Path(config.out_dir))
-        ini = tmp_path / "run.ini"
-        ini.write_text("[run]\nosm_path = a.osm\nout_dir = o\n")
-        assert main(["run", "--config", str(ini), "--city", " x ", "--fixed-time", " t "]) == 0
+        config = tmp_path / "run.json"
+        config.write_text('{"config": {"city": " y ", "osm_path": "a.osm", "out_dir": "o"}}')
+        assert main(["run", "--config", str(config), "--city", " x ", "--fixed-time", " t "]) == 0
         assert (seen[0].city, seen[0].fixed_time) == (" x ", " t ")
-        ini.write_text("[run]\ncity =  x \nosm_path = a.osm\nout_dir = o\n")
-        assert load_config(ini).city == "x"
+        assert load_config(config).city == " y "
 
 
 class TestRunPipeline:
@@ -398,11 +425,39 @@ class TestRunPipeline:
         out_b = tmp_path / "run_b"
         with MockStreetViewServer(fixture_for_plan(plan)) as server:
             assert main(run_args(fixture_city_file, out_a, server.base_url)) == 0
-            config = config_from_manifest(out_a / MANIFEST_NAME, api_key="test-key",
-                                          out_dir=str(out_b))
-            run_pipeline(config)
+            assert main(["run", "--config", str(out_a / MANIFEST_NAME), "--out-dir", str(out_b),
+                         "--api-key", "test-key"]) == 0
         for name in RUN_ARTIFACTS:
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
+
+    def test_a_run_configured_by_file_is_up_to_date_for_the_same_flags(
+            self, fixture_city_file, tmp_path, capsys):
+        xml = fixture_city_file.read_text()
+        plan = planned_points(xml, "fixtureville", set(SAMPLED_ROAD_CLASSES), 500.0, 12, 7)
+        out_dir = tmp_path / "rundir"
+        with MockStreetViewServer(fixture_for_plan(plan)) as server:
+            flags = run_args(fixture_city_file, out_dir, server.base_url)
+            # run_args's settings, with float settings written as integers and
+            # the classes out of order, one of them twice
+            settings = {"city": "fixtureville", "osm_path": str(fixture_city_file),
+                        "out_dir": str(out_dir), "sample_n": 12, "seed": 7,
+                        "base_url": server.base_url, "rate_per_s": 100000,
+                        "max_concurrency": 8, "fixed_time": "2026-01-01T00:00:00Z",
+                        "target_m": 500, "classes": ["trunk", *SAMPLED_ROAD_CLASSES]}
+            config = tmp_path / "run.json"
+            config.write_text(json.dumps({"config": settings}))
+            assert main(["run", "--config", str(config), "--api-key", "test-key"]) == 0
+            manifest = (out_dir / MANIFEST_NAME).read_bytes()
+            requests = server.request_count
+            capsys.readouterr()
+            assert main(flags) == 0
+            assert "up to date" in capsys.readouterr().out
+            assert server.request_count == requests
+            # written again from the flags, the manifest has the same bytes
+            (out_dir / MANIFEST_NAME).unlink()
+            assert main(flags) == 0
+            assert server.request_count == requests
+        assert (out_dir / MANIFEST_NAME).read_bytes() == manifest
 
     def test_config_changes_invalidate_up_to_date(self, fixture_city_file, tmp_path):
         xml = fixture_city_file.read_text()
@@ -982,6 +1037,34 @@ class TestStageCommands:
         assert capsys.readouterr().err == ("error: --exclude-flagged must be used with the "
                                            f"aggregate action, got {action}\n")
         assert not out.exists()
+
+    @pytest.mark.parametrize("action", ["parse", "aggregate"])
+    def test_labels_threshold_where_no_worker_is_scored_exits_2(self, tmp_path, capsys,
+                                                                action):
+        batch = tmp_path / "batch.csv"
+        batch.write_text(LABEL_HEADER + "\na1,w1,s1,yes,no,yes,yes,no,yes\n")
+        out = tmp_path / "out.csv"
+        assert main(["labels", action, "--in", str(batch), "--threshold", "0.9",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: --threshold must be used where workers are scored: score, or aggregate "
+            f"--exclude-flagged, got {action}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("action", [["score"], ["aggregate", "--exclude-flagged"]])
+    def test_labels_threshold_defaults_to_the_agreement_threshold(self, tmp_path, action):
+        batch = tmp_path / "batch.csv"
+        batch.write_text("\n".join([LABEL_HEADER] + [
+            f"a{s}{w},{w},s{s},{'no,yes' if w == 'w3' else 'yes,no'},yes,yes,no,yes"
+            for s in range(4) for w in ("w1", "w2", "w3")]) + "\n")
+        outputs = []
+        for threshold in ([], ["--threshold", "0.6"], ["--threshold", "0.9"]):
+            out = tmp_path / f"out{len(outputs)}.csv"
+            assert main(["labels", *action, "--in", str(batch), "--out", str(out),
+                         *threshold]) == 0
+            outputs.append(out.read_bytes())
+        # w3 agrees with the majority on 16 of 24 answers: flagged only at 0.9
+        assert outputs[0] == outputs[1] != outputs[2]
 
     @pytest.mark.parametrize("action", ["parse", "score", "aggregate"])
     def test_labels_markings_clear_na_with_markings_present_exits_3(

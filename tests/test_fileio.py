@@ -7,10 +7,10 @@ import pytest
 import roadsense
 from roadsense.analysis import load_tracts_geojson
 from roadsense.cli import main
-from roadsense.errors import InputDataError, RowError, SchemaError
+from roadsense.errors import ConfigError, InputDataError, RowError, SchemaError
 from roadsense.fileio import atomic_open, read_table, write_table
 from roadsense.osm_ingest import read_network
-from roadsense.pipeline import MANIFEST_NAME, RunConfig, _write_manifest, config_from_manifest
+from roadsense.pipeline import MANIFEST_NAME, RunConfig, _write_manifest, load_config
 from roadsense.segmenter import SEGMENTS_CSV_HEADER, read_segments_csv
 from roadsense.streetview import _read_journal
 
@@ -127,7 +127,9 @@ def test_malformed_table_exits_3_naming_file_and_line(tmp_path, capsys, case):
 
 def _json_files(tmp_path):
     """For each JSON reader: a valid file holding the string "MARK" below its
-    first line, the reader, and the CLI command that reads that file."""
+    first line, the reader, and the CLI command that reads that file; the
+    config reader, given a manifest, raises a ConfigError, the others an
+    InputDataError."""
     network = tmp_path / "network.ndjson"
     network.write_text('{"type": "node", "id": 1, "lat": 0.0, "lon": 0.0}\n'
                        '{"type": "meta", "city": "MARK"}\n')
@@ -146,7 +148,8 @@ def _json_files(tmp_path):
     return {
         "network": (network, read_network,
                     ["segment", "--network", str(network), "--out", str(tmp_path / "s.csv")]),
-        "manifest": (tmp_path / MANIFEST_NAME, config_from_manifest, None),
+        "manifest": (tmp_path / MANIFEST_NAME, load_config,
+                     ["run", "--config", str(tmp_path / MANIFEST_NAME)]),
         "tracts": (tracts, load_tracts_geojson,
                    ["regress", "--outcome", "potholes", "--consensus", str(consensus),
                     "--segments", str(segments), "--factors", "income_quintile",
@@ -187,14 +190,14 @@ def test_json_file_readers_share_one_parse(tmp_path, capsys, reader, case):
         column = mark - data.rfind(b"\n", 0, mark) - 1
         where += f" column {column}"
     expected = f"{path}: {where}{message}"
-    with pytest.raises(InputDataError) as exc:
+    error = ConfigError if reader == "manifest" else InputDataError
+    with pytest.raises(error) as exc:
         read(path)
     assert str(exc.value).startswith(expected)
-    if command is not None:
-        assert main(command) == 3
-        err = capsys.readouterr().err
-        assert expected in err
-        assert "Traceback" not in err
+    assert main(command) == error.exit_code
+    err = capsys.readouterr().err
+    assert expected in err
+    assert "Traceback" not in err
 
 
 def _write_calls(tree: ast.AST):

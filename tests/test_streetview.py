@@ -614,6 +614,18 @@ class TestMockServer:
         assert not server._thread.is_alive()
         assert server.request_count == 3
 
+    def test_a_fixture_key_that_is_not_a_location_is_an_error(self, tmp_path):
+        # the benchmark stand-in's format: loaded here, it would answer every
+        # location with ZERO_RESULTS
+        fixture = tmp_path / "fixture.json"
+        fixture.write_text(json.dumps({"default_status": "OK", "locations": {
+            format_location(GeoPoint(0.0, 0.1)): {"status": "OK"}}}))
+        with pytest.raises(ValueError, match="key 'default_status' is neither a location"):
+            MockStreetViewServer(fixture)
+        for key in ("0.0,0.1", "0.00000000,0.1000000", " 0.0000000,0.1000000"):
+            with pytest.raises(ValueError, match=repr(key)):
+                MockStreetViewServer({key: {"status": "OK"}})
+
 
 class TestQueriesCsv:
     def test_round_trip(self, tmp_path):

@@ -1,6 +1,6 @@
 """Property: every table reader, the tracts GeoJSON reader, the OSM XML and
-network.ndjson readers, the INI config and the run manifest, given a valid
-file with a few bytes flipped, deleted or inserted, parse or raise a
+network.ndjson readers and the config reader given a run manifest, given a
+valid file with a few bytes flipped, deleted or inserted, parse or raise a
 RoadsenseError with the exit code of a configuration or input-data error."""
 
 import json
@@ -22,7 +22,7 @@ from roadsense.labeling import (
     write_consensus_csv,
 )
 from roadsense.osm_ingest import parse_osm, read_network, write_network
-from roadsense.pipeline import RunConfig, _write_manifest, config_from_manifest, load_config
+from roadsense.pipeline import RunConfig, _write_manifest, load_config
 from roadsense.sampler import write_plan_csv
 from roadsense.segmenter import RoadSegment, read_segments_csv, write_segments_csv
 from roadsense.streetview import QueryRecord, read_queries_csv, write_queries_csv
@@ -155,12 +155,6 @@ OSM = ("<?xml version='1.0' encoding='UTF-8'?>\n<osm version='0.6'>\n"
        ' <way id="11"><nd ref="2"/><nd ref="3"/><tag k="building" v="yes"/></way>\n'
        "</osm>\n").encode("utf-8")
 
-RUN_INI = (b"[run]\ncity = bangkok\nosm_path = city.osm\nout_dir = run\n"
-           b"classes = primary, trunk\ntarget_m = 250.5\nsample_n = 40\nseed = 3\n"
-           b"max_concurrency = 2\nrate_per_s = 5\nretries = 1\n"
-           b"base_url = http://127.0.0.1:8080\nfixed_time = 2026-01-01T00:00:00Z\n")
-
-
 def _network_file(directory: Path) -> bytes:
     write_network(parse_osm(OSM, source_name="bangkok"), directory / "network.ndjson")
     return (directory / "network.ndjson").read_bytes()
@@ -176,9 +170,8 @@ def _manifest_file(directory: Path) -> bytes:
 @pytest.mark.parametrize("name, reader, valid, alphabet", [
     ("city.osm", parse_osm, lambda d: OSM, b'<>/="\'&;#x\xff0-.9 \n'),
     ("network.ndjson", read_network, _network_file, b'[]{},:"\\\xff0-.9e\n'),
-    ("run.ini", load_config, lambda d: RUN_INI, b"[]=:%;#\n\xff\xef0-.9 a"),
-    ("run_manifest.json", config_from_manifest, _manifest_file, b'[]{},:"\xff0-.9e'),
-], ids=["osm-xml", "network-ndjson", "ini-config", "run-manifest"])
+    ("run_manifest.json", load_config, _manifest_file, b'[]{},:"\xff0-.9e'),
+], ids=["osm-xml", "network-ndjson", "run-manifest"])
 def test_mutated_input_parses_or_raises_a_typed_error(tmp_path, name, reader, valid,
                                                      alphabet):
     data = valid(tmp_path)
@@ -211,7 +204,7 @@ _JSON_VALUES = st.recursive(
 
 @pytest.mark.parametrize("name, reader, valid", [
     ("network.ndjson", read_network, _network_file),
-    ("run_manifest.json", config_from_manifest, _manifest_file),
+    ("run_manifest.json", load_config, _manifest_file),
 ], ids=["network-ndjson", "run-manifest"])
 def test_field_of_any_json_type_parses_or_raises_a_typed_error(tmp_path, name, reader, valid):
     """The same property when one field of a record holds any JSON value."""
