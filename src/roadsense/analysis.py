@@ -63,8 +63,7 @@ def _dot(a, b) -> float:
     return math.fsum(map(operator.mul, a, b))
 
 
-def ols_fit(design, response, names: list[str] | None = None,
-            robust: bool = False) -> RegressionResult:
+def ols_fit(design, response, names: list[str], robust: bool = False) -> RegressionResult:
     """Least squares via Householder QR, with classical (or HC1) errors.
 
     Identical design rows are factored once: a row x seen c times with
@@ -80,11 +79,7 @@ def ols_fit(design, response, names: list[str] | None = None,
     for row, value in zip(design, y, strict=True):
         groups.setdefault(tuple(map(float, row)), []).append(value)
     rows = list(groups)
-    n, k = len(y), len(rows[0]) if rows else len(names or ())
-    if names is None:
-        names = [f"x{i}" for i in range(k)]
-    if len(names) != k:
-        raise ValueError("names length does not match design columns")
+    n, k = len(y), len(names)
     if n <= k:
         raise AnalysisError(f"need more observations ({n}) than coefficients ({k})")
 

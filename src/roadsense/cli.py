@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from . import __version__, geo_export, labeling, stats
-from .errors import ConfigError, InputDataError, RoadsenseError
+from .errors import ConfigError, RoadsenseError
 from .fileio import write_atomic, write_table
 from .osm_ingest import filter_roads, read_network
 from .pipeline import (
@@ -124,8 +124,11 @@ def cmd_labels(args) -> int:
 
 
 def cmd_summarize(args) -> int:
-    _check_flag(math.isfinite(args.capture_km) and args.capture_km > 0, "--capture-km",
-                "a positive finite number", args.capture_km)
+    _check_flag(args.capture_km is None or args.journey_km is not None, "--capture-km",
+                "used with --journey-km", args.capture_km)
+    capture_km = stats.DEFAULT_CAPTURE_KM if args.capture_km is None else args.capture_km
+    _check_flag(math.isfinite(capture_km) and capture_km > 0, "--capture-km",
+                "a positive finite number", capture_km)
     if args.journey_km is not None:
         _check_flag(math.isfinite(args.journey_km) and args.journey_km >= 0, "--journey-km",
                     "a finite number >= 0", args.journey_km)
@@ -140,9 +143,9 @@ def cmd_summarize(args) -> int:
         if rate is None:
             print("expected potholes: unavailable (no resolvable pothole labels)")
         else:
-            count = stats.expected_incidents(rate, args.journey_km, args.capture_km)
+            count = stats.expected_incidents(rate, args.journey_km, capture_km)
             print(f"expected potholes over {args.journey_km:g} km at "
-                  f"{args.capture_km:g} km per photo: {count:.1f}")
+                  f"{capture_km:g} km per photo: {count:.1f}")
             print("note: the expected count scales with 1/capture-km; the same "
                   "rate gives 2x the count at 0.5 km per photo vs 1 km per photo")
     return 0
@@ -159,6 +162,10 @@ def _regression_rows(args):
                 "used with the city factor", f"--factors {args.factors}")
     _check_flag(not args.by_tract or "income_quintile" in factors, "--by-tract",
                 "used with the income_quintile factor", f"--factors {args.factors}")
+    _check_flag(not args.tracts or "income_quintile" in factors, "--tracts",
+                "used with the income_quintile factor", f"--factors {args.factors}")
+    if "income_quintile" in factors and not args.tracts:
+        raise ConfigError("--tracts is required for the income_quintile factor")
     consensus = {c.segment_id: c for c in labeling.read_consensus_csv(args.consensus)}
     plan = read_segments_csv(args.segments)  # segments.csv or plan.csv
     rows = []
@@ -166,8 +173,6 @@ def _regression_rows(args):
     skipped_unresolved = 0
     matched_income: dict[str, tuple[str, float]] = {}
     if "income_quintile" in factors:
-        if not args.tracts:
-            raise InputDataError("--tracts is required for the income_quintile factor")
         tracts = analysis.load_tracts_geojson(args.tracts)
         matches, unmatched = analysis.join_income(sample_points(plan), tracts)
         matched_income = {sid: (tid, income) for sid, tid, income in matches}
@@ -219,14 +224,10 @@ def cmd_regress(args) -> int:
 
 def cmd_export(args) -> int:
     plan = read_segments_csv(args.plan)
-    shapes = None
-    if args.mode == "lines":
-        if not args.network:
-            raise InputDataError("--network is required for lines mode "
-                                 "(full segment shapes live in the network file)")
-        shapes = segment_shapes(plan, read_network(args.network), args.target_m)
+    shapes = (None if args.network is None  # points, else each segment's line
+              else segment_shapes(plan, read_network(args.network), args.target_m))
     write_atomic(args.out, geo_export.export_geojson(plan, shapes))
-    print(f"{args.out}: {len(plan)} features ({args.mode})")
+    print(f"{args.out}: {len(plan)} features ({'points' if shapes is None else 'lines'})")
     return 0
 
 
@@ -303,7 +304,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", default=None)
     p.add_argument("--journey-km", type=float, default=None,
                    help="also report expected potholes over this journey")
-    p.add_argument("--capture-km", type=float, default=0.5)
+    p.add_argument("--capture-km", type=float, default=None,
+                   help=f"km of road each photo covers (default {stats.DEFAULT_CAPTURE_KM})")
     p.set_defaults(func=cmd_summarize)
 
     p = sub.add_parser("regress", help="linear probability model on condition labels")
@@ -323,8 +325,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("export", help="emit sampled locations as GeoJSON")
     p.add_argument("--plan", required=True)
-    p.add_argument("--mode", choices=["points", "lines"], default="points")
-    p.add_argument("--network", default=None)
+    p.add_argument("--network", default=None,
+                   help="write each segment's line, re-chunked from this network file")
     _add_setting(p, "target_m")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_export)

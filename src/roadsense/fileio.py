@@ -1,6 +1,6 @@
 """The file layer: atomic writes, the one CSV table format with its writer,
-its appender and its reader, the one UTF-8 decode of a whole text file, and
-the one JSON parse with its typed-field check.
+its appender and its reader, and the one JSON parse with its typed-field
+check.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from collections.abc import Callable, Iterable, Mapping, Sequence
 from contextlib import contextmanager
 from pathlib import Path
 
-from .errors import InputDataError, RoadsenseError, RowError, SchemaError
+from .errors import InputDataError, RowError, SchemaError
 
 
 @contextmanager
@@ -119,23 +119,15 @@ def read_table(path: str | Path, columns: Mapping[str, Callable], build: Callabl
             raise InputDataError(f"{path}: line {line}: not UTF-8 text ({e.reason})") from e
 
 
-def decode_text(data: bytes, name: str | Path, line: int = 1,
-                error: type[RoadsenseError] = InputDataError) -> str:
-    """data decoded as UTF-8, a leading byte-order mark dropped. ``line`` is
-    the number of data's first line in ``name``; bytes that are not UTF-8
-    raise ``error`` naming the line of the file that holds them."""
+def parse_json(data: bytes, name: str | Path, line: int = 1):
+    """The JSON value held in data, UTF-8 text with or without a leading
+    byte-order mark. ``line`` is the number of data's first line in
+    ``name``, so that an InputDataError names the line of the file."""
     try:
-        return data.decode("utf-8-sig")
+        text = data.decode("utf-8-sig")
     except UnicodeDecodeError as e:  # e.object is data after the mark
         line += e.object.count(b"\n", 0, e.start)
-        raise error(f"{name}: line {line}: not UTF-8 text ({e.reason})") from e
-
-
-def parse_json(data: bytes, name: str | Path, line: int = 1):
-    """The JSON value held in data, decoded by decode_text. ``line`` is the
-    number of data's first line in ``name``, so that an InputDataError names
-    the line of the file."""
-    text = decode_text(data, name, line)
+        raise InputDataError(f"{name}: line {line}: not UTF-8 text ({e.reason})") from e
     try:
         return json.loads(text)
     except json.JSONDecodeError as e:

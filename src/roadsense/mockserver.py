@@ -150,7 +150,7 @@ def main(argv=None):
     parser.add_argument("--port", type=int, default=8787)
     args = parser.parse_args(argv)
     server = MockStreetViewServer(args.fixture, port=args.port)
-    print(f"mock imagery API listening on {server.base_url}")
+    print(f"mock imagery API listening on {server.base_url}", flush=True)
     try:
         server.serve_forever()
     except KeyboardInterrupt:

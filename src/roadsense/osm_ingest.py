@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import logging
-import os
 from array import array
 from dataclasses import dataclass
 from itertools import islice
@@ -53,13 +52,12 @@ class RoadNetwork:
         return [self.nodes[nid] for nid in way.node_ids]
 
 
-def parse_osm(source: str | bytes | os.PathLike, source_name: str = "") -> RoadNetwork:
-    """Parse an OSM XML document into a RoadNetwork.
+def parse_osm(path: str | Path, source_name: str = "") -> RoadNetwork:
+    """Parse the OSM XML document at path, streamed, into a RoadNetwork.
 
-    ``source`` is a path, which is streamed, or the document itself as str
-    or bytes. Every node is checked, but only the nodes that a highway=*
-    way references are kept, in document order; until the ways are known
-    all coordinates sit in compact arrays. Duplicate node ids follow
+    Every node is checked, but only the nodes that a highway=* way
+    references are kept, in document order; until the ways are known all
+    coordinates sit in compact arrays. Duplicate node ids follow
     last-definition-wins; a warning counts them over all nodes. A way
     referencing a node id absent from the document raises MissingNodeError,
     and a highway way that repeats an earlier one's id an InputDataError.
@@ -113,11 +111,8 @@ def parse_osm(source: str | bytes | os.PathLike, source_name: str = "") -> RoadN
     parser = expat.ParserCreate(namespace_separator="}")  # rejects undeclared prefixes
     parser.StartElementHandler, parser.EndElementHandler = start, end
     try:
-        if isinstance(source, os.PathLike):
-            with open(source, "rb") as f:
-                parser.ParseFile(f)
-        else:
-            parser.Parse(source.encode("utf-8") if isinstance(source, str) else source, True)
+        with open(path, "rb") as f:
+            parser.ParseFile(f)
     except expat.ExpatError as e:
         raise OsmParseError(f"malformed OSM XML at line {e.lineno}, "
                             f"column {e.offset}: {e}") from e
@@ -132,18 +127,24 @@ def parse_osm(source: str | bytes | os.PathLike, source_name: str = "") -> RoadN
     for i, nid in enumerate(ids):
         if nid in referenced:
             nodes[nid] = GeoPoint(lats[i], lons[i])
-    for way in ways:
-        for nid in way.node_ids:
-            if nid not in nodes:
-                raise MissingNodeError(
-                    f"way {way.id} references node {nid} absent from the document")
+    network = _check_node_refs(RoadNetwork(nodes=nodes, ways=ways, source_name=source_name),
+                               "the document")
 
     # extracts list nodes by ascending id, which rules duplicates out
     # without a set of every id
     if (not all(a < b for a, b in zip(ids, islice(ids, 1, None)))
             and (duplicates := len(ids) - len(set(ids)))):
         log.warning("parse_osm: %d duplicate node ids (last definition wins)", duplicates)
-    return RoadNetwork(nodes=nodes, ways=ways, source_name=source_name)
+    return network
+
+
+def _check_node_refs(network: RoadNetwork, source: str | Path) -> RoadNetwork:
+    """network, or a MissingNodeError for the first node reference it lacks."""
+    for way in network.ways:
+        for nid in way.node_ids:
+            if nid not in network.nodes:
+                raise MissingNodeError(f"way {way.id} references node {nid} absent from {source}")
+    return network
 
 
 def filter_roads(network: RoadNetwork, classes: set[str]) -> list[Way]:
@@ -223,10 +224,4 @@ def read_network(path: str | Path) -> RoadNetwork:
                     raise InputDataError(f"{path}: line {lineno}: unknown record type {kind!r}")
             except ValueError as e:  # GeoPoint names the coordinate out of range
                 raise CoordinateRangeError(f"{where}{e}") from e
-    network = RoadNetwork(nodes=nodes, ways=ways, source_name=source_name)
-    for way in ways:
-        for nid in way.node_ids:
-            if nid not in nodes:
-                raise MissingNodeError(
-                    f"way {way.id} references node {nid} absent from {path}")
-    return network
+    return _check_node_refs(RoadNetwork(nodes=nodes, ways=ways, source_name=source_name), path)

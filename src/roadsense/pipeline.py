@@ -86,9 +86,11 @@ class RunConfig:
     retries: int = 3
     fixed_time: str = ""           # pin queried_at timestamps when set
 
-    def validate(self) -> "RunConfig":
-        check_settings(self, SETTINGS)
-        return self
+    def __post_init__(self):
+        # classes sorted, each once; paths absolute, so a manifest works from anywhere
+        self.classes = tuple(sorted(set(self.classes)))
+        self.osm_path, self.out_dir = (p and os.path.abspath(p)
+                                       for p in (self.osm_path, self.out_dir))
 
 
 # a setting's type is the type of its default: a config file's value must be
@@ -125,7 +127,7 @@ def load_config(path: str | Path | None, overrides: dict | None = None) -> RunCo
                                       + f" (valid keys: {', '.join(SETTINGS)})")
                 kind = SETTINGS[key]
                 json_typed(value, _KINDS[kind], where + key)
-                values[key] = tuple(sorted(set(value))) if kind is tuple else kind(value)
+                values[key] = kind(value)
             values.pop("api_key", None)
         except InputDataError as e:  # not UTF-8 JSON, or a value of another kind
             raise ConfigError(str(e)) from e
@@ -135,7 +137,9 @@ def load_config(path: str | Path | None, overrides: dict | None = None) -> RunCo
     values.update((key, value) for key, value in (overrides or {}).items()
                   if value is not None)
     values["api_key"] = api_key_or_env(values.get("api_key"))
-    return RunConfig(**values).validate()
+    config = RunConfig(**values)
+    check_settings(config, SETTINGS)  # the one check of a run's settings
+    return config
 
 
 def _sha256(path: Path) -> str:
@@ -152,8 +156,7 @@ def _write_manifest(config: RunConfig, out_dir: Path, osm_digest: str) -> None:
     manifest = {
         "tool": "roadsense",
         "version": __version__,
-        "config": {**asdict(config), "classes": sorted(config.classes),
-                   "api_key": "<redacted>" if config.api_key else ""},
+        "config": {**asdict(config), "api_key": "<redacted>" if config.api_key else ""},
         "osm_sha256": osm_digest,
         "artifacts": list(RUN_ARTIFACTS),
     }
@@ -168,10 +171,7 @@ def _is_up_to_date(config: RunConfig, out_dir: Path, osm_digest: str) -> bool:
         digest = parse_json(manifest_path.read_bytes(), manifest_path).get("osm_sha256")
     except (ConfigError, InputDataError, OSError):
         return False
-    # load_config reads classes sorted, each once
-    expected = replace(config, api_key=recorded.api_key,
-                       classes=tuple(sorted(set(config.classes))))
-    if recorded != expected or digest != osm_digest:
+    if recorded != replace(config, api_key=recorded.api_key) or digest != osm_digest:
         return False
     if not all((out_dir / name).exists() for name in RUN_ARTIFACTS):
         return False
@@ -236,14 +236,13 @@ STAGES = (
 
 
 def run_pipeline(config: RunConfig) -> Path:
-    """Execute the full measurement pipeline into config.out_dir.
+    """Execute the full measurement pipeline of a load_config result into config.out_dir.
 
     Writes network.ndjson, segments.csv, plan.csv, queries.csv,
     coverage.json and the run manifest. Re-running over a completed
     directory is a no-op (no network calls); over a partial directory the
     fetch stage resumes from the records already on disk.
     """
-    config.validate()
     osm_path = Path(config.osm_path)
     if not osm_path.is_file():
         raise InputDataError(f"stage ingest: OSM file not found: {osm_path}")

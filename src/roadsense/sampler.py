@@ -38,9 +38,7 @@ class SplitMix64:
         return z ^ (z >> 31)
 
     def next_below(self, bound: int) -> int:
-        """Uniform integer in [0, bound) via rejection sampling."""
-        if bound <= 0:
-            raise ValueError("bound must be positive")
+        """Uniform integer in [0, bound), bound >= 1, via rejection sampling."""
         limit = _TWO64 - (_TWO64 % bound)
         while True:
             x = self.next_u64()
@@ -49,14 +47,12 @@ class SplitMix64:
 
 
 def sample_segments(population: list[RoadSegment], n: int, seed: int) -> list[RoadSegment]:
-    """Uniform sample of n segments without replacement, in draw order: the
+    """Uniform sample of n >= 0 segments without replacement, in draw order: the
     sample for n is the first n segments of the sample for any larger n.
 
     Asking for more than the population returns the whole population
     (shuffled) and logs a warning.
     """
-    if n < 0:
-        raise ValueError(f"sample size must be >= 0, got {n}")
     pop_n = len(population)
     if n > pop_n:
         log.warning("sample_segments: requested %d segments but population has only %d",

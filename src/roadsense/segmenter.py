@@ -55,14 +55,12 @@ def _cut_distances(length_m: float, target_m: float) -> list[float]:
 def way_pieces(way: Way, network: RoadNetwork,
                target_m: float) -> list[tuple[list[GeoPoint], float]]:
     """The way cut by the tail rule into consecutive pieces, each a shape and
-    its length in meters, tiling the way with no gaps.
+    its length in meters, tiling the way with no gaps; target_m > 0.
 
     A shape keeps every intermediate way vertex plus the interpolated cut
     points; a cut point is shared bit-exactly as the end of one piece and the
     start of the next.
     """
-    if target_m <= 0:
-        raise ValueError(f"target_m must be positive, got {target_m}")
     try:
         line = Polyline(network.way_points(way))
     except ValueError as e:

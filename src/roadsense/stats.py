@@ -15,6 +15,7 @@ from .labeling import ATTRIBUTES, ConsensusLabel
 log = logging.getLogger(__name__)
 
 WILSON_Z = 1.959964
+DEFAULT_CAPTURE_KM = 0.5  # km of road per photo, for expected_incidents
 
 # the statuses the coverage estimate counts; streetview records them
 STATUS_OK = "OK"
@@ -48,8 +49,9 @@ class CitySummary:
     proportions: dict            # attribute -> ratio; absent when unresolvable
 
 
-def wilson_interval(successes: int, total: int, z: float = WILSON_Z) -> tuple[float, float]:
+def wilson_interval(successes: int, total: int) -> tuple[float, float]:
     """95% Wilson score interval for a binomial proportion."""
+    z = WILSON_Z
     p = successes / total
     denom = 1.0 + z * z / total
     center = (p + z * z / (2.0 * total)) / denom
@@ -102,14 +104,12 @@ def summarize_city(consensus: list[ConsensusLabel], city: str) -> CitySummary:
 
 
 def expected_incidents(rate: float, journey_km: float, capture_km: float) -> float:
-    """Expected incident count over a journey: rate * journey / capture.
+    """Expected incident count over a journey: rate * journey / capture (> 0).
 
     The capture length matters: a 0.23 segment rate over 10 km gives 2.3
     expected incidents when each photo covers 1 km, 4.6 when it covers
     0.5 km.
     """
-    if capture_km <= 0:
-        raise ValueError(f"capture_km must be positive, got {capture_km}")
     return rate * journey_km / capture_km
 
 

@@ -1,5 +1,6 @@
 import math
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -8,6 +9,7 @@ sys.path.insert(0, str(Path(__file__).parent))  # make oracles importable
 
 from roadsense import streetview
 from roadsense.geometry import EARTH_RADIUS_M
+from roadsense.osm_ingest import RoadNetwork, parse_osm
 
 
 def pytest_runtest_logreport(report):
@@ -53,6 +55,16 @@ def fixture_city_xml(city_ways=None) -> str:
         lines.append("  </way>")
     lines.append("</osm>")
     return "\n".join(lines) + "\n"
+
+
+def parse_osm_text(document: str | bytes, source_name: str = "") -> RoadNetwork:
+    """parse_osm of an OSM XML document, written to a file first, since
+    parse_osm reads only a path. The file is in a directory of its own, not
+    in tmp_path, so that a hypothesis test can parse once per example."""
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory, "city.osm")
+        path.write_bytes(document.encode("utf-8") if isinstance(document, str) else document)
+        return parse_osm(path, source_name=source_name)
 
 
 @pytest.fixture

@@ -14,7 +14,7 @@ import time
 import pytest
 from scipy import stats
 
-from conftest import fixture_city_xml, lon_span
+from conftest import fixture_city_xml, lon_span, parse_osm_text
 from oracles import normal_equations_ols, polyline_length_m
 from roadsense.analysis import build_design, ols_fit
 from roadsense.cli import main
@@ -51,7 +51,7 @@ def test_criterion_1_coverage_reproduction(tmp_path):
     started = time.monotonic()
     ways = [(100 + i, "primary", 5000.0) for i in range(120)]
     xml = fixture_city_xml(ways)
-    network = parse_osm(xml, source_name="dhaka")
+    network = parse_osm_text(xml, source_name="dhaka")
     segments = chunk_network(filter_roads(network, set(SAMPLED_ROAD_CLASSES)),
                              network, 500.0)
     assert len(segments) >= 1000
@@ -259,7 +259,7 @@ def test_criterion_6_ols_oracle_equivalence():
         beta = [rng.gauss(0.0, 2.0) for _ in range(k)]
         response = [sum(b * x for b, x in zip(beta, row)) + rng.gauss(0.0, 1.0)
                     for row in design]
-        result = ols_fit(design, response)
+        result = ols_fit(design, response, names=[f"x{j}" for j in range(k)])
         beta_o, se_o, r2_o = normal_equations_ols(design, response)
         assert result.estimates == pytest.approx(beta_o, rel=1e-8, abs=1e-10)
         assert result.standard_errors == pytest.approx(se_o, rel=1e-8, abs=1e-10)
@@ -340,7 +340,7 @@ def test_criterion_9_end_to_end_smoke(tmp_path, capsys):
     osm_path = tmp_path / "city.osm"
     osm_path.write_text(xml)
 
-    network = parse_osm(xml, source_name="fixtureville")
+    network = parse_osm(osm_path, source_name="fixtureville")
     segments = chunk_network(filter_roads(network, set(SAMPLED_ROAD_CLASSES)),
                              network, 500.0)
     plan = sample_segments(segments, 30, seed=5)

@@ -4,6 +4,7 @@ import logging
 import math
 import os
 import re
+import shlex
 import subprocess
 import sys
 from dataclasses import replace
@@ -13,11 +14,11 @@ import pytest
 
 import roadsense
 import roadsense.cli
-from conftest import fixture_city_xml
+from conftest import fixture_city_xml, parse_osm_text
 from roadsense.cli import main
 from roadsense.errors import ConfigError
 from roadsense.labeling import CONSENSUS_CSV_HEADER
-from roadsense.osm_ingest import SAMPLED_ROAD_CLASSES, filter_roads, parse_osm
+from roadsense.osm_ingest import SAMPLED_ROAD_CLASSES, filter_roads
 from roadsense.mockserver import MockStreetViewServer
 from roadsense.pipeline import (
     MANIFEST_NAME,
@@ -27,10 +28,11 @@ from roadsense.pipeline import (
     RunConfig,
     _is_up_to_date,
     _write_manifest,
+    check_settings,
     load_config,
     run_pipeline,
 )
-from roadsense.sampler import sample_segments, write_plan_csv
+from roadsense.sampler import PLAN_CSV_HEADER, sample_segments, write_plan_csv
 from roadsense.segmenter import SEGMENTS_CSV_HEADER, chunk_network, read_segments_csv
 from roadsense.streetview import QUERIES_CSV_HEADER, format_location, read_queries_csv
 
@@ -41,7 +43,7 @@ LABEL_HEADER = ("AssignmentId,WorkerId,Input.segment_id,Answer.potholes,Answer.c
 
 def planned_points(xml, city, classes, target_m, n, seed):
     """Replicate the deterministic local stages to predict sampled points."""
-    network = parse_osm(xml, source_name=city)
+    network = parse_osm_text(xml, source_name=city)
     ways = filter_roads(network, classes)
     segments = chunk_network(ways, network, target_m)
     return sample_segments(segments, n, seed)
@@ -95,8 +97,10 @@ def run_help_flags(capsys) -> list[tuple[str, str]]:
             if (m := re.match(r"  (--[a-z-]+) ([A-Z_]+)(  |$)", line))]
 
 
-# a value other than the default for each run setting
-NON_DEFAULT = {"city": "elsewhere", "osm_path": "b.osm", "out_dir": "o2",
+# a value other than the default for each run setting; paths absolute, as a
+# RunConfig holds them
+NON_DEFAULT = {"city": "elsewhere", "osm_path": os.path.abspath("b.osm"),
+               "out_dir": os.path.abspath("o2"),
                "classes": ("primary", "residential"), "target_m": 250.5, "sample_n": 40,
                "seed": 3, "base_url": "http://127.0.0.1:9", "max_concurrency": 2,
                "rate_per_s": 2.5, "retries": 5, "api_key": "k2",
@@ -172,10 +176,10 @@ class TestLoadConfig:
                            retries=-1, rate_per_s=0.0, base_url="x", seed=-1)
         for name in order:
             with pytest.raises(ConfigError) as exc:
-                config.validate()
+                check_settings(config, SETTINGS)
             assert name in str(exc.value)
             setattr(config, name, NON_DEFAULT[name])
-        config.validate()
+        check_settings(config, SETTINGS)
 
     @pytest.mark.parametrize("line, key", [
         ('"target_m": NaN', "target_m"), ('"target_m": Infinity', "target_m"),
@@ -430,6 +434,26 @@ class TestRunPipeline:
         for name in RUN_ARTIFACTS:
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
 
+    def test_a_manifest_reproduces_its_run_from_another_directory(
+            self, fixture_city_file, tmp_path, monkeypatch):
+        # the run names its paths relative to a/; the manifest records them
+        # absolute, so the reproduction from a/'s parent finds the extract
+        a = tmp_path / "a"
+        a.mkdir()
+        (a / "city.osm").write_bytes(fixture_city_file.read_bytes())
+        plan = planned_points(fixture_city_file.read_bytes(), "fixtureville",
+                              set(SAMPLED_ROAD_CLASSES), 500.0, 12, 7)
+        with MockStreetViewServer(fixture_for_plan(plan)) as server:
+            monkeypatch.chdir(a)
+            assert main(run_args("city.osm", "out", server.base_url)) == 0
+            monkeypatch.chdir(tmp_path)
+            assert main(["run", "--config", "a/out/run_manifest.json", "--out-dir", "b",
+                         "--api-key", "k"]) == 0
+        config = json.loads((a / "out" / MANIFEST_NAME).read_text())["config"]
+        assert (config["osm_path"], config["out_dir"]) == (str(a / "city.osm"), str(a / "out"))
+        for name in RUN_ARTIFACTS:
+            assert (a / "out" / name).read_bytes() == (tmp_path / "b" / name).read_bytes(), name
+
     def test_a_run_configured_by_file_is_up_to_date_for_the_same_flags(
             self, fixture_city_file, tmp_path, capsys):
         xml = fixture_city_file.read_text()
@@ -576,7 +600,7 @@ BAD_STAGE_SETTINGS = [
     ("ingest", "city", ""),
     ("ingest", "osm_path", ""),
     *(("segment", "classes", v) for v in ("", " , ")),
-    *((command, "target_m", v) for command in ("segment", "export --mode lines")
+    *((command, "target_m", v) for command in ("segment", "export")
       for v in ("nan", "inf", "0", "-1")),
     *(("sample", name, v)
       for name, v in (("sample_n", "-1"), ("seed", "-1"), ("seed", str(2 ** 64)))),
@@ -664,16 +688,30 @@ class TestStageCommands:
                      "--target-m", "500", "--out", str(seg_file)]) == 0
         assert main(["sample", "--segments", str(seg_file), "--n", "10",
                      "--seed", "3", "--out", str(plan_file)]) == 0
-        assert main(["export", "--plan", str(plan_file), "--mode", "points",
-                     "--out", str(geo_file)]) == 0
+        capsys.readouterr()
+        assert main(["export", "--plan", str(plan_file), "--out", str(geo_file)]) == 0
+        assert capsys.readouterr().out == f"{geo_file}: 10 features (points)\n"
         doc = json.loads(geo_file.read_text())
         assert len(doc["features"]) == 10
+        assert all(f["geometry"]["type"] == "Point" for f in doc["features"])
 
-        assert main(["export", "--plan", str(plan_file), "--mode", "lines",
-                     "--network", str(net_file), "--target-m", "500",
-                     "--out", str(lines_file)]) == 0
+        assert main(["export", "--plan", str(plan_file), "--network", str(net_file),
+                     "--target-m", "500", "--out", str(lines_file)]) == 0
+        assert capsys.readouterr().out == f"{lines_file}: 10 features (lines)\n"
         doc = json.loads(lines_file.read_text())
+        assert len(doc["features"]) == 10
         assert all(f["geometry"]["type"] == "LineString" for f in doc["features"])
+
+    def test_export_of_an_empty_plan_with_network_says_lines(self, fixture_city_file,
+                                                             tmp_path, capsys):
+        net_file, plan_file, out = (tmp_path / f for f in ("net.ndjson", "p.csv", "x.geojson"))
+        main(["ingest", "--osm", str(fixture_city_file), "--city", "f", "--out", str(net_file)])
+        plan_file.write_text(PLAN_CSV_HEADER + "\n")
+        capsys.readouterr()
+        assert main(["export", "--plan", str(plan_file), "--network", str(net_file),
+                     "--out", str(out)]) == 0
+        assert capsys.readouterr().out == f"{out}: 0 features (lines)\n"
+        assert out.read_text() == '{"type":"FeatureCollection","features":[]}\n'
 
     def test_sample_plan_for_n_is_a_prefix_of_the_plan_for_more(self, fixture_city_file,
                                                                 tmp_path, capsys):
@@ -789,18 +827,6 @@ class TestStageCommands:
                   "--out", str(tmp_path / "seg.csv")])
         assert exc.value.code == 2
         assert "unrecognized arguments: --skip-degenerate" in capsys.readouterr().err
-
-    def test_lines_export_without_network_fails(self, tmp_path, fixture_city_file):
-        net_file = tmp_path / "net.ndjson"
-        seg_file = tmp_path / "s.csv"
-        plan_file = tmp_path / "p.csv"
-        main(["ingest", "--osm", str(fixture_city_file), "--city", "f",
-              "--out", str(net_file)])
-        main(["segment", "--network", str(net_file), "--out", str(seg_file)])
-        main(["sample", "--segments", str(seg_file), "--n", "2", "--out", str(plan_file)])
-        code = main(["export", "--plan", str(plan_file), "--mode", "lines",
-                     "--out", str(tmp_path / "x.geojson")])
-        assert code == 3
 
     @pytest.mark.parametrize("command", ["segment", "run"])
     @pytest.mark.parametrize("classes", ["", " , "])
@@ -1121,10 +1147,12 @@ class TestStageCommands:
         (["summarize", "--journey-km", "10", "--capture-km", "0"], "--capture-km"),
         (["summarize", "--journey-km", "10", "--capture-km", "nan"], "--capture-km"),
         (["summarize", "--journey-km", "-10"], "--journey-km"),
+        (["summarize", "--capture-km", "0.1"], "--capture-km"),
         (["labels", "score", "--threshold", "nan"], "--threshold"),
         (["labels", "aggregate", "--threshold", "1.5"], "--threshold"),
         (["labels", "score", "--threshold", "-0.1"], "--threshold"),
-    ], ids=["capture-km-zero", "capture-km-nan", "journey-km-negative", "threshold-nan",
+    ], ids=["capture-km-zero", "capture-km-nan", "journey-km-negative",
+            "capture-km-without-journey-km", "threshold-nan",
             "threshold-above-1", "threshold-below-0"])
     def test_analysis_flag_out_of_range_exits_2_naming_it(self, tmp_path, capsys, args, flag):
         consensus, batch = tmp_path / "consensus.csv", tmp_path / "batch.csv"
@@ -1157,6 +1185,15 @@ class TestStageCommands:
         assert "0.23" in out
         assert "2.3" in out
         assert "note:" in out
+
+    def test_summarize_journey_km_alone_takes_half_a_km_per_photo(self, tmp_path, capsys):
+        consensus = tmp_path / "consensus.csv"
+        consensus.write_text(f"{CONSENSUS_CSV_HEADER}\np0,yes,no,yes,yes,no,yes,1\n"
+                             "p1,no,no,yes,yes,no,yes,1\n")
+        assert main(["summarize", "--consensus", str(consensus), "--city", "x",
+                     "--journey-km", "10"]) == 0
+        assert "expected potholes over 10 km at 0.5 km per photo: 10.0\n" in (
+            capsys.readouterr().out)
 
     def test_summarize_golden_table_and_csv(self, tmp_path, capsys):
         # every verdict kind; litter has none that resolves, so it prints - and
@@ -1237,12 +1274,13 @@ class TestStageCommands:
         assert "R^2" in printed
         assert out_csv.read_text().startswith("coefficient,")
 
-    def test_export_mode_outside_the_choices_exits_2(self, tmp_path, capsys):
+    def test_export_mode_is_an_unrecognized_argument(self, tmp_path, capsys):
+        # export works out points or lines from --network; it takes no --mode
         with pytest.raises(SystemExit) as exc:
-            main(["export", "--plan", str(tmp_path / "plan.csv"), "--mode", "polygons",
+            main(["export", "--plan", str(tmp_path / "plan.csv"), "--mode", "points",
                   "--out", str(tmp_path / "x.geojson")])
         assert exc.value.code == 2
-        assert "invalid choice: 'polygons'" in capsys.readouterr().err
+        assert "unrecognized arguments: --mode points" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["run", "fetch"])
     def test_out_dir_that_is_a_file_exits_3(self, fixture_city_file, tmp_path, capsys,
@@ -1261,10 +1299,11 @@ class TestStageCommands:
         assert afile.read_text() == ""
 
 
-def regress_inputs(tmp_path, per_tract):
+def regress_inputs(tmp_path, per_tract, tracts=True):
     """segments.csv, consensus.csv and tracts.geojson for regress: tract k, the
     one-degree square east of longitude k, has income k + 1 and holds
-    per_tract[k] primary segments of city f; every third segment has potholes."""
+    per_tract[k] primary segments of city f; every third segment has potholes.
+    The arguments give --tracts only when ``tracts`` is true."""
     segments, consensus, features = [SEGMENTS_CSV_HEADER], [CONSENSUS_CSV_HEADER], []
     for k, n in enumerate(per_tract):
         for j in range(n):
@@ -1280,8 +1319,9 @@ def regress_inputs(tmp_path, per_tract):
     paths[0].write_text("\n".join(segments) + "\n")
     paths[1].write_text("\n".join(consensus) + "\n")
     paths[2].write_text(json.dumps({"type": "FeatureCollection", "features": features}))
-    return ["regress", "--outcome", "potholes", "--segments", str(paths[0]),
-            "--consensus", str(paths[1]), "--tracts", str(paths[2])]
+    args = ["regress", "--outcome", "potholes", "--segments", str(paths[0]),
+            "--consensus", str(paths[1])]
+    return args + ["--tracts", str(paths[2])] if tracts else args
 
 
 @pytest.mark.parametrize("command", ["summarize", "regress"])
@@ -1324,15 +1364,28 @@ class TestRegressFlags:
     @pytest.mark.parametrize("extra, flag", [
         (["--factors", "income_quintile", "--baseline-city", "nowhere"], "--baseline-city"),
         (["--factors", "city", "--by-tract", "--tracts", "missing.geojson"], "--by-tract"),
-    ], ids=["baseline-city-without-city", "by-tract-without-income-quintile"])
+        (["--factors", "road_class", "--tracts", "missing.geojson"], "--tracts"),
+    ], ids=["baseline-city-without-city", "by-tract-without-income-quintile",
+            "tracts-without-income-quintile"])
     def test_a_flag_the_factors_would_ignore_exits_2(self, tmp_path, capsys, extra, flag):
         out = tmp_path / "coef.csv"
         assert main(regress_inputs(tmp_path, [3, 3, 3, 3, 3]) + extra + ["--csv", str(out)]) == 2
         assert capsys.readouterr().err.startswith(f"error: {flag} must be used with the ")
         assert not out.exists()
 
+    def test_income_quintile_without_tracts_exits_2_before_any_file_is_read(
+            self, tmp_path, capsys):
+        args = regress_inputs(tmp_path, [3, 3, 3, 3, 3], tracts=False)
+        (tmp_path / "segments.csv").unlink()
+        (tmp_path / "consensus.csv").unlink()
+        out = tmp_path / "coef.csv"
+        assert main(args + ["--factors", "road_class,income_quintile", "--csv", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: --tracts is required for the income_quintile factor\n")
+        assert not out.exists()
+
     def test_a_consensus_sharing_no_segment_with_the_plan_exits_5(self, tmp_path, capsys):
-        args = regress_inputs(tmp_path, [3, 3, 3, 3, 3])
+        args = regress_inputs(tmp_path, [3, 3, 3, 3, 3], tracts=False)
         (tmp_path / "consensus.csv").write_text(
             f"{CONSENSUS_CSV_HEADER}\nelsewhere#0,yes,no,yes,yes,no,yes,1\n")
         assert main(args + ["--factors", "road_class"]) == 5
@@ -1366,6 +1419,26 @@ class TestRegressFlags:
     def test_intercept_only_fit_prints_an_unsigned_zero_r_squared(self, tmp_path, capsys):
         # 4 of 12 outcomes are 1: the residual and total sums of squares
         # differ in the last bit, and R^2 comes out at -2.2e-16
-        args = regress_inputs(tmp_path, [12])
+        args = regress_inputs(tmp_path, [12], tracts=False)
         assert main(args + ["--factors", "city"]) == 0
         assert capsys.readouterr().out.endswith("n = 12, R^2 = 0.0000\n")
+
+
+def readme_commands() -> list[str]:
+    """Each `roadsense ...` line of README.md's code blocks, its backslash
+    continuations joined and the brackets around optional flags dropped."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```[^\n]*\n(.*?)^```", text, re.M | re.S)
+    lines = "".join(blocks).replace("\\\n", " ").splitlines()
+    return [re.sub(r"[\[\]]", "", line) for line in lines if line.startswith("roadsense ")]
+
+
+def test_every_readme_command_parses(capsys):
+    commands = readme_commands()
+    assert len(commands) >= 15 and any(c.startswith("roadsense export") for c in commands)
+    parser = roadsense.cli.build_parser()
+    for command in commands:
+        try:
+            parser.parse_args(shlex.split(command)[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {command}\n{capsys.readouterr().err}")

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from conftest import parse_osm_text
 from oracles import json_dumps_network, to_osm_xml
 from roadsense.cli import main
 from roadsense.errors import (
@@ -49,7 +50,7 @@ TWO_NODE_PRIMARY = osm_doc("""
 
 class TestParse:
     def test_minimal_document(self):
-        net = parse_osm(TWO_NODE_PRIMARY, source_name="bangkok")
+        net = parse_osm_text(TWO_NODE_PRIMARY, source_name="bangkok")
         assert len(net.nodes) == 2
         assert len(net.ways) == 1
         way = net.ways[0]
@@ -67,7 +68,7 @@ class TestParse:
           <way id="11"><nd ref="1"/><nd ref="2"/><tag k="highway" v="trunk"/></way>
           <way id="11"><nd ref="1"/><nd ref="2"/><tag k="building" v="yes"/></way>
         """)
-        net = parse_osm(doc)
+        net = parse_osm_text(doc)
         assert [w.id for w in net.ways] == [11]
 
     def test_residential_and_trunk_both_retained(self):
@@ -77,7 +78,7 @@ class TestParse:
           <way id="10"><nd ref="1"/><nd ref="2"/><tag k="highway" v="residential"/></way>
           <way id="11"><nd ref="1"/><nd ref="2"/><tag k="highway" v="trunk"/></way>
         """)
-        net = parse_osm(doc)
+        net = parse_osm_text(doc)
         assert [w.highway_class for w in net.ways] == ["residential", "trunk"]
         assert net.ways[0].highway_class not in SAMPLED_ROAD_CLASSES
         assert net.ways[1].highway_class in SAMPLED_ROAD_CLASSES
@@ -88,18 +89,18 @@ class TestParse:
           <way id="77"><nd ref="1"/><nd ref="999"/><tag k="highway" v="primary"/></way>
         """)
         with pytest.raises(MissingNodeError) as exc:
-            parse_osm(doc)
+            parse_osm_text(doc)
         assert "77" in str(exc.value)
 
     def test_malformed_xml_reports_position(self):
         with pytest.raises(OsmParseError) as exc:
-            parse_osm("<osm><node id='1' lat='0' lon='0'")
+            parse_osm_text("<osm><node id='1' lat='0' lon='0'")
         assert "line" in str(exc.value)
 
     def test_out_of_range_coordinate(self):
         doc = osm_doc('<node id="1" lat="91.0" lon="0"/>')
         with pytest.raises(CoordinateRangeError):
-            parse_osm(doc)
+            parse_osm_text(doc)
 
     def test_short_way_rejected(self):
         doc = osm_doc("""
@@ -107,7 +108,7 @@ class TestParse:
           <way id="5"><nd ref="1"/><tag k="highway" v="primary"/></way>
         """)
         with pytest.raises(InputDataError):
-            parse_osm(doc)
+            parse_osm_text(doc)
 
     def test_duplicate_node_last_wins(self, caplog):
         doc = osm_doc("""
@@ -117,7 +118,7 @@ class TestParse:
           <way id="10"><nd ref="1"/><nd ref="2"/><tag k="highway" v="primary"/></way>
         """)
         with caplog.at_level(logging.WARNING, logger="roadsense.osm_ingest"):
-            net = parse_osm(doc)
+            net = parse_osm_text(doc)
         assert net.nodes[1].lat == 5
         assert caplog.messages == [DUPLICATE_WARNING.format(1)]
 
@@ -128,7 +129,7 @@ class TestParse:
             tag = "highway" if i % 3 else "building"
             body.append(f'<way id="{i}"><nd ref="1"/><nd ref="2"/>'
                         f'<tag k="{tag}" v="x"/></way>')
-        net = parse_osm(osm_doc("\n".join(body)))
+        net = parse_osm_text(osm_doc("\n".join(body)))
         n_highway_in_input = sum(1 for i in range(20) if i % 3)
         assert len(net.ways) == n_highway_in_input
 
@@ -138,11 +139,11 @@ class TestParse:
 <node id="2" lat="0" lon="1"/>
 <way id="100"><nd ref="1"/><nd ref="2"/><tag k="highway" v="primary"/></way>
 <way id="100"><nd ref="2"/><nd ref="1"/><tag k="highway" v="trunk"/></way>""")
-        with pytest.raises(InputDataError) as exc:
-            parse_osm(doc)
-        assert str(exc.value) == "line 6: way 100: repeats the id of an earlier highway way"
         path, out = tmp_path / "city.osm", tmp_path / "network.ndjson"
         path.write_text(doc, encoding="utf-8")
+        with pytest.raises(InputDataError) as exc:
+            parse_osm(path)
+        assert str(exc.value) == "line 6: way 100: repeats the id of an earlier highway way"
         assert main(["ingest", "--osm", str(path), "--city", "x", "--out", str(out)]) == 3
         assert "line 6: way 100: repeats the id" in capsys.readouterr().err
         assert not out.exists()
@@ -156,7 +157,7 @@ class TestFilter:
         for i, cls in enumerate(classes):
             body.append(f'<way id="{i}"><nd ref="1"/><nd ref="2"/>'
                         f'<tag k="highway" v="{cls}"/></way>')
-        return parse_osm(osm_doc("\n".join(body)))
+        return parse_osm_text(osm_doc("\n".join(body)))
 
     def test_single_class(self):
         net = self.make_network()
@@ -189,8 +190,8 @@ class TestFilter:
 
 class TestRoundTrip:
     def test_xml_round_trip(self):
-        net = parse_osm(TWO_NODE_PRIMARY, source_name="bangkok")
-        echoed = parse_osm(to_osm_xml(net), source_name="bangkok")
+        net = parse_osm_text(TWO_NODE_PRIMARY, source_name="bangkok")
+        echoed = parse_osm_text(to_osm_xml(net), source_name="bangkok")
         assert echoed == net
         # coordinates survive as decimal strings bit-exactly
         assert to_osm_xml(echoed) == to_osm_xml(net)
@@ -202,11 +203,11 @@ class TestRoundTrip:
           <way id="10"><nd ref="1"/><nd ref="2"/>
             <tag k="highway" v="primary"/><tag k="name" v="A &amp; B &quot;road&quot;"/></way>
         """)
-        net = parse_osm(doc)
-        assert parse_osm(to_osm_xml(net)) == net
+        net = parse_osm_text(doc)
+        assert parse_osm_text(to_osm_xml(net)) == net
 
     def test_ndjson_round_trip(self, tmp_path):
-        net = parse_osm(TWO_NODE_PRIMARY, source_name="bangkok")
+        net = parse_osm_text(TWO_NODE_PRIMARY, source_name="bangkok")
         path = tmp_path / "net.ndjson"
         write_network(net, path)
         assert read_network(path) == net
@@ -282,16 +283,8 @@ def poi_city(n_poi: int) -> str:
 
 
 class TestStreamingIngest:
-    def test_path_and_bytes_parse_equal(self, tmp_path):
-        doc = poi_city(50)
-        path = tmp_path / "city.osm"
-        path.write_text(doc, encoding="utf-8")
-        from_path = parse_osm(path, source_name="bangkok")
-        assert from_path == parse_osm(doc.encode("utf-8"), source_name="bangkok")
-        assert from_path == parse_osm(doc, source_name="bangkok")
-
     def test_only_road_nodes_kept_and_written(self, tmp_path):
-        net = parse_osm(poi_city(20))
+        net = parse_osm_text(poi_city(20))
         assert list(net.nodes) == [1, 2]
         path = tmp_path / "net.ndjson"
         write_network(net, path)
@@ -306,7 +299,7 @@ class TestStreamingIngest:
           <node id="7" lat="1" lon="1"/>
           <way id="10"><nd ref="5"/><nd ref="9"/><tag k="highway" v="primary"/></way>
         """)
-        assert list(parse_osm(doc).nodes) == [9, 5]
+        assert list(parse_osm_text(doc).nodes) == [9, 5]
 
     def test_duplicate_among_pruned_nodes_counted(self, caplog):
         doc = osm_doc("""
@@ -317,14 +310,14 @@ class TestStreamingIngest:
           <way id="10"><nd ref="1"/><nd ref="2"/><tag k="highway" v="primary"/></way>
         """)
         with caplog.at_level(logging.WARNING, logger="roadsense.osm_ingest"):
-            net = parse_osm(doc)
+            net = parse_osm_text(doc)
         assert caplog.messages == [DUPLICATE_WARNING.format(1)]
         assert 50 not in net.nodes
 
     def test_bad_node_reports_line(self):
         doc = osm_doc('<node id="1" lat="0" lon="0"/>\n<node id="2" lat="0" lon="999"/>')
         with pytest.raises(CoordinateRangeError) as exc:
-            parse_osm(doc)
+            parse_osm_text(doc)
         assert "line 4" in str(exc.value) and "lon" in str(exc.value)
 
     def test_malformed_file_reports_line_and_column(self, tmp_path):

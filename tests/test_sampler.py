@@ -52,10 +52,6 @@ class TestSplitMix64:
         assert set(draws1) <= set(range(7))
         assert set(draws1) == set(range(7))
 
-    def test_next_below_rejects_bad_bound(self):
-        with pytest.raises(ValueError):
-            SplitMix64(1).next_below(0)
-
 
 class TestSampleSegments:
     def test_empty_draw(self, caplog):
@@ -119,10 +115,6 @@ class TestSampleSegments:
         pop = make_population(8)
         plan = sample_segments(pop, 8, seed=3)
         assert sorted(s.segment_id for s in plan) == sorted(s.segment_id for s in pop)
-
-    def test_negative_n(self):
-        with pytest.raises(ValueError):
-            sample_segments(make_population(3), -1, seed=0)
 
     def test_exhaustive_small_populations_all_low_seeds(self):
         # every (pop size <= 6, n <= pop, seed < 64) combination yields a

@@ -3,8 +3,10 @@ import http.client
 import json
 import logging
 import os
+import select
 import signal
 import socket
+import subprocess
 import sys
 import threading
 import time
@@ -13,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+import roadsense
 from roadsense.cli import main
 from roadsense.errors import InsufficientDataError, KeyQuotaError, RowError
 from roadsense.geometry import GeoPoint
@@ -625,6 +628,31 @@ class TestMockServer:
         for key in ("0.0,0.1", "0.00000000,0.1000000", " 0.0000000,0.1000000"):
             with pytest.raises(ValueError, match=repr(key)):
                 MockStreetViewServer({key: {"status": "OK"}})
+
+    def test_module_prints_its_url_at_once_and_serves_a_run(self, fixture_city_file,
+                                                             tmp_path):
+        # the offline quickstart: with --port 0 the printed line is the only
+        # way to learn the port, so it must not wait in a pipe's block buffer
+        fixture = tmp_path / "fixture.json"
+        fixture.write_text(json.dumps({"__default__": {"status": "OK"}}))
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = str(Path(roadsense.__file__).resolve().parent.parent)
+        with subprocess.Popen([sys.executable, "-m", "roadsense.mockserver", str(fixture),
+                               "--port", "0"], env=env, stdout=subprocess.PIPE,
+                              stderr=subprocess.DEVNULL, text=True) as server:
+            try:
+                readable, _, _ = select.select([server.stdout], [], [], 10.0)
+                assert readable, "no line from the mock server within 10 s"
+                line = server.stdout.readline()
+                assert line.startswith("mock imagery API listening on http://127.0.0.1:")
+                assert main(["run", "--osm", str(fixture_city_file), "--city", "test",
+                             "--out-dir", str(tmp_path / "run"), "--n", "5", "--seed", "7",
+                             "--base-url", line.split()[-1], "--api-key", "dummy",
+                             "--rate-per-s", "1000"]) == 0
+            finally:
+                server.terminate()  # SIGINT may be ignored where the tests run
+                server.wait(timeout=10)
+        assert len(read_queries_csv(tmp_path / "run" / "queries.csv")) == 5
 
 
 class TestQueriesCsv:

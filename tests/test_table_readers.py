@@ -11,6 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from conftest import parse_osm_text
 from roadsense.analysis import load_tracts_geojson
 from roadsense.errors import RoadsenseError
 from roadsense.geometry import GeoPoint
@@ -156,7 +157,7 @@ OSM = ("<?xml version='1.0' encoding='UTF-8'?>\n<osm version='0.6'>\n"
        "</osm>\n").encode("utf-8")
 
 def _network_file(directory: Path) -> bytes:
-    write_network(parse_osm(OSM, source_name="bangkok"), directory / "network.ndjson")
+    write_network(parse_osm_text(OSM, source_name="bangkok"), directory / "network.ndjson")
     return (directory / "network.ndjson").read_bytes()
 
 
