@@ -15,7 +15,7 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import AnalysisError, CollinearityError, InputDataError, RowError
+from .errors import AnalysisError, InputDataError
 from .fileio import JSON_KINDS, json_field, json_typed, parse_json
 from .geometry import GeoPoint, PolygonRing, point_in_polygon
 from .osm_ingest import SAMPLED_ROAD_CLASSES
@@ -100,10 +100,10 @@ def ols_fit(design, response, names: list[str], robust: bool = False) -> Regress
                 col[j:] = [b - d * a for a, b in zip(v, col[j:])]
     largest = max(map(abs, r_diag), default=0.0)
     if largest == 0.0:
-        raise CollinearityError(f"design is all zeros (column {names[0]})")
+        raise AnalysisError(f"design is all zeros (column {names[0]})")
     bad = [j for j in range(k) if abs(r_diag[j]) < PIVOT_TOLERANCE * largest]
     if bad:
-        raise CollinearityError(
+        raise AnalysisError(
             f"design is rank deficient: column {names[bad[0]]} is collinear "
             "with the others")
 
@@ -136,18 +136,11 @@ def ols_fit(design, response, names: list[str], robust: bool = False) -> Regress
                             standard_errors=[math.sqrt(v) for v in var], n=n, r_squared=r2)
 
 
-@dataclass
-class Design:
-    """Dummy-coded design rows and their column names: one shared tuple
-    per distinct combination of factor levels."""
-
-    matrix: list[tuple[float, ...]]
-    names: list[str]
-
-
 def build_design(rows: list[dict], factors: list[str],
-                 baselines: dict | None = None) -> Design:
-    """Intercept plus one dummy column per non-baseline factor level.
+                 baselines: dict | None = None) -> tuple[list[tuple[float, ...]], list[str]]:
+    """The dummy-coded design rows, one shared tuple per distinct
+    combination of factor levels, and their column names: an intercept plus
+    one dummy column per non-baseline factor level.
 
     road_class uses the four named classes as its declared level set
     (baseline tertiary), so a class absent from the data shows up as a
@@ -182,7 +175,7 @@ def build_design(rows: list[dict], factors: list[str],
             on = {"intercept", *map("{}={}".format, factors, levels)}  # a baseline has no column
             coded[levels] = tuple(float(name in on) for name in names)
         matrix.append(coded[levels])
-    return Design(matrix=matrix, names=names)
+    return matrix, names
 
 
 def _ring(where: str, ring) -> list[GeoPoint]:
@@ -192,17 +185,17 @@ def _ring(where: str, ring) -> list[GeoPoint]:
         # a position may carry an altitude after lon and lat (RFC 7946 3.1.1)
         if (type(position) is not list or len(position) < 2
                 or type(position[0]) not in number or type(position[1]) not in number):
-            raise RowError(f"{where}[{k}]: expected a [lon, lat] position of numbers")
+            raise InputDataError(f"{where}[{k}]: expected a [lon, lat] position of numbers")
         try:
             out.append(GeoPoint(position[1], position[0]))
         except ValueError as e:
-            raise RowError(f"{where}[{k}]: {e}") from e
+            raise InputDataError(f"{where}[{k}]: {e}") from e
     return out
 
 
 def _non_empty_list(value, where: str) -> list:
     if not value:
-        raise RowError(f"{where}: expected a non-empty list")
+        raise InputDataError(f"{where}: expected a non-empty list")
     return json_typed(value, "a list", where)
 
 
@@ -210,7 +203,7 @@ def _shapes(where: str, geom) -> tuple[PolygonRing, ...]:
     geom = json_typed(geom, "an object", f"{where}geometry")
     gtype = geom.get("type")
     if gtype not in ("Polygon", "MultiPolygon"):
-        raise RowError(f"{where}geometry.type: unsupported geometry {gtype!r}")
+        raise InputDataError(f"{where}geometry.type: unsupported geometry {gtype!r}")
     where += "geometry.coordinates"
     coords = _non_empty_list(geom.get("coordinates"), where)
     if gtype == "Polygon":
@@ -223,7 +216,7 @@ def _shapes(where: str, geom) -> tuple[PolygonRing, ...]:
         try:
             shapes.append(PolygonRing(parsed[0], parsed[1:]))
         except ValueError as e:
-            raise RowError(f"{at}: {e}") from e
+            raise InputDataError(f"{at}: {e}") from e
     return tuple(shapes)
 
 
@@ -247,8 +240,8 @@ def load_tracts_geojson(path: str | Path) -> list[TractPolygon]:
         tract_id = json_field(props, "tract_id", "a string or an integer", at)
         income = json_field(props, "per_capita_income", "a number", at)
         if not 0 <= income <= sys.float_info.max:
-            raise RowError(f"{at}per_capita_income: expected a finite number >= 0, "
-                           f"got {income!r}")
+            raise InputDataError(f"{at}per_capita_income: expected a finite number >= 0, "
+                                 f"got {income!r}")
         tracts.append(TractPolygon(tract_id=str(tract_id),
                                    shapes=_shapes(where, feature.get("geometry")),
                                    per_capita_income=float(income)))

@@ -211,9 +211,8 @@ def cmd_regress(args) -> int:
     from . import analysis
     rows, outcomes, factors = _regression_rows(args)
     baselines = {"city": args.baseline_city} if args.baseline_city else {}
-    design = analysis.build_design(rows, factors, baselines=baselines)
-    result = analysis.ols_fit(design.matrix, outcomes, names=design.names,
-                              robust=args.robust)
+    matrix, names = analysis.build_design(rows, factors, baselines=baselines)
+    result = analysis.ols_fit(matrix, outcomes, names=names, robust=args.robust)
     if args.csv:  # written first, so that a failed write prints no table
         write_table(args.csv, ["coefficient", "estimate", "std_error"],
                     ([n, analysis.fixed(e, 8), analysis.fixed(s, 8)] for n, e, s in

@@ -18,6 +18,8 @@ class InputDataError(RoadsenseError):
 
 
 class NetworkError(RoadsenseError):
+    """The imagery API keeps answering REQUEST_DENIED: bad key or quota."""
+
     exit_code = 4
 
 
@@ -25,37 +27,5 @@ class AnalysisError(RoadsenseError):
     exit_code = 5
 
 
-class OsmParseError(InputDataError):
-    """Malformed OSM XML; message includes line/column where available."""
-
-
-class MissingNodeError(InputDataError):
-    """A way references a node id absent from the document."""
-
-
-class CoordinateRangeError(InputDataError):
-    """A node's lat/lon falls outside the valid WGS84 range."""
-
-
 class DegenerateWayError(InputDataError):
     """A way too short (or too collapsed) to segment."""
-
-
-class SchemaError(InputDataError):
-    """A required CSV column or record field is missing."""
-
-
-class RowError(InputDataError):
-    """A CSV row or record holds a value outside the accepted vocabulary."""
-
-
-class KeyQuotaError(NetworkError):
-    """The imagery API keeps answering REQUEST_DENIED: bad key or quota."""
-
-
-class CollinearityError(AnalysisError):
-    """The regression design is rank deficient; names the offending column."""
-
-
-class InsufficientDataError(AnalysisError):
-    """Too few usable records for the requested statistic."""

@@ -12,7 +12,7 @@ from collections.abc import Callable, Iterable, Mapping, Sequence
 from contextlib import contextmanager
 from pathlib import Path
 
-from .errors import InputDataError, RowError, SchemaError
+from .errors import InputDataError
 
 
 @contextmanager
@@ -79,19 +79,19 @@ def read_table(path: str | Path, columns: Mapping[str, Callable], build: Callabl
         try:
             header = next(reader, None)
             if header is None:
-                raise SchemaError(f"{path}: no header row")
+                raise InputDataError(f"{path}: no header row")
             for col in columns:
                 if col not in header:
-                    raise SchemaError(f"{path}: line {reader.line_num}: "
-                                      f"missing required column: {col}")
+                    raise InputDataError(f"{path}: line {reader.line_num}: "
+                                         f"missing required column: {col}")
             fields = [(col, header.index(col), convert) for col, convert in columns.items()]
             out = []
             for row in reader:
                 if len(row) != len(header):
                     if not row:
                         continue
-                    raise RowError(f"{path}: line {reader.line_num}: expected "
-                                   f"{len(header)} fields, got {len(row)}")
+                    raise InputDataError(f"{path}: line {reader.line_num}: expected "
+                                         f"{len(header)} fields, got {len(row)}")
                 try:
                     values = [convert(row[i]) for _, i, convert in fields]
                 except ValueError:
@@ -99,16 +99,16 @@ def read_table(path: str | Path, columns: Mapping[str, Callable], build: Callabl
                         try:
                             convert(row[i])
                         except ValueError as e:
-                            raise RowError(f"{path}: line {reader.line_num}: "
-                                           f"column {col}: {e}") from e
+                            raise InputDataError(f"{path}: line {reader.line_num}: "
+                                                 f"column {col}: {e}") from e
                     raise
                 try:
                     out.append(build(*values))
                 except ValueError as e:
-                    raise RowError(f"{path}: line {reader.line_num}: {e}") from e
+                    raise InputDataError(f"{path}: line {reader.line_num}: {e}") from e
             return out
         except csv.Error as e:
-            raise RowError(f"{path}: line {reader.line_num}: {e}") from e
+            raise InputDataError(f"{path}: line {reader.line_num}: {e}") from e
         except UnicodeDecodeError as e:
             f.buffer.seek(0)
             for line, raw in enumerate(f.buffer, start=1):  # find the line
@@ -148,21 +148,21 @@ _ITEMS = {"a list of integers": int, "a list of strings": str}
 
 
 def json_typed(value, kind: str, where: str):
-    """value when it is of the JSON_KINDS ``kind``; otherwise a RowError
+    """value when it is of the JSON_KINDS ``kind``; otherwise an InputDataError
     ``<where>: expected <kind>, got <value>``."""
     item = _ITEMS.get(kind)
     if type(value) not in JSON_KINDS[kind] or item and any(type(v) is not item for v in value):
-        raise RowError(f"{where}: expected {kind}, got {value!r:.60}")
+        raise InputDataError(f"{where}: expected {kind}, got {value!r:.60}")
     return value
 
 
 def json_field(obj: dict, key: str, kind: str, where: str, default=...):
     """obj[key] checked by json_typed, where ``where`` is the prefix of the
     key with its separator (say ``<file>: line 5: node record: ``). An absent
-    key gives ``default``, or when there is none (``...``) a SchemaError
+    key gives ``default``, or when there is none (``...``) an InputDataError
     ``<where><key>: missing``."""
     if key not in obj:
         if default is ...:
-            raise SchemaError(f"{where}{key}: missing")
+            raise InputDataError(f"{where}{key}: missing")
         return default
     return json_typed(obj[key], kind, where + key)

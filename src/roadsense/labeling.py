@@ -104,7 +104,7 @@ def parse_labels(path: str | Path) -> list[LabelRecord]:
     markings_clear answer on a row that says markings_present = no is
     coerced to na (counted and logged): the question was not applicable.
     A markings_clear of na on a row that says markings_present = yes is a
-    RowError.
+    InputDataError.
     """
     known: dict[tuple[str, ...], tuple] = {}  # raw answer cells -> _answers(cells)
     n_coerced = 0

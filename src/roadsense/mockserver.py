@@ -25,6 +25,9 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from urllib.parse import parse_qs, urlparse
 
+from .errors import InputDataError
+from .fileio import json_typed, parse_json
+
 # a location key as the client formats it (streetview.format_location)
 _LOCATION = re.compile(r"-?[0-9]+\.[0-9]{7},-?[0-9]+\.[0-9]{7}")
 # smallest syntactically valid JPEG: SOI + EOI with a comment segment
@@ -102,9 +105,7 @@ class MockStreetViewServer(ThreadingHTTPServer):
     # listen backlog (the default of 5 costs a 1 s SYN retransmit)
     request_queue_size = 64
 
-    def __init__(self, fixture: dict | str | Path, port: int = 0):
-        if not isinstance(fixture, dict):
-            fixture = json.loads(Path(fixture).read_text(encoding="utf-8"))
+    def __init__(self, fixture: dict, port: int = 0):
         self.fixture = dict(fixture)
         default_entry = self.fixture.pop("__default__", None)
         self.default_status = (default_entry or {}).get("status", "ZERO_RESULTS")
@@ -149,7 +150,14 @@ def main(argv=None):
     parser.add_argument("fixture", help="JSON fixture file")
     parser.add_argument("--port", type=int, default=8787)
     args = parser.parse_args(argv)
-    server = MockStreetViewServer(args.fixture, port=args.port)
+    try:
+        fixture = json_typed(parse_json(Path(args.fixture).read_bytes(), args.fixture),
+                             "an object", args.fixture)
+        server = MockStreetViewServer(fixture, port=args.port)
+    except ValueError as e:  # a key that is not a location
+        parser.exit(2, f"error: {args.fixture}: {e}\n")
+    except (InputDataError, OSError) as e:
+        parser.exit(2, f"error: {e}\n")
     print(f"mock imagery API listening on {server.base_url}", flush=True)
     try:
         server.serve_forever()

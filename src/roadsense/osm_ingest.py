@@ -17,8 +17,7 @@ from itertools import islice
 from pathlib import Path
 from xml.parsers import expat
 
-from .errors import (CoordinateRangeError, InputDataError, MissingNodeError, OsmParseError,
-                     RowError)
+from .errors import InputDataError
 from .fileio import atomic_open, json_field, parse_json
 from .geometry import GeoPoint, check_coordinate
 
@@ -59,8 +58,8 @@ def parse_osm(path: str | Path, source_name: str = "") -> RoadNetwork:
     references are kept, in document order; until the ways are known all
     coordinates sit in compact arrays. Duplicate node ids follow
     last-definition-wins; a warning counts them over all nodes. A way
-    referencing a node id absent from the document raises MissingNodeError,
-    and a highway way that repeats an earlier one's id an InputDataError.
+    referencing a node id absent from the document, or a highway way that
+    repeats an earlier one's id, raises an InputDataError.
     """
     ids, lats, lons = array("q"), array("d"), array("d")
     ways: list[Way] = []
@@ -85,11 +84,11 @@ def parse_osm(path: str | Path, source_name: str = "") -> RoadNetwork:
                 nid, lat, lon = int(attrs["id"]), float(attrs["lat"]), float(attrs["lon"])
                 ids.append(nid)
             except (KeyError, ValueError, OverflowError) as e:
-                raise OsmParseError(f"node element missing/invalid id/lat/lon: {e}") from e
+                raise InputDataError(f"node element missing/invalid id/lat/lon: {e}") from e
             try:
                 check_coordinate(lat, lon)
             except ValueError as e:
-                raise CoordinateRangeError(f"node {nid}: {e}") from e
+                raise InputDataError(f"node {nid}: {e}") from e
             lats.append(lat)
             lons.append(lon)
         elif name == "way":
@@ -101,7 +100,7 @@ def parse_osm(path: str | Path, source_name: str = "") -> RoadNetwork:
                 wid = int(attrs["id"])
                 node_ids = tuple(int(ref) for ref in refs)
             except (KeyError, ValueError, TypeError) as e:
-                raise OsmParseError(f"way element missing/invalid id or nd ref: {e}") from e
+                raise InputDataError(f"way element missing/invalid id or nd ref: {e}") from e
             if wid in way_ids:
                 raise InputDataError(f"way {wid}: repeats the id of an earlier highway way")
             way_ids.add(wid)
@@ -114,13 +113,13 @@ def parse_osm(path: str | Path, source_name: str = "") -> RoadNetwork:
         with open(path, "rb") as f:
             parser.ParseFile(f)
     except expat.ExpatError as e:
-        raise OsmParseError(f"malformed OSM XML at line {e.lineno}, "
-                            f"column {e.offset}: {e}") from e
+        raise InputDataError(f"malformed OSM XML at line {e.lineno}, "
+                             f"column {e.offset}: {e}") from e
     except LookupError as e:  # the XML declaration names an encoding Python lacks
-        raise OsmParseError(f"malformed OSM XML at line {parser.CurrentLineNumber}: "
-                            f"{e}") from e
+        raise InputDataError(f"malformed OSM XML at line {parser.CurrentLineNumber}: "
+                             f"{e}") from e
     except InputDataError as e:  # raised by a handler, which does not know the line
-        raise type(e)(f"line {parser.CurrentLineNumber}: {e}") from e
+        raise InputDataError(f"line {parser.CurrentLineNumber}: {e}") from e
 
     referenced = {nid for way in ways for nid in way.node_ids}
     nodes: dict[int, GeoPoint] = {}
@@ -139,11 +138,11 @@ def parse_osm(path: str | Path, source_name: str = "") -> RoadNetwork:
 
 
 def _check_node_refs(network: RoadNetwork, source: str | Path) -> RoadNetwork:
-    """network, or a MissingNodeError for the first node reference it lacks."""
+    """network, or an InputDataError for the first node reference it lacks."""
     for way in network.ways:
         for nid in way.node_ids:
             if nid not in network.nodes:
-                raise MissingNodeError(f"way {way.id} references node {nid} absent from {source}")
+                raise InputDataError(f"way {way.id} references node {nid} absent from {source}")
     return network
 
 
@@ -210,10 +209,10 @@ def read_network(path: str | Path) -> RoadNetwork:
                 elif kind == "way":
                     refs = json_field(rec, "nodes", "a list of integers", where)
                     if len(refs) < 2:
-                        raise RowError(f"{where}nodes: holds fewer than 2 node ids")
+                        raise InputDataError(f"{where}nodes: holds fewer than 2 node ids")
                     wid = json_field(rec, "id", "an integer", where)
                     if wid in way_ids:
-                        raise RowError(f"{where}id: {wid} repeats an earlier way's id")
+                        raise InputDataError(f"{where}id: {wid} repeats an earlier way's id")
                     way_ids.add(wid)
                     ways.append(Way(
                         id=wid,
@@ -223,5 +222,5 @@ def read_network(path: str | Path) -> RoadNetwork:
                 else:
                     raise InputDataError(f"{path}: line {lineno}: unknown record type {kind!r}")
             except ValueError as e:  # GeoPoint names the coordinate out of range
-                raise CoordinateRangeError(f"{where}{e}") from e
+                raise InputDataError(f"{where}{e}") from e
     return _check_node_refs(RoadNetwork(nodes=nodes, ways=ways, source_name=source_name), path)

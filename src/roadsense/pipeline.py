@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 from . import __version__
-from .errors import ConfigError, InputDataError, RoadsenseError, RowError, SchemaError
+from .errors import ConfigError, InputDataError, RoadsenseError
 from .fileio import json_field, json_typed, parse_json, write_atomic
 from .osm_ingest import SAMPLED_ROAD_CLASSES, filter_roads, parse_osm, write_network
 from .sampler import sample_segments, write_plan_csv
@@ -165,23 +165,18 @@ def _write_manifest(config: RunConfig, out_dir: Path, osm_digest: str) -> None:
 
 def _is_up_to_date(config: RunConfig, out_dir: Path, osm_digest: str) -> bool:
     manifest_path = out_dir / MANIFEST_NAME
+    # an unreadable manifest or queries.csv is left to the stages' own rules
+    # (the fetch journal's, for queries.csv), and a lost image (or an OK row
+    # whose download failed) leaves the fetch to redo
     try:
         # out_dir naming and the key do not affect artifact content
         recorded = load_config(manifest_path, {"out_dir": config.out_dir})
         digest = parse_json(manifest_path.read_bytes(), manifest_path).get("osm_sha256")
+        return (recorded == replace(config, api_key=recorded.api_key) and digest == osm_digest
+                and all((out_dir / name).exists() for name in RUN_ARTIFACTS)
+                and all(is_final(r, out_dir) for r in read_queries_csv(out_dir / "queries.csv")))
     except (ConfigError, InputDataError, OSError):
         return False
-    if recorded != replace(config, api_key=recorded.api_key) or digest != osm_digest:
-        return False
-    if not all((out_dir / name).exists() for name in RUN_ARTIFACTS):
-        return False
-    # an unreadable queries.csv is left to the fetch journal's rules, and a
-    # lost image (or an OK row whose download failed) leaves the fetch to redo
-    try:
-        records = read_queries_csv(out_dir / "queries.csv")
-    except (SchemaError, RowError):
-        return False
-    return all(is_final(r, out_dir) for r in records)
 
 
 # Each stage function takes the settings (a RunConfig, or a stage command's

@@ -15,7 +15,7 @@ from functools import reduce
 from operator import add
 from pathlib import Path
 
-from .errors import DegenerateWayError
+from .errors import DegenerateWayError, InputDataError
 from .fileio import read_table, write_table
 from .geometry import GeoPoint, Polyline, haversine_m, interpolate
 from .osm_ingest import RoadNetwork, Way
@@ -155,12 +155,12 @@ def segment_shapes(segments: list[RoadSegment], network: RoadNetwork,
     for way_id in sorted({s.way_id for s in segments}):
         way = by_way.get(way_id)
         if way is None:
-            raise DegenerateWayError(f"way {way_id} not present in the network file")
+            raise InputDataError(f"way {way_id} not present in the network file")
         for idx, (piece, _) in enumerate(way_pieces(way, network, target_m)):
             shapes[f"{way_id}#{idx}"] = piece
     for s in segments:
         if s.segment_id not in shapes:
-            raise DegenerateWayError(
+            raise InputDataError(
                 f"segment {s.segment_id} not reproducible from the network "
                 f"at target {target_m} m")
     return [shapes[s.segment_id] for s in segments]

@@ -9,7 +9,7 @@ import logging
 import math
 from dataclasses import asdict, dataclass
 
-from .errors import InsufficientDataError
+from .errors import AnalysisError
 from .labeling import ATTRIBUTES, ConsensusLabel
 
 log = logging.getLogger(__name__)
@@ -68,7 +68,7 @@ def estimate_coverage(records: list) -> CoverageEstimate:
     usable = [r for r in records if r.status in (STATUS_OK, STATUS_ZERO_RESULTS)]
     excluded = len(records) - len(usable)
     if not usable:
-        raise InsufficientDataError(
+        raise AnalysisError(
             f"no usable records: {len(records)} total, all excluded")
     successes = sum(1 for r in usable if r.status == STATUS_OK)
     total = len(usable)
@@ -91,7 +91,7 @@ def summarize_city(consensus: list[ConsensusLabel], city: str) -> CitySummary:
     unconditional markings_present proportion.
     """
     if not consensus:
-        raise InsufficientDataError(f"no consensus labels for {city}")
+        raise AnalysisError(f"no consensus labels for {city}")
     proportions = {}
     # each attribute's column of verdicts; na counts nowhere: question not applicable
     for attr, column in zip(ATTRIBUTES, zip(*(c.verdicts for c in consensus))):

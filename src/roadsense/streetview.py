@@ -24,7 +24,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 from urllib.parse import quote, urlsplit
 
-from .errors import ConfigError, InputDataError, KeyQuotaError
+from .errors import ConfigError, InputDataError, NetworkError
 from .fileio import append_rows, json_typed, parse_json, read_table, write_atomic, write_table
 from .geometry import GeoPoint
 from .sampler import sample_points
@@ -432,7 +432,7 @@ def _fetch_window(to_fetch: list[tuple[int, str, GeoPoint]], config: RunConfig,
                     unchecked -= 1
                     denied += rec.status == STATUS_REQUEST_DENIED
                     if denied > 10:
-                        raise KeyQuotaError(
+                        raise NetworkError(
                             f"{denied} of the first {20 - unchecked} queries were "
                             "REQUEST_DENIED; check the API key and quota before continuing")
 

@@ -422,6 +422,21 @@ class TestRunPipeline:
             assert main(run_args(fixture_city_file, out_dir, server.base_url)) == 3
         assert "queries.csv: line" in capsys.readouterr().err
 
+    def test_rerun_over_a_queries_csv_that_is_not_utf8_exits_3_from_the_fetch_stage(
+            self, fixture_city_file, tmp_path, capsys):
+        # the up-to-date check leaves an unreadable journal to the fetch stage
+        xml = fixture_city_file.read_text()
+        plan = planned_points(xml, "fixtureville", set(SAMPLED_ROAD_CLASSES), 500.0, 12, 7)
+        out_dir = tmp_path / "rundir"
+        with MockStreetViewServer(fixture_for_plan(plan)) as server:
+            assert main(run_args(fixture_city_file, out_dir, server.base_url)) == 0
+            queries = out_dir / "queries.csv"
+            queries.write_bytes(queries.read_bytes() + b"\xff\xfe,bad\n")
+            capsys.readouterr()
+            assert main(run_args(fixture_city_file, out_dir, server.base_url)) == 3
+        assert capsys.readouterr().err == (
+            f"error: stage fetch: {queries}: line 14: not UTF-8 text (invalid start byte)\n")
+
     def test_manifest_reproduces_run_byte_identically(self, fixture_city_file, tmp_path):
         xml = fixture_city_file.read_text()
         plan = planned_points(xml, "fixtureville", set(SAMPLED_ROAD_CLASSES), 500.0, 12, 7)
@@ -1442,3 +1457,14 @@ def test_every_readme_command_parses(capsys):
             parser.parse_args(shlex.split(command)[1:])
         except SystemExit:
             pytest.fail(f"README command does not parse: {command}\n{capsys.readouterr().err}")
+
+
+def test_version_is_the_one_pyproject_declares(capsys):
+    # pyproject.toml is read with a regex: Python 3.10 has no tomllib
+    pyproject = (Path(__file__).resolve().parent.parent / "pyproject.toml").read_text()
+    project = pyproject.split("[project]\n", 1)[1].split("\n[", 1)[0]
+    declared = re.search(r'^version = "([^"]+)"$', project, re.M).group(1)
+    with pytest.raises(SystemExit) as exc:
+        main(["--version"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == f"{declared}\n"

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from oracles import aggregate_labels, score_label_workers
-from roadsense.errors import RowError, SchemaError
+from roadsense.errors import InputDataError
 from roadsense.labeling import (
     ATTRIBUTES,
     CONSENSUS_CSV_HEADER,
@@ -63,7 +63,7 @@ class TestParse:
         path = batch_csv([record("a0", "w0", "s0"),
                           record("a1", "w1", "s1", markings_present="yes",
                                  markings_clear="NA")])
-        with pytest.raises(RowError) as exc:
+        with pytest.raises(InputDataError, match="line 3: column Answer.markings_clear: ") as exc:
             parse_labels(path)
         assert str(exc.value).startswith(f"{path}: line 3: column Answer.markings_clear:")
         assert exc.value.exit_code == 3
@@ -71,14 +71,12 @@ class TestParse:
     def test_missing_column_schema_error(self, tmp_path):
         path = tmp_path / "batch.csv"
         path.write_text(HEADER.replace(",Answer.litter", "") + "\n")
-        with pytest.raises(SchemaError) as exc:
+        with pytest.raises(InputDataError, match="missing required column: Answer.litter$"):
             parse_labels(path)
-        assert "Answer.litter" in str(exc.value)
 
     def test_unknown_token_row_error(self, batch_csv):
-        with pytest.raises(RowError) as exc:
+        with pytest.raises(InputDataError, match=": line 2: column Answer.potholes: "):
             parse_labels(batch_csv([record("a1", "w1", "s1", potholes="maybe")]))
-        assert "line 2" in str(exc.value)
 
     def test_case_insensitive(self, batch_csv):
         records = parse_labels(batch_csv([record("a1", "w1", "s1", "YES", "No", "yes", "Yes",
@@ -345,7 +343,7 @@ class TestConsensusCsv:
     def test_missing_column(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("segment_id,potholes\ns1,yes\n")
-        with pytest.raises(SchemaError):
+        with pytest.raises(InputDataError, match="line 1: missing required column: cracks$"):
             read_consensus_csv(path)
 
     @pytest.mark.parametrize("column, value", [
@@ -357,7 +355,7 @@ class TestConsensusCsv:
         path = tmp_path / "consensus.csv"
         path.write_text(f"{CONSENSUS_CSV_HEADER}\n{','.join(cells.values())}\n"
                         f"{','.join({**cells, column: value}.values())}\n")
-        with pytest.raises(RowError) as exc:
+        with pytest.raises(InputDataError, match=f": line 3: column {column}: ") as exc:
             read_consensus_csv(path)
         assert str(exc.value).startswith(f"{path}: line 3: column {column}:")
         assert exc.value.exit_code == 3

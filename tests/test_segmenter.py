@@ -7,7 +7,7 @@ from operator import add
 import pytest
 
 from oracles import equator_lon_for_meters, polyline_length_m
-from roadsense.errors import DegenerateWayError
+from roadsense.errors import DegenerateWayError, InputDataError
 from roadsense.geometry import GeoPoint, Polyline
 from roadsense.osm_ingest import RoadNetwork, Way
 from roadsense.segmenter import (
@@ -258,9 +258,15 @@ class TestSegmentShapes:
         assert segment_shapes(picked, net, 500.0) == [pieces[2], pieces[0]]
 
     def test_missing_way_and_other_target(self):
+        # a mismatch between the segments and the network file is bad input,
+        # not a degenerate way, which chunk_network skips
         net = equatorial_network([1234.0])
         segs = chunk_way(net.ways[0], net, 500.0)
-        with pytest.raises(DegenerateWayError, match="way 100 not present"):
+        with pytest.raises(InputDataError,
+                           match="^way 100 not present in the network file$") as exc:
             segment_shapes(segs, equatorial_network([]), 500.0)
-        with pytest.raises(DegenerateWayError, match="segment 100#1 not reproducible"):
+        assert not isinstance(exc.value, DegenerateWayError)
+        with pytest.raises(InputDataError,
+                           match="^segment 100#1 not reproducible from the network ") as exc:
             segment_shapes(segs, net, 1000.0)
+        assert not isinstance(exc.value, DegenerateWayError)

@@ -17,7 +17,7 @@ import pytest
 
 import roadsense
 from roadsense.cli import main
-from roadsense.errors import InsufficientDataError, KeyQuotaError, RowError
+from roadsense.errors import AnalysisError, InputDataError, NetworkError
 from roadsense.geometry import GeoPoint
 from roadsense.mockserver import MockStreetViewServer, _Handler
 from roadsense.pipeline import RunConfig
@@ -35,6 +35,10 @@ from roadsense.streetview import (
 
 
 pytestmark = pytest.mark.usefixtures("no_backoff")
+
+# the exit-4 message of a REQUEST_DENIED storm among the first 20 queries
+DENIED_STORM = (r"^11 of the first 1[1-9] queries were REQUEST_DENIED; "
+                "check the API key and quota before continuing$")
 
 
 def fast_config(base_url, out_dir, **kw):
@@ -266,7 +270,7 @@ class TestFetchAll:
         fixture = {format_location(GeoPoint(*p)): {"status": "REQUEST_DENIED"}
                    for p in points}
         with MockStreetViewServer(fixture) as server:
-            with pytest.raises(KeyQuotaError):
+            with pytest.raises(NetworkError, match=DENIED_STORM):
                 fetch_all(plan_of_points(points),
                           fast_config(server.base_url, tmp_path))
 
@@ -303,7 +307,7 @@ class TestFetchAll:
         fixture = {format_location(GeoPoint(*p)): {"status": "REQUEST_DENIED"}
                    for p in points}
         with MockStreetViewServer(fixture) as server:
-            with pytest.raises(KeyQuotaError):
+            with pytest.raises(NetworkError, match=DENIED_STORM):
                 fetch_all(plan_of_points(points), fast_config(server.base_url, tmp_path))
             sent = set(server.requested_locations)
         journaled = {format_location(r.location)
@@ -385,7 +389,7 @@ class TestFetchAll:
         path = tmp_path / "queries.csv"
         path.write_text("segment_id,lat,lon,status,pano_id,capture_date,image_path,queried_at\n"
                         "0#0,north,0.0,ZERO_RESULTS,,,,t\n")
-        with pytest.raises(RowError, match="line 2"):
+        with pytest.raises(InputDataError, match=": line 2: column lat: "):
             fetch_all(plan_of_points([(0.0, 0.0)]), fast_config("http://127.0.0.1:9", tmp_path))
 
     @pytest.mark.parametrize("k", [1, 19, 20, 21, 150])
@@ -617,12 +621,11 @@ class TestMockServer:
         assert not server._thread.is_alive()
         assert server.request_count == 3
 
-    def test_a_fixture_key_that_is_not_a_location_is_an_error(self, tmp_path):
+    def test_a_fixture_key_that_is_not_a_location_is_an_error(self):
         # the benchmark stand-in's format: loaded here, it would answer every
         # location with ZERO_RESULTS
-        fixture = tmp_path / "fixture.json"
-        fixture.write_text(json.dumps({"default_status": "OK", "locations": {
-            format_location(GeoPoint(0.0, 0.1)): {"status": "OK"}}}))
+        fixture = {"default_status": "OK", "locations": {
+            format_location(GeoPoint(0.0, 0.1)): {"status": "OK"}}}
         with pytest.raises(ValueError, match="key 'default_status' is neither a location"):
             MockStreetViewServer(fixture)
         for key in ("0.0,0.1", "0.00000000,0.1000000", " 0.0000000,0.1000000"):
@@ -653,6 +656,24 @@ class TestMockServer:
                 server.terminate()  # SIGINT may be ignored where the tests run
                 server.wait(timeout=10)
         assert len(read_queries_csv(tmp_path / "run" / "queries.csv")) == 5
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"__default__": {"status": "OK"}', "line 1 column 33: not valid JSON"),
+        ('{"0.0,0.1": {"status": "OK"}}', "mock fixture key '0.0,0.1' is neither a location"),
+        ("[]", "expected an object, got []"),
+    ], ids=["bad-json", "bad-key", "not-an-object"])
+    def test_module_refuses_a_bad_fixture_file_with_one_error_line(self, tmp_path, text,
+                                                                   message):
+        fixture = tmp_path / "fixture.json"
+        fixture.write_text(text)
+        env = dict(os.environ, PYTHONPATH=str(Path(roadsense.__file__).resolve().parent.parent))
+        done = subprocess.run([sys.executable, "-m", "roadsense.mockserver", str(fixture),
+                               "--port", "0"], env=env, capture_output=True, text=True,
+                              timeout=30)
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert done.stderr.startswith(f"error: {fixture}: ")
+        assert message in done.stderr and done.stderr.count("\n") == 1
 
 
 class TestQueriesCsv:
@@ -732,7 +753,7 @@ class TestCoverage:
         assert a == b
 
     def test_no_usable_records(self):
-        with pytest.raises(InsufficientDataError):
+        with pytest.raises(AnalysisError, match="^no usable records: 3 total, all excluded$"):
             estimate_coverage(self.make_records(ok=0, zero=0, transport=3))
 
     def test_interval_brackets_proportion(self):
