@@ -22,7 +22,6 @@ from .osm_ingest import SAMPLED_ROAD_CLASSES
 
 log = logging.getLogger(__name__)
 
-ROAD_CLASS_LEVELS = tuple(sorted(SAMPLED_ROAD_CLASSES))
 ROAD_CLASS_BASELINE = "tertiary"
 
 PIVOT_TOLERANCE = 1e-10
@@ -152,7 +151,7 @@ def build_design(rows: list[dict], factors: list[str],
     names = ["intercept"]
     for factor in factors:
         if factor == "road_class":
-            levels = ROAD_CLASS_LEVELS
+            levels = SAMPLED_ROAD_CLASSES
             baselines.setdefault(factor, ROAD_CLASS_BASELINE)
             for row in rows:
                 if row[factor] not in levels:

@@ -35,7 +35,7 @@ from .pipeline import (
 )
 from .sampler import sample_points
 from .segmenter import read_segments_csv, segment_shapes, skipped_ways
-from .streetview import read_queries_csv
+from .streetview import STATUS_OK, read_queries_csv
 
 log = logging.getLogger("roadsense.cli")  # not __main__ under python -m
 
@@ -73,7 +73,7 @@ def cmd_fetch(args) -> int:
     plan = read_segments_csv(args.plan)
     args.api_key = api_key_or_env(args.api_key)
     records = fetch(args, plan, Path(args.out_dir) / "queries.csv")
-    n_ok = sum(1 for r in records if r.status == stats.STATUS_OK)
+    n_ok = sum(1 for r in records if r.status == STATUS_OK)
     print(f"{args.out_dir}/queries.csv: {len(records)} records, {n_ok} OK")
     return 0
 
@@ -299,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("summarize", help="per-city condition proportions")
     p.add_argument("--consensus", required=True)
-    p.add_argument("--city", required=True)
+    _add_setting(p, "city", required=True)
     p.add_argument("--csv", default=None)
     p.add_argument("--journey-km", type=float, default=None,
                    help="also report expected potholes over this journey")

@@ -68,11 +68,12 @@ def append_rows(path: str | Path, header: Sequence[str]):
         yield append
 
 
-def read_table(path: str | Path, columns: Mapping[str, Callable], build: Callable) -> list:
+def read_table(path: str | Path, columns: Mapping[str, Callable], build: Callable,
+               key: str | None = None) -> list:
     """Rows of the CSV table at path, read as UTF-8 with or without a
     byte-order mark, as ``build(*values)``, where ``columns`` maps each
     required column to the converter of its values. Other columns and blank
-    lines are skipped.
+    lines are skipped; a value repeated in the column ``key`` is an error.
     """
     with open(path, encoding="utf-8-sig", newline="") as f:
         reader = csv.reader(f)
@@ -85,6 +86,8 @@ def read_table(path: str | Path, columns: Mapping[str, Callable], build: Callabl
                     raise InputDataError(f"{path}: line {reader.line_num}: "
                                          f"missing required column: {col}")
             fields = [(col, header.index(col), convert) for col, convert in columns.items()]
+            at = header.index(key) if key else None
+            seen: dict[str, int] = {}   # each value in the column `key` -> its line
             out = []
             for row in reader:
                 if len(row) != len(header):
@@ -106,6 +109,9 @@ def read_table(path: str | Path, columns: Mapping[str, Callable], build: Callabl
                     out.append(build(*values))
                 except ValueError as e:
                     raise InputDataError(f"{path}: line {reader.line_num}: {e}") from e
+                if key and (first := seen.setdefault(row[at], reader.line_num)) < reader.line_num:
+                    raise InputDataError(f"{path}: line {reader.line_num}: {key} {row[at]} "
+                                         f"repeats line {first}")
             return out
         except csv.Error as e:
             raise InputDataError(f"{path}: line {reader.line_num}: {e}") from e

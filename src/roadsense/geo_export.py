@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 
+from .sampler import sample_points
 from .segmenter import RoadSegment
 
 
@@ -17,9 +18,9 @@ def _coord(p) -> str:
     return f"[{p.lon:.7f},{p.lat:.7f}]"
 
 
-def _feature(segment: RoadSegment, rank: int, shape) -> str:
+def _feature(segment: RoadSegment, rank: int, point, shape) -> str:
     if shape is None:
-        geometry = f'{{"type":"Point","coordinates":{_coord(segment.start)}}}'
+        geometry = f'{{"type":"Point","coordinates":{_coord(point)}}}'
     else:
         coords = ",".join(_coord(p) for p in shape)
         geometry = f'{{"type":"LineString","coordinates":[{coords}]}}'
@@ -30,11 +31,9 @@ def _feature(segment: RoadSegment, rank: int, shape) -> str:
 
 
 def export_geojson(plan: list[RoadSegment], shapes: list | None = None) -> str:
-    """FeatureCollection of the plan: start points or, given each segment's
-    shape (segmenter.segment_shapes), lines."""
-    features = ",\n".join(_feature(s, rank, shapes[rank] if shapes else None)
-                          for rank, s in enumerate(plan))
-    if features:
-        return ('{"type":"FeatureCollection","features":[\n'
-                + features + "\n]}\n")
-    return '{"type":"FeatureCollection","features":[]}\n'
+    """FeatureCollection of the plan: the points sampler.sample_points queries
+    or, given each segment's shape (segmenter.segment_shapes), lines."""
+    features = ",\n".join(_feature(s, rank, point, shapes[rank] if shapes else None)
+                          for rank, (s, (_, point)) in enumerate(zip(plan, sample_points(plan))))
+    return ('{"type":"FeatureCollection","features":['
+            + (f"\n{features}\n" if features else "") + "]}\n")

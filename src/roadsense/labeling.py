@@ -41,8 +41,7 @@ _VERDICTS = dict.fromkeys(ATTRIBUTES, frozenset({"yes", "no", "unresolved"})) | 
 DEFAULT_AGREEMENT_THRESHOLD = 0.6
 MIN_SCORED_OVERLAP = 10
 
-CONSENSUS_CSV_HEADER = ("segment_id,potholes,cracks,markings_present,"
-                        "markings_clear,litter,sidewalk_paved,n_workers")
+CONSENSUS_CSV_HEADER = ",".join(("segment_id", *ATTRIBUTES, "n_workers"))
 
 
 class LabelRecord(NamedTuple):
@@ -254,4 +253,4 @@ def _verdict(allowed: frozenset, raw: str) -> str:
 def read_consensus_csv(path: str | Path) -> list[ConsensusLabel]:
     return read_table(path, {"segment_id": str}
                       | {a: partial(_verdict, _VERDICTS[a]) for a in ATTRIBUTES}
-                      | {"n_workers": int}, _consensus)
+                      | {"n_workers": int}, _consensus, key="segment_id")

@@ -12,8 +12,8 @@ exactly as the client formats them) to canned metadata responses, e.g.
 ``fail_first: N`` makes the first N metadata hits for that location fail
 with HTTP 503, for exercising retry behavior. Locations absent from the
 fixture answer with ``default_status`` (ZERO_RESULTS unless overridden by
-a "__default__" entry); any other key is a ValueError. A 1x1 JPEG is served
-as the image of an OK location.
+a "__default__" entry); any other key or a value of another form is a
+ValueError. A 1x1 JPEG is served as the image of an OK location.
 """
 
 from __future__ import annotations
@@ -107,11 +107,15 @@ class MockStreetViewServer(ThreadingHTTPServer):
 
     def __init__(self, fixture: dict, port: int = 0):
         self.fixture = dict(fixture)
-        default_entry = self.fixture.pop("__default__", None)
-        self.default_status = (default_entry or {}).get("status", "ZERO_RESULTS")
+        default_entry = self.fixture.pop("__default__", {})
         if bad := [key for key in self.fixture if not _LOCATION.fullmatch(key)]:
             raise ValueError(f"mock fixture key {bad[0]!r} is neither a location "
                              "'lat,lon' with 7 decimals nor '__default__'")
+        for key, entry in fixture.items():
+            if type(entry) is not dict or type(entry.get("fail_first", 0)) is not int:
+                raise ValueError(f"mock fixture value of {key!r} must be an object whose "
+                                 f"fail_first, if any, is an integer, got {entry!r:.60}")
+        self.default_status = default_entry.get("status", "ZERO_RESULTS")
         self.request_count = 0
         self.requested_locations: list[str] = []
         self.failure_hits: dict[str, int] = {}
@@ -154,7 +158,7 @@ def main(argv=None):
         fixture = json_typed(parse_json(Path(args.fixture).read_bytes(), args.fixture),
                              "an object", args.fixture)
         server = MockStreetViewServer(fixture, port=args.port)
-    except ValueError as e:  # a key that is not a location
+    except ValueError as e:  # a key or a value the fixture format refuses
         parser.exit(2, f"error: {args.fixture}: {e}\n")
     except (InputDataError, OSError) as e:
         parser.exit(2, f"error: {e}\n")

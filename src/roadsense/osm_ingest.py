@@ -23,9 +23,9 @@ from .geometry import GeoPoint, check_coordinate
 
 log = logging.getLogger(__name__)
 
-# The road classes the sampling frame focuses on. Any other highway tag
-# value is kept in the network but treated as an "other" class.
-SAMPLED_ROAD_CLASSES = frozenset({"trunk", "primary", "secondary", "tertiary"})
+# The road classes the sampling frame focuses on, sorted. Any other highway
+# tag value is kept in the network but treated as an "other" class.
+SAMPLED_ROAD_CLASSES = ("primary", "secondary", "tertiary", "trunk")
 
 
 @dataclass(frozen=True, slots=True)

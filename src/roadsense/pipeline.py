@@ -22,8 +22,8 @@ from . import __version__
 from .errors import ConfigError, InputDataError, RoadsenseError
 from .fileio import json_field, json_typed, parse_json, write_atomic
 from .osm_ingest import SAMPLED_ROAD_CLASSES, filter_roads, parse_osm, write_network
-from .sampler import sample_segments, write_plan_csv
-from .segmenter import chunk_network, skipped_ways, write_segments_csv
+from .sampler import sample_segments
+from .segmenter import chunk_network, skipped_ways, write_plan_csv, write_segments_csv
 from .stats import coverage_json, estimate_coverage
 from .streetview import DEFAULT_BASE_URL, _server_of, fetch_all, is_final, read_queries_csv
 
@@ -75,7 +75,7 @@ class RunConfig:
     city: str = ""
     osm_path: str = ""
     out_dir: str = ""
-    classes: tuple = tuple(sorted(SAMPLED_ROAD_CLASSES))
+    classes: tuple = SAMPLED_ROAD_CLASSES
     target_m: float = 500.0
     sample_n: int = 1000
     seed: int = 0

@@ -12,11 +12,9 @@ plans anywhere.
 from __future__ import annotations
 
 import logging
-from pathlib import Path
 
-from .fileio import write_table
 from .geometry import GeoPoint
-from .segmenter import SEGMENTS_CSV_HEADER, RoadSegment, _segment_row
+from .segmenter import RoadSegment
 
 log = logging.getLogger(__name__)
 
@@ -69,13 +67,3 @@ def sample_segments(population: list[RoadSegment], n: int, seed: int) -> list[Ro
 def sample_points(plan: list[RoadSegment]) -> list[tuple[str, GeoPoint]]:
     """Start points of the sampled segments, in plan order."""
     return [(s.segment_id, s.start) for s in plan]
-
-
-PLAN_CSV_HEADER = SEGMENTS_CSV_HEADER + ",sample_rank"
-
-
-def write_plan_csv(plan: list[RoadSegment], path: str | Path) -> None:
-    """plan.csv: segments.csv's columns plus each segment's draw rank, which
-    read_segments_csv skips when it reads the plan back."""
-    write_table(path, PLAN_CSV_HEADER.split(","),
-                (_segment_row(s) + [str(rank)] for rank, s in enumerate(plan)))

@@ -23,6 +23,7 @@ from .osm_ingest import RoadNetwork, Way
 
 SEGMENTS_CSV_HEADER = ("segment_id,way_id,index,start_lat,start_lon,"
                        "end_lat,end_lon,length_m,highway_class,city")
+PLAN_CSV_HEADER = SEGMENTS_CSV_HEADER + ",sample_rank"
 
 
 @dataclass(frozen=True, slots=True)
@@ -170,6 +171,13 @@ def write_segments_csv(segments: list[RoadSegment], path: str | Path) -> None:
     write_table(path, SEGMENTS_CSV_HEADER.split(","), map(_segment_row, segments))
 
 
+def write_plan_csv(plan: list[RoadSegment], path: str | Path) -> None:
+    """plan.csv: segments.csv's columns plus each segment's draw rank, which
+    read_segments_csv skips when it reads the plan back."""
+    write_table(path, PLAN_CSV_HEADER.split(","),
+                (_segment_row(s) + [str(rank)] for rank, s in enumerate(plan)))
+
+
 def _segment_row(s: RoadSegment) -> list[str]:
     return [
         s.segment_id,
@@ -198,6 +206,6 @@ def _segment(segment_id, way_id, index, lat0, lon0, lat1, lon1, *rest) -> RoadSe
 
 
 def read_segments_csv(path: str | Path) -> list[RoadSegment]:
-    """Read segments back from CSV, which holds no interior vertices:
-    segment_shapes re-chunks the network file for them."""
-    return read_table(path, _SEGMENT_COLUMNS, _segment)
+    """Segments of segments.csv or plan.csv, each id once. CSV holds no
+    interior vertices: segment_shapes re-chunks the network file for them."""
+    return read_table(path, _SEGMENT_COLUMNS, _segment, key="segment_id")

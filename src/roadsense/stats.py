@@ -11,15 +11,12 @@ from dataclasses import asdict, dataclass
 
 from .errors import AnalysisError
 from .labeling import ATTRIBUTES, ConsensusLabel
+from .streetview import STATUS_OK, STATUS_ZERO_RESULTS
 
 log = logging.getLogger(__name__)
 
 WILSON_Z = 1.959964
 DEFAULT_CAPTURE_KM = 0.5  # km of road per photo, for expected_incidents
-
-# the statuses the coverage estimate counts; streetview records them
-STATUS_OK = "OK"
-STATUS_ZERO_RESULTS = "ZERO_RESULTS"
 
 # display order and names follow the condition summary table
 SUMMARY_COLUMNS = (

@@ -29,7 +29,6 @@ from .fileio import append_rows, json_typed, parse_json, read_table, write_atomi
 from .geometry import GeoPoint
 from .sampler import sample_points
 from .segmenter import RoadSegment
-from .stats import STATUS_OK, STATUS_ZERO_RESULTS
 
 if TYPE_CHECKING:  # pipeline imports this module
     from .pipeline import RunConfig
@@ -41,6 +40,9 @@ IMAGE_SIZE = "640x640"  # the API's largest image
 TIMEOUT_S = 10.0        # per connect and per read
 BACKOFF_S = 0.5         # the first retry's wait; each further retry doubles it
 
+# what a query records, besides TRANSPORT_ERROR(code); coverage counts the first two
+STATUS_OK = "OK"
+STATUS_ZERO_RESULTS = "ZERO_RESULTS"
 STATUS_REQUEST_DENIED = "REQUEST_DENIED"
 
 QUERIES_CSV_HEADER = "segment_id,lat,lon,status,pano_id,capture_date,image_path,queried_at"
@@ -118,23 +120,15 @@ class TokenBucket:
             time.sleep(wait)
 
 
-# Errors of a reply the client cannot read. Each is an OSError, and its class
-# name is its TRANSPORT_ERROR code; where http.client names the condition,
-# the name is http.client's.
-class BadStatusLine(OSError):
-    """The reply does not start with an HTTP status line."""
+class ReplyError(OSError):
+    """A reply the client cannot read. Its code, recorded as TRANSPORT_ERROR(code),
+    is http.client's name for the defect: BadStatusLine (no HTTP status line),
+    IncompleteRead (an early end, or a chunk size not hexadecimal), LineTooLong
+    (status line or header fields past 64 KiB) or BadContentLength."""
 
-
-class IncompleteRead(OSError):
-    """The reply ends early, or a chunk size is not hexadecimal."""
-
-
-class LineTooLong(OSError):
-    """The status line or the header fields exceed 64 KiB."""
-
-
-class BadContentLength(OSError):
-    """Content-Length is not a decimal number."""
+    def __init__(self, code: str, detail: str):
+        super().__init__(detail)
+        self.code = code
 
 
 class RemoteDisconnected(ConnectionResetError):
@@ -146,13 +140,13 @@ _CHUNK_SIZE = re.compile(rb"[0-9A-Fa-f]{1,16}")
 
 
 class _Connection:
-    """One keep-alive HTTP/1.1 connection to the server of a base URL. It
-    connects on its first GET, and again on the first GET after a close().
-    Replies are read into one buffer; a body is framed by chunked transfer
-    coding, else by Content-Length, else by the end of the stream."""
+    """One keep-alive HTTP/1.1 connection to a server as _server_of gives
+    it. It connects on its first GET, and again on the first GET after a
+    close(). Replies are read into one buffer; a body is framed by chunked
+    transfer coding, else by Content-Length, else by the end of the stream."""
 
-    def __init__(self, base_url: str, context=None):
-        scheme, self.host, port, path = _server_of(base_url)
+    def __init__(self, server: tuple[str, str, int | None, str], context=None):
+        scheme, self.host, port, path = server
         default_port = 443 if scheme == "https" else 80
         self.address = (self.host, port or default_port)
         self.context = context   # an ssl.SSLContext for https
@@ -203,12 +197,14 @@ class _Connection:
             self.close()
             raise
 
-    def _more(self, eof_error: type[OSError]) -> None:
-        """Receive more of the reply. At the end of the stream, raise
-        eof_error, or RemoteDisconnected while no byte of the reply has come."""
+    def _more(self, eof_code: str) -> None:
+        """Receive more of the reply. At the end of the stream, raise a
+        ReplyError of eof_code, or RemoteDisconnected while no byte of the
+        reply has come."""
         data = self.sock.recv(65536)
         if not data:
-            raise (eof_error if self.received else RemoteDisconnected)("connection closed")
+            raise (ReplyError(eof_code, "connection closed") if self.received
+                   else RemoteDisconnected("connection closed"))
         self.received = True
         self.buf += data
 
@@ -220,18 +216,18 @@ class _Connection:
         while status < 200:   # skip interim replies (100 Continue) and their fields
             while (eol := buf.find(b"\r\n")) < 0:
                 if len(buf) > _MAX_HEAD:
-                    raise LineTooLong("status line")
-                self._more(BadStatusLine)
+                    raise ReplyError("LineTooLong", "status line")
+                self._more("BadStatusLine")
             version, _, rest = bytes(buf[:eol]).partition(b" ")
             code = rest[:3]
             if not (version.startswith(b"HTTP/") and code.isdigit() and len(code) == 3
                     and rest[3:4] in (b"", b" ")):
-                raise BadStatusLine("not an HTTP status line")
+                raise ReplyError("BadStatusLine", "not an HTTP status line")
             status = int(code)
             while (end := buf.find(b"\r\n\r\n", eol)) < 0:
                 if len(buf) > _MAX_HEAD:
-                    raise LineTooLong("header fields")
-                self._more(IncompleteRead)
+                    raise ReplyError("LineTooLong", "header fields")
+                self._more("IncompleteRead")
             fields = {}
             for line in bytes(buf[eol + 2:end]).split(b"\r\n"):
                 name, _, value = line.partition(b":")
@@ -249,10 +245,10 @@ class _Connection:
             body = self._read_chunked()
         elif (length := fields.get(b"content-length")) is not None:
             if not length.isdigit():
-                raise BadContentLength(repr(length[:20]))
+                raise ReplyError("BadContentLength", repr(length[:20]))
             n = int(length)
             while len(buf) < n:
-                self._more(IncompleteRead)
+                self._more("IncompleteRead")
             body = bytes(buf[:n])
             del buf[:n]
         else:   # the body ends with the stream
@@ -269,19 +265,19 @@ class _Connection:
         body = bytearray()
         while True:
             while (eol := buf.find(b"\r\n")) < 0:
-                self._more(IncompleteRead)
+                self._more("IncompleteRead")
             size = buf[:eol].partition(b";")[0].strip()
             if not _CHUNK_SIZE.fullmatch(size):
-                raise IncompleteRead("bad chunk size")
+                raise ReplyError("IncompleteRead", "bad chunk size")
             size = int(size, 16)
             if not size:   # the last chunk: skip the trailer up to its blank line
                 while (end := buf.find(b"\r\n\r\n", eol)) < 0:
-                    self._more(IncompleteRead)
+                    self._more("IncompleteRead")
                 del buf[:end + 4]
                 return bytes(body)
             start = eol + 2
             while len(buf) < start + size + 2:
-                self._more(IncompleteRead)
+                self._more("IncompleteRead")
             body += buf[start:start + size]
             del buf[:start + size + 2]
 
@@ -293,8 +289,8 @@ def _now_utc() -> str:
 def _get_with_retries(conn: _Connection, target: str, config: RunConfig,
                       bucket: TokenBucket) -> tuple[int | str, bytes]:
     """GET with exponential backoff: the status and body of the first reply
-    below 500 or, once the retries run out, the last failure's code and no
-    body. The code of a failed transport is its exception's class name."""
+    below 500 or, once the retries run out, the last failure's code (a
+    ReplyError's own, else the exception's class name) and no body."""
     code: int | str = "unreachable"
     for attempt in range(config.retries + 1):
         if attempt:
@@ -303,7 +299,7 @@ def _get_with_retries(conn: _Connection, target: str, config: RunConfig,
         try:
             code, body = conn.get(target)
         except OSError as e:
-            code = type(e).__name__
+            code = e.code if isinstance(e, ReplyError) else type(e).__name__
             continue
         if code < 500:
             return code, body
@@ -407,8 +403,9 @@ def _fetch_window(to_fetch: list[tuple[int, str, GeoPoint]], config: RunConfig,
     KeyboardInterrupt inside join() can mark a running thread as finished
     (bpo-45274), so that the next join() returns before its record is kept.
     """
+    server = _server_of(config.base_url)
     context = None
-    if _server_of(config.base_url)[0] == "https":
+    if server[0] == "https":
         import ssl  # loaded only for TLS
         context = ssl.create_default_context()
     bucket = TokenBucket(config.rate_per_s)
@@ -424,15 +421,17 @@ def _fetch_window(to_fetch: list[tuple[int, str, GeoPoint]], config: RunConfig,
     with append_rows(journal_path, QUERIES_CSV_HEADER.split(",")) as append:
 
         def keep(idx: int, rec: QueryRecord) -> None:
-            nonlocal unchecked, denied
+            nonlocal unchecked, denied, stop, error
             with lock:
                 records[idx] = rec
                 append((_query_row(rec),))
-                if unchecked:
+                # once stopped, no record counts, so the 11th denial is the one named
+                if unchecked and not stop:
                     unchecked -= 1
                     denied += rec.status == STATUS_REQUEST_DENIED
                     if denied > 10:
-                        raise NetworkError(
+                        stop = True
+                        error = NetworkError(
                             f"{denied} of the first {20 - unchecked} queries were "
                             "REQUEST_DENIED; check the API key and quota before continuing")
 
@@ -445,7 +444,7 @@ def _fetch_window(to_fetch: list[tuple[int, str, GeoPoint]], config: RunConfig,
                     if item is None:
                         break
                     keep(item[0], _fetch_one(*item[1:], config, bucket, conn))
-            except BaseException as e:  # the main thread re-raises the first
+            except BaseException as e:  # unexpected; the main thread re-raises the first
                 with lock:
                     stop = True
                     error = error or e
@@ -462,7 +461,7 @@ def _fetch_window(to_fetch: list[tuple[int, str, GeoPoint]], config: RunConfig,
             # below zero)
             with lock:
                 for _ in range(min(config.max_concurrency, len(to_fetch))):
-                    conn = _Connection(config.base_url, context)
+                    conn = _Connection(server, context)
                     threading.Thread(target=worker, args=(conn,), daemon=True).start()
                     running += 1
                 stop = False

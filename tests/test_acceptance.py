@@ -24,8 +24,8 @@ from roadsense.labeling import aggregate, parse_labels, tally
 from roadsense.mockserver import MockStreetViewServer
 from roadsense.osm_ingest import SAMPLED_ROAD_CLASSES, RoadNetwork, Way, filter_roads, parse_osm
 from roadsense.pipeline import MANIFEST_NAME, RUN_ARTIFACTS
-from roadsense.sampler import sample_segments, write_plan_csv
-from roadsense.segmenter import chunk_network, chunk_way
+from roadsense.sampler import sample_segments
+from roadsense.segmenter import chunk_network, chunk_way, write_plan_csv
 from roadsense.stats import expected_incidents, summarize_city
 from roadsense.streetview import format_location
 from test_sampler import make_population

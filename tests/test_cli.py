@@ -32,8 +32,14 @@ from roadsense.pipeline import (
     load_config,
     run_pipeline,
 )
-from roadsense.sampler import PLAN_CSV_HEADER, sample_segments, write_plan_csv
-from roadsense.segmenter import SEGMENTS_CSV_HEADER, chunk_network, read_segments_csv
+from roadsense.sampler import sample_segments
+from roadsense.segmenter import (
+    PLAN_CSV_HEADER,
+    SEGMENTS_CSV_HEADER,
+    chunk_network,
+    read_segments_csv,
+    write_plan_csv,
+)
 from roadsense.streetview import QUERIES_CSV_HEADER, format_location, read_queries_csv
 
 LABEL_HEADER = ("AssignmentId,WorkerId,Input.segment_id,Answer.potholes,Answer.cracks,"
@@ -622,6 +628,7 @@ BAD_STAGE_SETTINGS = [
     ("fetch", "out_dir", ""),
     *(("fetch", "rate_per_s", v) for v in ("0", "-1", "nan")),
     ("fetch", "max_concurrency", "0"),
+    ("summarize", "city", ""),
     ("fetch", "retries", "-1"),
     *(("fetch", "base_url", v) for v in (
         "maps.googleapis.com", "127.0.0.1:8080", "ftp://x", "http://", "http://h:port",
@@ -638,10 +645,12 @@ class TestStageSettings:
                              ids=[f"{c}-{n}={v!r}" for c, n, v in BAD_STAGE_SETTINGS])
     def test_bad_setting_exits_2_with_runs_message_before_any_work(
             self, fixture_city_file, tmp_path, capsys, monkeypatch, command, name, value):
-        net, segments, plan = (tmp_path / f for f in ("net.ndjson", "s.csv", "p.csv"))
+        net, segments, plan, consensus = (tmp_path / f for f in
+                                          ("net.ndjson", "s.csv", "p.csv", "c.csv"))
         main(["ingest", "--osm", str(fixture_city_file), "--city", "f", "--out", str(net)])
         main(["segment", "--network", str(net), "--out", str(segments)])
         main(["sample", "--segments", str(segments), "--n", "2", "--out", str(plan)])
+        consensus.write_text(f"{CONSENSUS_CSV_HEADER}\np0,yes,no,yes,yes,no,yes,1\n")
         capsys.readouterr()
         out = tmp_path / "out"
         cwd = tmp_path / "cwd"  # where an empty path would write
@@ -658,6 +667,7 @@ class TestStageSettings:
                 "sample": ["--segments", segments, "--n", "2", "--out", out],
                 "fetch": ["--plan", plan, "--out-dir", out, "--api-key", "k",
                           "--base-url", server.base_url],
+                "summarize": ["--consensus", consensus, "--csv", out],
             }[command]
             assert main([command, *map(str, inputs), *options, flag, value]) == 2
             err = capsys.readouterr().err
@@ -675,11 +685,8 @@ class TestStageSettings:
         for command, p in commands.choices.items():
             if command == "run":  # run checks its settings in load_config
                 continue
-            # a flag named like a setting is one (added by _add_setting), except
-            # the --city that names the input of summarize
+            # a flag named like a setting is one (added by _add_setting)
             named = {a.dest for a in p._actions if a.dest in SETTINGS}
-            if command == "summarize":
-                named.remove("city")
             # main checks the settings a command took before it runs
             taken = set(p.get_default("settings") or ())
             assert taken == named, command

@@ -67,6 +67,14 @@ class TestReadTable:
         assert read_table(path, {"a": str, "b": int}, lambda a, b: (a, b)) == [
             ("one", 2), ("two", 3)]
 
+    def test_a_key_value_once_per_table(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("a,b\nx,1\ny,2\nx,3\n")
+        assert read_table(path, {"a": str, "b": int}, lambda a, b: (a, b)) == [
+            ("x", 1), ("y", 2), ("x", 3)]
+        with pytest.raises(InputDataError, match=r"t\.csv: line 4: a x repeats line 2$"):
+            read_table(path, {"a": str, "b": int}, lambda a, b: (a, b), key="a")
+
     def test_long_row(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text("a,b\n1,2\n1,2,3\n")
@@ -110,6 +118,12 @@ MALFORMED = {
     "not_utf8": (_segments, (SEGMENTS_CSV_HEADER + "\n" + SEGMENT_ROW + "\n").encode()
                  + SEGMENT_ROW.replace("bangkok", "bangk\xf6k").encode("latin-1") + b"\n",
                  "segments.csv: line 3: not UTF-8"),
+    "repeated_segment_id": (_segments, SEGMENTS_CSV_HEADER + "\n" + SEGMENT_ROW + "\n\n"
+                            + SEGMENT_ROW.replace("100.5000000", "100.6000000") + "\n",
+                            "segments.csv: line 4: segment_id 1#0 repeats line 2"),
+    "repeated_consensus_id": (_consensus, CONSENSUS_HEADER + "\ns1,yes,no,yes,yes,no,yes,1\n"
+                              + "s1,no,no,yes,yes,no,yes,1\n",
+                              "consensus.csv: line 3: segment_id s1 repeats line 2"),
     "label_short_row": (_labels, LABEL_HEADER + "\na1,w1,s1,yes,no,yes,yes,no\n",
                         "batch.csv: line 2: expected 9 fields, got 8"),
 }

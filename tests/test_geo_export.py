@@ -5,6 +5,7 @@ import random
 import string
 from dataclasses import replace
 
+from roadsense import geo_export
 from roadsense.fileio import write_table
 from roadsense.geo_export import export_geojson
 from roadsense.geometry import GeoPoint
@@ -37,6 +38,14 @@ class TestGeojson:
         assert feat["geometry"]["coordinates"] == [100.5, 13.0]
         assert feat["properties"]["segment_id"] == "0#0"
         assert feat["properties"]["city"] == "bangkok"
+
+    def test_each_point_is_the_one_sample_points_gives(self, monkeypatch):
+        # fetch queries the points of sample_points; export draws the same ones
+        moved = [(f"{i}#0", GeoPoint(-1.0 - i, 2.0)) for i in range(2)]
+        monkeypatch.setattr(geo_export, "sample_points", lambda plan: moved)
+        doc = json.loads(export_geojson(make_plan(2)))
+        assert [f["geometry"]["coordinates"] for f in doc["features"]] == [
+            [2.0, -1.0], [2.0, -2.0]]
 
     def test_lines_mode_full_shape(self):
         doc = json.loads(export_geojson(make_plan(1), [shape(0)]))

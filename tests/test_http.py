@@ -149,6 +149,14 @@ class TestFraming:
             records = fetch(server, tmp_path, retries=0)
         assert [r.status for r in records] == ["TRANSPORT_ERROR(IncompleteRead)"] * 2
 
+    @pytest.mark.parametrize("head", [b"HTTP/1.1 200 OK" + b"x" * 70000,
+                                      b"HTTP/1.1 200 OK\r\nX-Pad: " + b"x" * 70000 + b"\r\n"],
+                             ids=["status-line", "header-fields"])
+    def test_a_head_past_64_kib_is_a_line_too_long(self, tmp_path, head):
+        with RawServer(lambda body: head, close_after=True) as server:
+            records = fetch(server, tmp_path, retries=0)
+        assert [r.status for r in records] == ["TRANSPORT_ERROR(LineTooLong)"] * 2
+
     def test_fresh_connection_closed_before_a_reply_is_remote_disconnected(self, tmp_path):
         with RawServer(lambda body: None) as server:
             records = fetch(server, tmp_path, points=POINTS[:1], retries=2)
@@ -180,6 +188,16 @@ class TestHttps:
         assert [r.status for r in records] == [status] * 2
         if status == "OK":
             assert_ok_with_images(records, tmp_path)
+
+
+def test_streetview_import_loads_neither_stats_nor_labeling():
+    # the query statuses are streetview's own; coverage and labels are other stages
+    src = str(Path(roadsense.__file__).resolve().parent.parent)
+    code = ("import sys, roadsense.streetview; "
+            "print([m for m in ('roadsense.stats', 'roadsense.labeling') if m in sys.modules])")
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                         check=True, capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_cli_import_loads_neither_http_client_nor_email():

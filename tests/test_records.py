@@ -11,8 +11,7 @@ import pytest
 from roadsense.geometry import GeoPoint, Polyline
 from roadsense.labeling import ATTRIBUTES, ConsensusLabel, read_consensus_csv, write_consensus_csv
 from roadsense.osm_ingest import Way
-from roadsense.sampler import write_plan_csv
-from roadsense.segmenter import RoadSegment, read_segments_csv
+from roadsense.segmenter import RoadSegment, read_segments_csv, write_plan_csv
 from roadsense.streetview import QueryRecord
 
 A, B = GeoPoint(42.33, -83.05), GeoPoint(42.331, -83.05)

@@ -5,14 +5,8 @@ import pytest
 from scipy import stats
 
 from roadsense.geometry import GeoPoint
-from roadsense.sampler import (
-    PLAN_CSV_HEADER,
-    SplitMix64,
-    sample_points,
-    sample_segments,
-    write_plan_csv,
-)
-from roadsense.segmenter import RoadSegment
+from roadsense.sampler import SplitMix64, sample_points, sample_segments
+from roadsense.segmenter import PLAN_CSV_HEADER, RoadSegment, write_plan_csv
 
 
 def make_population(n):

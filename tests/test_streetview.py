@@ -11,18 +11,19 @@ import sys
 import threading
 import time
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 import roadsense
+from roadsense import streetview
 from roadsense.cli import main
 from roadsense.errors import AnalysisError, InputDataError, NetworkError
 from roadsense.geometry import GeoPoint
 from roadsense.mockserver import MockStreetViewServer, _Handler
 from roadsense.pipeline import RunConfig
-from roadsense.sampler import write_plan_csv
-from roadsense.segmenter import RoadSegment
+from roadsense.segmenter import RoadSegment, write_plan_csv
 from roadsense.stats import estimate_coverage, wilson_interval
 from roadsense.streetview import (
     QueryRecord,
@@ -273,6 +274,36 @@ class TestFetchAll:
             with pytest.raises(NetworkError, match=DENIED_STORM):
                 fetch_all(plan_of_points(points),
                           fast_config(server.base_url, tmp_path))
+
+    def test_storm_names_the_11th_denial_when_denials_land_together(
+            self, tmp_path, monkeypatch, fast_switching):
+        # 20 workers' denials are released at once, so that the 12th and later
+        # ones reach the journal while the 11th stops the window
+        points = [(0.0, i * 0.01) for i in range(20)]
+        for trial in range(100):
+            barrier = threading.Barrier(20, timeout=10)
+
+            def denied(segment_id, point, config, bucket, conn):
+                barrier.wait()
+                return QueryRecord(segment_id, point, "REQUEST_DENIED")
+
+            monkeypatch.setattr(streetview, "_fetch_one", denied)
+            config = fast_config("http://127.0.0.1:9", tmp_path / str(trial), max_concurrency=20)
+            with pytest.raises(NetworkError, match=r"^11 of the first 11 queries"):
+                fetch_all(plan_of_points(points), config)
+
+    def test_plan_with_a_repeated_segment_id_exits_3_before_any_request(self, tmp_path,
+                                                                         capsys):
+        # two paid images would share one file, images/7#0.jpg
+        plan = [replace(s, segment_id="7#0") for s in plan_of_points([(0.0, 0.1), (0.0, 0.2)])]
+        write_plan_csv(plan, tmp_path / "plan.csv")
+        with MockStreetViewServer({"__default__": {"status": "OK"}}) as server:
+            assert main(["fetch", "--plan", str(tmp_path / "plan.csv"), "--out-dir",
+                         str(tmp_path / "out"), "--api-key", "k", "--max-concurrency", "2",
+                         "--base-url", server.base_url]) == 3
+            assert server.request_count == 0
+        assert capsys.readouterr().err == (
+            f"error: {tmp_path / 'plan.csv'}: line 3: segment_id 7#0 repeats line 2\n")
 
     def test_resume_skips_existing(self, tmp_path):
         points = [(0.0, i * 0.01) for i in range(20)]
@@ -632,6 +663,14 @@ class TestMockServer:
             with pytest.raises(ValueError, match=repr(key)):
                 MockStreetViewServer({key: {"status": "OK"}})
 
+    @pytest.mark.parametrize("value", [5, None, [], {"fail_first": "2"}, {"fail_first": 1.5},
+                                       {"fail_first": True}])
+    @pytest.mark.parametrize("key", ["0.0000000,0.1000000", "__default__"])
+    def test_a_fixture_value_of_another_form_is_an_error_at_start(self, key, value):
+        # it would fail only in the request thread, where the client sees a disconnect
+        with pytest.raises(ValueError, match=f"mock fixture value of {key!r} must be an object"):
+            MockStreetViewServer({key: value})
+
     def test_module_prints_its_url_at_once_and_serves_a_run(self, fixture_city_file,
                                                              tmp_path):
         # the offline quickstart: with --port 0 the printed line is the only
@@ -661,7 +700,10 @@ class TestMockServer:
         ('{"__default__": {"status": "OK"}', "line 1 column 33: not valid JSON"),
         ('{"0.0,0.1": {"status": "OK"}}', "mock fixture key '0.0,0.1' is neither a location"),
         ("[]", "expected an object, got []"),
-    ], ids=["bad-json", "bad-key", "not-an-object"])
+        ('{"0.0000000,0.1000000": 5}', "mock fixture value of '0.0000000,0.1000000' must be"),
+        ('{"0.0000000,0.1000000": {"fail_first": "2"}}', "whose fail_first, if any, is an "
+         "integer, got {'fail_first': '2'}"),
+    ], ids=["bad-json", "bad-key", "not-an-object", "value-not-an-object", "fail-first-text"])
     def test_module_refuses_a_bad_fixture_file_with_one_error_line(self, tmp_path, text,
                                                                    message):
         fixture = tmp_path / "fixture.json"

@@ -24,8 +24,7 @@ from roadsense.labeling import (
 )
 from roadsense.osm_ingest import parse_osm, read_network, write_network
 from roadsense.pipeline import RunConfig, _write_manifest, load_config
-from roadsense.sampler import write_plan_csv
-from roadsense.segmenter import RoadSegment, read_segments_csv, write_segments_csv
+from roadsense.segmenter import RoadSegment, read_segments_csv, write_plan_csv, write_segments_csv
 from roadsense.streetview import QueryRecord, read_queries_csv, write_queries_csv
 
 LABELS = ("AssignmentId,WorkerId,Input.segment_id,Answer.potholes,Answer.cracks,"
